@@ -34,15 +34,11 @@ lint:
 docs-check:
 	$(PYTHON) tools/check_docs.py
 
-# cProfile one representative `repro check` run and dump the top functions
-# by cumulative time (hot-path regression triage).  Emits one profile per
-# implication engine: the compiled slot-indexed kernel (the default path)
-# and the interpreted oracle it lowers.
+# cProfile one representative `repro check` run on the default path and
+# dump the top functions by cumulative time (hot-path regression triage).
 profile:
 	$(PYTHON) benchmarks/profile_check.py --case $(PROFILE_CASE) \
 	    --bound $(PROFILE_BOUND) --top $(PROFILE_TOP)
-	$(PYTHON) benchmarks/profile_check.py --case $(PROFILE_CASE) \
-	    --bound $(PROFILE_BOUND) --top $(PROFILE_TOP) --no-compiled
 
 coverage:
 	$(PYTHON) -m pytest -q --cov=repro --cov-report=term-missing \

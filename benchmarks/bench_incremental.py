@@ -2,9 +2,10 @@
 
 The paper's outer loop re-unrolls the design for every target frame, which
 makes a bound-``k`` check pay O(k^2) frame constructions before any search
-starts.  The incremental path (:class:`CheckerOptions.incremental`) appends
-frames to one live implication network and retracts per-bound goals through
-engine savepoints, for O(k) constructions total.
+starts.  The checker instead appends frames to one live implication network
+and retracts per-bound goals through engine savepoints, for O(k)
+constructions total.  The fresh path is the test oracle in
+``tests/fresh_unroll.py``.
 
 This benchmark runs both paths on implication-dominated zoo assertions
 (addr_decoder p2, token_ring p3, alarm_clock p7 -- all HOLD, so every bound
@@ -19,6 +20,7 @@ import statistics as stats_module
 import pytest
 import reporting
 
+from fresh_unroll import fresh_check
 from repro.checker import AssertionChecker, CheckerOptions
 from repro.checker.incremental import UnrolledModelCache
 from repro.circuits import build_case, build_token_ring
@@ -49,13 +51,16 @@ _RESULTS = {}
 
 def _run_case(case_id, bound, incremental):
     case = build_case(case_id)
+    if not incremental:
+        return fresh_check(
+            case.circuit, case.prop, environment=case.environment,
+            initial_state=case.initial_state, max_frames=bound,
+        )
     checker = AssertionChecker(
         case.circuit,
         environment=case.environment,
         initial_state=case.initial_state,
-        options=CheckerOptions(
-            max_frames=bound, incremental=incremental, trace_memory=False
-        ),
+        options=CheckerOptions(max_frames=bound, trace_memory=False),
         model_cache=UnrolledModelCache(),
     )
     return checker.check(case.prop)
@@ -99,14 +104,18 @@ def _batch_properties(ports):
 
 def _run_batch(incremental, bound=8):
     ports = build_token_ring()
-    cache = UnrolledModelCache()
-    options = CheckerOptions(
-        max_frames=bound, incremental=incremental, trace_memory=False
-    )
+    if not incremental:
+        return [
+            fresh_check(ports.circuit, prop, max_frames=bound)
+            for prop in _batch_properties(ports)
+        ]
+    options = CheckerOptions(max_frames=bound, trace_memory=False)
     # One checker per batch, as the batch runner does per (circuit, env) job
     # group; the incremental path shares its unrolled skeleton across all
     # four properties through the model cache.
-    checker = AssertionChecker(ports.circuit, options=options, model_cache=cache)
+    checker = AssertionChecker(
+        ports.circuit, options=options, model_cache=UnrolledModelCache()
+    )
     return [checker.check(prop) for prop in _batch_properties(ports)]
 
 

@@ -4,8 +4,8 @@ The justification hot path was lowered onto flat slot-indexed lanes
 (:mod:`repro.implication.compiled`): ternary cubes live in parallel
 ``known``/``value`` int arrays, watcher lists are indexed by slot, rule
 refinements are memoised as int tuples, and savepoint/rollback walk a slot
-trail.  The interpreted engine is kept as a bit-identical oracle behind
-``CheckerOptions.compiled``.
+trail.  The interpreted engine is kept as a bit-identical oracle, reached
+through ``UnrolledModelCache(compiled=False)``.
 
 This benchmark drives both engines through the two workloads that dominate
 checker time on the p5/p12/p15 zoo cases, and gates the headline claim:
@@ -68,11 +68,10 @@ def _search_checker(case_id, bound, compiled):
         initial_state=case.initial_state,
         options=CheckerOptions(
             max_frames=bound,
-            compiled=compiled,
             learning=False,
             trace_memory=False,
         ),
-        model_cache=UnrolledModelCache(),
+        model_cache=UnrolledModelCache(compiled=compiled),
     )
     return checker, case.prop
 

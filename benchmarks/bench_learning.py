@@ -90,7 +90,7 @@ def _run_sweep(case_id, depth, learning, kb_path=None):
         environment=case.environment,
         initial_state=case.initial_state,
         options=CheckerOptions(
-            max_frames=depth, incremental=True, learning=learning,
+            max_frames=depth, learning=learning,
             kb_path=kb_path, trace_memory=False,
         ),
         model_cache=UnrolledModelCache(),

@@ -4,6 +4,8 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# Test oracles shared with the tier-1 suite (tests/fresh_unroll.py).
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 sys.path.insert(0, os.path.dirname(__file__))
 
 import reporting  # noqa: E402  (needs the path tweak above)

@@ -7,7 +7,6 @@ spot without wiring up external tooling.
 Usage::
 
     python benchmarks/profile_check.py [--case p3] [--bound 12] [--top 25]
-    python benchmarks/profile_check.py --no-incremental   # ablation profile
 """
 
 import argparse
@@ -31,11 +30,6 @@ def main(argv=None) -> int:
                         help="unrolling bound (default: 12)")
     parser.add_argument("--top", type=int, default=25,
                         help="rows in the cumulative-time dump (default: 25)")
-    parser.add_argument("--no-incremental", action="store_true",
-                        help="profile the fresh-rebuild path instead")
-    parser.add_argument("--no-compiled", action="store_true",
-                        help="profile the interpreted implication engine "
-                             "instead of the compiled slot-indexed kernel")
     parser.add_argument("--output", metavar="FILE",
                         help="also write raw cProfile data to FILE")
     args = parser.parse_args(argv)
@@ -45,12 +39,7 @@ def main(argv=None) -> int:
         case.circuit,
         environment=case.environment,
         initial_state=case.initial_state,
-        options=CheckerOptions(
-            max_frames=args.bound,
-            incremental=not args.no_incremental,
-            compiled=not args.no_compiled,
-            trace_memory=False,
-        ),
+        options=CheckerOptions(max_frames=args.bound, trace_memory=False),
         model_cache=UnrolledModelCache(),
     )
 
@@ -59,13 +48,11 @@ def main(argv=None) -> int:
     result = checker.check(case.prop)
     profiler.disable()
 
-    mode = "fresh" if args.no_incremental else "incremental"
-    mode += ", interpreted" if args.no_compiled else ", compiled"
     print(
-        "case %s (%s), bound %d, %s path: %s in %.3fs "
+        "case %s (%s), bound %d: %s in %.3fs "
         "(%d decisions, %d frames built, rule-cache hit rate %.1f%%)\n"
         % (
-            args.case, case.design, args.bound, mode, result.status.value,
+            args.case, case.design, args.bound, result.status.value,
             result.statistics.cpu_seconds, result.statistics.decisions,
             result.statistics.frames_built,
             100.0 * result.statistics.rule_cache_hit_rate,

@@ -1,7 +1,7 @@
 """The public check API: one serializable request type, one report type.
 
 Before this module existed the same knobs (engines, bounds, budgets,
-incremental / learning / knowledge-base / sim-width switches, seeds) were
+learning / knowledge-base / sim-width switches, seeds) were
 spelled three times -- :class:`~repro.checker.engine.CheckerOptions`,
 :class:`~repro.portfolio.batch.BatchOptions` and ad-hoc CLI plumbing -- and
 none of those spellings could travel: there was no request type a job
@@ -49,7 +49,10 @@ from repro.properties.parse import format_expression, parse_expression
 from repro.properties.spec import Assertion, Property, Witness
 
 #: JSON schema tag of the serialised request (bump the major on breakage).
-REQUEST_SCHEMA = "repro-check-request/v1"
+#: v1.1 retired three search fields (fresh unrolling, the interpreted
+#: engine, cube-hit ordering); v1.0 payloads that still set them parse, and
+#: the values are ignored.
+REQUEST_SCHEMA = "repro-check-request/v1.1"
 #: JSON schema tag of the serialised report.
 REPORT_SCHEMA = "repro-check-report/v1"
 
@@ -69,9 +72,10 @@ def _schema_compatible(schema: object, expected: str) -> bool:
         return True  # tolerate untagged payloads from older writers
     if not isinstance(schema, str):
         return False
-    expected_name, _, expected_major = expected.rpartition("/")
+    expected_name, _, expected_version = expected.rpartition("/")
     name, _, version = schema.rpartition("/")
-    return name == expected_name and version.split(".", 1)[0] == expected_major
+    return (name == expected_name
+            and version.split(".", 1)[0] == expected_version.split(".", 1)[0])
 
 
 # ----------------------------------------------------------------------
@@ -309,15 +313,9 @@ class CheckRequest:
     bdd_iterations: Optional[int] = None
     bdd_node_limit: Optional[int] = None
     # -- search configuration -----------------------------------------
-    incremental: bool = True
     learning: bool = True
     kb_path: Optional[str] = None
     fsm_guidance: bool = False
-    #: run implication on the compiled check kernel (``--no-compiled``
-    #: falls back to the interpreted soundness oracle; bit-identical).
-    compiled: bool = True
-    #: rank decision candidates by learned-cube fire counts (ablation).
-    cube_hit_ordering: bool = False
     # -- batch shape --------------------------------------------------
     jobs: int = 1
     compare: bool = False
@@ -401,12 +399,9 @@ class CheckRequest:
                 "bdd_node_limit": self.bdd_node_limit,
             },
             "search": {
-                "incremental": self.incremental,
                 "learning": self.learning,
                 "kb_path": self.kb_path,
                 "fsm_guidance": self.fsm_guidance,
-                "compiled": self.compiled,
-                "cube_hit_ordering": self.cube_hit_ordering,
             },
             "batch": {"jobs": self.jobs, "compare": self.compare},
         }
@@ -419,7 +414,8 @@ class CheckRequest:
         """Rebuild a request; unknown fields anywhere are ignored.
 
         Tolerates same-major newer minors of :data:`REQUEST_SCHEMA` (their
-        additions are skipped); rejects different majors.
+        additions are skipped); rejects different majors.  Fields retired by
+        a minor bump (see :data:`REQUEST_SCHEMA`) are skipped the same way.
         """
         if not isinstance(payload, Mapping):
             raise RequestError("request payload must be a JSON object")
@@ -468,12 +464,9 @@ class CheckRequest:
             random_cycles=_opt_int(budget.get("random_cycles")),
             bdd_iterations=_opt_int(budget.get("bdd_iterations")),
             bdd_node_limit=_opt_int(budget.get("bdd_node_limit")),
-            incremental=bool(search.get("incremental", True)),
             learning=bool(search.get("learning", True)),
             kb_path=_opt_str(search.get("kb_path")),
             fsm_guidance=bool(search.get("fsm_guidance", False)),
-            compiled=bool(search.get("compiled", True)),
-            cube_hit_ordering=bool(search.get("cube_hit_ordering", False)),
             jobs=int(batch.get("jobs", 1)),
             compare=bool(batch.get("compare", False)),
         )

@@ -54,7 +54,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.atpg.decisions import DecisionCandidate, find_decision_candidates
+from repro.atpg.decisions import find_decision_candidates
 from repro.atpg.estg import ExtendedStateTransitionGraph, LearnedCube
 from repro.atpg.timeframe import UnrolledModel, VarKey
 from repro.bitvector import BV3, BV3Conflict
@@ -281,7 +281,6 @@ class Justifier:
         estg: Optional[ExtendedStateTransitionGraph] = None,
         sampled_probabilities=None,
         learning: Optional[LearningContext] = None,
-        cube_hit_ordering: bool = False,
     ):
         self.model = model
         self.engine = model.engine
@@ -290,9 +289,6 @@ class Justifier:
         self.limits = limits if limits is not None else JustifierLimits()
         self.estg = estg
         self.learning = learning
-        #: re-rank decision candidates by the fire counts of the learned
-        #: cubes naming them (off by default; an ablation heuristic).
-        self.cube_hit_ordering = cube_hit_ordering
         #: optional net-name -> mass-sampled P(net = 1) table used as the
         #: decision-bias fallback (see repro.atpg.probability).
         self.sampled_probabilities = sampled_probabilities
@@ -574,8 +570,6 @@ class Justifier:
             use_bias=self.use_bias,
             sampled_probabilities=self.sampled_probabilities,
         )
-        if self.cube_hit_ordering and candidates:
-            candidates = self._rank_by_cube_hits(candidates)
         if not candidates:
             # No control freedom remains: hand the residual requirements to
             # the modular arithmetic constraint solver (plus completion).
@@ -640,34 +634,6 @@ class Justifier:
             facts.roots.difference_update(own_roots)
             self._record_learned_cube(facts, depth)
         return JustifyOutcome.FAIL, facts
-
-    def _rank_by_cube_hits(
-        self, candidates: List[DecisionCandidate]
-    ) -> List[DecisionCandidate]:
-        """Stable re-rank: candidates named by hot learned cubes come first.
-
-        A net that appears in frequently firing learned cubes is a proven
-        conflict driver; deciding it early tends to re-fire those cubes high
-        in the tree.  The sort is stable and keyed only on summed cube hit
-        counts, so candidates untouched by any cube keep their bias order,
-        and a store without fired cubes leaves the ranking unchanged.
-        """
-        store = self.learning.estg if self.learning is not None else self.estg
-        if store is None or not store.learned_cubes:
-            return candidates
-        hits_by_net: Dict[str, int] = {}
-        for cube in store.learned_cubes.values():
-            if cube.hits <= 0:
-                continue
-            for net, _position, _value in cube.literals:
-                name = getattr(net, "name", None) or str(net)
-                hits_by_net[name] = hits_by_net.get(name, 0) + cube.hits
-        if not hits_by_net:
-            return candidates
-        return sorted(
-            candidates,
-            key=lambda c: -hits_by_net.get(self.model.net_of(c.key).name, 0),
-        )
 
     # ------------------------------------------------------------------
     # Control / datapath split

@@ -3,7 +3,8 @@
 For a target frame ``t`` (growing from the property's warm-up depth to the
 configured maximum), the engine:
 
-1. unrolls the design over ``t + 1`` time frames,
+1. unrolls the design over ``t + 1`` time frames (growing one cached model
+   frame by frame, see :mod:`repro.checker.incremental`),
 2. asserts the environmental constraints in every frame and the inverted
    property goal at frame ``t``,
 3. runs the word-level ATPG justifier (with the modular arithmetic solver in
@@ -47,39 +48,23 @@ class CheckerOptions:
 
     #: maximum number of time frames explored (bounded check depth).
     max_frames: int = 8
-    #: reuse one incrementally extended unrolled model across target frames
-    #: and properties (retracting per-bound goals through engine savepoints)
-    #: instead of rebuilding the implication network for every bound.
-    incremental: bool = True
     #: cross-bound search learning: persist conflict-lifted illegal cubes
     #: and proven-FAIL target frames on the cached model, pruning every
     #: later bound and every property sharing the (circuit, initial state,
     #: environment) cache key.  Sound (prune-only), so verdicts and
     #: counterexamples match the non-learning search; decision counts may
-    #: shrink.  Effective only together with ``incremental``.
+    #: shrink.
     learning: bool = True
     #: path of a persistent knowledge base (:mod:`repro.kb`): learned cubes
     #: and proven-FAIL memos are loaded from it before checking and flushed
     #: back on checker teardown, extending the learning above across
     #: *processes*.  ``None`` keeps learned state process-local.  Effective
-    #: only together with ``incremental`` and ``learning``.
+    #: only together with ``learning``.
     kb_path: Optional[str] = None
     #: validate every generated trace by concrete simulation.
     validate_traces: bool = True
-    #: run implication on the compiled check kernel: the unrolled network is
-    #: lowered once into flat slot-indexed arrays (ternary value lanes,
-    #: int-indexed watcher lists, a compiled rule table) instead of the
-    #: per-step dict-dispatch interpreter.  Bit-identical by contract --
-    #: verdicts, counterexamples, learned cubes and every counter match the
-    #: interpreted engine, which stays available (``--no-compiled``) as the
-    #: soundness oracle.
-    compiled: bool = True
     #: use the legal-assignment-bias decision ordering (ablation switch).
     use_bias: bool = True
-    #: re-rank decision candidates by the fire counts of the learned cubes
-    #: naming them (hot conflict drivers first).  A deterministic ordering
-    #: heuristic, off by default; changes decision order but never verdicts.
-    cube_hit_ordering: bool = False
     #: learn illegal states in an extended state transition graph.  This is a
     #: heuristic accelerator; it may prune witness branches, so it is off by
     #: default and mainly used by the ablation benchmarks.
@@ -112,12 +97,9 @@ class CheckerOptions:
         module that imports across layers.
         """
         options = cls(
-            incremental=request.incremental,
             learning=request.learning,
             kb_path=request.kb_path,
             use_local_fsm_guidance=request.fsm_guidance,
-            compiled=request.compiled,
-            cube_hit_ordering=request.cube_hit_ordering,
         )
         if request.max_frames is not None:
             options.max_frames = request.max_frames
@@ -140,19 +122,15 @@ class AssertionChecker:
         self.environment = environment if environment is not None else Environment()
         self.options = options if options is not None else CheckerOptions()
         #: cache of incremental unrolled models (shared across checker
-        #: instances by default; inject a private one for isolation).
+        #: instances by default; inject a private one for isolation, or one
+        #: built with ``compiled=False`` to run on the interpreted oracle).
         self.model_cache = model_cache if model_cache is not None else shared_model_cache()
         self._incremental_model: Optional[UnrolledModel] = None
         self._restore_savepoint = None
-        self._counter_marks = (0, 0, 0, 0, 0, 0.0)
         self._learning_marks = None
         #: persistent knowledge base handle (None when not configured).
         self._kb = None
-        if (
-            self.options.kb_path
-            and self.options.incremental
-            and self.options.learning
-        ):
+        if self.options.kb_path and self.options.learning:
             from repro.kb import circuit_snapshot, open_knowledge_base
 
             # Snapshot the circuit's structural fingerprint and net-name set
@@ -244,31 +222,29 @@ class AssertionChecker:
 
         with ResourceMeter(trace_memory=self.options.trace_memory) as meter:
             try:
-                if self.options.incremental:
-                    self._incremental_model, reused = self.model_cache.acquire(
-                        self.circuit, self.initial_state, self.environment,
-                        compiled=self.options.compiled,
+                model, reused = self.model_cache.acquire(
+                    self.circuit, self.initial_state, self.environment,
+                )
+                self._incremental_model = model
+                if reused:
+                    statistics.models_reused += 1
+                else:
+                    # Count the skeleton frame built by the cache miss.
+                    statistics.frames_built += model.frames_constructed
+                    if model.compiled:
+                        statistics.compiled_models += 1
+                # Per-check gauges/counters of the shared model.
+                model.engine.frontier_peak = 0
+                if self._kb is not None:
+                    self._kb.attach(
+                        model, self.circuit, self.initial_state, self.environment,
                     )
-                    if reused:
-                        statistics.models_reused += 1
-                    else:
-                        # Count the skeleton frame built by the cache miss.
-                        statistics.frames_built += self._incremental_model.frames_constructed
-                        if self._incremental_model.compiled:
-                            statistics.compiled_models += 1
-                    # Per-check gauges/counters of the shared model.
-                    self._incremental_model.engine.frontier_peak = 0
-                    if self._kb is not None and self.options.learning:
-                        self._kb.attach(
-                            self._incremental_model, self.circuit,
-                            self.initial_state, self.environment,
-                        )
-                    self._learning_marks = self._learning_counter_marks()
+                self._learning_marks = self._learning_counter_marks()
                 start_frame = compiled.warmup_frames
                 for target_frame in range(start_frame, bound):
                     statistics.frames_explored = target_frame + 1
                     try:
-                        outcome, model, search = self._check_target_frame(
+                        outcome, search = self._check_target_frame(
                             compiled, target_frame, statistics
                         )
                         if search is not None:
@@ -293,23 +269,19 @@ class AssertionChecker:
                         # Retract this bound's goals (and the search's decision
                         # stack) so the cached base fixpoint is restored exactly.
                         self._retract_goals()
-                if self.options.incremental:
-                    self._accumulate_learning_counters(statistics)
-                    if self._kb is not None and self._incremental_model is not None:
-                        # Checker-teardown write-tx: everything this check
-                        # learned is on disk before the verdict is returned.
-                        flush_hook = getattr(
-                            self._incremental_model, "kb_flush_hook", None
-                        )
-                        if flush_hook is not None:
-                            flush_hook()
+                self._accumulate_learning_counters(statistics)
+                if self._kb is not None:
+                    # Checker-teardown write-tx: everything this check
+                    # learned is on disk before the verdict is returned.
+                    flush_hook = getattr(model, "kb_flush_hook", None)
+                    if flush_hook is not None:
+                        flush_hook()
             except BaseException:
                 # An escaping error may have interrupted a structural base
                 # mutation (extend/sync); drop this circuit's cached models
                 # rather than risk reusing a half-built network.
-                if self.options.incremental:
-                    self._incremental_model = None
-                    self.model_cache.evict(self.circuit)
+                self._incremental_model = None
+                self.model_cache.evict(self.circuit)
                 raise
 
         statistics.cpu_seconds = meter.elapsed_seconds
@@ -325,11 +297,6 @@ class AssertionChecker:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def _learning_enabled(self) -> bool:
-        """Cross-bound learning needs the persistent incremental model."""
-        return self.options.learning and self.options.incremental
-
     @staticmethod
     def _prop_fingerprint(compiled: CompiledProperty) -> object:
         """A stable identity for learned facts that depend on the goal.
@@ -359,14 +326,16 @@ class AssertionChecker:
         """
         options = self.options
         limits = options.limits
-        # ``options.compiled`` is deliberately absent: the compiled kernel
-        # is bit-identical to the interpreter, so memos transfer across the
-        # two modes (each cached model still has its own store; the key
-        # equality matters for knowledge-base round-trips).
+        # The engine flavour is deliberately absent: the compiled kernel is
+        # bit-identical to the interpreted oracle, so memos transfer across
+        # the two.  The literal ``False`` fills the slot of the retired
+        # cube-hit ordering switch, which was always off by default: it
+        # keeps the JSON of this key unchanged, so FAIL memos already stored
+        # in knowledge bases keep matching.
         return (
             (property_search_digest(compiled.prop.expr), compiled.goal_value),
             options.use_bias,
-            options.cube_hit_ordering,
+            False,
             options.probability_sample_vectors,
             options.probability_sample_seed,
             (limits.max_decisions, limits.max_backtracks, limits.max_depth,
@@ -375,29 +344,6 @@ class AssertionChecker:
         )
 
     def _check_target_frame(
-        self, compiled: CompiledProperty, target_frame: int,
-        statistics: CheckStatistics,
-    ):
-        if self.options.incremental:
-            return self._check_target_frame_incremental(
-                compiled, target_frame, statistics
-            )
-        num_frames = target_frame + 1
-        model = UnrolledModel(
-            self.circuit, num_frames, initial_state=self.initial_state,
-            compiled=self.options.compiled,
-        )
-        if model.compiled:
-            statistics.compiled_models += 1
-        self._counter_marks = (0, 0, 0, 0, 0, 0.0)
-        try:
-            self._assert_requirements(model, compiled, target_frame)
-        except ImplicationConflict:
-            return JustifyOutcome.FAIL, model, None
-        search = self._run_justifier(model, compiled, None)
-        return search.outcome, model, search
-
-    def _check_target_frame_incremental(
         self, compiled: CompiledProperty, target_frame: int,
         statistics: CheckStatistics,
     ):
@@ -420,7 +366,7 @@ class AssertionChecker:
             model.frames_constructed,
             model.compile_seconds,
         )
-        learning_store = model.estg if self._learning_enabled else None
+        learning_store = model.estg if self.options.learning else None
         # The heuristic ESTG stores (use_estg / FSM guidance) may prune
         # unsoundly by design; verdicts reached under them must never enter
         # the shared proven-FAIL memo.
@@ -431,7 +377,7 @@ class AssertionChecker:
             if (search_fp, target_frame) in learning_store.kb_fail_targets:
                 # The skip is owed to a memo loaded from the knowledge base.
                 learning_store.kb_hits += 1
-            return JustifyOutcome.FAIL, model, None
+            return JustifyOutcome.FAIL, None
         model.extend_to(target_frame + 1)
         self._restore_savepoint = engine.savepoint()
         try:
@@ -441,7 +387,7 @@ class AssertionChecker:
         except ImplicationConflict:
             if memo_safe:
                 learning_store.record_proven_fail(search_fp, target_frame)
-            return JustifyOutcome.FAIL, model, None
+            return JustifyOutcome.FAIL, None
         learning = None
         if learning_store is not None:
             learning = LearningContext(
@@ -453,7 +399,7 @@ class AssertionChecker:
         search = self._run_justifier(model, compiled, learning)
         if memo_safe and search.outcome is JustifyOutcome.FAIL:
             learning_store.record_proven_fail(search_fp, target_frame)
-        return search.outcome, model, search
+        return search.outcome, search
 
     def _assert_requirements(
         self,
@@ -545,10 +491,7 @@ class AssertionChecker:
         depth is not asserted.
         """
         engine = model.engine
-        if self._restore_savepoint is not None:
-            walk_mark = self._restore_savepoint[0][0]
-        else:
-            walk_mark = engine.assignment.trail_length
+        walk_mark = self._restore_savepoint[0][0]
 
         def attempt(cubes):
             mark = walk_mark
@@ -609,7 +552,7 @@ class AssertionChecker:
         )
 
     def _learning_counter_marks(self):
-        if not self._learning_enabled or self._incremental_model is None:
+        if not self.options.learning:
             return None
         store = self._incremental_model.estg
         return (
@@ -619,10 +562,8 @@ class AssertionChecker:
         )
 
     def _accumulate_learning_counters(self, statistics: CheckStatistics) -> None:
-        marks = getattr(self, "_learning_marks", None)
+        marks = self._learning_marks
         model = self._incremental_model
-        if model is None:
-            return
         statistics.frontier_peak = max(
             statistics.frontier_peak, model.engine.frontier_peak
         )
@@ -654,7 +595,6 @@ class AssertionChecker:
             estg=self.estg if self.estg.enabled else None,
             sampled_probabilities=self._sampled_probabilities,
             learning=learning,
-            cube_hit_ordering=self.options.cube_hit_ordering,
         )
         return justifier.run()
 

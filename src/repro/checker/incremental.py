@@ -99,6 +99,11 @@ class UnrolledModelCache:
     a typical batch (a handful of designs, many properties each) while
     keeping the worst case small.
 
+    ``compiled`` selects the engine every model of this cache runs on.  The
+    product always uses the compiled slot-indexed kernel; tests and
+    benchmarks build a cache with ``compiled=False`` to run a check on the
+    interpreted engine, the bit-identical oracle the kernel is lowered from.
+
     Concurrency: the internal lock only protects the cache *dictionary*
     (lookups, insertion, eviction).  The models it hands out are live,
     mutable engines -- checking itself is single-threaded per process, as in
@@ -107,11 +112,12 @@ class UnrolledModelCache:
     threads.
     """
 
-    def __init__(self, max_entries: int = 8):
+    def __init__(self, max_entries: int = 8, compiled: bool = True):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple[int, Hashable, Hashable, bool], UnrolledModel]" = (
+        self.compiled = compiled
+        self._entries: "OrderedDict[Tuple[int, Hashable, Hashable], UnrolledModel]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
@@ -124,24 +130,17 @@ class UnrolledModelCache:
         circuit: Circuit,
         initial_state: Optional[Mapping[str, int]] = None,
         environment: Optional[Environment] = None,
-        compiled: bool = False,
     ) -> Tuple[UnrolledModel, bool]:
         """Return ``(model, reused)`` for the given configuration.
 
         A cache miss builds a one-frame skeleton (callers grow it with
         :meth:`UnrolledModel.extend_to`); a hit returns the live model after
         absorbing any circuit growth via ``sync_with_circuit``.
-
-        ``compiled`` selects the engine flavour and is part of the cache
-        key: a compiled and an interpreted model of the same design are
-        distinct entries (each with its own learned store), so an A/B run
-        never has one mode warm the other's caches.
         """
         key = (
             id(circuit),
             initial_state_fingerprint(initial_state),
             environment_fingerprint(environment),
-            compiled,
         )
         with self._lock:
             model = self._entries.get(key)
@@ -164,7 +163,7 @@ class UnrolledModelCache:
         # not stall other cache users.  A racing duplicate build is benign
         # (last insert wins).
         model = UnrolledModel(
-            circuit, 1, initial_state=initial_state, compiled=compiled
+            circuit, 1, initial_state=initial_state, compiled=self.compiled
         )
         dropped = []
         with self._lock:
@@ -209,8 +208,8 @@ class UnrolledModelCache:
             return len(self._entries)
 
 
-#: The process-wide cache shared by every :class:`AssertionChecker` whose
-#: options enable incremental checking (the default).
+#: The process-wide cache shared by every :class:`AssertionChecker` that is
+#: not handed a private one.
 _SHARED_CACHE = UnrolledModelCache()
 
 

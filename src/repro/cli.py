@@ -169,10 +169,7 @@ def _request_from_args(args: argparse.Namespace) -> api.CheckRequest:
             time_budget=args.time_budget,
             sim_width=args.sim_width,
             seed=args.seed,
-            incremental=not args.no_incremental,
             learning=not args.no_learning,
-            compiled=not args.no_compiled,
-            cube_hit_ordering=args.cube_hit_ordering,
             kb_path=_kb_path(args),
             fsm_guidance=args.fsm_guidance,
             jobs=args.jobs,
@@ -610,16 +607,12 @@ def _fleet_router_from_args(args: argparse.Namespace, retry=None):
         raise SystemExit(str(exc))
     if not endpoints:
         return None
-    hedge_after = getattr(args, "hedge_after", None)
-    if hedge_after is None:
-        hedge_after = options.get("hedge_after")
     try:
         return fleet_mod.FleetRouter(
             endpoints,
             trip_threshold=int(options.get(
                 "trip_threshold", fleet_mod.DEFAULT_TRIP_THRESHOLD)),
             cooldown=float(options.get("cooldown", fleet_mod.DEFAULT_COOLDOWN)),
-            hedge_after=hedge_after,
             retry=retry,
             read_timeout=getattr(args, "read_timeout", None),
             sync_on_failover=getattr(args, "sync_on_failover", False),
@@ -724,10 +717,9 @@ def _command_fleet(args: argparse.Namespace) -> int:
                              item.get("error")))
             print(
                 "%d done, %d failed, %d lost of %d "
-                "(failovers=%d hedges_won=%d fell_back=%d)"
+                "(failovers=%d fell_back=%d)"
                 % (report["done"], report["failed"], report["lost"],
                    report["total"], report["counters"]["failovers"],
-                   report["counters"]["hedges_won"],
                    report["counters"]["fell_back"])
             )
         failing = report["failed"] or report["lost"] or any(
@@ -825,31 +817,11 @@ def _add_check_arguments(parser: argparse.ArgumentParser,
         "instead of racing",
     )
     parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="rebuild the unrolled implication network from scratch for "
-        "every bound instead of reusing it incrementally (debug/ablation)",
-    )
-    parser.add_argument(
         "--no-learning",
         action="store_true",
         help="disable cross-bound search learning (persistent illegal-state "
         "cubes and proven-FAIL target memoisation on the cached unrolled "
         "models); verdicts are unchanged, only speed (debug/ablation)",
-    )
-    parser.add_argument(
-        "--no-compiled",
-        action="store_true",
-        help="run the interpreted implication engine instead of the "
-        "compiled slot-indexed kernel; verdicts, traces and statistics are "
-        "bit-identical, only speed differs (debug/ablation)",
-    )
-    parser.add_argument(
-        "--cube-hit-ordering",
-        action="store_true",
-        help="rank decision candidates by accumulated learned-cube hit "
-        "counts (experimental heuristic; changes decision order and hence "
-        "search statistics, never verdicts)",
     )
     parser.add_argument(
         "--kb",
@@ -886,13 +858,6 @@ def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         help="TOML fleet file ([[endpoints]] tables plus an optional "
         "[fleet] options table)",
-    )
-    parser.add_argument(
-        "--hedge-after",
-        type=float,
-        metavar="SECONDS",
-        help="hedged submits: also try the next endpoint when the assigned "
-        "one has not answered after this long (first answer wins)",
     )
     parser.add_argument(
         "--sync-on-failover",

@@ -423,7 +423,6 @@ SITES = (
     "kb.flush",
     "fleet.route",
     "fleet.probe",
-    "fleet.hedge",
 )
 
 __all__ = [

@@ -423,7 +423,6 @@ class CompiledEngine(ImplicationEngine):
         trail = assignment._trail
         live = assignment._live
         rule_rows = self._rule_rows
-        lru = self.rule_cache_lru
         watchers = self._slot_watchers
         num_watched = len(watchers)
         dirty = self._dirty_nodes
@@ -449,9 +448,6 @@ class CompiledEngine(ImplicationEngine):
                     entry = self._miss_evaluate(node, cache, signature)
                 else:
                     hits += 1
-                    if lru:
-                        del cache[signature]
-                        cache[signature] = entry
                 refined = entry[0]
                 if entry[1]:
                     continue  # memoised no-op: every pin would be skipped
@@ -540,9 +536,6 @@ class CompiledEngine(ImplicationEngine):
             entry = self._miss_evaluate(node, cache, signature)
         else:
             self.rule_cache_hits += 1
-            if self.rule_cache_lru:
-                del cache[signature]
-                cache[signature] = entry
         refined, noop = entry
         if noop:
             # The memoised refinement equals its own input signature: the

@@ -130,12 +130,6 @@ class ConflictAnalysis:
 class ImplicationEngine:
     """Propagates word-level implications to a fixpoint over a node network."""
 
-    #: rule-memo eviction policy.  The LRU experiment (see README.md) found
-    #: identical hit rates to FIFO on deep-search sweeps -- per-node caches
-    #: rarely reach the 256-entry limit -- while the move-to-end bookkeeping
-    #: slowed the hot evaluation path by 15-20%, so FIFO stays the default.
-    rule_cache_lru = False
-
     def __init__(self, assignment: Optional[Assignment] = None):
         self.assignment = assignment if assignment is not None else Assignment()
         self.assignment.on_restore = self._mark_key_dirty
@@ -155,9 +149,8 @@ class ImplicationEngine:
         # Memoized rule evaluations.  Branch-and-bound revisits many
         # identical pin-cube combinations across backtracked branches; rules
         # are pure functions of their cubes, so their results can be reused.
-        # Eviction drops one entry at a time (dicts preserve insertion
-        # order); with ``rule_cache_lru`` hits are moved to the back first,
-        # so deep searches keep their hot entries.
+        # Eviction drops the oldest entry (FIFO: dicts preserve insertion
+        # order).  An LRU policy was measured and rejected, see README.md.
         self._rule_cache: Dict[int, Dict[Tuple[BV3, ...], List[BV3]]] = {}
         self._rule_cache_limit = 256
         self.rule_cache_hits = 0
@@ -289,10 +282,6 @@ class ImplicationEngine:
             cache[cache_key] = refined
         else:
             self.rule_cache_hits += 1
-            if self.rule_cache_lru:
-                # Move-to-end on hit: hot entries outlive the eviction scan.
-                del cache[cache_key]
-                cache[cache_key] = refined
         try:
             for key, old, new in zip(node.keys, cubes, refined):
                 if new is old or new == old:

@@ -72,10 +72,6 @@ class BatchOptions:
     base_seed: Optional[int] = None
     #: run every engine to completion for cross-engine comparison.
     run_all: bool = False
-    #: incremental unrolled-model reuse in the ATPG engine.  Jobs that share
-    #: one circuit object and land on the same worker also share the cached
-    #: skeleton across properties (monitor logic is absorbed incrementally).
-    incremental: bool = True
     #: cross-bound search learning in the ATPG engine (illegal cubes and
     #: proven-FAIL targets persist on the cached models, so grouped jobs
     #: sharing a circuit also share what earlier properties learned).
@@ -109,7 +105,6 @@ class BatchOptions:
             budget=EngineBudget.from_request(request),
             jobs=request.jobs,
             run_all=request.compare,
-            incremental=request.incremental,
             learning=request.learning,
             kb_path=request.kb_path,
         )
@@ -188,53 +183,38 @@ def _engine_names(engines: Sequence[Union[str, Engine]]) -> List[str]:
 
 
 def _configure_engines(
-    engines: Sequence[Union[str, Engine]], incremental: bool, learning: bool = True,
+    engines: Sequence[Union[str, Engine]], learning: bool = True,
     kb_path: Optional[str] = None,
 ) -> Sequence[Union[str, Engine]]:
     """Materialise per-batch engine configuration (ATPG toggles).
 
     The batch flags apply to the registry name ``"atpg"`` and to
-    :class:`AtpgEngine` instances that did not pin their own ``incremental``
-    / ``learning`` / ``kb_path`` arguments; an engine constructed with an
-    explicit choice wins.
+    :class:`AtpgEngine` instances that did not pin their own ``learning`` /
+    ``kb_path`` arguments; an engine constructed with an explicit choice
+    wins.
     """
-    if incremental and learning and kb_path is None:
+    if learning and kb_path is None:
         return engines  # the checker's defaults are already on
     from repro.portfolio.engines import AtpgEngine
 
-    incremental_override = None if incremental else False
     learning_override = None if learning else False
     configured: List[Union[str, Engine]] = []
     for engine in engines:
         if engine == "atpg":
-            configured.append(
-                AtpgEngine(
-                    incremental=incremental_override, learning=learning_override,
-                    kb_path=kb_path,
-                )
-            )
+            configured.append(AtpgEngine(learning=learning_override, kb_path=kb_path))
         elif isinstance(engine, AtpgEngine):
-            new_incremental = engine.incremental
             new_learning = engine.learning
             new_kb_path = engine.kb_path
-            if not incremental and new_incremental is None:
-                new_incremental = False
             if not learning and new_learning is None:
                 new_learning = False
             if kb_path is not None and new_kb_path is None:
                 new_kb_path = kb_path
-            unchanged = (new_incremental, new_learning, new_kb_path) == (
-                engine.incremental, engine.learning, engine.kb_path
-            )
-            if unchanged:
+            if (new_learning, new_kb_path) == (engine.learning, engine.kb_path):
                 configured.append(engine)
             else:
                 configured.append(
                     AtpgEngine(
-                        engine.options,
-                        incremental=new_incremental,
-                        learning=new_learning,
-                        kb_path=new_kb_path,
+                        engine.options, learning=new_learning, kb_path=new_kb_path,
                     )
                 )
         else:
@@ -243,15 +223,14 @@ def _configure_engines(
 
 
 def _run_batch_job(payload: Tuple[int, BatchJob, Sequence[Union[str, Engine]],
-                                  EngineBudget, int, bool, bool, bool,
+                                  EngineBudget, int, bool, bool,
                                   Optional[str]]) -> BatchItem:
     """Run one job's portfolio (in the worker or inline) and wrap the outcome."""
-    (_index, job, engines, budget, seed, run_all, incremental, learning,
-     kb_path) = payload
+    _index, job, engines, budget, seed, run_all, learning, kb_path = payload
     try:
         checker = PortfolioChecker(
             job.circuit,
-            engines=_configure_engines(engines, incremental, learning, kb_path),
+            engines=_configure_engines(engines, learning, kb_path),
             environment=job.environment,
             initial_state=job.initial_state,
             options=PortfolioOptions(
@@ -337,7 +316,6 @@ class BatchRunner:
                 options.budget,
                 job.seed if job.seed is not None else base_seed + index,
                 options.run_all,
-                options.incremental,
                 options.learning,
                 options.kb_path,
             )

@@ -111,11 +111,10 @@ def _error_result(name: str, started: float, exc: Exception) -> EngineResult:
 class AtpgEngine:
     """Adapter for the paper's word-level ATPG :class:`AssertionChecker`.
 
-    ``incremental`` toggles the shared unrolled-model reuse path (see
-    :mod:`repro.checker.incremental`), ``learning`` the cross-bound search
-    learning riding the cached models, and ``kb_path`` the persistent
-    knowledge base (:mod:`repro.kb`) extending that learning across
-    processes.  Left at ``None`` they defer to the ``options`` object
+    ``learning`` toggles the cross-bound search learning riding the cached
+    unrolled models (see :mod:`repro.checker.incremental`), and ``kb_path``
+    the persistent knowledge base (:mod:`repro.kb`) extending that learning
+    across processes.  Left at ``None`` they defer to the ``options`` object
     (whose defaults are on / no store); passed explicitly they override it.
     Consecutive ``run`` calls against the *same circuit object* (the common
     batch shape) reuse the cached skeleton -- and its learned illegal cubes
@@ -128,12 +127,10 @@ class AtpgEngine:
     def __init__(
         self,
         options: Optional[CheckerOptions] = None,
-        incremental: Optional[bool] = None,
         learning: Optional[bool] = None,
         kb_path: Optional[str] = None,
     ):
         self.options = options
-        self.incremental = incremental
         self.learning = learning
         self.kb_path = kb_path
 
@@ -151,8 +148,6 @@ class AtpgEngine:
         try:
             options = self.options if self.options is not None else CheckerOptions()
             overrides = {"max_frames": budget.max_frames}
-            if self.incremental is not None:
-                overrides["incremental"] = self.incremental
             if self.learning is not None:
                 overrides["learning"] = self.learning
             if self.kb_path is not None:
@@ -170,8 +165,7 @@ class AtpgEngine:
         from repro.checker.report import statistics_to_dict
 
         stats = {"frames_explored": result.frames_explored,
-                 "incremental": options.incremental,
-                 "learning": options.learning and options.incremental}
+                 "learning": options.learning}
         stats.update(statistics_to_dict(result.statistics))
         return EngineResult(
             engine=self.name,

@@ -22,16 +22,13 @@ that makes them behave like one service:
   to the next endpoint in *its own* rendezvous order, reusing the same
   idempotent ``submit_key``, so retries collapse daemon-side and verdicts
   stay bit-identical to a single-daemon run;
-* **hedged submits** -- with ``hedge_after`` set, a straggling shard gets a
-  backup submit to the next endpoint after that many seconds; first answer
-  wins (``hedges_won`` counts the backups that did);
 * **anti-entropy** -- shards learn independently; :func:`sync_stores`
   pairwise-merges their sqlite stores with the commuting KB merge
   semantics (union cubes / max hits / add-only memos), and the router can
   trigger the same merge after a failover so the takeover shard inherits
   what the dead one had learned.
 
-Fault sites ``fleet.route``, ``fleet.probe`` and ``fleet.hedge`` hook the
+Fault sites ``fleet.route`` and ``fleet.probe`` hook the
 deterministic injector (:mod:`repro.faults`); they are inert unless a
 fault plan is armed.
 
@@ -47,7 +44,6 @@ and only when the whole chain is exhausted does the in-process fallback
 from __future__ import annotations
 
 import os
-import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -232,7 +228,6 @@ def load_fleet_file(path: str) -> Tuple[List[FleetEndpoint], Dict[str, object]]:
     Expected shape::
 
         [fleet]
-        hedge_after = 2.0        # optional
         trip_threshold = 3       # optional
         cooldown = 5.0           # optional
 
@@ -269,9 +264,8 @@ def load_fleet_file(path: str) -> Tuple[List[FleetEndpoint], Dict[str, object]]:
     options_block = document.get("fleet")
     options: Dict[str, object] = {}
     if isinstance(options_block, Mapping):
-        for key in ("hedge_after", "cooldown"):
-            if key in options_block:
-                options[key] = float(options_block[key])
+        if "cooldown" in options_block:
+            options["cooldown"] = float(options_block["cooldown"])
         if "trip_threshold" in options_block:
             options["trip_threshold"] = int(options_block["trip_threshold"])
     return endpoints, options
@@ -410,7 +404,6 @@ class EndpointState:
     jobs_routed: int = 0
     failures: int = 0
     failovers_away: int = 0
-    hedges_won: int = 0
     last_error: Optional[str] = None
 
     def record_success(self) -> None:
@@ -445,7 +438,6 @@ class EndpointState:
             failures=self.failures,
             consecutive_failures=self.consecutive_failures,
             failovers_away=self.failovers_away,
-            hedges_won=self.hedges_won,
         )
         if self.last_error:
             payload["last_error"] = self.last_error
@@ -463,7 +455,6 @@ class FleetRouter:
         endpoints: Sequence[FleetEndpoint],
         trip_threshold: int = DEFAULT_TRIP_THRESHOLD,
         cooldown: float = DEFAULT_COOLDOWN,
-        hedge_after: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         read_timeout: Optional[float] = None,
         sync_on_failover: bool = False,
@@ -473,7 +464,6 @@ class FleetRouter:
         self.endpoints = list(endpoints)
         self.trip_threshold = max(1, int(trip_threshold))
         self.cooldown = float(cooldown)
-        self.hedge_after = hedge_after
         self.retry = retry
         self.read_timeout = read_timeout
         self.sync_on_failover = sync_on_failover
@@ -483,8 +473,7 @@ class FleetRouter:
         self._fingerprints: Dict[Tuple, str] = {}
         self._synced_pairs: set = set()
         self.counters: Dict[str, int] = {
-            "jobs": 0, "failovers": 0, "hedges": 0, "hedges_won": 0,
-            "fell_back": 0, "syncs": 0,
+            "jobs": 0, "failovers": 0, "fell_back": 0, "syncs": 0,
         }
 
     # -- routing table -------------------------------------------------
@@ -541,7 +530,7 @@ class FleetRouter:
               deadline: Optional[float] = None,
               timeout: Optional[float] = None,
               fallback: bool = True) -> api.CheckReport:
-        """Route one request, with failover / hedging / fallback.
+        """Route one request, with failover / fallback.
 
         Semantics: connection-level failures walk the rendezvous chain
         (reusing one ``submit_key``, so a daemon that actually received
@@ -610,93 +599,37 @@ class FleetRouter:
                    request: api.CheckRequest,
                    deadline: Optional[float], timeout: Optional[float],
                    fallback: bool, submit_key: str) -> api.CheckReport:
-        """The unified failover + hedge launch loop.
+        """The sequential failover loop.
 
-        Attempts run in daemon threads reporting into one queue.  A new
-        attempt launches when the previous one *fails* (failover) or --
-        with hedging on -- when the hedge timer expires while one is still
-        in flight.  The first success wins; a non-``draining``
-        :class:`JobFailure` from any attempt propagates immediately.
+        Endpoints are tried one at a time in chain order; a connection-level
+        failure or a ``draining`` answer moves on to the next.  The first
+        success wins; any other :class:`JobFailure` propagates immediately.
         """
-        results: "queue.Queue[Tuple[int, str, object]]" = queue.Queue()
-        pending = list(chain)
-        launched: List[EndpointState] = []
-        reasons: List[str] = []
-        in_flight = 0
         failed: List[EndpointState] = []
         last_error: Optional[Exception] = None
-
-        def launch(reason: str) -> None:
-            nonlocal in_flight
-            state = pending.pop(0)
-            slot = len(launched)
-            launched.append(state)
-            reasons.append(reason)
-            in_flight += 1
-
-            def run() -> None:
-                try:
-                    report = self._attempt(state, request, deadline,
-                                           timeout, submit_key)
-                except Exception as exc:  # noqa: BLE001 - re-raised typed
-                    results.put((slot, "error", exc))
-                else:
-                    results.put((slot, "ok", report))
-
-            threading.Thread(target=run, daemon=True,
-                             name="fleet-%s" % state.endpoint.name).start()
-
-        launch("primary")
-        # An armed fleet.hedge fault forces an immediate hedge launch, so
-        # tests exercise the hedge path without a deliberately slow daemon.
-        hedge_rule = faults.maybe_fire("fleet.hedge") \
-            if self.hedge_after is not None else None
-        force_hedge = hedge_rule is not None and pending
-        while True:
-            wait: Optional[float] = None
-            if pending and self.hedge_after is not None:
-                wait = 0.0 if force_hedge else self.hedge_after
-            try:
-                slot, kind, payload = results.get(timeout=wait)
-            except queue.Empty:
-                force_hedge = False
-                if pending:
-                    with self._lock:
-                        self.counters["hedges"] += 1
-                    launch("hedge")
-                continue
-            in_flight -= 1
-            state = launched[slot]
-            if kind == "ok":
-                others_racing = in_flight > 0
-                state.record_success()
-                if reasons[slot] == "hedge":
-                    state.hedges_won += 1
-                    with self._lock:
-                        self.counters["hedges_won"] += 1
-                if reasons[slot] == "failover" or (failed and not others_racing):
-                    self._after_failover(failed, state)
-                return payload  # type: ignore[return-value]
-            exc = payload
-            assert isinstance(exc, Exception)
-            if isinstance(exc, JobFailure) and exc.cause != "draining":
-                raise exc
-            if isinstance(exc, JobFailure):
-                state.draining = True
-                state.last_error = str(exc)
-            else:
-                state.record_failure(str(exc), self.trip_threshold)
-            state.failovers_away += 1
-            failed.append(state)
-            last_error = exc
-            if pending:
+        for state in chain:
+            if failed:
                 with self._lock:
                     self.counters["failovers"] += 1
-                launch("failover")
-                continue
-            if in_flight:
-                continue
-            break
+            try:
+                report = self._attempt(state, request, deadline, timeout,
+                                       submit_key)
+            except JobFailure as exc:
+                if exc.cause != "draining":
+                    raise
+                state.draining = True
+                state.last_error = str(exc)
+                last_error = exc
+            except Exception as exc:  # noqa: BLE001 - connection-level
+                state.record_failure(str(exc), self.trip_threshold)
+                last_error = exc
+            else:
+                state.record_success()
+                if failed:
+                    self._after_failover(failed, state)
+                return report
+            state.failovers_away += 1
+            failed.append(state)
         if fallback:
             with self._lock:
                 self.counters["fell_back"] += 1
@@ -821,7 +754,6 @@ class FleetRouter:
             "endpoints": [endpoint.to_dict() for endpoint in self.endpoints],
             "trip_threshold": self.trip_threshold,
             "cooldown": self.cooldown,
-            "hedge_after": self.hedge_after,
             "sync_on_failover": self.sync_on_failover,
         }
 

@@ -64,13 +64,26 @@ def full_request() -> api.CheckRequest:
         random_cycles=24,
         bdd_iterations=100,
         bdd_node_limit=50_000,
-        incremental=False,
         learning=False,
         kb_path="/tmp/kb.sqlite",
         fsm_guidance=True,
         jobs=3,
         compare=True,
     )
+
+
+#: search fields a ``repro-check-request/v1`` (v1.0) writer could still send.
+RETIRED_SEARCH_FIELDS = {"incremental": False, "compiled": False,
+                         "cube_hit_ordering": True}
+
+
+def legacy_v1_payload(case_id: str = "p5") -> dict:
+    """A default request for ``case_id`` as a v1.0 client serialised it,
+    with every retired search field set away from its old default."""
+    payload = api.CheckRequest(circuit=api.CircuitRef.case(case_id)).to_dict()
+    payload["schema"] = "repro-check-request/v1"
+    payload["search"].update(RETIRED_SEARCH_FIELDS)
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +113,13 @@ class TestRequestRoundTrip:
         payload = full_request().to_dict()
         payload["schema"] = "repro-check-request/v1.7"
         assert api.CheckRequest.from_dict(payload) == full_request()
+
+    def test_v1_0_payload_with_retired_search_fields_parses(self):
+        request = api.CheckRequest.from_dict(legacy_v1_payload("p5"))
+        assert request == api.CheckRequest(circuit=api.CircuitRef.case("p5"))
+        payload = request.to_dict()
+        assert payload["schema"] == api.REQUEST_SCHEMA == "repro-check-request/v1.1"
+        assert not set(RETIRED_SEARCH_FIELDS) & set(payload["search"])
 
     def test_other_major_schema_rejected(self):
         payload = full_request().to_dict()
@@ -171,7 +191,6 @@ class TestAdapters:
         request = full_request()
         options = CheckerOptions.from_request(request)
         assert options.max_frames == request.max_frames
-        assert options.incremental is request.incremental
         assert options.learning is request.learning
         assert options.kb_path == request.kb_path
         assert options.use_local_fsm_guidance is request.fsm_guidance
@@ -202,7 +221,6 @@ class TestAdapters:
         options = BatchOptions.from_request(request)
         assert options.jobs == request.jobs
         assert options.run_all is request.compare
-        assert options.incremental is request.incremental
         assert options.learning is request.learning
         assert options.kb_path == request.kb_path
         assert options.budget == EngineBudget.from_request(request)

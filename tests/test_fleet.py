@@ -11,9 +11,9 @@ Five layers:
   per-endpoint circuit breaker (trip, cooldown, half-open rejoin);
 * routing -- live multi-daemon fleets: sticky assignment, deterministic
   failover with bit-identical verdicts, draining handoff, the
-  answered-means-answered contract, hedged submits, in-process fallback
-  (deadline-clamped) and the ``fleet.route`` / ``fleet.hedge`` /
-  ``fleet.probe`` fault sites;
+  answered-means-answered contract, in-process fallback
+  (deadline-clamped) and the ``fleet.route`` / ``fleet.probe`` fault
+  sites;
 * anti-entropy -- ``sync_stores`` drives every shard store to the union of
   learned facts, idempotently, and the ``repro fleet`` CLI wraps it all.
 """
@@ -98,7 +98,6 @@ class TestEndpointConfig:
     FLEET_TOML = (
         "# two shards\n"
         "[fleet]\n"
-        "hedge_after = 1.5\n"
         "trip_threshold = 2\n"
         "cooldown = 0.5\n"
         "\n"
@@ -119,8 +118,17 @@ class TestEndpointConfig:
             fleet.FleetEndpoint("a", "/run/a.sock", "/var/a.sqlite"),
             fleet.FleetEndpoint("b", "/run/b.sock", None),
         ]
-        assert options == {"hedge_after": 1.5, "trip_threshold": 2,
-                           "cooldown": 0.5}
+        assert options == {"trip_threshold": 2, "cooldown": 0.5}
+
+    def test_retired_hedge_after_key_is_ignored(self, tmp_path):
+        """Fleet files written for releases with hedged submits still load."""
+        plain = tmp_path / "fleet.toml"
+        plain.write_text(self.FLEET_TOML)
+        legacy = tmp_path / "legacy.toml"
+        legacy.write_text(
+            self.FLEET_TOML.replace("[fleet]\n", "[fleet]\nhedge_after = 1.5\n"))
+        assert "hedge_after" in legacy.read_text()
+        assert fleet.load_fleet_file(str(legacy)) == fleet.load_fleet_file(str(plain))
 
     def test_fallback_parser_matches_tomllib(self):
         """The 3.10 fallback and tomllib must agree on fleet files."""
@@ -411,21 +419,6 @@ class TestRouting:
                 report = router.check(request, fallback=False)
         assert normalized(report) == baseline
         assert router.counters["failovers"] == 1
-
-    def test_hedge_fault_launches_backup(self, tmp_path, monkeypatch):
-        """An armed fleet.hedge fault forces an immediate hedge: both
-        shards race the job and the first answer wins."""
-        arm_plan(monkeypatch, tmp_path, "fleet.hedge:drop-connection")
-        request = case_request("p1")
-        baseline = normalized(api.check(request))
-        with running_daemon(tmp_path) as sock_a:
-            with running_daemon(second_daemon_dir(tmp_path)) as sock_b:
-                router = fleet.FleetRouter(
-                    two_endpoints(tmp_path, sock_a, sock_b, with_kb=False),
-                    hedge_after=30.0)
-                report = router.check(request, fallback=False)
-        assert normalized(report) == baseline
-        assert router.counters["hedges"] == 1
 
     def test_all_down_falls_back_in_process_with_deadline(
             self, tmp_path, monkeypatch):

@@ -1,11 +1,11 @@
 """Incremental time-frame expansion: equivalence with fresh unrolling.
 
-The incremental checking path (``CheckerOptions.incremental``) reuses one
-unrolled implication network across bounds and properties.  These tests pin
-the core soundness contract: for every circuit in the zoo plus fuzzed
-netlists, ``extend_to`` / goal retraction must produce *bit-identical*
-verdicts, counterexamples and implication fixpoints to a freshly built
-:class:`UnrolledModel` at every bound.  They also cover the supporting
+The checker reuses one unrolled implication network across bounds and
+properties.  These tests pin the core soundness contract: for every circuit
+in the zoo plus fuzzed netlists, ``extend_to`` / goal retraction must
+produce *bit-identical* verdicts, counterexamples and implication fixpoints
+to a freshly built :class:`UnrolledModel` at every bound (the fresh-unroll
+oracle lives in ``tests/fresh_unroll.py``).  They also cover the supporting
 machinery: assignment savepoints, retractable node groups, the FIFO rule
 cache and the shared model cache.
 """
@@ -28,6 +28,7 @@ from repro.implication.engine import ImplicationEngine, ImplicationNode
 from repro.netlist.circuit import Circuit
 from repro.properties import Assertion, Delayed, Environment, OneHot, Signal, Witness
 
+from fresh_unroll import fresh_check
 from test_bitparallel import build_random_circuit
 
 
@@ -43,17 +44,15 @@ def _check_pair(circuit_fresh, circuit_inc, prop, environment=None,
     decisions (its own verdict/counterexample equivalence is covered by
     tests/test_learning.py).
     """
-    fresh = AssertionChecker(
-        circuit_fresh,
-        environment=environment,
-        initial_state=initial_state,
-        options=CheckerOptions(max_frames=bound, incremental=False),
-    ).check(prop)
+    fresh = fresh_check(
+        circuit_fresh, prop, environment=environment,
+        initial_state=initial_state, max_frames=bound,
+    )
     incremental = AssertionChecker(
         circuit_inc,
         environment=environment,
         initial_state=initial_state,
-        options=CheckerOptions(max_frames=bound, incremental=True, learning=False),
+        options=CheckerOptions(max_frames=bound, learning=False),
         model_cache=UnrolledModelCache(),
     ).check(prop)
     return fresh, incremental
@@ -169,15 +168,14 @@ def test_multiple_properties_share_one_model():
     cache = UnrolledModelCache()
     shared = AssertionChecker(
         ports.circuit,
-        options=CheckerOptions(max_frames=5, incremental=True),
+        options=CheckerOptions(max_frames=5),
         model_cache=cache,
     )
     for index, prop in enumerate(props):
         fresh_ports = build_token_ring()
-        expected = AssertionChecker(
-            fresh_ports.circuit,
-            options=CheckerOptions(max_frames=5, incremental=False),
-        ).check(_rebind(prop, fresh_ports))
+        expected = fresh_check(
+            fresh_ports.circuit, _rebind(prop, fresh_ports), max_frames=5
+        )
         result = shared.check(prop)
         assert_results_identical(expected, result)
         if index == 0:
@@ -205,16 +203,18 @@ def test_bounds_can_shrink_between_properties():
     cache = UnrolledModelCache()
     shared = AssertionChecker(
         ports.circuit,
-        options=CheckerOptions(max_frames=8, incremental=True),
+        options=CheckerOptions(max_frames=8),
         model_cache=cache,
     )
     deep = shared.check(Witness("deep", Signal(ports.grants[-1].name) == 1))
     shallow = shared.check(Assertion("shallow", OneHot(*grants)), max_frames=2)
 
     control = build_token_ring()
-    fresh = AssertionChecker(
-        control.circuit, options=CheckerOptions(max_frames=2, incremental=False)
-    ).check(Assertion("shallow", OneHot(*[Signal(n.name) for n in control.grants])))
+    fresh = fresh_check(
+        control.circuit,
+        Assertion("shallow", OneHot(*[Signal(n.name) for n in control.grants])),
+        max_frames=2,
+    )
     assert_results_identical(fresh, shallow)
     assert deep.status.value == "witness_found"
 
@@ -276,7 +276,7 @@ def test_crashed_check_does_not_poison_the_cache(monkeypatch):
     cache = UnrolledModelCache()
     checker = AssertionChecker(
         ports.circuit,
-        options=CheckerOptions(max_frames=4, incremental=True),
+        options=CheckerOptions(max_frames=4),
         model_cache=cache,
     )
     from repro.atpg.justify import Justifier
@@ -291,24 +291,28 @@ def test_crashed_check_does_not_poison_the_cache(monkeypatch):
 
     result = checker.check(Assertion("after_crash", OneHot(*grants)))
     control = build_token_ring()
-    expected = AssertionChecker(
-        control.circuit, options=CheckerOptions(max_frames=4, incremental=False)
-    ).check(Assertion("after_crash", OneHot(*[Signal(n.name) for n in control.grants])))
+    expected = fresh_check(
+        control.circuit,
+        Assertion("after_crash", OneHot(*[Signal(n.name) for n in control.grants])),
+        max_frames=4,
+    )
     assert_results_identical(expected, result)
 
 
-def test_batch_incremental_toggle_covers_engine_instances():
+def test_batch_kb_path_toggle_covers_engine_instances():
     from repro.portfolio.batch import _configure_engines
     from repro.portfolio.engines import AtpgEngine
 
-    pinned = AtpgEngine(incremental=True)
+    pinned = AtpgEngine(kb_path="pinned.sqlite")
     unpinned = AtpgEngine()
-    configured = _configure_engines(["atpg", pinned, unpinned, "bdd"], incremental=False)
-    assert configured[0].incremental is False       # name rewritten
+    configured = _configure_engines(
+        ["atpg", pinned, unpinned, "bdd"], kb_path="batch.sqlite"
+    )
+    assert configured[0].kb_path == "batch.sqlite"  # name rewritten
     assert configured[1] is pinned                  # explicit choice wins
-    assert configured[2].incremental is False       # unpinned instance follows batch
+    assert configured[2].kb_path == "batch.sqlite"  # unpinned instance follows batch
     assert configured[3] == "bdd"
-    assert _configure_engines(["atpg"], incremental=True) == ["atpg"]
+    assert _configure_engines(["atpg"]) == ["atpg"]
 
 
 def test_environment_fingerprint_distinguishes_constraints():

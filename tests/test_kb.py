@@ -46,7 +46,6 @@ checker = AssertionChecker(
     initial_state=case.initial_state,
     options=CheckerOptions(
         max_frames=depth,
-        incremental=True,
         learning=True,
         kb_path=None if kb_arg == "-" else kb_arg,
         trace_memory=False,
@@ -172,6 +171,31 @@ def test_cross_process_roundtrip_via_cli(tmp_path):
     assert stats["schema_version"] == SCHEMA_VERSION
     assert stats["models"] == 1
     assert stats["fail_memos"] > 0
+
+
+# ----------------------------------------------------------------------
+# Memo keys stay stable across releases
+# ----------------------------------------------------------------------
+#: ``json.dumps`` of p5's proven-FAIL memo key under default options, as
+#: written to the ``fail_memos.search_fp`` column by releases that still
+#: had the cube-hit ordering switch.  The third element is that switch's
+#: old (default-off) slot; stores written then must keep matching.
+P5_SEARCH_FP_JSON = (
+    "[[8982715274654717957, 0], true, false, 0, 2000, "
+    "[200000, 50000, 5000, 64, 8, 256]]"
+)
+
+
+def test_search_fingerprint_json_is_stable():
+    case = build_case("p5")
+    checker = AssertionChecker(
+        case.circuit,
+        environment=case.environment,
+        initial_state=case.initial_state,
+        model_cache=UnrolledModelCache(),
+    )
+    compiled = checker.compiler.compile(case.prop)
+    assert json.dumps(checker._search_fingerprint(compiled)) == P5_SEARCH_FP_JSON
 
 
 # ----------------------------------------------------------------------

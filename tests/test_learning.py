@@ -35,7 +35,7 @@ def _sweep(circuit, prop, bounds, learning, environment=None, initial_state=None
         environment=environment,
         initial_state=initial_state,
         options=CheckerOptions(
-            max_frames=max(bounds), incremental=True, learning=learning,
+            max_frames=max(bounds), learning=learning,
             trace_memory=False,
         ),
         model_cache=UnrolledModelCache(),
@@ -310,32 +310,6 @@ def test_frame_taint_covers_register_boundary_facts():
     assert (const_net, 2) not in model.init_tainted
 
 
-def test_rule_cache_lru_policy_moves_hits_to_the_back(monkeypatch):
-    """The experiment switch stays functional: with LRU on, a hit entry
-    outlives newer-but-colder entries at the eviction limit."""
-    monkeypatch.setattr(ImplicationEngine, "rule_cache_lru", True)
-    engine = ImplicationEngine()
-    engine._rule_cache_limit = 2
-    node = ImplicationNode("n", ["a", "b"], lambda cubes: list(cubes))
-    engine.add_node(node, widths=[4, 4])
-
-    def evaluate(value):
-        engine.assignment._values.pop("a", None)
-        engine.assignment.assign("a", BV3.from_int(4, value))
-        engine.enqueue([node])
-        engine.propagate()
-
-    evaluate(0)
-    evaluate(1)
-    evaluate(0)  # hit: moves the value-0 entry to the back
-    assert engine.rule_cache_hits == 1
-    evaluate(2)  # evicts value 1, not the recently hit value 0
-    cache = engine._rule_cache[id(node)]
-    first_pins = {key[0] for key in cache}
-    assert BV3.from_int(4, 0) in first_pins
-    assert BV3.from_int(4, 1) not in first_pins
-
-
 # ----------------------------------------------------------------------
 # Conflict analysis
 # ----------------------------------------------------------------------
@@ -499,6 +473,8 @@ def test_state_cube_recheck_promotes_and_lifts():
     )
     model, _ = cache.acquire(circuit)
     model.extend_to(3)
+    # The per-bound savepoint a check takes before asserting requirements.
+    checker._restore_savepoint = model.engine.savepoint()
     # Candidate: r1 forced against its init-implied value, r2 left at a
     # satisfiable value -- only r1 participates in the conflict.
     promoted = checker._recheck_state_cube(
@@ -552,13 +528,13 @@ def test_batch_learning_toggle_covers_engine_instances():
     pinned = AtpgEngine(learning=True)
     unpinned = AtpgEngine()
     configured = _configure_engines(
-        ["atpg", pinned, unpinned, "bdd"], incremental=True, learning=False
+        ["atpg", pinned, unpinned, "bdd"], learning=False
     )
     assert configured[0].learning is False        # name rewritten
     assert configured[1] is pinned                # explicit choice wins
     assert configured[2].learning is False        # unpinned follows batch
     assert configured[3] == "bdd"
-    assert _configure_engines(["atpg"], incremental=True, learning=True) == ["atpg"]
+    assert _configure_engines(["atpg"], learning=True) == ["atpg"]
 
 
 # ----------------------------------------------------------------------

@@ -256,6 +256,22 @@ class TestDaemon:
         assert normalized(second) == normalized(baseline)
         assert second.results[0].trace == baseline.results[0].trace
 
+    def test_v1_0_payload_with_retired_fields_answers_like_default(self, tmp_path):
+        """An old client's request, retired search fields set, gets the
+        same verdict and trace as the default request."""
+        from test_api import legacy_v1_payload
+
+        with running_daemon(tmp_path) as socket_path:
+            with ServiceClient(socket_path) as client:
+                job_id = client.submit(legacy_v1_payload("p4"))
+                legacy = api.CheckReport.from_dict(client.result(job_id)["report"])
+            default = check_via_service(
+                case_request("p4"), socket_path=socket_path, fallback=False
+            )
+        assert legacy.results[0].trace is not None
+        assert normalized(legacy) == normalized(default)
+        assert legacy.results[0].trace == default.results[0].trace
+
     def test_stats_verb_and_kb_block_shape(self, tmp_path):
         kb_path = str(tmp_path / "service-kb.sqlite")
         request = case_request("p1", kb_path=kb_path)
