@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, List, Mapping, Optional, Sequence, Set
+from typing import Hashable, List, Sequence, Set
 
 from repro.atpg.probability import (
     legal_assignment_bias,
@@ -58,22 +58,12 @@ def find_decision_candidates(
     limit: int = 64,
     prove_mode: bool = True,
     use_bias: bool = True,
-    sampled_probabilities: Optional[Mapping[str, float]] = None,
 ) -> List[DecisionCandidate]:
     """Backward BFS from the unjustified gates to a cut of decision points.
 
     Returns candidates sorted by decreasing legal assignment bias (or by
-    fanout when ``use_bias`` is off, the ablation configuration).
-
-    ``sampled_probabilities`` optionally maps net names to mass-sampled
-    signal probabilities (see
-    :func:`repro.atpg.probability.estimate_signal_probabilities`).  They
-    stand in wherever the backward rules are uninformative: keys the rules
-    cannot reach at all, and keys whose rule-derived probability is exactly
-    the flat 0.5 default (word-level primitives -- comparators, arithmetic,
-    muxes, registers -- all contribute that default).  A 0.5 carries no
-    ranking signal either way, so the measured estimate is strictly more
-    information there.
+    fanout when ``use_bias`` is off, the ablation configuration).  Keys the
+    backward rules cannot reach get the uninformative probability 0.5.
     """
     engine = model.engine
     if model.compiled:
@@ -97,13 +87,7 @@ def find_decision_candidates(
         probabilities = legal_one_probabilities(engine, unjustified, model.driver_node)
     candidates: List[DecisionCandidate] = []
     for key in cut:
-        p1 = probabilities.get(key)
-        if sampled_probabilities is not None and (p1 is None or p1 == 0.5):
-            sampled = sampled_probabilities.get(model.net_of(key).name)
-            if sampled is not None:
-                p1 = sampled
-        if p1 is None:
-            p1 = 0.5
+        p1 = probabilities.get(key, 0.5)
         bias, value = legal_assignment_bias(p1)
         candidates.append(
             DecisionCandidate(

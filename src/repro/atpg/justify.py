@@ -279,7 +279,6 @@ class Justifier:
         use_bias: bool = True,
         limits: Optional[JustifierLimits] = None,
         estg: Optional[ExtendedStateTransitionGraph] = None,
-        sampled_probabilities=None,
         learning: Optional[LearningContext] = None,
     ):
         self.model = model
@@ -289,9 +288,6 @@ class Justifier:
         self.limits = limits if limits is not None else JustifierLimits()
         self.estg = estg
         self.learning = learning
-        #: optional net-name -> mass-sampled P(net = 1) table used as the
-        #: decision-bias fallback (see repro.atpg.probability).
-        self.sampled_probabilities = sampled_probabilities
         self.decisions = 0
         self.backtracks = 0
         self.conflicts = 0
@@ -568,7 +564,6 @@ class Justifier:
             limit=self.limits.decision_cut_limit,
             prove_mode=self.prove_mode,
             use_bias=self.use_bias,
-            sampled_probabilities=self.sampled_probabilities,
         )
         if not candidates:
             # No control freedom remains: hand the residual requirements to

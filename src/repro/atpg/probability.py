@@ -6,28 +6,21 @@ assignments that satisfy the (unjustified) output requirement of the gate it
 feeds; the legal assignment bias ``max(p1, p0) / min(p1, p0)`` ranks decision
 candidates so that the most constrained candidate is decided first.
 
-:func:`estimate_signal_probabilities` complements the rule-based propagation
-with *measured* signal probabilities: it mass-samples random stimulus on the
-bit-parallel compiled kernel (:mod:`repro.sim`) and counts, per 1-bit net,
-the fraction of lanes in which the net was 1.  The decision ranking
-substitutes these estimates wherever the backward rules are uninformative --
-keys they cannot reach, and keys whose rule-derived probability is the flat
-0.5 default that word-level primitives contribute (see
+The probabilities are derived from the rules alone.  Word-level primitives
+(comparators, arithmetic, muxes, registers) contribute the flat 0.5 default,
+and keys the backward walk never reaches are ranked at 0.5 too (see
 :func:`repro.atpg.decisions.find_decision_candidates`).
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.implication.engine import ImplicationEngine, ImplicationNode
-from repro.netlist.circuit import Circuit
 from repro.netlist.gates import AndGate, NandGate, NorGate, NotGate, OrGate
 from repro.netlist.mux import Mux
 from repro.netlist.seq import DFF
-from repro.properties.environment import Environment
 
 
 def legal_one_probabilities(
@@ -171,53 +164,6 @@ def legal_one_probabilities_compiled(
         key_of[slot]: sum(values) / len(values)
         for slot, values in contributions.items()
     }
-
-
-def estimate_signal_probabilities(
-    circuit: Circuit,
-    environment: Optional[Environment] = None,
-    initial_state: Optional[Mapping[str, int]] = None,
-    num_vectors: int = 2048,
-    cycles_per_run: int = 8,
-    sim_width: int = 256,
-    seed: int = 2000,
-) -> Dict[str, float]:
-    """Measured P(net = 1) for every 1-bit net, by kernel mass sampling.
-
-    Simulates at least ``num_vectors`` environment-respecting random vectors
-    on the bit-parallel kernel (``sim_width`` lanes at a time, in independent
-    runs of ``cycles_per_run`` cycles from the initial state) and counts the
-    per-lane 1s of every single-bit net.  Deterministic for a given seed.
-    """
-    from repro.sim import BitParallelSim, RandomLaneSampler, compile_circuit
-
-    plan = compile_circuit(circuit)
-    sampler = RandomLaneSampler(circuit, environment)
-    rng = random.Random(seed)
-    sim = BitParallelSim(plan, lanes=sim_width, initial_state=initial_state)
-    sim.step(sampler.sample(rng, sim_width))
-    # Undriven-and-unread nets never receive a value; everything else does.
-    targets = [
-        (net.name, plan.slot(net.name))
-        for net in circuit.nets
-        if net.width == 1 and sim.values[plan.slot(net.name)] is not None
-    ]
-    ones: Dict[str, int] = {name: 0 for name, _slot in targets}
-    sampled = sim_width
-    values = sim.values
-    for name, slot in targets:
-        ones[name] += values[slot][0].bit_count()
-    cycle = 1
-    while sampled < num_vectors:
-        if cycle % cycles_per_run == 0:
-            sim.reset(initial_state)
-        sim.step(sampler.sample(rng, sim_width))
-        cycle += 1
-        sampled += sim_width
-        values = sim.values
-        for name, slot in targets:
-            ones[name] += values[slot][0].bit_count()
-    return {name: count / sampled for name, count in ones.items()}
 
 
 def legal_assignment_bias(p1: float) -> Tuple[float, int]:

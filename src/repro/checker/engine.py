@@ -41,6 +41,9 @@ from repro.properties.environment import Environment
 from repro.properties.spec import Assertion, Property
 from repro.simulation.simulator import Simulator
 
+#: register width limit for the local FSM extraction behind FSM guidance.
+FSM_GUIDANCE_MAX_WIDTH = 4
+
 
 @dataclass
 class CheckerOptions:
@@ -61,8 +64,6 @@ class CheckerOptions:
     #: *processes*.  ``None`` keeps learned state process-local.  Effective
     #: only together with ``learning``.
     kb_path: Optional[str] = None
-    #: validate every generated trace by concrete simulation.
-    validate_traces: bool = True
     #: use the legal-assignment-bias decision ordering (ablation switch).
     use_bias: bool = True
     #: learn illegal states in an extended state transition graph.  This is a
@@ -74,14 +75,6 @@ class CheckerOptions:
     #: for the structural store; sound because locally unreachable states can
     #: never occur in any execution from the default initial state.
     use_local_fsm_guidance: bool = False
-    #: register width limit for the local FSM extraction.
-    fsm_guidance_max_width: int = 4
-    #: mass-sample this many random vectors on the bit-parallel kernel and
-    #: use the measured signal probabilities as the decision-bias fallback
-    #: (0 disables sampling; the rule-based 0.5 fallback is used instead).
-    probability_sample_vectors: int = 0
-    #: RNG seed for the probability mass sampling.
-    probability_sample_seed: int = 2000
     #: measure peak heap usage with tracemalloc (small overhead).
     trace_memory: bool = True
     #: resource limits of the branch-and-bound search.
@@ -149,20 +142,6 @@ class AssertionChecker:
             self._compile_one_hot(group) for group in self.environment.one_hot_groups
         ]
         self.initial_state = self._derive_initial_state(initial_state)
-        self._sampled_probabilities: Optional[Dict[str, float]] = None
-        if self.options.probability_sample_vectors > 0:
-            from repro.atpg.probability import estimate_signal_probabilities
-
-            # Sample once per checker: the compiled property monitors added
-            # later only extend the netlist, so design-net estimates stay
-            # valid across every check() call.
-            self._sampled_probabilities = estimate_signal_probabilities(
-                self.circuit,
-                environment=self.environment,
-                initial_state=self.initial_state,
-                num_vectors=self.options.probability_sample_vectors,
-                seed=self.options.probability_sample_seed,
-            )
         if self.options.use_local_fsm_guidance:
             self._seed_fsm_guidance()
 
@@ -180,9 +159,7 @@ class AssertionChecker:
         """
         from repro.analysis.fsm import extract_local_fsms
 
-        fsms = extract_local_fsms(
-            self.circuit, max_width=self.options.fsm_guidance_max_width
-        )
+        fsms = extract_local_fsms(self.circuit, max_width=FSM_GUIDANCE_MAX_WIDTH)
         overrides = self.initial_state or {}
         for fsm in fsms:
             start = overrides.get(fsm.register_name, fsm.initial_state)
@@ -252,11 +229,7 @@ class AssertionChecker:
                         self._accumulate_engine_counters(statistics, model)
                         if outcome is JustifyOutcome.SUCCESS:
                             counterexample = self._extract_trace(compiled, model, target_frame)
-                            if (
-                                self.options.validate_traces
-                                and counterexample is not None
-                                and not counterexample.validated
-                            ):
+                            if counterexample is not None and not counterexample.validated:
                                 # An invalid trace means the search over-approximated;
                                 # treat it as inconclusive rather than a real failure.
                                 counterexample = None
@@ -328,16 +301,17 @@ class AssertionChecker:
         limits = options.limits
         # The engine flavour is deliberately absent: the compiled kernel is
         # bit-identical to the interpreted oracle, so memos transfer across
-        # the two.  The literal ``False`` fills the slot of the retired
-        # cube-hit ordering switch, which was always off by default: it
-        # keeps the JSON of this key unchanged, so FAIL memos already stored
-        # in knowledge bases keep matching.
+        # the two.  The literals ``False``, ``0`` and ``2000`` fill the slots
+        # of retired switches at the values they always had by default (the
+        # cube-hit ordering flag, then the probability-sampling vector count
+        # and seed): they keep the JSON of this key unchanged, so FAIL memos
+        # already stored in knowledge bases keep matching.
         return (
             (property_search_digest(compiled.prop.expr), compiled.goal_value),
             options.use_bias,
             False,
-            options.probability_sample_vectors,
-            options.probability_sample_seed,
+            0,
+            2000,
             (limits.max_decisions, limits.max_backtracks, limits.max_depth,
              limits.decision_cut_limit, limits.completion_attempts,
              limits.arithmetic_budget),
@@ -593,7 +567,6 @@ class AssertionChecker:
             use_bias=self.options.use_bias,
             limits=self.options.limits,
             estg=self.estg if self.estg.enabled else None,
-            sampled_probabilities=self._sampled_probabilities,
             learning=learning,
         )
         return justifier.run()

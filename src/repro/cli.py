@@ -82,8 +82,9 @@ def _parse_named_property(text: str) -> Tuple[Optional[str], str]:
     """
     if "=" in text and not text.split("=", 1)[0].strip().isdigit():
         candidate_name, expression_text = text.split("=", 1)
-        # Avoid eating a leading comparison such as "a==b".
-        if not candidate_name.rstrip().endswith(("=", "!", "<", ">")):
+        # Avoid eating a leading comparison such as "a==b" or "a<=b".
+        if not (candidate_name.rstrip().endswith(("!", "<", ">"))
+                or expression_text.startswith("=")):
             name = candidate_name.strip()
             parse_expression(expression_text)
             return name, expression_text
@@ -134,12 +135,6 @@ def _request_from_args(args: argparse.Namespace) -> api.CheckRequest:
     engines = [name.strip() for name in args.engines.split(",") if name.strip()]
     if not engines:
         raise SystemExit("--engines expects a comma-separated list, got %r" % (args.engines,))
-    if len(set(engines)) != len(engines):
-        raise SystemExit("--engines contains duplicates: %s" % (args.engines,))
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1, got %d" % (args.jobs,))
-    if args.sim_width is not None and args.sim_width < 1:
-        raise SystemExit("--sim-width must be >= 1, got %d" % (args.sim_width,))
 
     pinned = []
     for pin in args.pin or []:

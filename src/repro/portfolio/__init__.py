@@ -15,7 +15,10 @@ races them per property (:class:`~repro.portfolio.checker.PortfolioChecker`,
 first conclusive answer wins, losers are cancelled) and fans many
 (circuit, property) jobs across a process pool
 (:class:`~repro.portfolio.batch.BatchRunner`) with deterministic ordering,
-derived per-job seeds and structured JSON reports.
+per-job seeds derived from the budget's seed and structured JSON reports.
+ATPG checker settings (learning, knowledge base, FSM guidance) ride on the
+engine itself: pass ``AtpgEngine(CheckerOptions(...))`` in place of the
+``"atpg"`` name.
 
 Quickstart::
 

@@ -8,8 +8,8 @@ circuit; a verification run in practice is hundreds of such jobs.
 
 * result ordering is deterministic -- reports always follow the submission
   order, regardless of which worker finished first;
-* per-job RNG seeds are derived from a single base seed
-  (``base_seed + job index``) unless the job pins its own, so a batch is
+* per-job RNG seeds are derived from the budget's seed
+  (``budget.seed + job index``) unless the job pins its own, so a batch is
   bit-for-bit reproducible in CI;
 * workers are plain (non-daemonic) processes fed from a task queue -- not a
   ``multiprocessing.Pool``, whose daemonic workers may not fork children --
@@ -33,7 +33,7 @@ from repro.portfolio.checker import (
     drain_queue,
     fork_context,
 )
-from repro.portfolio.engines import Engine, EngineBudget
+from repro.portfolio.engines import AtpgEngine, Engine, EngineBudget
 from repro.portfolio.result import EngineResult, PortfolioResult
 from repro.properties.environment import Environment
 from repro.properties.spec import Property
@@ -53,51 +53,39 @@ class BatchJob:
     initial_state: Optional[Mapping[str, int]] = None
     #: per-job unrolling bound; ``None`` inherits the batch budget.
     max_frames: Optional[int] = None
-    #: per-job RNG seed; ``None`` derives one from the batch base seed.
+    #: per-job RNG seed; ``None`` derives one from the batch budget's seed.
     seed: Optional[int] = None
 
 
 @dataclass
 class BatchOptions:
-    """Configuration of a batch run."""
+    """Configuration of a batch run.
+
+    Job ``i`` runs with seed ``budget.seed + i`` unless it pins its own.
+    ATPG checker settings (learning, knowledge base, FSM guidance) ride on
+    a configured :class:`~repro.portfolio.engines.AtpgEngine` in
+    ``engines``.
+    """
 
     #: registry names or ready-made :class:`Engine` adapters.
     engines: Sequence[Union[str, Engine]] = ("atpg",)
     budget: EngineBudget = field(default_factory=EngineBudget)
     #: worker processes; 1 runs inline (and lets the portfolio race).
     jobs: int = 1
-    #: base RNG seed; job ``i`` runs with ``base_seed + i`` unless pinned.
-    #: ``None`` (the default) derives it from ``budget.seed``, so configuring
-    #: a seed in either place works.
-    base_seed: Optional[int] = None
     #: run every engine to completion for cross-engine comparison.
     run_all: bool = False
-    #: cross-bound search learning in the ATPG engine (illegal cubes and
-    #: proven-FAIL targets persist on the cached models, so grouped jobs
-    #: sharing a circuit also share what earlier properties learned).
-    learning: bool = True
-    #: path of a persistent knowledge base (:mod:`repro.kb`) threaded into
-    #: the ATPG engine: workers open the store read-mostly (one load per
-    #: cached model) and flush learned facts after every circuit group, so
-    #: concurrent batches accumulate into one store (merges commute).
-    kb_path: Optional[str] = None
 
     @classmethod
     def from_request(cls, request) -> "BatchOptions":
         """Adapter over the unified :class:`repro.api.CheckRequest`.
 
         The request carries the only authoritative knob list; this maps it
-        onto the batch runner's shape, configuring an
-        :class:`~repro.portfolio.engines.AtpgEngine` adapter in place of the
-        bare ``"atpg"`` name when checker-specific knobs (``fsm_guidance``)
-        are set.  Duck-typed to keep layering one-way.
+        onto the batch runner's shape, replacing every ``"atpg"`` name with
+        an :class:`~repro.portfolio.engines.AtpgEngine` configured from the
+        same request.  Duck-typed to keep layering one-way.
         """
-        from repro.portfolio.engines import AtpgEngine, EngineBudget
-
         configured = tuple(
-            AtpgEngine.from_request(request)
-            if name == "atpg" and request.fsm_guidance
-            else name
+            AtpgEngine.from_request(request) if name == "atpg" else name
             for name in request.engines
         )
         return cls(
@@ -105,8 +93,6 @@ class BatchOptions:
             budget=EngineBudget.from_request(request),
             jobs=request.jobs,
             run_all=request.compare,
-            learning=request.learning,
-            kb_path=request.kb_path,
         )
 
 
@@ -132,6 +118,7 @@ class BatchReport:
     engines: List[str]
     items: List[BatchItem]
     wall_seconds: float = 0.0
+    #: the batch budget's seed, from which unpinned job seeds derive.
     base_seed: int = 2000
     #: resilience counters of the run (additive to ``repro-batch-report/v1``):
     #: ``worker_deaths`` (pool workers that exited nonzero), ``requeued``
@@ -182,55 +169,14 @@ def _engine_names(engines: Sequence[Union[str, Engine]]) -> List[str]:
     return [e if isinstance(e, str) else e.name for e in engines]
 
 
-def _configure_engines(
-    engines: Sequence[Union[str, Engine]], learning: bool = True,
-    kb_path: Optional[str] = None,
-) -> Sequence[Union[str, Engine]]:
-    """Materialise per-batch engine configuration (ATPG toggles).
-
-    The batch flags apply to the registry name ``"atpg"`` and to
-    :class:`AtpgEngine` instances that did not pin their own ``learning`` /
-    ``kb_path`` arguments; an engine constructed with an explicit choice
-    wins.
-    """
-    if learning and kb_path is None:
-        return engines  # the checker's defaults are already on
-    from repro.portfolio.engines import AtpgEngine
-
-    learning_override = None if learning else False
-    configured: List[Union[str, Engine]] = []
-    for engine in engines:
-        if engine == "atpg":
-            configured.append(AtpgEngine(learning=learning_override, kb_path=kb_path))
-        elif isinstance(engine, AtpgEngine):
-            new_learning = engine.learning
-            new_kb_path = engine.kb_path
-            if not learning and new_learning is None:
-                new_learning = False
-            if kb_path is not None and new_kb_path is None:
-                new_kb_path = kb_path
-            if (new_learning, new_kb_path) == (engine.learning, engine.kb_path):
-                configured.append(engine)
-            else:
-                configured.append(
-                    AtpgEngine(
-                        engine.options, learning=new_learning, kb_path=new_kb_path,
-                    )
-                )
-        else:
-            configured.append(engine)
-    return configured
-
-
 def _run_batch_job(payload: Tuple[int, BatchJob, Sequence[Union[str, Engine]],
-                                  EngineBudget, int, bool, bool,
-                                  Optional[str]]) -> BatchItem:
+                                  EngineBudget, int, bool]) -> BatchItem:
     """Run one job's portfolio (in the worker or inline) and wrap the outcome."""
-    _index, job, engines, budget, seed, run_all, learning, kb_path = payload
+    _index, job, engines, budget, seed, run_all = payload
     try:
         checker = PortfolioChecker(
             job.circuit,
-            engines=_configure_engines(engines, learning, kb_path),
+            engines=engines,
             environment=job.environment,
             initial_state=job.initial_state,
             options=PortfolioOptions(
@@ -305,9 +251,7 @@ class BatchRunner:
         """Execute every job and return the ordered report."""
         options = self.options
         started = time.perf_counter()
-        base_seed = (
-            options.base_seed if options.base_seed is not None else options.budget.seed
-        )
+        base_seed = options.budget.seed
         payloads = [
             (
                 index,
@@ -316,8 +260,6 @@ class BatchRunner:
                 options.budget,
                 job.seed if job.seed is not None else base_seed + index,
                 options.run_all,
-                options.learning,
-                options.kb_path,
             )
             for index, job in enumerate(jobs)
         ]

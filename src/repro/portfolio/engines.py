@@ -111,11 +111,8 @@ def _error_result(name: str, started: float, exc: Exception) -> EngineResult:
 class AtpgEngine:
     """Adapter for the paper's word-level ATPG :class:`AssertionChecker`.
 
-    ``learning`` toggles the cross-bound search learning riding the cached
-    unrolled models (see :mod:`repro.checker.incremental`), and ``kb_path``
-    the persistent knowledge base (:mod:`repro.kb`) extending that learning
-    across processes.  Left at ``None`` they defer to the ``options`` object
-    (whose defaults are on / no store); passed explicitly they override it.
+    ``options`` configures the checker (learning, knowledge base, FSM
+    guidance, ...); only its ``max_frames`` is replaced by the budget's.
     Consecutive ``run`` calls against the *same circuit object* (the common
     batch shape) reuse the cached skeleton -- and its learned illegal cubes
     -- across properties.
@@ -124,35 +121,18 @@ class AtpgEngine:
     name = "atpg"
     can_prove = True
 
-    def __init__(
-        self,
-        options: Optional[CheckerOptions] = None,
-        learning: Optional[bool] = None,
-        kb_path: Optional[str] = None,
-    ):
-        self.options = options
-        self.learning = learning
-        self.kb_path = kb_path
+    def __init__(self, options: Optional[CheckerOptions] = None):
+        self.options = options if options is not None else CheckerOptions()
 
     @classmethod
     def from_request(cls, request) -> "AtpgEngine":
-        """A fully configured adapter from the unified request type.
-
-        Used when checker-specific request knobs (``fsm_guidance``) cannot
-        ride on a bare registry name.
-        """
+        """A fully configured adapter from the unified request type."""
         return cls(CheckerOptions.from_request(request))
 
     def run(self, circuit, prop, environment, initial_state, budget) -> EngineResult:
         started = time.perf_counter()
         try:
-            options = self.options if self.options is not None else CheckerOptions()
-            overrides = {"max_frames": budget.max_frames}
-            if self.learning is not None:
-                overrides["learning"] = self.learning
-            if self.kb_path is not None:
-                overrides["kb_path"] = self.kb_path
-            options = replace(options, **overrides)
+            options = replace(self.options, max_frames=budget.max_frames)
             checker = AssertionChecker(
                 circuit,
                 environment=environment,

@@ -221,10 +221,7 @@ class TestAdapters:
         options = BatchOptions.from_request(request)
         assert options.jobs == request.jobs
         assert options.run_all is request.compare
-        assert options.learning is request.learning
-        assert options.kb_path == request.kb_path
         assert options.budget == EngineBudget.from_request(request)
-        # fsm_guidance turns the bare "atpg" name into a configured adapter.
         assert isinstance(options.engines[0], AtpgEngine)
         assert options.engines[0].options.use_local_fsm_guidance
         assert options.engines[1] == "random"
@@ -232,7 +229,24 @@ class TestAdapters:
     def test_batch_options_plain_engines_without_fsm_guidance(self):
         request = dataclasses.replace(full_request(), fsm_guidance=False)
         options = BatchOptions.from_request(request)
-        assert options.engines == ("atpg", "random")
+        assert not options.engines[0].options.use_local_fsm_guidance
+        assert options.engines[1:] == ("random",)
+
+    def test_batch_options_atpg_adapter_is_checker_options(self):
+        # The batch path configures ATPG through the same single mapping as
+        # the single-engine path: no batch-level override can drift from it.
+        for overrides in ({}, {"learning": False}, {"kb_path": "facts.db"},
+                          {"fsm_guidance": True},
+                          {"learning": False, "kb_path": "facts.db",
+                           "fsm_guidance": True}):
+            request = api.CheckRequest(
+                circuit=api.CircuitRef.case("p1"), engines=("bdd", "atpg"),
+                **overrides,
+            )
+            engines = BatchOptions.from_request(request).engines
+            assert engines[0] == "bdd"
+            assert isinstance(engines[1], AtpgEngine)
+            assert engines[1].options == CheckerOptions.from_request(request)
 
 
 # ----------------------------------------------------------------------

@@ -361,89 +361,3 @@ def test_unknown_backend_rejected():
             build_counter(),
             options=RandomSimulationOptions(backend="quantum"),
         )
-
-
-# ----------------------------------------------------------------------
-# Mass-sampled signal probabilities
-# ----------------------------------------------------------------------
-def test_estimate_signal_probabilities():
-    from repro.atpg.probability import estimate_signal_probabilities
-
-    circuit = Circuit("probs")
-    a = circuit.input("a", 1)
-    b = circuit.input("b", 1)
-    circuit.output(circuit.and_(a, b), name="ab")
-    circuit.output(circuit.or_(a, b), name="a_or_b")
-    probabilities = estimate_signal_probabilities(circuit, num_vectors=4096, seed=1)
-    assert abs(probabilities["ab"] - 0.25) < 0.05
-    assert abs(probabilities["a_or_b"] - 0.75) < 0.05
-    assert abs(probabilities["a"] - 0.5) < 0.05
-
-
-def test_estimate_signal_probabilities_respects_pins():
-    from repro.atpg.probability import estimate_signal_probabilities
-
-    circuit = Circuit("pinned")
-    a = circuit.input("a", 1)
-    b = circuit.input("b", 1)
-    circuit.output(circuit.and_(a, b), name="ab")
-    environment = Environment().pin("a", 1)
-    probabilities = estimate_signal_probabilities(
-        circuit, environment=environment, num_vectors=2048, seed=2
-    )
-    assert probabilities["a"] == 1.0
-    assert abs(probabilities["ab"] - 0.5) < 0.06
-
-
-def test_sampled_probabilities_replace_uninformative_rule_default():
-    """Word-level primitives contribute a flat 0.5 through the backward
-    rules; the mass-sampled estimate must stand in for it and drive the
-    candidate ranking."""
-    from repro.atpg import UnrolledModel, find_decision_candidates
-    from repro.bitvector import BV3
-
-    circuit = Circuit("muxsel")
-    select = circuit.input("s", 1)
-    a = circuit.input("a", 1)
-    b = circuit.input("b", 1)
-    out = circuit.mux(select, a, b, name="out")
-    circuit.output(out)
-
-    def candidates(sampled):
-        model = UnrolledModel(circuit, 1)
-        model.assign(out, 0, BV3.from_int(1, 1), propagate=False)
-        return find_decision_candidates(
-            model,
-            model.engine.unjustified_nodes(),
-            sampled_probabilities=sampled,
-        )
-
-    flat = {c.key[0].name: c for c in candidates(None)}
-    assert flat["s"].probability_one == 0.5  # the uninformative Mux default
-
-    biased = {c.key[0].name: c for c in candidates({"s": 0.9})}
-    assert biased["s"].probability_one == 0.9
-    assert biased["s"].bias_value == 1
-    # The sampled bias now ranks the select ahead of the unbiased data inputs.
-    assert biased["s"].bias > flat["s"].bias
-
-
-def test_checker_with_sampled_bias_agrees_with_default():
-    from repro.checker import AssertionChecker, CheckerOptions
-
-    case = build_case("p3")
-    baseline = AssertionChecker(
-        build_case("p3").circuit,
-        environment=build_case("p3").environment,
-        initial_state=build_case("p3").initial_state,
-        options=CheckerOptions(max_frames=case.max_frames),
-    ).check(build_case("p3").prop)
-    sampled = AssertionChecker(
-        case.circuit,
-        environment=case.environment,
-        initial_state=case.initial_state,
-        options=CheckerOptions(
-            max_frames=case.max_frames, probability_sample_vectors=512
-        ),
-    ).check(case.prop)
-    assert sampled.status == baseline.status == case.expected_status

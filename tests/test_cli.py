@@ -151,6 +151,14 @@ def test_check_requires_a_property(counter_file):
         main(["check", counter_file])
 
 
+def test_named_property_split_keeps_comparisons():
+    from repro.cli import _parse_named_property
+
+    assert _parse_named_property("count == 9") == (None, "count == 9")
+    assert _parse_named_property("count<=9") == (None, "count<=9")
+    assert _parse_named_property("nine=count == 9") == ("nine", "count == 9")
+
+
 def test_check_rejects_bad_expression(counter_file):
     with pytest.raises(SystemExit):
         main(["check", counter_file, "--assert", "count ==="])
@@ -212,17 +220,16 @@ def test_check_random_engine_with_sim_width(counter_file, capsys):
     assert engine["stats"]["backend"] == "bitparallel"
 
 
-def test_check_rejects_bad_sim_width(counter_file):
-    with pytest.raises(SystemExit):
-        main(
-            [
-                "check",
-                counter_file,
-                "--assert",
-                "count <= 9",
-                "--engines",
-                "random",
-                "--sim-width",
-                "0",
-            ]
-        )
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--engines", "random", "--sim-width", "0"], "sim_width must be >= 1"),
+        (["--jobs", "0"], "jobs must be >= 1"),
+        (["--engines", "atpg,atpg"], "duplicate engines"),
+    ],
+    ids=["sim-width", "jobs", "duplicate-engines"],
+)
+def test_check_rejects_bad_sim_width(counter_file, flags, message):
+    # The request's own validation reports these; the CLI only wraps it.
+    with pytest.raises(SystemExit, match=message):
+        main(["check", counter_file, "--assert", "count <= 9"] + flags)

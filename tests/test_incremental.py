@@ -299,22 +299,6 @@ def test_crashed_check_does_not_poison_the_cache(monkeypatch):
     assert_results_identical(expected, result)
 
 
-def test_batch_kb_path_toggle_covers_engine_instances():
-    from repro.portfolio.batch import _configure_engines
-    from repro.portfolio.engines import AtpgEngine
-
-    pinned = AtpgEngine(kb_path="pinned.sqlite")
-    unpinned = AtpgEngine()
-    configured = _configure_engines(
-        ["atpg", pinned, unpinned, "bdd"], kb_path="batch.sqlite"
-    )
-    assert configured[0].kb_path == "batch.sqlite"  # name rewritten
-    assert configured[1] is pinned                  # explicit choice wins
-    assert configured[2].kb_path == "batch.sqlite"  # unpinned instance follows batch
-    assert configured[3] == "bdd"
-    assert _configure_engines(["atpg"]) == ["atpg"]
-
-
 def test_environment_fingerprint_distinguishes_constraints():
     empty = Environment()
     pinned = Environment().pin("x", 1)

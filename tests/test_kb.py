@@ -399,7 +399,9 @@ def test_prune_keeps_hottest_cubes_per_model(tmp_path):
 # Batch workers: concurrent flushes commute
 # ----------------------------------------------------------------------
 def test_batch_workers_flush_concurrently(tmp_path):
-    from repro.portfolio import BatchJob, BatchOptions, BatchRunner, EngineBudget
+    from repro.portfolio import (
+        AtpgEngine, BatchJob, BatchOptions, BatchRunner, EngineBudget,
+    )
 
     kb_path = str(tmp_path / "batch.db")
 
@@ -415,10 +417,9 @@ def test_batch_workers_flush_concurrently(tmp_path):
         ]
         report = BatchRunner(
             BatchOptions(
-                engines=("atpg",),
+                engines=(AtpgEngine(CheckerOptions(kb_path=kb_path)),),
                 budget=EngineBudget(max_frames=max(c.max_frames for c in cases)),
                 jobs=2,
-                kb_path=kb_path,
             )
         ).run(jobs)
         statuses = [item.result.status.value for item in report.items]

@@ -521,22 +521,6 @@ def test_cli_exposes_no_learning_flag():
     assert not args.no_learning
 
 
-def test_batch_learning_toggle_covers_engine_instances():
-    from repro.portfolio.batch import _configure_engines
-    from repro.portfolio.engines import AtpgEngine
-
-    pinned = AtpgEngine(learning=True)
-    unpinned = AtpgEngine()
-    configured = _configure_engines(
-        ["atpg", pinned, unpinned, "bdd"], learning=False
-    )
-    assert configured[0].learning is False        # name rewritten
-    assert configured[1] is pinned                # explicit choice wins
-    assert configured[2].learning is False        # unpinned follows batch
-    assert configured[3] == "bdd"
-    assert _configure_engines(["atpg"], learning=True) == ["atpg"]
-
-
 # ----------------------------------------------------------------------
 # Batch grouping by circuit (satellite)
 # ----------------------------------------------------------------------

@@ -289,7 +289,7 @@ def _batch_jobs():
 
 def test_batch_runner_deterministic_order_and_seeds():
     report = BatchRunner(
-        BatchOptions(engines=("atpg",), jobs=2, base_seed=100)
+        BatchOptions(engines=("atpg",), jobs=2, budget=EngineBudget(seed=100))
     ).run(_batch_jobs())
     assert [item.job_id for item in report.items] == ["j_bounded", "j_reach", "j_pinned"]
     assert [item.seed for item in report.items] == [100, 101, 999]
@@ -312,8 +312,9 @@ def test_batch_report_json_schema():
 def test_batch_runs_are_reproducible():
     def snapshot():
         report = BatchRunner(
-            BatchOptions(engines=("random",), jobs=2, base_seed=42,
-                         budget=EngineBudget(random_runs=32, random_cycles=8))
+            BatchOptions(engines=("random",), jobs=2,
+                         budget=EngineBudget(random_runs=32, random_cycles=8,
+                                             seed=42))
         ).run([BatchJob("w%d" % i, build_counter(), REACH_TWO) for i in range(3)])
         return [
             (item.job_id, item.seed, item.result.status.value,
@@ -326,8 +327,7 @@ def test_batch_runs_are_reproducible():
 
 
 def test_batch_base_seed_derives_from_budget_seed():
-    # Setting the seed on the budget alone must take effect (no silent
-    # fallback to an unrelated base_seed default).
+    # The budget's seed is the batch base seed.
     report = BatchRunner(
         BatchOptions(engines=("atpg",), budget=EngineBudget(seed=42))
     ).run(_batch_jobs()[:2])
