@@ -299,6 +299,36 @@ def test_crashed_check_does_not_poison_the_cache(monkeypatch):
     assert_results_identical(expected, result)
 
 
+def test_batch_kb_path_toggle_covers_engine_instances(tmp_path):
+    """A request's knowledge-base path reaches every ATPG engine a batch
+    runs; an explicitly configured engine keeps its own path."""
+    from repro import api
+    from repro.portfolio import BatchJob, BatchOptions, BatchRunner, EngineBudget
+    from repro.portfolio.engines import AtpgEngine
+
+    request = api.CheckRequest(
+        circuit=api.CircuitRef.case("p1"), engines=("atpg", "bdd"),
+        kb_path="batch.sqlite",
+    )
+    configured = BatchOptions.from_request(request).engines
+    assert configured[0].options.kb_path == "batch.sqlite"  # name rewritten
+    assert configured[1] == "bdd"
+    default = api.CheckRequest(circuit=api.CircuitRef.case("p1"))
+    assert BatchOptions.from_request(default).engines[0].options.kb_path is None
+
+    ports = build_token_ring()
+    grants = [Signal(net.name) for net in ports.grants]
+    job = BatchJob("onehot", ports.circuit, Assertion("one_hot", OneHot(*grants)))
+    pinned = tmp_path / "pinned.sqlite"
+    BatchRunner(
+        BatchOptions(
+            engines=(AtpgEngine(CheckerOptions(kb_path=str(pinned))), "bdd"),
+            budget=EngineBudget(max_frames=3),
+        )
+    ).run([job])
+    assert pinned.exists()                             # explicit choice wins
+
+
 def test_environment_fingerprint_distinguishes_constraints():
     empty = Environment()
     pinned = Environment().pin("x", 1)

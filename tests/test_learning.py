@@ -521,6 +521,35 @@ def test_cli_exposes_no_learning_flag():
     assert not args.no_learning
 
 
+def test_batch_learning_toggle_covers_engine_instances():
+    """A request's learning toggle reaches every ATPG engine a batch runs;
+    an explicitly configured engine keeps its own setting."""
+    from repro import api
+    from repro.portfolio import BatchJob, BatchOptions, BatchRunner, EngineBudget
+    from repro.portfolio.engines import AtpgEngine
+
+    request = api.CheckRequest(
+        circuit=api.CircuitRef.case("p1"), engines=("atpg", "bdd"),
+        learning=False,
+    )
+    configured = BatchOptions.from_request(request).engines
+    assert configured[0].options.learning is False  # name rewritten
+    assert configured[1] == "bdd"
+    default = api.CheckRequest(circuit=api.CircuitRef.case("p1"))
+    assert BatchOptions.from_request(default).engines[0].options.learning is True
+
+    ports = build_token_ring()
+    grants = [Signal(net.name) for net in ports.grants]
+    job = BatchJob("onehot", ports.circuit, Assertion("one_hot", OneHot(*grants)))
+    pinned = AtpgEngine(CheckerOptions(learning=True))
+    for engine, expected in ((configured[0], False), (pinned, True)):
+        report = BatchRunner(
+            BatchOptions(engines=(engine,), budget=EngineBudget(max_frames=3))
+        ).run([job])
+        (atpg,) = report.items[0].result.engine_results
+        assert atpg.stats["learning"] is expected
+
+
 # ----------------------------------------------------------------------
 # Batch grouping by circuit (satellite)
 # ----------------------------------------------------------------------
