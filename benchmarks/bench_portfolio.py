@@ -40,14 +40,14 @@ def _budget(case) -> EngineBudget:
 
 
 def _run(case_id, engines, run_all=False):
-    """One portfolio run (fresh circuit) in process mode; returns the result."""
+    """One portfolio run (fresh circuit); the time budget selects process mode."""
     case = build_case(case_id)
     checker = PortfolioChecker(
         case.circuit,
         engines=engines,
         environment=case.environment,
         initial_state=case.initial_state,
-        options=PortfolioOptions(budget=_budget(case), mode="process", run_all=run_all),
+        options=PortfolioOptions(budget=_budget(case), run_all=run_all),
     )
     return case, checker.check(case.prop)
 

@@ -54,7 +54,7 @@ from repro.netlist.seq import DFF
 from repro.netlist.tristate import BusResolver, TristateBuffer
 from repro.properties.convert import PropertyCompiler
 from repro.properties.environment import Environment
-from repro.properties.spec import Assertion, OneHot, Property, Signal
+from repro.properties.spec import Assertion, Property
 
 
 @dataclass
@@ -87,21 +87,11 @@ class BddSymbolicChecker:
     ):
         circuit.validate()
         self.circuit = circuit
-        self.environment = environment if environment is not None else Environment()
-        self.initial_state = dict(initial_state or {})
         self.max_iterations = max_iterations
         self.node_limit = node_limit
         self.compiler = PropertyCompiler(circuit)
-        self._assumption_nets = [
-            self.compiler.compile_condition(expr, name="bdd_assume")
-            for expr in self.environment.assumptions
-        ]
-        self._one_hot_nets = [
-            self.compiler.compile_condition(
-                OneHot(*[Signal(name) for name in group]), name="bdd_onehot"
-            )
-            for group in self.environment.one_hot_groups
-        ]
+        self.lowered = self.compiler.compile_environment(environment, initial_state)
+        self.initial_state = self.lowered.initial_state or {}
 
     # ------------------------------------------------------------------
     # Variable allocation and symbolic simulation
@@ -360,13 +350,13 @@ class BddSymbolicChecker:
 
     def _environment_constraint(self, manager: BddManager, functions) -> int:
         constraint = TRUE
-        for name, value in self.environment.pinned.items():
+        for name, value in self.lowered.pins.items():
             net = self.circuit.net(name)
             for bit, function in enumerate(functions[net]):
                 desired = (value >> bit) & 1
                 literal = function if desired else manager.not_(function)
                 constraint = manager.and_(constraint, literal)
-        for net in self._assumption_nets + self._one_hot_nets:
+        for net in self.lowered.constraints:
             constraint = manager.and_(constraint, functions[net][0])
         return constraint
 

@@ -9,19 +9,16 @@ property monitor -- so the benchmark harness can measure how often random
 simulation finds the counterexamples / witnesses that the word-level ATPG
 engine generates deterministically.
 
-Two backends implement the same search:
-
-* ``bitparallel`` (default) compiles the circuit once and simulates
-  ``sim_width`` independent runs per batch on the bit-parallel kernel, one
-  run per bit lane -- this is the mass-sampling hot path;
-* ``interpreted`` is the original vector-at-a-time loop on the reference
-  :class:`~repro.simulation.simulator.Simulator`, kept as the oracle the
-  kernel is cross-checked against.
-
-Both backends draw all randomness from the per-check RNG (seeded from the
-per-job derived seed), so CI runs are bit-for-bit reproducible.  A hit found
-by the bit-parallel backend is re-simulated through the interpreted oracle
-to produce (and independently validate) the reported counterexample trace.
+The circuit is compiled once and simulated ``sim_width`` independent runs
+per batch on the bit-parallel kernel, one run per bit lane.  Pins and
+one-hot groups hold by construction of the sampled stimulus; every lane also
+carries a running *valid* mask that ANDs the lowered environment's pins and
+constraint nets cycle by cycle, so a lane that ever violates an assumption
+can never report a hit.  All randomness is drawn from the per-check RNG
+(seeded from the per-job derived seed), so CI runs are bit-for-bit
+reproducible.  A hit is replayed through
+:func:`~repro.simulation.replay_trace`, which builds (and independently
+validates) the reported counterexample.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from repro.properties.convert import PropertyCompiler
 from repro.properties.environment import Environment
 from repro.properties.spec import Assertion, Property
 from repro.sim import BitParallelSim, RandomLaneSampler, compile_circuit
-from repro.simulation.simulator import Simulator
+from repro.simulation.replay import replay_trace
 
 
 @dataclass
@@ -50,14 +47,8 @@ class RandomSimulationOptions:
     cycles_per_run: int = 16
     #: RNG seed for reproducible experiments.
     seed: int = 2000
-    #: maximum retries per cycle to find an input vector satisfying the
-    #: environment constraints (rejection sampling, interpreted backend only).
-    environment_retries: int = 32
     #: measure peak heap usage with tracemalloc.
     trace_memory: bool = True
-    #: simulation backend: ``bitparallel`` (compiled kernel, default) or
-    #: ``interpreted`` (the reference oracle).
-    backend: str = "bitparallel"
     #: lanes per bit-parallel batch (K); each lane is an independent run.
     sim_width: int = 64
 
@@ -85,12 +76,9 @@ class RandomSimulationChecker:
         self.circuit = circuit
         self.environment = environment if environment is not None else Environment()
         self.options = options if options is not None else RandomSimulationOptions()
-        if self.options.backend not in ("bitparallel", "interpreted"):
-            raise ValueError(
-                "unknown random-simulation backend %r" % (self.options.backend,)
-            )
-        self.initial_state = dict(initial_state) if initial_state else None
         self.compiler = PropertyCompiler(circuit)
+        self.lowered = self.compiler.compile_environment(self.environment, initial_state)
+        self.initial_state = self.lowered.initial_state
         #: total vectors simulated by the last :meth:`check` call.
         self.vectors_simulated = 0
 
@@ -117,25 +105,14 @@ class RandomSimulationChecker:
         self.vectors_simulated = 0
 
         with ResourceMeter(trace_memory=self.options.trace_memory) as meter:
-            if self.options.backend == "bitparallel":
-                counterexample = self._check_bitparallel(
-                    compiled.monitor.name, goal_value, rng, runs
-                )
-            else:
-                counterexample = None
-                for _ in range(runs):
-                    counterexample = self._simulate_one_run(
-                        compiled.monitor.name, goal_value, rng
-                    )
-                    if counterexample is not None:
-                        break
+            counterexample = self._simulate(compiled.monitor.name, goal_value, rng, runs)
 
         statistics.cpu_seconds = meter.elapsed_seconds
         statistics.peak_memory_mb = meter.peak_memory_mb
         statistics.frames_explored = self.vectors_simulated
 
         if counterexample is not None and not counterexample.validated:
-            # The oracle replay refuted the kernel's hit: the verdict cannot
+            # The replay refuted the kernel's hit: the verdict cannot
             # be trusted (same demotion the ATPG and SAT engines apply to
             # traces that fail concrete validation).
             return CheckResult(
@@ -164,9 +141,7 @@ class RandomSimulationChecker:
         )
 
     # ------------------------------------------------------------------
-    # Bit-parallel backend: one independent run per lane.
-    # ------------------------------------------------------------------
-    def _check_bitparallel(
+    def _simulate(
         self, monitor_name: str, goal_value: int, rng: random.Random, runs: int
     ) -> Optional[Counterexample]:
         plan = compile_circuit(self.circuit)
@@ -194,14 +169,21 @@ class RandomSimulationChecker:
         rng: random.Random,
     ) -> Optional[Counterexample]:
         lanes = sim.lanes
+        full = sim.full
+        valid = full
         inputs_per_cycle: List[Dict[str, List[int]]] = []
         for cycle in range(self.options.cycles_per_run):
             stimulus = sampler.sample(rng, lanes)
             inputs_per_cycle.append(stimulus)
             sim.step(stimulus)
             self.vectors_simulated += lanes
+            for name, value in self.lowered.pins.items():
+                for position, bits in enumerate(sim.peek(name)):
+                    valid &= bits if (value >> position) & 1 else bits ^ full
+            for net in self.lowered.constraints:
+                valid &= sim.peek(net.name)[0]
             monitor = sim.peek(monitor_name)[0]
-            hits = monitor if goal_value else (monitor ^ sim.full)
+            hits = (monitor if goal_value else monitor ^ full) & valid
             if hits:
                 lane = (hits & -hits).bit_length() - 1
                 return self._replay_lane(
@@ -218,74 +200,11 @@ class RandomSimulationChecker:
         monitor_name: str,
         goal_value: int,
     ) -> Counterexample:
-        """Re-simulate one hit lane through the interpreted oracle.
-
-        This produces the full per-net trace for the report and doubles as an
-        independent validation of the kernel's verdict.
-        """
+        """Replay one hit lane: the full per-net trace, independently validated."""
         inputs = [
             sampler.scalar_vector(stimulus, lane) for stimulus in inputs_per_cycle
         ]
-        simulator = Simulator(self.circuit, initial_state=self.initial_state)
-        initial_state = simulator.register_values()
-        trace = [simulator.step(vector) for vector in inputs]
-        return Counterexample(
-            initial_state=initial_state,
-            inputs=inputs,
-            trace=trace,
-            target_frame=target_frame,
-            monitor_name=monitor_name,
-            validated=trace[target_frame][monitor_name] == goal_value,
+        return replay_trace(
+            self.circuit, self.initial_state, inputs, target_frame,
+            monitor_name, goal_value, self.lowered,
         )
-
-    # ------------------------------------------------------------------
-    # Interpreted backend (the reference oracle).
-    # ------------------------------------------------------------------
-    def _simulate_one_run(
-        self, monitor_name: str, goal_value: int, rng: random.Random
-    ) -> Optional[Counterexample]:
-        simulator = Simulator(self.circuit, initial_state=self.initial_state)
-        initial_state = simulator.register_values()
-        inputs: List[Dict[str, int]] = []
-        trace: List[Dict[str, int]] = []
-        for cycle in range(self.options.cycles_per_run):
-            vector = self._random_vector(rng)
-            inputs.append(vector)
-            values = simulator.step(vector)
-            trace.append(values)
-            self.vectors_simulated += 1
-            if values[monitor_name] == goal_value:
-                return Counterexample(
-                    initial_state=initial_state,
-                    inputs=inputs,
-                    trace=trace,
-                    target_frame=cycle,
-                    monitor_name=monitor_name,
-                    validated=True,
-                )
-        return None
-
-    def _random_vector(self, rng: random.Random) -> Dict[str, int]:
-        """One random input vector respecting the environment (by rejection).
-
-        ``rng`` is always the per-check RNG derived from the per-job seed --
-        never the process-global :mod:`random` state -- so batch runs stay
-        reproducible (enforced repo-wide by ``tests/test_reproducibility.py``).
-        """
-        pinned = self.environment.pinned
-        for _ in range(self.options.environment_retries):
-            vector: Dict[str, int] = {}
-            for net in self.circuit.inputs:
-                if net.name in pinned:
-                    vector[net.name] = pinned[net.name]
-                else:
-                    vector[net.name] = rng.randrange(1 << net.width)
-            if self.environment.satisfied_by(vector):
-                return vector
-        # Fall back to a vector that at least honours one-hot groups.
-        vector = {net.name: 0 for net in self.circuit.inputs}
-        vector.update(pinned)
-        for group in self.environment.one_hot_groups:
-            if group:
-                vector[group[rng.randrange(len(group))]] = 1
-        return vector

@@ -14,12 +14,13 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.baselines.bitblast import CircuitBitBlaster
 from repro.baselines.dpll import DPLLSolver, SATResult
-from repro.checker.result import CheckStatus
+from repro.checker.result import CheckStatus, Counterexample
 from repro.checker.stats import ResourceMeter
 from repro.netlist.circuit import Circuit
 from repro.properties.convert import PropertyCompiler
 from repro.properties.environment import Environment
-from repro.properties.spec import Assertion, OneHot, Property, Signal
+from repro.properties.spec import Assertion, Property
+from repro.simulation.replay import replay_trace
 
 
 @dataclass
@@ -34,11 +35,13 @@ class SATCheckResult:
     clauses: int = 0
     variables: int = 0
     decisions: int = 0
-    trace_inputs: Optional[List[Dict[str, int]]] = None
-    #: compiled property monitor net name / goal value, so callers can replay
-    #: ``trace_inputs`` through the concrete simulator and validate the trace.
-    monitor_name: Optional[str] = None
-    goal_value: int = 0
+    #: the SAT model replayed through the concrete simulator.
+    counterexample: Optional[Counterexample] = None
+
+    @property
+    def trace_inputs(self) -> Optional[List[Dict[str, int]]]:
+        """Per-frame input vectors of the counterexample, if any."""
+        return None if self.counterexample is None else self.counterexample.inputs
 
 
 class SATBoundedChecker:
@@ -54,21 +57,10 @@ class SATBoundedChecker:
     ):
         circuit.validate()
         self.circuit = circuit
-        self.environment = environment if environment is not None else Environment()
-        self.initial_state = dict(initial_state or {})
         self.max_frames = max_frames
         self.max_decisions = max_decisions
         self.compiler = PropertyCompiler(circuit)
-        self._assumption_nets = [
-            self.compiler.compile_condition(expr, name="sat_assume")
-            for expr in self.environment.assumptions
-        ]
-        self._one_hot_nets = [
-            self.compiler.compile_condition(
-                OneHot(*[Signal(name) for name in group]), name="sat_onehot"
-            )
-            for group in self.environment.one_hot_groups
-        ]
+        self.lowered = self.compiler.compile_environment(environment, initial_state)
 
     # ------------------------------------------------------------------
     def check(self, prop: Property, max_frames: Optional[int] = None) -> SATCheckResult:
@@ -78,7 +70,7 @@ class SATBoundedChecker:
         total_clauses = 0
         total_variables = 0
         total_decisions = 0
-        trace_inputs: Optional[List[Dict[str, int]]] = None
+        counterexample: Optional[Counterexample] = None
         status = CheckStatus.HOLDS if isinstance(prop, Assertion) else CheckStatus.WITNESS_NOT_FOUND
         frames_explored = 0
 
@@ -86,7 +78,7 @@ class SATBoundedChecker:
             for target_frame in range(compiled.warmup_frames, bound):
                 frames_explored = target_frame + 1
                 blaster = CircuitBitBlaster(
-                    self.circuit, target_frame + 1, initial_state=self.initial_state
+                    self.circuit, target_frame + 1, initial_state=self.lowered.initial_state
                 )
                 self._constrain_environment(blaster, target_frame + 1)
                 blaster.constrain_bit(compiled.monitor, target_frame, compiled.goal_value)
@@ -98,12 +90,20 @@ class SATBoundedChecker:
                 total_decisions += solver.stats.decisions
 
                 if answer is SATResult.SAT:
-                    trace_inputs = self._extract_inputs(blaster, solver, target_frame + 1)
-                    status = (
-                        CheckStatus.FAILS
-                        if isinstance(prop, Assertion)
-                        else CheckStatus.WITNESS_FOUND
+                    counterexample = self._replay_model(
+                        blaster, solver, compiled, target_frame
                     )
+                    if counterexample.validated:
+                        status = (
+                            CheckStatus.FAILS
+                            if isinstance(prop, Assertion)
+                            else CheckStatus.WITNESS_FOUND
+                        )
+                    else:
+                        # The model did not survive concrete replay: the
+                        # encoder over-approximated, so no verdict is trusted.
+                        counterexample = None
+                        status = CheckStatus.ABORTED
                     break
                 if answer is SATResult.UNKNOWN:
                     status = CheckStatus.ABORTED
@@ -118,27 +118,30 @@ class SATBoundedChecker:
             clauses=total_clauses,
             variables=total_variables,
             decisions=total_decisions,
-            trace_inputs=trace_inputs,
-            monitor_name=compiled.monitor.name,
-            goal_value=compiled.goal_value,
+            counterexample=counterexample,
         )
 
     # ------------------------------------------------------------------
     def _constrain_environment(self, blaster: CircuitBitBlaster, num_frames: int) -> None:
         for frame in range(num_frames):
-            for name, value in self.environment.pinned.items():
+            for name, value in self.lowered.pins.items():
                 blaster.constrain_value(self.circuit.net(name), frame, value)
-            for net in self._assumption_nets + self._one_hot_nets:
+            for net in self.lowered.constraints:
                 blaster.constrain_bit(net, frame, 1)
 
-    def _extract_inputs(
-        self, blaster: CircuitBitBlaster, solver: DPLLSolver, num_frames: int
-    ) -> List[Dict[str, int]]:
-        inputs: List[Dict[str, int]] = []
-        for frame in range(num_frames):
-            vector = {
-                net.name: blaster.model_value(solver, net, frame)
-                for net in self.circuit.inputs
-            }
-            inputs.append(vector)
-        return inputs
+    def _replay_model(
+        self, blaster: CircuitBitBlaster, solver: DPLLSolver, compiled, target_frame: int
+    ) -> Counterexample:
+        """Replay the model's frame-0 state and inputs through the simulator."""
+        initial_state = {
+            ff.q.name: blaster.model_value(solver, ff.q, 0)
+            for ff in self.circuit.flip_flops
+        }
+        inputs = [
+            {net.name: blaster.model_value(solver, net, frame) for net in self.circuit.inputs}
+            for frame in range(target_frame + 1)
+        ]
+        return replay_trace(
+            self.circuit, initial_state, inputs, target_frame,
+            compiled.monitor.name, compiled.goal_value, self.lowered,
+        )

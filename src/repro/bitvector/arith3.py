@@ -20,17 +20,6 @@ from typing import List, Optional, Tuple
 from repro.bitvector.bv3 import BV3, BV3Conflict, Bit
 
 
-def _merge_bit(old: Bit, new: Bit) -> Bit:
-    """Combine a previously known bit with a newly derived one."""
-    if new is None:
-        return old
-    if old is None:
-        return new
-    if old != new:
-        raise BV3Conflict("bit conflict: %r vs %r" % (old, new))
-    return old
-
-
 def _forced_bits(cell_bits: List[Bit]) -> List[Bit]:
     """Given the current knowledge of ``(a, b, cin, s, cout)`` for one
     full-adder cell, return the bits forced by the full-adder relation.

@@ -19,7 +19,7 @@ configured maximum), the engine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.atpg.estg import ExtendedStateTransitionGraph, LearnedCube
 from repro.atpg.justify import (
@@ -39,7 +39,7 @@ from repro.netlist.circuit import Circuit
 from repro.properties.convert import CompiledProperty, PropertyCompiler
 from repro.properties.environment import Environment
 from repro.properties.spec import Assertion, Property
-from repro.simulation.simulator import Simulator
+from repro.simulation.replay import replay_trace
 
 #: register width limit for the local FSM extraction behind FSM guidance.
 FSM_GUIDANCE_MAX_WIDTH = 4
@@ -134,14 +134,8 @@ class AssertionChecker:
         self.compiler = PropertyCompiler(circuit)
         use_estg = self.options.use_estg or self.options.use_local_fsm_guidance
         self.estg = ExtendedStateTransitionGraph(enabled=use_estg)
-        self._assumption_nets = [
-            self.compiler.compile_condition(expr, name="assume")
-            for expr in self.environment.assumptions
-        ]
-        self._one_hot_nets = [
-            self._compile_one_hot(group) for group in self.environment.one_hot_groups
-        ]
-        self.initial_state = self._derive_initial_state(initial_state)
+        self.lowered = self.compiler.compile_environment(self.environment, initial_state)
+        self.initial_state = self.lowered.initial_state
         if self.options.use_local_fsm_guidance:
             self._seed_fsm_guidance()
 
@@ -170,23 +164,6 @@ class AssertionChecker:
                     [(fsm.register_name, BV3.from_int(fsm.width, state))]
                 )
                 self.estg.record_structurally_illegal_state(cube)
-
-    # ------------------------------------------------------------------
-    def _derive_initial_state(
-        self, explicit: Optional[Mapping[str, int]]
-    ) -> Optional[Dict[str, int]]:
-        if explicit is not None:
-            return dict(explicit)
-        if self.environment.initialization is not None:
-            return self.environment.initialization.derive_initial_state(self.circuit)
-        return None
-
-    def _compile_one_hot(self, group: List[str]):
-        from repro.properties.spec import OneHot, Signal
-
-        return self.compiler.compile_condition(
-            OneHot(*[Signal(name) for name in group]), name="onehot"
-        )
 
     # ------------------------------------------------------------------
     def check(self, prop: Property, max_frames: Optional[int] = None) -> CheckResult:
@@ -392,13 +369,13 @@ class AssertionChecker:
         engine = model.engine
         env_root = RootCause("env")
         for frame in range(target_frame + 1):
-            for name, value in self.environment.pinned.items():
+            for name, value in self.lowered.pins.items():
                 net = self.circuit.net(name)
                 engine.assign(
                     model.key(net, frame), BV3.from_int(net.width, value),
                     propagate=False, reason=env_root,
                 )
-            for net in self._assumption_nets + self._one_hot_nets:
+            for net in self.lowered.constraints:
                 engine.assign(
                     model.key(net, frame), BV3.from_int(1, 1),
                     propagate=False, reason=env_root,
@@ -599,22 +576,9 @@ class AssertionChecker:
     def _extract_trace(
         self, compiled: CompiledProperty, model: UnrolledModel, target_frame: int
     ) -> Counterexample:
-        inputs = model.input_assignment()
-        initial_state = model.initial_state_assignment()
-        simulator = Simulator(self.circuit, initial_state=initial_state)
-        trace: List[Dict[str, int]] = []
-        for vector in inputs:
-            trace.append(simulator.step(vector))
-        monitor_value = trace[target_frame][compiled.monitor.name]
-        env_ok = all(self.environment.satisfied_by(vector) for vector in inputs)
-        validated = env_ok and monitor_value == compiled.goal_value
-        return Counterexample(
-            initial_state=initial_state,
-            inputs=inputs,
-            trace=trace,
-            target_frame=target_frame,
-            monitor_name=compiled.monitor.name,
-            validated=validated,
+        return replay_trace(
+            self.circuit, model.initial_state_assignment(), model.input_assignment(),
+            target_frame, compiled.monitor.name, compiled.goal_value, self.lowered,
         )
 
     # ------------------------------------------------------------------

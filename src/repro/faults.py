@@ -57,6 +57,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.atpg.statehash import fnv1a
+
 #: Environment variable carrying the fault plan (compact text or JSON).
 PLAN_ENV = "REPRO_FAULT_PLAN"
 #: Environment variable carrying the schedule seed (default 0).
@@ -227,19 +229,12 @@ class FaultPlan:
 # ----------------------------------------------------------------------
 # Deterministic schedule
 # ----------------------------------------------------------------------
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 
 def _fnv64(*parts) -> int:
     """FNV-1a over the stringified parts (process-stable, like the KB keys)."""
-    value = _FNV_OFFSET
-    for part in parts:
-        for byte in str(part).encode("utf-8"):
-            value = ((value ^ byte) * _FNV_PRIME) & _MASK64
-        value = ((value ^ 0x1F) * _FNV_PRIME) & _MASK64
-    return value
+    return fnv1a(b"".join(str(part).encode("utf-8") + b"\x1f" for part in parts))
 
 
 def _mix64(value: int) -> int:

@@ -8,18 +8,20 @@ microseconds.  Rather than picking one heuristic up front, a
 :class:`PortfolioChecker` runs several engines on the same property and
 returns the first conclusive answer.
 
-Two execution modes:
+Two execution modes, derived from the race rather than configured:
 
 * ``process`` -- every engine runs in its own forked worker; the first
   conclusive result wins and the losers are terminated immediately.  This is
   real cancellation (a diverging BDD traversal is killed mid-flight) and also
-  enforces the per-engine wall-clock budget.
+  enforces the per-engine wall-clock budget.  Used whenever more than one
+  engine races or a time budget is set, and the process may fork
+  (:func:`can_spawn_engines`).
 * ``sequential`` -- engines run in order in the current process, stopping at
-  the first conclusive answer.  The fallback on platforms without ``fork``.
-  A running engine cannot be preempted in this mode: an inconclusive engine
-  that overran its per-engine cap is merely flagged ``timed_out`` after the
-  fact (which is why ``auto`` resolves to ``process`` whenever a time budget
-  is set, even for a single engine); the step budgets
+  the first conclusive answer.  Used otherwise, e.g. on platforms without
+  ``fork``.  A running engine cannot be preempted in this mode: an
+  inconclusive engine that overran its per-engine cap is merely flagged
+  ``timed_out`` after the fact (which is why a time budget selects
+  ``process`` even for a single engine); the step budgets
   (:class:`~repro.portfolio.engines.EngineBudget`) still apply inside each
   engine.  Batch-runner workers are plain non-daemonic processes, so even
   nested portfolios resolve to ``process`` mode and stay budget-enforced.
@@ -53,9 +55,6 @@ class PortfolioOptions:
     """Configuration of a portfolio race."""
 
     budget: EngineBudget = field(default_factory=EngineBudget)
-    #: ``"process"``, ``"sequential"`` or ``"auto"`` (process when ``fork``
-    #: is available and more than one engine competes).
-    mode: str = "auto"
     #: run every engine to completion instead of cancelling after the first
     #: conclusive answer (for disagreement detection and benchmarking).
     run_all: bool = False
@@ -162,22 +161,15 @@ class PortfolioChecker:
 
     # ------------------------------------------------------------------
     def _resolve_mode(self) -> str:
-        mode = self.options.mode
-        if mode not in ("auto", "process", "sequential"):
-            raise ValueError("unknown portfolio mode %r" % (mode,))
-        if mode == "auto":
-            needs_process = (
-                len(self.engines) > 1
-                # A wall-clock budget is only enforceable by terminating the
-                # worker, so a budgeted single-engine run still forks.
-                or self.options.budget.time_seconds is not None
-            )
-            if needs_process and can_spawn_engines():
-                return "process"
-            return "sequential"
-        if mode == "process" and not can_spawn_engines():
-            return "sequential"
-        return mode
+        needs_process = (
+            len(self.engines) > 1
+            # A wall-clock budget is only enforceable by terminating the
+            # worker, so a budgeted single-engine run still forks.
+            or self.options.budget.time_seconds is not None
+        )
+        if needs_process and can_spawn_engines():
+            return "process"
+        return "sequential"
 
     def _pick_winner(self, results: List[EngineResult]) -> Optional[str]:
         """First conclusive engine by completion time (ties: engine order)."""

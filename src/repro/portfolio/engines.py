@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Protocol
+from typing import List, Mapping, Optional, Protocol
 
 from repro.checker.engine import AssertionChecker, CheckerOptions
-from repro.checker.result import CheckStatus, Counterexample
+from repro.checker.result import CheckStatus
 from repro.netlist.circuit import Circuit
 from repro.portfolio.result import EngineResult
 from repro.properties.environment import Environment
 from repro.properties.spec import Property
-from repro.simulation.simulator import Simulator
 
 
 @dataclass(frozen=True)
@@ -215,23 +214,6 @@ class SatEngine:
                 max_frames=budget.max_frames,
             )
             result = checker.check(prop)
-            counterexample = None
-            if result.trace_inputs is not None and result.monitor_name is not None:
-                counterexample = self._replay(
-                    circuit, initial_state, result.trace_inputs,
-                    result.monitor_name, result.goal_value,
-                )
-                if not counterexample.validated:
-                    # The model did not survive concrete replay: the encoder
-                    # over-approximated, so the verdict cannot be trusted.
-                    return EngineResult(
-                        engine=self.name,
-                        status=CheckStatus.ABORTED,
-                        conclusive=False,
-                        wall_seconds=time.perf_counter() - started,
-                        error="SAT model failed concrete replay validation",
-                        bound=budget.max_frames,
-                    )
         except Exception as exc:  # pragma: no cover - defensive
             return _error_result(self.name, started, exc)
         return EngineResult(
@@ -239,7 +221,7 @@ class SatEngine:
             status=result.status,
             conclusive=result.status.is_conclusive,
             wall_seconds=time.perf_counter() - started,
-            counterexample=counterexample,
+            counterexample=result.counterexample,
             bound=budget.max_frames,
             stats={
                 "frames_explored": result.frames_explored,
@@ -250,37 +232,6 @@ class SatEngine:
             },
         )
 
-    @staticmethod
-    def _replay(
-        circuit: Circuit,
-        initial_state: Optional[Mapping[str, int]],
-        inputs: List[Dict[str, int]],
-        monitor_name: str,
-        goal_value: int,
-    ) -> Counterexample:
-        """Replay SAT model inputs through the concrete simulator.
-
-        This both normalises the trace into the shared
-        :class:`Counterexample` shape and independently validates the SAT
-        model (the monitor must really take the goal value at the last
-        frame).
-        """
-        simulator = Simulator(circuit, initial_state=initial_state)
-        start = simulator.register_values()
-        trace: List[Dict[str, int]] = []
-        for vector in inputs:
-            trace.append(simulator.step(vector))
-        target_frame = len(inputs) - 1
-        validated = trace[target_frame][monitor_name] == goal_value
-        return Counterexample(
-            initial_state=start,
-            inputs=[dict(vector) for vector in inputs],
-            trace=trace,
-            target_frame=target_frame,
-            monitor_name=monitor_name,
-            validated=validated,
-        )
-
 
 class RandomSimEngine:
     """Adapter for the random-simulation baseline on the bit-parallel kernel.
@@ -289,16 +240,11 @@ class RandomSimEngine:
     exhausted budget proves nothing, so "not found" is normalised to an
     *inconclusive* result -- in a race this engine can win reachable cases
     but never unreachable ones.  ``budget.sim_width`` sets the lane count K
-    of the compiled kernel (``repro check --sim-width``); the interpreted
-    reference path remains reachable by constructing the adapter with
-    ``backend="interpreted"``.
+    of the compiled kernel (``repro check --sim-width``).
     """
 
     name = "random"
     can_prove = False
-
-    def __init__(self, backend: str = "bitparallel"):
-        self.backend = backend
 
     def run(self, circuit, prop, environment, initial_state, budget) -> EngineResult:
         started = time.perf_counter()
@@ -315,7 +261,6 @@ class RandomSimEngine:
                 options=RandomSimulationOptions(
                     num_runs=budget.random_runs,
                     cycles_per_run=budget.random_cycles,
-                    backend=self.backend,
                     sim_width=budget.sim_width,
                 ),
             )
@@ -333,7 +278,6 @@ class RandomSimEngine:
                 "vectors_simulated": result.frames_explored,
                 "seed": budget.seed,
                 "sim_width": budget.sim_width,
-                "backend": self.backend,
                 "peak_memory_mb": round(result.statistics.peak_memory_mb, 4),
             },
         )

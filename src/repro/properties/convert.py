@@ -8,15 +8,20 @@ justification technique applies to the property logic as well.  The
 requirement then reduces to a single-bit assignment at the target frame:
 ``monitor = 0`` to generate an assertion counter-example, ``monitor = 1`` to
 generate a witness.
+
+The environmental setup is lowered into the same circuit once, by
+:meth:`PropertyCompiler.compile_environment`: every engine then enforces the
+same pins, the same constraint nets and the same initial state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.nets import Net, NetKind
+from repro.properties.environment import Environment
 from repro.properties.spec import (
     And,
     Assertion,
@@ -50,6 +55,20 @@ class CompiledProperty:
     @property
     def is_assertion(self) -> bool:
         return isinstance(self.prop, Assertion)
+
+
+@dataclass
+class LoweredEnvironment:
+    """An environment lowered into a circuit, as every engine enforces it."""
+
+    #: net name -> value (wrapped to the net's width) held in every frame.
+    pins: Dict[str, int]
+    #: 1-bit nets that must be 1 in every frame: one per assumption, then
+    #: one per one-hot group.
+    constraints: Tuple[Net, ...]
+    #: frame-0 register values: the explicit initial state if given, else
+    #: the one the initialization sequence derives, else ``None`` (power-on).
+    initial_state: Optional[Dict[str, int]]
 
 
 class PropertyCompiler:
@@ -110,6 +129,69 @@ class PropertyCompiler:
         """Compile a bare 1-bit condition (used for environment constraints)."""
         net, _ = self._compile_bool(expr)
         return self.circuit.buf(net, name=self._fresh(name))
+
+    def compile_environment(
+        self,
+        environment: Optional[Environment] = None,
+        initial_state: Optional[Mapping[str, int]] = None,
+    ) -> LoweredEnvironment:
+        """Lower an environment (and the initial state) into the circuit.
+
+        Memoised on the circuit like :meth:`compile`, keyed by the
+        environment's content: checking many properties (or many daemon
+        jobs) under one environment compiles its constraint nets once, and
+        every engine sees the same nets and the same initial state.
+        """
+        environment = environment if environment is not None else Environment()
+        memo = self._memo()
+        key = self._environment_key(environment, initial_state)
+        if key is not None and key in memo:
+            return memo[key]
+        pins = {
+            name: value & self.circuit.net(name).mask()
+            for name, value in environment.pinned.items()
+        }
+        constraints = [
+            self.compile_condition(expr, name="assume")
+            for expr in environment.assumptions
+        ]
+        constraints += [
+            self.compile_condition(
+                OneHot(*[Signal(name) for name in group]), name="onehot"
+            )
+            for group in environment.one_hot_groups
+        ]
+        if initial_state is not None:
+            derived = dict(initial_state)
+        elif environment.initialization is not None:
+            derived = environment.initialization.derive_initial_state(self.circuit)
+        else:
+            derived = None
+        lowered = LoweredEnvironment(pins, tuple(constraints), derived)
+        if key is not None:
+            memo[key] = lowered
+        return lowered
+
+    @staticmethod
+    def _environment_key(environment: Environment, initial_state):
+        # Like the property memo key: assumptions the renderer cannot spell
+        # are simply not memoised.
+        from repro.properties.parse import PropertyParseError, format_expression
+
+        try:
+            assumptions = tuple(format_expression(e) for e in environment.assumptions)
+        except PropertyParseError:
+            return None
+        initialization = environment.initialization
+        return (
+            "environment",
+            tuple(sorted(environment.pinned.items())),
+            tuple(tuple(group) for group in environment.one_hot_groups),
+            assumptions,
+            None if initialization is None
+            else tuple(tuple(sorted(v.items())) for v in initialization.vectors),
+            None if initial_state is None else tuple(sorted(initial_state.items())),
+        )
 
     # ------------------------------------------------------------------
     def _fresh(self, prefix: str) -> str:

@@ -84,37 +84,6 @@ class Environment:
             and self.initialization is None
         )
 
-    def satisfied_by(self, input_vector: Mapping[str, int]) -> bool:
-        """Check a concrete input vector against pinned and one-hot constraints.
-
-        Used to validate generated counterexample traces.
-        """
-        for name, value in self.pinned.items():
-            if name in input_vector and input_vector[name] != value:
-                return False
-        for group in self.one_hot_groups:
-            ones = sum(1 for name in group if input_vector.get(name, 0) & 1)
-            if ones != 1:
-                return False
-        return True
-
-    def random_consistent_vector(
-        self, circuit: Circuit, seed: int = 0
-    ) -> Dict[str, int]:
-        """A deterministic input vector satisfying pin/one-hot constraints.
-
-        Useful for building initialization sequences and smoke tests.
-        """
-        vector: Dict[str, int] = {}
-        for net in circuit.inputs:
-            vector[net.name] = 0
-        vector.update(self.pinned)
-        for index, group in enumerate(self.one_hot_groups):
-            chosen = group[(seed + index) % len(group)]
-            for name in group:
-                vector[name] = 1 if name == chosen else 0
-        return vector
-
     def __repr__(self) -> str:
         return "Environment(%d pinned, %d one-hot groups, %d assumptions)" % (
             len(self.pinned),

@@ -52,6 +52,7 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from repro import api, faults
+from repro.atpg.statehash import fnv1a
 from repro.service.client import (
     JobFailure,
     RetryPolicy,
@@ -301,17 +302,7 @@ def resolve_endpoints(
 # ----------------------------------------------------------------------
 # Rendezvous hashing
 # ----------------------------------------------------------------------
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
-
-
-def _fnv64(data: bytes) -> int:
-    value = _FNV_OFFSET
-    for byte in data:
-        value ^= byte
-        value = (value * _FNV_PRIME) & _MASK64
-    return value
 
 
 def _mix64(value: int) -> int:
@@ -329,7 +320,7 @@ def rendezvous_score(fingerprint: str, endpoint_name: str) -> int:
     routing table with no coordination, and it is stable across processes
     and Python versions (unlike builtin ``hash``).
     """
-    return _mix64(_fnv64(("%s|%s" % (fingerprint, endpoint_name)).encode("utf-8")))
+    return _mix64(fnv1a(("%s|%s" % (fingerprint, endpoint_name)).encode("utf-8")))
 
 
 def rendezvous_order(fingerprint: str,

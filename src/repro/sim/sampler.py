@@ -1,12 +1,12 @@
 """Random input-lane generation that honours environment constraints.
 
-The interpreted random-simulation baseline draws one vector at a time and
-rejection-samples against the environment.  For the bit-parallel kernel we
-sample *constructively* instead: free inputs get one ``getrandbits(K)`` draw
-per bit lane (K independent uniform vectors in one call), pinned inputs are
-broadcast constants, and one-hot groups pick a winner per lane — so every
-lane satisfies the pin and one-hot constraints by construction, with no
-rejection loop at all.
+The bit-parallel kernel is fed *constructively*: free inputs get one
+``getrandbits(K)`` draw per bit lane (K independent uniform vectors in one
+call), pinned inputs are broadcast constants, and one-hot groups pick a
+winner per lane — so every lane satisfies the pin and one-hot constraints by
+construction, with no rejection loop at all.  Assumptions cannot be sampled
+constructively; the random-simulation checker masks out the lanes that
+violate them.
 
 Draw order is fixed (free inputs in circuit order, then one-hot groups), so
 a given seed always produces the same stimulus.

@@ -12,6 +12,7 @@ every computed net every cycle.
 import random
 
 import pytest
+from interpreted_random import interpreted_check
 
 from repro.baselines import RandomSimulationChecker, RandomSimulationOptions
 from repro.checker import CheckStatus
@@ -287,15 +288,11 @@ def build_counter(limit=5, width=3):
 
 def test_backends_find_the_same_easy_bug():
     prop = Assertion("never_two", Signal("cnt") != 2)
-    for backend in ("bitparallel", "interpreted"):
-        checker = RandomSimulationChecker(
-            build_counter(),
-            options=RandomSimulationOptions(
-                num_runs=16, cycles_per_run=16, seed=7, backend=backend
-            ),
-        )
-        result = checker.check(prop)
-        assert result.status is CheckStatus.FAILS, backend
+    options = RandomSimulationOptions(num_runs=16, cycles_per_run=16, seed=7)
+    kernel = RandomSimulationChecker(build_counter(), options=options).check(prop)
+    oracle = interpreted_check(build_counter(), prop, options=options)
+    for result in (kernel, oracle):
+        assert result.status is CheckStatus.FAILS
         assert result.counterexample is not None
         assert result.counterexample.validated
         frame = result.counterexample.target_frame
@@ -354,10 +351,3 @@ def test_oracle_refuted_hit_is_demoted_to_aborted(monkeypatch):
     assert result.status is CheckStatus.ABORTED
     assert result.counterexample is None
 
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        RandomSimulationChecker(
-            build_counter(),
-            options=RandomSimulationOptions(backend="quantum"),
-        )

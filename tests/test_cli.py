@@ -217,7 +217,6 @@ def test_check_random_engine_with_sim_width(counter_file, capsys):
     engine = result["engines"][0]
     assert engine["engine"] == "random"
     assert engine["stats"]["sim_width"] == 16
-    assert engine["stats"]["backend"] == "bitparallel"
 
 
 @pytest.mark.parametrize(

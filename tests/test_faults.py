@@ -83,6 +83,13 @@ class TestPlanParsing:
 
 
 class TestSchedule:
+    def test_draws_are_pinned(self):
+        """Pinned chaos schedules must replay identically across releases."""
+        assert faults._draw(0, "kb.flush", 0) == 0.6556081368336953
+        assert faults._draw(0, "x", 7) == 0.015973602768361975
+        assert faults._draw(1, "worker.crash", 1) == 0.8996606518901827
+        assert faults._draw(99, "x", 7) == 0.31435028523949193
+
     def test_same_seed_same_schedule(self):
         plan = faults.FaultPlan.parse("site.a:error:p=0.3", seed=42)
         baseline = faults.FaultInjector(plan)

@@ -172,6 +172,12 @@ class TestRendezvous:
         assert a != fleet.rendezvous_score("%016x" % 42, "bravo")
         assert a != fleet.rendezvous_score("%016x" % 43, "alpha")
 
+    def test_scores_are_pinned(self):
+        """Routing tables must not move between releases."""
+        assert fleet.rendezvous_score("abc", "a") == 5984063953405390043
+        assert fleet.rendezvous_score("", "b") == 8158898237183541013
+        assert fleet.rendezvous_score("fp-123", "node-7") == 17847298279029147896
+
     def test_removal_never_reorders_survivors(self):
         """The no-scatter property: drop any endpoint and every other
         fingerprint keeps its assignment; the dropped endpoint's jobs move

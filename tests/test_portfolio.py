@@ -7,6 +7,7 @@ import pytest
 
 from repro.checker.result import CheckStatus, Counterexample
 from repro.netlist import Circuit
+import repro.portfolio.checker as portfolio_checker
 from repro.portfolio import (
     AtpgEngine,
     BatchJob,
@@ -169,11 +170,12 @@ def test_disagreement_ignores_inconclusive_results():
     assert detect_disagreement(results) == []
 
 
-def test_real_engines_agree_in_compare_mode():
+def test_real_engines_agree_in_compare_mode(monkeypatch):
+    monkeypatch.setattr(portfolio_checker, "can_spawn_engines", lambda: False)
     checker = PortfolioChecker(
         build_counter(),
         engines=("atpg", "bdd", "sat"),
-        options=PortfolioOptions(mode="sequential", run_all=True),
+        options=PortfolioOptions(run_all=True),
     )
     result = checker.check(REACH_TWO)
     assert [r.engine for r in result.engine_results] == ["atpg", "bdd", "sat"]
@@ -215,7 +217,6 @@ def test_process_race_cancels_losers():
     checker = PortfolioChecker(
         build_counter(),
         engines=(SleepyEngine(), InstantEngine()),
-        options=PortfolioOptions(mode="process"),
     )
     started = time.perf_counter()
     result = checker.check(BOUNDED)
@@ -232,9 +233,7 @@ def test_process_race_times_out_stuck_engines():
     checker = PortfolioChecker(
         build_counter(),
         engines=(SleepyEngine(),),
-        options=PortfolioOptions(
-            budget=EngineBudget(time_seconds=0.3), mode="process"
-        ),
+        options=PortfolioOptions(budget=EngineBudget(time_seconds=0.3)),
     )
     result = checker.check(BOUNDED)
     assert result.winner is None
@@ -243,11 +242,11 @@ def test_process_race_times_out_stuck_engines():
     assert not result.conclusive
 
 
-def test_sequential_race_stops_after_first_conclusive():
+def test_sequential_race_stops_after_first_conclusive(monkeypatch):
+    monkeypatch.setattr(portfolio_checker, "can_spawn_engines", lambda: False)
     checker = PortfolioChecker(
         build_counter(),
         engines=(InstantEngine(), SleepyEngine()),
-        options=PortfolioOptions(mode="sequential"),
     )
     result = checker.check(BOUNDED)
     assert result.winner == "instant"
@@ -260,18 +259,13 @@ def test_portfolio_rejects_bad_configuration():
         PortfolioChecker(build_counter(), engines=())
     with pytest.raises(ValueError, match="duplicate"):
         PortfolioChecker(build_counter(), engines=("atpg", "atpg"))
-    with pytest.raises(ValueError, match="unknown portfolio mode"):
-        PortfolioChecker(
-            build_counter(), options=PortfolioOptions(mode="warp")
-        ).check(BOUNDED)
 
 
-def test_race_keeps_parent_circuit_pristine():
+def test_race_keeps_parent_circuit_pristine(monkeypatch):
+    monkeypatch.setattr(portfolio_checker, "can_spawn_engines", lambda: False)
     circuit = build_counter()
     gates_before = len(list(circuit.topological_order()))
-    PortfolioChecker(
-        circuit, engines=("atpg", "sat"), options=PortfolioOptions(mode="sequential")
-    ).check(BOUNDED)
+    PortfolioChecker(circuit, engines=("atpg", "sat")).check(BOUNDED)
     # Monitor compilation happens on private copies, never on the input.
     assert len(list(circuit.topological_order())) == gates_before
 
