@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.atpg.estg import ExtendedStateTransitionGraph
 from repro.atpg.timeframe import UnrolledModel
@@ -237,20 +237,28 @@ def extract_local_fsms(
 
 
 def seed_estg_from_fsms(
-    estg: ExtendedStateTransitionGraph, fsms: Sequence[LocalFsm]
+    estg: ExtendedStateTransitionGraph,
+    fsms: Sequence[LocalFsm],
+    initial_state: Optional[Mapping[str, int]] = None,
 ) -> int:
     """Record every locally unreachable state as structurally illegal.
 
+    Reachability is computed from the value each register actually starts
+    from: its entry in ``initial_state`` when the check overrides the
+    power-on values, the register's ``init_value`` otherwise, so the
+    recorded facts stay sound under an explicit or derived initial state.
     Returns the number of state cubes recorded.  The justifier checks these
     cubes in every time frame, pruning branches whose implied register values
     have drifted into a state the design can never occupy (the paper's
     Section 6 "avoid entering illegal states" extension).
     """
+    overrides = initial_state or {}
     recorded = 0
     for fsm in fsms:
-        if fsm.initial_state is None:
+        start = overrides.get(fsm.register_name, fsm.initial_state)
+        if start is None:
             continue
-        for state in sorted(fsm.unreachable_states()):
+        for state in sorted(fsm.unreachable_states(from_state=start)):
             cube = ExtendedStateTransitionGraph.state_cube(
                 [(fsm.register_name, BV3.from_int(fsm.width, state))]
             )

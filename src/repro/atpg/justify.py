@@ -643,13 +643,6 @@ class Justifier:
         self._control_memo[id(node)] = (node, result)
         return result
 
-    def _control_unjustified(self) -> List[ImplicationNode]:
-        return [
-            node
-            for node in self._unjustified()
-            if self._is_control_node(node)
-        ]
-
     def _datapath_unjustified(self) -> List[ImplicationNode]:
         return [
             node

@@ -596,10 +596,6 @@ class UnrolledModel:
             keys.append(self.key(ff.q, 0))
         return keys
 
-    def state_keys(self, frame: int) -> List[VarKey]:
-        """Register output keys for a given frame."""
-        return [self.key(ff.q, frame) for ff in self.circuit.flip_flops]
-
     def input_assignment(self) -> List[Dict[str, int]]:
         """Concrete per-frame input values (x bits filled with 0).
 

@@ -265,14 +265,6 @@ class BddManager:
         """Total nodes ever created (the peak memory proxy)."""
         return len(self._nodes) - 2
 
-    def is_tautology(self, f: int) -> bool:
-        """True when ``f`` is the constant TRUE."""
-        return f == TRUE
-
-    def is_contradiction(self, f: int) -> bool:
-        """True when ``f`` is the constant FALSE."""
-        return f == FALSE
-
     def satisfy_one(self, f: int) -> Optional[Dict[int, bool]]:
         """One satisfying assignment (level -> value), or ``None``."""
         if f == FALSE:

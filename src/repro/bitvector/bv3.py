@@ -23,7 +23,7 @@ multiple times).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 #: Type alias for a single three-valued bit: ``0``, ``1`` or ``None`` (= x).
 Bit = Optional[int]
@@ -267,11 +267,6 @@ class BV3:
         and agrees with it (i.e. ``other.covers(self)``)."""
         return other.covers(self)
 
-    def new_information_over(self, other: "BV3") -> bool:
-        """True if self knows at least one bit that ``other`` does not."""
-        self._check_width(other)
-        return bool(self.known & ~other.known)
-
     # ------------------------------------------------------------------
     # Bitwise three-valued operators (Kleene logic, bit-parallel)
     # ------------------------------------------------------------------
@@ -346,13 +341,6 @@ class BV3:
             raise ValueError("cannot truncate %d-bit vector to %d bits" % (self.width, width))
         m = _mask(width)
         return BV3(width, self.value & m, self.known & m)
-
-    def with_unknown_from(self, positions: Iterable[int]) -> "BV3":
-        """Return a copy with the given bit positions reset to ``x``."""
-        known = self.known
-        for p in positions:
-            known &= ~(1 << p)
-        return BV3(self.width, self.value & known, known)
 
     # ------------------------------------------------------------------
     # Dunder protocol

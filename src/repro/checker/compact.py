@@ -6,7 +6,8 @@ other sources (random simulation, user test benches, deeper-than-necessary
 bounds) often wander through the same state more than once.  Any cycle
 through a repeated register state can be cut out without changing the
 trace's endpoint behaviour; the result is re-simulated and re-checked before
-being accepted, so compaction can never produce an invalid trace.
+being accepted (through :func:`~repro.simulation.replay.replay_trace`, like
+every engine's trace), so compaction can never produce an invalid trace.
 
 This is the practical use of the execution-loop detection named in the
 paper's future work (Section 6).
@@ -15,12 +16,12 @@ paper's future work (Section 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
 
 from repro.atpg.statehash import StateHasher, find_first_loop
 from repro.checker.result import Counterexample
 from repro.netlist.circuit import Circuit
-from repro.simulation.simulator import Simulator
+from repro.properties.convert import PropertyCompiler
+from repro.simulation.replay import replay_trace
 
 
 @dataclass
@@ -38,44 +39,6 @@ class CompactionResult:
         return self.compacted_length < self.original_length
 
 
-def _state_sequence(circuit: Circuit, counterexample: Counterexample) -> List[Dict[str, int]]:
-    """Register-state snapshots *before* each frame of the trace (frame 0 is
-    the initial state)."""
-    register_names = [ff.q.name for ff in circuit.flip_flops]
-    simulator = Simulator(circuit, initial_state=counterexample.initial_state)
-    states: List[Dict[str, int]] = []
-    for vector in counterexample.inputs:
-        states.append({name: simulator.register_values()[name] for name in register_names})
-        simulator.step(vector)
-    return states
-
-
-def _rebuild(
-    circuit: Circuit,
-    counterexample: Counterexample,
-    inputs: List[Dict[str, int]],
-    goal_value: Optional[int],
-) -> Optional[Counterexample]:
-    """Re-simulate a candidate input sequence; return a validated trace or
-    ``None`` when the goal is no longer met at the final frame."""
-    simulator = Simulator(circuit, initial_state=counterexample.initial_state)
-    trace = [simulator.step(vector) for vector in inputs]
-    monitor_value = trace[-1][counterexample.monitor_name]
-    expected = goal_value if goal_value is not None else counterexample.trace[
-        counterexample.target_frame
-    ][counterexample.monitor_name]
-    if monitor_value != expected:
-        return None
-    return Counterexample(
-        initial_state=dict(counterexample.initial_state),
-        inputs=[dict(vector) for vector in inputs],
-        trace=trace,
-        target_frame=len(inputs) - 1,
-        monitor_name=counterexample.monitor_name,
-        validated=True,
-    )
-
-
 def compact_trace(
     circuit: Circuit,
     counterexample: Counterexample,
@@ -90,26 +53,30 @@ def compact_trace(
     goal_value = counterexample.trace[counterexample.target_frame][
         counterexample.monitor_name
     ]
+    registers = [ff.q.name for ff in circuit.flip_flops]
+    unconstrained = PropertyCompiler(circuit).compile_environment()
     best = counterexample
-    inputs = [dict(vector) for vector in counterexample.inputs]
     loops_removed = 0
 
     for _ in range(max_iterations):
-        states = _state_sequence(circuit, best)
+        # Register states *before* each frame, read off the replayed trace.
+        states = [{name: values[name] for name in registers} for values in best.trace]
         loop = find_first_loop(states, StateHasher())
         if loop is None:
             break
         # Cut the input vectors that drive the loop [start, end).
-        candidate_inputs = inputs[: loop.start] + inputs[loop.end :]
-        if not candidate_inputs:
+        inputs = best.inputs[: loop.start] + best.inputs[loop.end :]
+        if not inputs:
             break
-        candidate = _rebuild(circuit, counterexample, candidate_inputs, goal_value)
-        if candidate is None:
+        candidate = replay_trace(
+            circuit, counterexample.initial_state, inputs, len(inputs) - 1,
+            counterexample.monitor_name, goal_value, unconstrained,
+        )
+        if not candidate.validated:
             # The loop interacts with the goal (e.g. the monitor depends on a
             # Delayed register outside the hashed state); keep the trace.
             break
         best = candidate
-        inputs = [dict(vector) for vector in candidate.inputs]
         loops_removed += 1
 
     return CompactionResult(

@@ -137,33 +137,13 @@ class AssertionChecker:
         self.lowered = self.compiler.compile_environment(self.environment, initial_state)
         self.initial_state = self.lowered.initial_state
         if self.options.use_local_fsm_guidance:
-            self._seed_fsm_guidance()
+            # Reachability starts from this check's initial state.  Only
+            # design registers are seeded, so the facts hold for every
+            # property compiled into the circuit later.
+            from repro.analysis.fsm import extract_local_fsms, seed_estg_from_fsms
 
-    # ------------------------------------------------------------------
-    def _seed_fsm_guidance(self) -> None:
-        """Extract local FSMs and record their unreachable states in the ESTG.
-
-        Reachability is computed from the register value the check actually
-        starts from (the derived initial state when one is known, the
-        register's ``init_value`` otherwise), so the recorded facts stay
-        sound even when an explicit initial state overrides the power-on
-        values.  The property-to-constraint conversion adds monitor logic but
-        no new registers, so the guidance remains valid for every property
-        checked against this circuit.
-        """
-        from repro.analysis.fsm import extract_local_fsms
-
-        fsms = extract_local_fsms(self.circuit, max_width=FSM_GUIDANCE_MAX_WIDTH)
-        overrides = self.initial_state or {}
-        for fsm in fsms:
-            start = overrides.get(fsm.register_name, fsm.initial_state)
-            if start is None:
-                continue
-            for state in sorted(fsm.unreachable_states(from_state=start)):
-                cube = ExtendedStateTransitionGraph.state_cube(
-                    [(fsm.register_name, BV3.from_int(fsm.width, state))]
-                )
-                self.estg.record_structurally_illegal_state(cube)
+            fsms = extract_local_fsms(circuit, max_width=FSM_GUIDANCE_MAX_WIDTH)
+            seed_estg_from_fsms(self.estg, fsms, self.initial_state)
 
     # ------------------------------------------------------------------
     def check(self, prop: Property, max_frames: Optional[int] = None) -> CheckResult:
@@ -176,9 +156,7 @@ class AssertionChecker:
 
         with ResourceMeter(trace_memory=self.options.trace_memory) as meter:
             try:
-                model, reused = self.model_cache.acquire(
-                    self.circuit, self.initial_state, self.environment,
-                )
+                model, reused = self.model_cache.acquire(self.circuit, self.lowered)
                 self._incremental_model = model
                 if reused:
                     statistics.models_reused += 1
@@ -190,9 +168,7 @@ class AssertionChecker:
                 # Per-check gauges/counters of the shared model.
                 model.engine.frontier_peak = 0
                 if self._kb is not None:
-                    self._kb.attach(
-                        model, self.circuit, self.initial_state, self.environment,
-                    )
+                    self._kb.attach(model, self.circuit, self.lowered)
                 self._learning_marks = self._learning_counter_marks()
                 start_frame = compiled.warmup_frames
                 for target_frame in range(start_frame, bound):

@@ -3,8 +3,9 @@
 Building an :class:`~repro.atpg.timeframe.UnrolledModel` is the dominant
 fixed cost of a bounded check: every gate becomes one implication node per
 frame and the seed implication fixpoint runs over all of them.  The checker
-therefore reuses one model per *(circuit, initial state, environment)*
-triple:
+therefore reuses one model per circuit and lowered environment (the
+:attr:`~repro.properties.convert.LoweredEnvironment.identity` of the
+environment and the initial state it derives):
 
 * across **bounds** -- :meth:`UnrolledModel.extend_to` appends only the new
   frames, so checking up to bound ``k`` builds each frame once instead of
@@ -21,7 +22,7 @@ Each cached model also carries its
 :class:`~repro.atpg.estg.ExtendedStateTransitionGraph` (``model.estg``): the
 conflict-lifted illegal cubes and proven-FAIL target memo learned during one
 check persist with the model, so every later bound -- and every property
-sharing the (circuit, initial state, environment) key -- starts from what
+sharing the (circuit, environment identity) key -- starts from what
 earlier searches already proved.  Evicting a model drops its in-memory
 facts with it; when a persistent knowledge base is attached
 (:mod:`repro.kb` sets ``model.kb_flush_hook``) the cache flushes the facts
@@ -38,32 +39,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.atpg.timeframe import UnrolledModel
 from repro.netlist.circuit import Circuit
-from repro.properties.environment import Environment
-
-
-def environment_fingerprint(environment: Optional[Environment]) -> Hashable:
-    """A hashable digest of an environment's constraint content.
-
-    Environments with equal fingerprints impose identical constraints, so
-    their checks can share one unrolled skeleton (the skeleton itself is
-    environment-free; the fingerprint guards the shared per-bound goal
-    protocol against aliasing between differently constrained runs).
-    """
-    if environment is None:
-        return None
-    initialization = environment.initialization
-    return (
-        tuple(sorted(environment.pinned.items())),
-        tuple(tuple(group) for group in environment.one_hot_groups),
-        tuple(repr(expr) for expr in environment.assumptions),
-        None
-        if initialization is None
-        else tuple(tuple(sorted(vector.items())) for vector in initialization.vectors),
-    )
+from repro.properties.convert import LoweredEnvironment
 
 
 def _flush_model_kb(model: UnrolledModel) -> None:
@@ -80,15 +60,6 @@ def _flush_model_kb(model: UnrolledModel) -> None:
         hook()
     except Exception:  # pragma: no cover - defensive
         pass
-
-
-def initial_state_fingerprint(
-    initial_state: Optional[Mapping[str, int]]
-) -> Hashable:
-    """A hashable digest of a derived initial-state mapping."""
-    if initial_state is None:
-        return None
-    return tuple(sorted(initial_state.items()))
 
 
 class UnrolledModelCache:
@@ -117,7 +88,7 @@ class UnrolledModelCache:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
         self.compiled = compiled
-        self._entries: "OrderedDict[Tuple[int, Hashable, Hashable], UnrolledModel]" = (
+        self._entries: "OrderedDict[Tuple[int, Hashable], UnrolledModel]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
@@ -128,20 +99,19 @@ class UnrolledModelCache:
     def acquire(
         self,
         circuit: Circuit,
-        initial_state: Optional[Mapping[str, int]] = None,
-        environment: Optional[Environment] = None,
+        lowered: Optional[LoweredEnvironment] = None,
     ) -> Tuple[UnrolledModel, bool]:
-        """Return ``(model, reused)`` for the given configuration.
+        """Return ``(model, reused)`` for ``circuit`` under ``lowered``.
 
-        A cache miss builds a one-frame skeleton (callers grow it with
+        The key is the circuit's identity plus ``lowered.identity``; a model
+        acquired without a lowered environment starts from the power-on
+        state and shares no key with any checker's.  A cache miss builds a
+        one-frame skeleton (callers grow it with
         :meth:`UnrolledModel.extend_to`); a hit returns the live model after
         absorbing any circuit growth via ``sync_with_circuit``.
         """
-        key = (
-            id(circuit),
-            initial_state_fingerprint(initial_state),
-            environment_fingerprint(environment),
-        )
+        key = (id(circuit), None if lowered is None else lowered.identity)
+        initial_state = None if lowered is None else lowered.initial_state
         with self._lock:
             model = self._entries.get(key)
             if model is not None and not model.is_clean:

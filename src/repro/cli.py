@@ -254,13 +254,7 @@ def _render_single_check(args: argparse.Namespace, outcome: api.RequestOutcome) 
             ((result.prop.name, result.counterexample) for result in results),
         )
 
-    failing = [
-        result
-        for result in results
-        if (result.prop.is_assertion and result.status.value == "fails")
-        or result.status.value == "aborted"
-    ]
-    return 1 if failing else 0
+    return outcome.report.exit_code
 
 
 def _render_portfolio_check(args: argparse.Namespace, outcome: api.RequestOutcome) -> int:
@@ -320,12 +314,7 @@ def _render_portfolio_check(args: argparse.Namespace, outcome: api.RequestOutcom
             ((item.job_id, item.result.counterexample) for item in report.items),
         )
 
-    failing = any(
-        (item.result.kind == "assertion" and item.result.status.value == "fails")
-        or not item.result.conclusive
-        for item in report.items
-    )
-    return 1 if failing or report.disagreements else 0
+    return outcome.report.exit_code
 
 
 def _command_kb(args: argparse.Namespace) -> int:

@@ -60,14 +60,6 @@ class GateSemantics:
         refined = self.imply(cubes)
         return refined[num_inputs:]
 
-    @property
-    def input_pins(self) -> List[Net]:
-        return self.pins[: len(self.pins) - self.num_outputs]
-
-    @property
-    def output_pins(self) -> List[Net]:
-        return self.pins[len(self.pins) - self.num_outputs :]
-
 
 _SIMPLE_BITWISE = {
     AndGate: rules_bool.imply_and,

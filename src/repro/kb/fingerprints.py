@@ -4,7 +4,10 @@ The in-process :class:`~repro.checker.incremental.UnrolledModelCache` keys
 cached models by ``id(circuit)`` -- perfect for object identity within one
 process, useless across processes.  The knowledge base instead keys its rows
 by *structural* fingerprints: pure FNV-1a hashes of a canonical dump of the
-circuit, the initial register state, and the environmental setup.  Two
+circuit and of the two halves of
+:func:`~repro.properties.environment.environment_identity` -- the initial
+register state and the environmental setup, in the same encoding the
+in-process cache keys on.  Two
 processes that elaborate the same design the same way compute the same key
 and therefore see each other's learned facts.
 
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 from typing import FrozenSet, Mapping, Optional, Tuple
 
-from repro.atpg.statehash import fnv1a, property_search_digest
+from repro.atpg.statehash import fnv1a
+from repro.properties.environment import environment_identity
 
 #: attribute caching the (fingerprint, net-name snapshot) pair on a circuit.
 _SNAPSHOT_ATTR = "_kb_snapshot"
@@ -82,47 +86,31 @@ def circuit_fingerprint(circuit) -> int:
 
 def initial_state_kb_fingerprint(initial_state: Optional[Mapping[str, int]]) -> int:
     """Stable hash of the initial register-state mapping (``None`` included)."""
-    if initial_state is None:
-        payload = "initial:none"
-    else:
-        items = sorted((str(name), int(value)) for name, value in initial_state.items())
-        payload = "initial:" + ";".join("%s=%d" % item for item in items)
-    return fnv1a(payload.encode("utf-8"))
+    return fnv1a(environment_identity(None, initial_state)[0].encode("utf-8"))
 
 
 def environment_kb_fingerprint(environment) -> int:
-    """Stable hash of an environmental setup.
-
-    Assumption expressions are digested structurally (via
-    :func:`~repro.atpg.statehash.property_search_digest`, exact spelling)
-    rather than through ``repr``, which elides the terms of one-hot
-    expressions and is therefore collision-prone.
-    """
-    if environment is None:
-        return fnv1a(b"env:none")
-    parts = ["env"]
-    for name in sorted(environment.pinned):
-        parts.append("pin:%s=%d" % (name, environment.pinned[name]))
-    for group in environment.one_hot_groups:
-        parts.append("onehot:" + ",".join(group))
-    for expr in environment.assumptions:
-        parts.append("assume:%016x" % property_search_digest(expr))
-    init = environment.initialization
-    if init is not None:
-        for vector in init.vectors:
-            items = sorted((str(k), int(v)) for k, v in vector.items())
-            parts.append("init:" + ";".join("%s=%d" % item for item in items))
-    return fnv1a("\n".join(parts).encode("utf-8"))
+    """Stable hash of an environmental setup (``None`` included)."""
+    return fnv1a(environment_identity(environment, None)[1].encode("utf-8"))
 
 
 def model_kb_key(circuit, initial_state, environment) -> str:
-    """The on-disk key naming one (circuit, initial state, environment) model.
+    """The on-disk key naming one (circuit, initial state, environment) model."""
+    return identity_kb_key(circuit, environment_identity(environment, initial_state))
 
+
+def identity_kb_key(circuit, identity: Tuple[str, str]) -> str:
+    """The on-disk key of a circuit under an environment identity.
+
+    ``identity`` is :func:`~repro.properties.environment.environment_identity`
+    (as carried by a :class:`~repro.properties.convert.LoweredEnvironment`):
+    the in-process model-cache key and this key come from the same encoding.
     A fixed-width hex triple -- process-stable, filesystem- and SQL-friendly.
     """
     circuit_fp, _ = circuit_snapshot(circuit)
+    initial, environment = identity
     return "%016x-%016x-%016x" % (
         circuit_fp,
-        initial_state_kb_fingerprint(initial_state),
-        environment_kb_fingerprint(environment),
+        fnv1a(initial.encode("utf-8")),
+        fnv1a(environment.encode("utf-8")),
     )

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import faults
 from repro.atpg.estg import ExtendedStateTransitionGraph, LearnedCube
 from repro.bitvector import BV3
-from repro.kb.fingerprints import circuit_snapshot, model_kb_key
+from repro.kb.fingerprints import circuit_snapshot, identity_kb_key
 
 #: current on-disk format version (bump on any incompatible schema change).
 #: v1: cubes + fail memos.  v2: adds the ``solver_cores`` table.
@@ -254,8 +254,12 @@ class KnowledgeBase:
         """The store's on-disk schema version (``None`` when disabled)."""
         return None if self.disabled else SCHEMA_VERSION
 
-    def attach(self, model, circuit, initial_state, environment) -> Tuple[int, int]:
+    def attach(self, model, circuit, lowered) -> Tuple[int, int]:
         """Merge the store's facts for this model into ``model.estg``.
+
+        ``lowered`` is the :class:`~repro.properties.convert.LoweredEnvironment`
+        the model was acquired under; its ``identity`` names the model on
+        disk (:func:`~repro.kb.fingerprints.identity_kb_key`).
 
         Idempotent per (store, model): the first call loads, later calls
         return ``(0, 0)``.  Also registers the model for flushing (including
@@ -263,7 +267,7 @@ class KnowledgeBase:
         :class:`~repro.checker.incremental.UnrolledModelCache`) and returns
         ``(cubes loaded, memos loaded)``.
         """
-        key = model_kb_key(circuit, initial_state, environment)
+        key = identity_kb_key(circuit, lowered.identity)
         _, net_names = circuit_snapshot(circuit)
         loaded_keys = getattr(model, "kb_loaded_keys", None)
         if loaded_keys is None:

@@ -45,11 +45,5 @@ class Mux(Gate):
             index = len(self.data) - 1
         return values[self.data[index]] & self.output.mask()
 
-    def selectable_indices(self, select_value: int) -> int:
-        """Map a concrete select value to the index of the selected input."""
-        if select_value >= len(self.data):
-            return len(self.data) - 1
-        return select_value
-
     def gate_count(self) -> int:
         return max(1, self.output.width) * max(1, len(self.data) - 1)

@@ -54,10 +54,6 @@ class Net:
         self.uid = uid
 
     # ------------------------------------------------------------------
-    def is_single_bit(self) -> bool:
-        """True for one-bit nets (the natural control candidates)."""
-        return self.width == 1
-
     def fanout(self) -> int:
         """Number of gates reading this net."""
         return len(self.readers)

@@ -21,7 +21,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.nets import Net, NetKind
-from repro.properties.environment import Environment
+from repro.properties.environment import Environment, environment_identity
 from repro.properties.spec import (
     And,
     Assertion,
@@ -69,6 +69,10 @@ class LoweredEnvironment:
     #: frame-0 register values: the explicit initial state if given, else
     #: the one the initialization sequence derives, else ``None`` (power-on).
     initial_state: Optional[Dict[str, int]]
+    #: :func:`~repro.properties.environment.environment_identity` of the
+    #: environment and the initial state above: the key every consumer of
+    #: this lowering (model cache, knowledge base) shares.
+    identity: Tuple[str, str]
 
 
 class PropertyCompiler:
@@ -137,15 +141,16 @@ class PropertyCompiler:
     ) -> LoweredEnvironment:
         """Lower an environment (and the initial state) into the circuit.
 
-        Memoised on the circuit like :meth:`compile`, keyed by the
-        environment's content: checking many properties (or many daemon
-        jobs) under one environment compiles its constraint nets once, and
-        every engine sees the same nets and the same initial state.
+        Memoised on the circuit like :meth:`compile`, keyed by
+        :func:`~repro.properties.environment.environment_identity` of the
+        arguments: checking many properties (or many daemon jobs) under one
+        environment compiles its constraint nets once, and every engine sees
+        the same nets and the same initial state.
         """
         environment = environment if environment is not None else Environment()
         memo = self._memo()
-        key = self._environment_key(environment, initial_state)
-        if key is not None and key in memo:
+        key = ("environment",) + environment_identity(environment, initial_state)
+        if key in memo:
             return memo[key]
         pins = {
             name: value & self.circuit.net(name).mask()
@@ -167,31 +172,12 @@ class PropertyCompiler:
             derived = environment.initialization.derive_initial_state(self.circuit)
         else:
             derived = None
-        lowered = LoweredEnvironment(pins, tuple(constraints), derived)
-        if key is not None:
-            memo[key] = lowered
-        return lowered
-
-    @staticmethod
-    def _environment_key(environment: Environment, initial_state):
-        # Like the property memo key: assumptions the renderer cannot spell
-        # are simply not memoised.
-        from repro.properties.parse import PropertyParseError, format_expression
-
-        try:
-            assumptions = tuple(format_expression(e) for e in environment.assumptions)
-        except PropertyParseError:
-            return None
-        initialization = environment.initialization
-        return (
-            "environment",
-            tuple(sorted(environment.pinned.items())),
-            tuple(tuple(group) for group in environment.one_hot_groups),
-            assumptions,
-            None if initialization is None
-            else tuple(tuple(sorted(v.items())) for v in initialization.vectors),
-            None if initial_state is None else tuple(sorted(initial_state.items())),
+        lowered = LoweredEnvironment(
+            pins, tuple(constraints), derived,
+            environment_identity(environment, derived),
         )
+        memo[key] = lowered
+        return lowered
 
     # ------------------------------------------------------------------
     def _fresh(self, prefix: str) -> str:

@@ -10,13 +10,18 @@ initialization sequence used to derive the set of initial states.  We model:
   every frame (compiled to monitor nets like properties);
 * *initialization sequences* -- concrete input vectors simulated from the
   power-on state to produce the initial state used for checking.
+
+:func:`environment_identity` is the one canonical encoding of an
+(environment, initial state) pair: the lowering memo, the unrolled-model
+cache and the knowledge base's on-disk model key are all derived from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.atpg.statehash import property_search_digest
 from repro.netlist.circuit import Circuit
 from repro.netlist.nets import Net
 from repro.properties.spec import Expression
@@ -90,3 +95,42 @@ class Environment:
             len(self.one_hot_groups),
             len(self.assumptions),
         )
+
+
+def environment_identity(
+    environment: Optional[Environment],
+    initial_state: Optional[Mapping[str, int]],
+) -> Tuple[str, str]:
+    """The canonical ``(initial state, environment)`` encoding of a check.
+
+    Two checks whose identities are equal start from the same registers and
+    assume the same constraints, so they may share a lowering, an unrolled
+    model and the facts learned on it.  The encoding is structural and
+    process-stable: pins with their declared values, one-hot groups,
+    assumptions by their exact-spelling digest
+    (:func:`~repro.atpg.statehash.property_search_digest`; ``repr`` elides
+    the terms of one-hot expressions and would alias distinct assumptions)
+    and the initialization vectors.  The knowledge base hashes each half
+    into its on-disk model key, so changing this text orphans every stored
+    fact.  ``None`` (no environment object at all) encodes apart from an
+    empty :class:`Environment`.
+    """
+    initial = "initial:none" if initial_state is None else "initial:" + _values(initial_state)
+    if environment is None:
+        return initial, "env:none"
+    parts = ["env"]
+    for name in sorted(environment.pinned):
+        parts.append("pin:%s=%d" % (name, environment.pinned[name]))
+    for group in environment.one_hot_groups:
+        parts.append("onehot:" + ",".join(group))
+    for expr in environment.assumptions:
+        parts.append("assume:%016x" % property_search_digest(expr))
+    if environment.initialization is not None:
+        for vector in environment.initialization.vectors:
+            parts.append("init:" + _values(vector))
+    return initial, "\n".join(parts)
+
+
+def _values(values: Mapping[str, int]) -> str:
+    items = sorted((str(name), int(value)) for name, value in values.items())
+    return ";".join("%s=%d" % item for item in items)

@@ -222,10 +222,6 @@ class BitParallelSim:
                 value |= 1 << position
         return value
 
-    def register_lanes(self) -> Dict[str, Lanes]:
-        """Current register lanes keyed by output net name."""
-        return dict(zip(self._ff_names, self.state))
-
     # ------------------------------------------------------------------
     # Per-opcode kernel compilation (closures capture slots and constants,
     # so the execution loop does zero name resolution or type dispatch).

@@ -102,13 +102,6 @@ class CompiledCircuit:
         name = net_or_name.name if isinstance(net_or_name, Net) else net_or_name
         return self.slot_of_name[name]
 
-    def op_histogram(self) -> Dict[str, int]:
-        """Opcode counts, for plan inspection and statistics."""
-        histogram: Dict[str, int] = {}
-        for op in self.ops:
-            histogram[op.opcode] = histogram.get(op.opcode, 0) + 1
-        return histogram
-
 
 _BITWISE_OPCODES = [
     (AndGate, "and"),

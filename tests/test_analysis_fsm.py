@@ -137,6 +137,18 @@ def test_seed_estg_records_structural_facts():
     assert estg.stats()["structurally_illegal"] == 2
 
 
+def test_seed_estg_starts_from_the_given_initial_state():
+    """Started at 7 the counter wraps through 0..5 and only 6 is never
+    occupied; started at 6 every state is reachable."""
+    fsms = extract_local_fsms(build_wrapping_counter())
+    estg = ExtendedStateTransitionGraph()
+    assert seed_estg_from_fsms(estg, fsms, {"cnt": 7}) == 1
+    assert estg.is_structurally_illegal(
+        ExtendedStateTransitionGraph.state_cube([("cnt", BV3.from_int(3, 6))])
+    )
+    assert seed_estg_from_fsms(ExtendedStateTransitionGraph(), fsms, {"cnt": 6}) == 0
+
+
 def test_justifier_prunes_structurally_illegal_states():
     """With the initial state left free the model alone admits cnt == 7 (hold
     the dead state), but the FSM-seeded ESTG knows the real design can never

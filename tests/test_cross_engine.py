@@ -35,6 +35,7 @@ from repro.netlist import Circuit
 from repro.properties import (
     Assertion,
     Environment,
+    OneHot,
     PropertyCompiler,
     Signal,
     Witness,
@@ -165,6 +166,8 @@ ASSUMPTIONS = (
     Signal("a") < 2,
     (Signal("a") + Signal("b")) != 1,
     Signal("b") == 3,
+    OneHot(Signal("r0"), Signal("r1")),
+    OneHot(Signal("r0"), Signal("r2")),
 )
 #: Covers the diameter of the 2-bit environment designs (4 states), and
 #: keeps the SAT baseline's exhaustive UNSAT proofs cheap.
@@ -318,3 +321,31 @@ def test_warm_requests_do_not_grow_the_circuit(case_id):
         api.check(request, design_cache=cache)
         counts.append(len(api.resolve_design(request.circuit, cache).circuit.nets))
     assert len(set(counts)) == 1, counts
+
+
+def test_warm_replay_of_seeded_environments_matches_cold():
+    """Re-check every seeded environment in sequence on one shared circuit:
+    each warm ATPG verdict and trace must equal the cold one.  The one-hot
+    assumptions alias under ``repr``, which must not make their checks
+    share a cached model."""
+    def request(circuit, seed, target):
+        return api.build_request(
+            circuit, Assertion("never_%d" % target, Signal("state") != target),
+            environment=build_environment(seed), max_frames=ENV_BOUND,
+        )
+
+    plan = [(seed, target) for seed in range(8) for target in range(4)]
+    # Every cold run gets a circuit of its own, so it shares no model.
+    cold = [api.check(request(build_env_circuit(0), *job)).results[0] for job in plan]
+    shared, design_cache = build_env_circuit(0), {}
+    warm = [
+        api.check(request(shared, *job), design_cache=design_cache).results[0]
+        for job in plan
+    ]
+    def trace(verdict):
+        # Monitor names are generated per circuit, the rest must match.
+        return None if verdict.trace is None else dict(verdict.trace, monitor=None)
+
+    for job, cold_verdict, warm_verdict in zip(plan, cold, warm):
+        assert warm_verdict.status == cold_verdict.status, job
+        assert trace(warm_verdict) == trace(cold_verdict), job

@@ -16,17 +16,23 @@ import pytest
 
 from repro.atpg.timeframe import UnrolledModel
 from repro.bitvector import BV3
-from repro.checker import AssertionChecker, CheckerOptions
-from repro.checker.incremental import (
-    UnrolledModelCache,
-    environment_fingerprint,
-    shared_model_cache,
-)
+from repro.checker import AssertionChecker, CheckerOptions, CheckStatus
+from repro.checker.incremental import UnrolledModelCache, shared_model_cache
 from repro.circuits import all_case_ids, build_case, build_token_ring
+from repro.hdl import compile_verilog
 from repro.implication.assignment import Assignment
 from repro.implication.engine import ImplicationEngine, ImplicationNode
 from repro.netlist.circuit import Circuit
-from repro.properties import Assertion, Delayed, Environment, OneHot, Signal, Witness
+from repro.properties import (
+    Assertion,
+    Delayed,
+    Environment,
+    OneHot,
+    Signal,
+    Witness,
+    parse_expression,
+)
+from repro.properties.environment import environment_identity
 
 from fresh_unroll import fresh_check
 from test_bitparallel import build_random_circuit
@@ -329,12 +335,86 @@ def test_batch_kb_path_toggle_covers_engine_instances(tmp_path):
     assert pinned.exists()                             # explicit choice wins
 
 
-def test_environment_fingerprint_distinguishes_constraints():
+#: ``r`` latches ``x & y``; ``onehot(x, y)`` keeps it at 0, ``onehot(x, z)``
+#: does not.  ``repr`` prints both assumptions as ``OneHot(2 terms)``.
+ALIAS_VERILOG = """\
+module top(input clk, input x, input y, input z, output r);
+  reg r;
+  always @(posedge clk) r <= r | (x & y);
+endmodule
+"""
+
+
+def _alias_check(circuit, assumption, cache, kb_path=None):
+    environment = Environment().assume(parse_expression(assumption))
+    return AssertionChecker(
+        circuit, environment=environment, initial_state={"r": 0},
+        options=CheckerOptions(max_frames=4, kb_path=kb_path, trace_memory=False),
+        model_cache=cache,
+    ).check(Assertion("p", parse_expression("r == 0")))
+
+
+def test_aliasing_one_hot_assumptions_do_not_share_a_model():
+    """Facts learned under onehot(x, y) must not reach an onehot(x, z)
+    check on the same circuit: the warm check answers like a cold one."""
+    cold = _alias_check(compile_verilog(ALIAS_VERILOG), "onehot(x, z)",
+                        UnrolledModelCache())
+    circuit = compile_verilog(ALIAS_VERILOG)
+    cache = UnrolledModelCache()
+    first = _alias_check(circuit, "onehot(x, y)", cache)
+    warm = _alias_check(circuit, "onehot(x, z)", cache)
+    assert first.status is CheckStatus.HOLDS
+    assert cold.status is warm.status is CheckStatus.FAILS
+    assert warm.statistics.models_reused == 0
+    assert warm.statistics.targets_skipped == 0
+    assert warm.counterexample.inputs == cold.counterexample.inputs
+    assert len(cache) == 2
+
+
+def test_aliasing_one_hot_assumptions_do_not_share_kb_facts(tmp_path):
+    """The warm A-then-B run flushes B's facts under B's own key, so a
+    fresh reader of the store still answers B like a cold check."""
+    kb_path = str(tmp_path / "alias.sqlite")
+    circuit = compile_verilog(ALIAS_VERILOG)
+    cache = UnrolledModelCache()
+    _alias_check(circuit, "onehot(x, y)", cache, kb_path)
+    _alias_check(circuit, "onehot(x, z)", cache, kb_path)
+    fresh = _alias_check(compile_verilog(ALIAS_VERILOG), "onehot(x, z)",
+                         UnrolledModelCache(), kb_path)
+    cold = _alias_check(compile_verilog(ALIAS_VERILOG), "onehot(x, z)",
+                        UnrolledModelCache())
+    assert fresh.status is cold.status is CheckStatus.FAILS
+    assert fresh.counterexample.inputs == cold.counterexample.inputs
+
+
+def test_environment_identity_distinguishes_constraints():
     empty = Environment()
     pinned = Environment().pin("x", 1)
-    assert environment_fingerprint(None) != environment_fingerprint(pinned)
-    assert environment_fingerprint(empty) != environment_fingerprint(pinned)
-    assert environment_fingerprint(Environment().pin("x", 1)) == environment_fingerprint(pinned)
+    assert environment_identity(None, None) != environment_identity(pinned, None)
+    assert environment_identity(empty, None) != environment_identity(pinned, None)
+    assert environment_identity(Environment().pin("x", 1), None) == (
+        environment_identity(pinned, None)
+    )
+    assert environment_identity(empty, None) != environment_identity(empty, {"r": 0})
+
+
+def test_equal_environments_share_one_cached_model():
+    ports = build_token_ring()
+    first_input = ports.circuit.inputs[0].name
+    cache = UnrolledModelCache()
+
+    def models_reused(environment):
+        return AssertionChecker(
+            ports.circuit, environment=environment,
+            options=CheckerOptions(max_frames=2, trace_memory=False),
+            model_cache=cache,
+        ).check(Witness("w", Signal(ports.grants[0].name) == 1)).statistics.models_reused
+
+    assert models_reused(None) == 0
+    assert models_reused(Environment()) == 1          # None lowers as empty
+    assert models_reused(Environment().pin(first_input, 0)) == 0
+    assert models_reused(Environment().pin(first_input, 0)) == 1
+    assert models_reused(Environment().pin(first_input, 1)) == 0
 
 
 # ----------------------------------------------------------------------

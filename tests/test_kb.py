@@ -21,7 +21,15 @@ import repro
 from repro.checker import AssertionChecker, CheckerOptions
 from repro.checker.incremental import UnrolledModelCache
 from repro.circuits import build_case
-from repro.kb import SCHEMA_VERSION, KnowledgeBase
+from repro.kb import (
+    SCHEMA_VERSION,
+    KnowledgeBase,
+    environment_kb_fingerprint,
+    initial_state_kb_fingerprint,
+    model_kb_key,
+)
+from repro.netlist import Circuit
+from repro.properties import Environment, parse_expression
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -196,6 +204,60 @@ def test_search_fingerprint_json_is_stable():
     )
     compiled = checker.compiler.compile(case.prop)
     assert json.dumps(checker._search_fingerprint(compiled)) == P5_SEARCH_FP_JSON
+
+
+def _golden_circuit():
+    circuit = Circuit("golden")
+    for name in ("x", "y", "z"):
+        circuit.input(name, 1)
+    circuit.input("d", 4)
+    circuit.output(circuit.dff(circuit.or_(circuit.net("x"), circuit.net("y")),
+                               init_value=0, name="r"))
+    return circuit
+
+
+#: name -> (environment, its environment_kb_fingerprint).  ``d`` is a 4-bit
+#: net pinned to 37: the key hashes the declared value, not the wrapped one.
+GOLDEN_ENVIRONMENTS = {
+    "none": (lambda: None, 0x4A3EFB5C9E1076D0),
+    "empty": (Environment, 0xC2F01118F05367D4),
+    "pins": (lambda: Environment().pin("x", 1).pin("d", 37), 0xCFBDC8694041001D),
+    "onehot_group": (lambda: Environment().one_hot(["x", "y", "z"]), 0xE305A7F62A499D2A),
+    "assume_onehot_xy": (
+        lambda: Environment().assume(parse_expression("onehot(x, y)")),
+        0xBFAB10F271276E92,
+    ),
+    "assume_onehot_xz": (
+        lambda: Environment().assume(parse_expression("onehot(x, z)")),
+        0x1C38752B07F18B74,
+    ),
+    "init": (
+        lambda: Environment().pin("z", 0).initialize_with([{"x": 1, "d": 3}, {"y": 1}]),
+        0x48EB5FB9EA6E1736,
+    ),
+}
+GOLDEN_INITIAL_STATES = [
+    (None, 0x5E9C1B78F04C74DD),
+    ({}, 0xF32445CCD782E91B),
+    ({"r": 1}, 0xD9DF666E198A5B49),
+    ({"r": 0, "q": 5}, 0x26FF7F489186CEC0),
+]
+GOLDEN_CIRCUIT_FP = "2adaf5edc2a109d7"
+
+
+def test_model_kb_keys_are_pinned():
+    """Stored facts are found again only while these values hold: a store
+    written by an earlier version keys its rows by exactly these hashes."""
+    for name, (build, expected) in GOLDEN_ENVIRONMENTS.items():
+        assert environment_kb_fingerprint(build()) == expected, name
+    for state, expected in GOLDEN_INITIAL_STATES:
+        assert initial_state_kb_fingerprint(state) == expected, state
+    circuit = _golden_circuit()
+    for name, (build, env_fp) in GOLDEN_ENVIRONMENTS.items():
+        for state, state_fp in (GOLDEN_INITIAL_STATES[0], GOLDEN_INITIAL_STATES[2]):
+            assert model_kb_key(circuit, state, build()) == "%s-%016x-%016x" % (
+                GOLDEN_CIRCUIT_FP, state_fp, env_fp
+            ), (name, state)
 
 
 # ----------------------------------------------------------------------

@@ -187,13 +187,14 @@ def test_fail_memo_not_written_under_heuristic_estg():
     shared proven-FAIL memo."""
     case = build_case("p2")
     cache = UnrolledModelCache()
-    AssertionChecker(
+    checker = AssertionChecker(
         case.circuit, environment=case.environment,
         initial_state=case.initial_state,
         options=CheckerOptions(max_frames=case.max_frames, use_estg=True),
         model_cache=cache,
-    ).check(case.prop)
-    model, _ = cache.acquire(case.circuit, case.initial_state, case.environment)
+    )
+    checker.check(case.prop)
+    model, _ = cache.acquire(case.circuit, checker.lowered)
     assert not model.estg.proven_fail_targets
 
 
@@ -210,7 +211,7 @@ def test_no_learning_matches_pre_learning_behaviour():
     result = checker.check(case.prop)
     assert result.statistics.targets_skipped == 0
     assert result.statistics.cubes_learned == 0
-    model, _reused = cache.acquire(case.circuit, case.initial_state, case.environment)
+    model, _reused = cache.acquire(case.circuit, checker.lowered)
     assert not model.estg.proven_fail_targets
     assert not model.estg.learned_cubes
 
@@ -690,7 +691,7 @@ def test_budget_exhausted_solver_results_never_learn(arithmetic_budget):
     )
     results = [checker.check(prop, max_frames=bound) for bound in (1, 2, 3)]
     assert all(result.status.value == "holds" for result in results)
-    model, _ = cache.acquire(circuit, None, checker.environment)
+    model, _ = cache.acquire(circuit, checker.lowered)
     assert not model.estg.learned_cubes
     assert model.estg.datapath_cubes_learned == 0
     for result in results:

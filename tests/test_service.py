@@ -256,6 +256,32 @@ class TestDaemon:
         assert normalized(second) == normalized(baseline)
         assert second.results[0].trace == baseline.results[0].trace
 
+    def test_aliasing_one_hot_assumptions_answer_like_cold(self, tmp_path):
+        """Two submits on the resident design, ``onehot(x, y)`` then
+        ``onehot(x, z)``: the second must not inherit the first's facts."""
+        from test_incremental import ALIAS_VERILOG
+
+        def request(assumption):
+            return api.CheckRequest(
+                circuit=api.CircuitRef.source(ALIAS_VERILOG),
+                properties=(api.PropertySpec.assertion("p", "r == 0"),),
+                assumptions=(assumption,), initial_state=(("r", 0),),
+                max_frames=4,
+            )
+
+        baseline = api.check(request("onehot(x, z)"))
+        with running_daemon(tmp_path) as socket_path:
+            first = check_via_service(request("onehot(x, y)"),
+                                      socket_path=socket_path, fallback=False)
+            second = check_via_service(request("onehot(x, z)"),
+                                       socket_path=socket_path, fallback=False)
+        # The design stayed resident; only the model is per-environment.
+        assert second.service["worker"]["jobs_done"] >= 2
+        assert second.service["worker"]["designs_resident"] == 1
+        assert first.results[0].status == "holds"
+        assert second.results[0].status == "fails"
+        assert normalized(second) == normalized(baseline)
+
     def test_v1_0_payload_with_retired_fields_answers_like_default(self, tmp_path):
         """An old client's request, retired search fields set, gets the
         same verdict and trace as the default request."""
