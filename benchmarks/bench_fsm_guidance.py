@@ -1,9 +1,12 @@
 """Ablation: local-FSM guidance of the ATPG search (paper Section 6 extension).
 
-Local finite state machines are extracted up front; their locally
-unreachable states are recorded as structurally illegal in the extended
-state transition graph, and the justifier prunes any branch whose implied
-register values enter such a state (in any time frame).
+Local finite state machines are extracted up front, and the justifier
+prunes any branch whose implied register values enter one of their locally
+unreachable states (in any time frame).  That is the only pruning guidance
+adds: every pruned state is one the design can never occupy, so guided and
+unguided searches reach the same verdicts, and guidance saves decisions
+only where the search would otherwise wander through FSM-unreachable
+states.
 
 The benchmark measures the effect on two representative checks:
 

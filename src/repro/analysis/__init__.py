@@ -9,8 +9,8 @@ implements those analyses on top of the word-level netlist:
 * :mod:`repro.analysis.structure` -- control/datapath partition and primitive
   histogram reports (the "circuit model" of Section 1);
 * :mod:`repro.analysis.fsm` -- local finite-state-machine extraction with
-  reachability over the extracted state transition graph, used to seed the
-  extended state transition graph (ESTG) with structurally illegal states;
+  reachability over the extracted state transition graph, whose unreachable
+  states the ATPG prunes under FSM guidance;
 * :mod:`repro.analysis.recognize` -- counter and shift-register recognition;
 * :mod:`repro.analysis.dontcare` -- internal don't-care bookkeeping and the
   "don't-cares are external" validation flow of properties p10 / p14.
@@ -26,7 +26,7 @@ from repro.analysis.fsm import (
     LocalFsm,
     extract_local_fsm,
     extract_local_fsms,
-    seed_estg_from_fsms,
+    unreachable_state_cubes,
 )
 from repro.analysis.recognize import (
     CounterInfo,
@@ -51,7 +51,7 @@ __all__ = [
     "LocalFsm",
     "extract_local_fsm",
     "extract_local_fsms",
-    "seed_estg_from_fsms",
+    "unreachable_state_cubes",
     "CounterInfo",
     "ShiftRegisterInfo",
     "RecognitionReport",

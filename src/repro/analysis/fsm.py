@@ -20,17 +20,17 @@ Because the inputs and the other registers stay unconstrained, the extracted
 transition relation is an *over-approximation* of the real one.  Reachability
 over an over-approximation is itself an over-approximation, so any state that
 is unreachable in the extracted graph is guaranteed unreachable in the real
-design -- those states are safe to record as structurally illegal in the
-:class:`~repro.atpg.estg.ExtendedStateTransitionGraph` and prune the search.
+design.  :func:`unreachable_state_cubes` turns them into state cubes the
+justifier may prune in every time frame (``--fsm-guidance``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.atpg.estg import ExtendedStateTransitionGraph
+from repro.atpg.estg import StateCube
 from repro.atpg.timeframe import UnrolledModel
 from repro.bitvector import BV3
 from repro.implication.assignment import ImplicationConflict
@@ -236,32 +236,26 @@ def extract_local_fsms(
     return fsms
 
 
-def seed_estg_from_fsms(
-    estg: ExtendedStateTransitionGraph,
+def unreachable_state_cubes(
     fsms: Sequence[LocalFsm],
     initial_state: Optional[Mapping[str, int]] = None,
-) -> int:
-    """Record every locally unreachable state as structurally illegal.
+) -> Tuple[StateCube, ...]:
+    """One single-register state cube per locally unreachable state.
 
     Reachability is computed from the value each register actually starts
     from: its entry in ``initial_state`` when the check overrides the
-    power-on values, the register's ``init_value`` otherwise, so the
-    recorded facts stay sound under an explicit or derived initial state.
-    Returns the number of state cubes recorded.  The justifier checks these
-    cubes in every time frame, pruning branches whose implied register values
-    have drifted into a state the design can never occupy (the paper's
-    Section 6 "avoid entering illegal states" extension).
+    power-on values, the register's ``init_value`` otherwise, so the cubes
+    stay sound under an explicit or derived initial state.  The justifier
+    tests these cubes in every time frame, pruning branches whose implied
+    register values have drifted into a state the design can never occupy
+    (the paper's Section 6 "avoid entering illegal states" extension).
     """
     overrides = initial_state or {}
-    recorded = 0
+    cubes = []
     for fsm in fsms:
         start = overrides.get(fsm.register_name, fsm.initial_state)
         if start is None:
             continue
         for state in sorted(fsm.unreachable_states(from_state=start)):
-            cube = ExtendedStateTransitionGraph.state_cube(
-                [(fsm.register_name, BV3.from_int(fsm.width, state))]
-            )
-            estg.record_structurally_illegal_state(cube)
-            recorded += 1
-    return recorded
+            cubes.append(((fsm.register_name, BV3.from_int(fsm.width, state)),))
+    return tuple(cubes)

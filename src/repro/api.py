@@ -641,10 +641,6 @@ class PropertyVerdict:
     disagreement: Tuple[str, ...] = ()
 
     @property
-    def check_status(self) -> CheckStatus:
-        return CheckStatus(self.status)
-
-    @property
     def failed(self) -> bool:
         """Whether this verdict makes the whole request fail (CLI contract):
         a violated assertion, or no conclusive answer at all."""

@@ -4,30 +4,32 @@ The paper records, in an extended state transition graph, abstract state
 transitions that were found illegal or hard to reach during the search, and
 reuses that information in subsequent ATPG runs to prune the decision space.
 
-Our ESTG stores several kinds of facts:
+Every fact our ESTG keeps is a sound theorem about the model:
 
-* *illegal state cubes* -- partial states proven unreachable / unjustifiable;
-  any search branch whose current state cube is covered by an illegal cube
-  can be pruned immediately (the original per-run heuristic store);
-* *transition records* -- (state, next-state, status) triples with a visit
-  count, used for diagnostics and to bias away from hard-to-reach transitions;
 * *learned cubes* (:class:`LearnedCube`) -- conflict-lifted combinations of
-  search decisions (and re-check-verified illegal state cubes) proven
-  contradictory by implication; they are sound theorems about the model and
-  prune the search as constraint nodes;
+  search decisions proven contradictory by implication, and the paper's
+  illegal state cubes: a failed subtree's state cube is queued as a
+  :class:`StateCubeCandidate` and promoted to a learned cube only once a
+  conflict re-check re-derives it; learned cubes prune the search as
+  constraint nodes;
 * a *proven-FAIL target memo* -- (property, target frame) pairs whose whole
   justification search failed, so re-checking the same target at a deeper
-  bound can skip the search entirely.
+  bound can skip the search entirely;
+* *solver cores* (:class:`SolverCore`) -- memoised datapath-solver
+  infeasibility certificates.
 
-The heuristic stores persist across the per-target-frame runs of one
-property check; the learned cubes and the target memo additionally persist
-across *bounds*, *properties* and *checker instances* when the graph rides a
-cached :class:`~repro.atpg.timeframe.UnrolledModel` (see
-:mod:`repro.checker.incremental`), which is where the cross-bound speed-up
-materialises.  With a knowledge base attached (:mod:`repro.kb`) they also
-persist across *processes*: cubes and memos are flushed to a sqlite store on
-checker teardown and merged back into the graph of any later model with the
-same structural fingerprint (see ``docs/knowledge-base.md``).
+The graph rides a cached :class:`~repro.atpg.timeframe.UnrolledModel` (see
+:mod:`repro.checker.incremental`), so its facts persist across *bounds*,
+*properties* and *checker instances*, which is where the cross-bound
+speed-up materialises.  With a knowledge base attached (:mod:`repro.kb`) they
+also persist across *processes*: cubes and memos are flushed to a sqlite
+store on checker teardown and merged back into the graph of any later model
+with the same structural fingerprint (see ``docs/knowledge-base.md``).
+
+States proven unreachable by local FSM analysis are not kept here: the
+checker passes them to the justifier directly (see
+:func:`repro.analysis.fsm.unreachable_state_cubes`), and :func:`covers` is
+the containment test both uses share.
 """
 
 from __future__ import annotations
@@ -43,20 +45,24 @@ from repro.bitvector import BV3
 #: An abstract state: a tuple of (register name, cube) pairs.
 StateCube = Tuple[Tuple[str, BV3], ...]
 
+
+def covers(general: StateCube, specific: StateCube) -> bool:
+    """True when every register constraint of ``general`` covers the
+    corresponding constraint of ``specific``."""
+    specific_map = dict(specific)
+    for name, cube in general:
+        other = specific_map.get(name)
+        if other is None:
+            return False
+        if not cube.covers(other):
+            return False
+    return True
+
+
 #: One learned-cube literal: (net, frame position, required value cube).
 #: For shiftable cubes the frame position is an offset relative to the
 #: target frame (<= 0); for absolute cubes it is the frame index itself.
 CubeLiteral = Tuple[object, int, BV3]
-
-
-@dataclass
-class TransitionRecord:
-    """Statistics about one observed abstract state transition."""
-
-    source: StateCube
-    target: StateCube
-    status: str
-    visits: int = 1
 
 
 @dataclass
@@ -151,31 +157,10 @@ class StateCubeCandidate:
 
 
 class ExtendedStateTransitionGraph:
-    """Learned illegal states, learned cubes and transition statistics.
+    """Learned cubes, state-cube candidates, proven-FAIL memos and solver
+    cores of one unrolled model."""
 
-    ``enabled`` gates the original heuristic stores (illegal states and
-    transitions).  The learned-cube store and the proven-FAIL target memo
-    are sound and controlled separately by the checker's ``learning``
-    option, so a graph attached to a cached model can carry them even when
-    the heuristic ESTG pruning is off.
-    """
-
-    def __init__(self, enabled: bool = True, max_entries: int = 4096,
-                 max_learned_cubes: int = 256):
-        self.enabled = enabled
-        self.max_entries = max_entries
-        #: learned (context, state-cube) pairs; see :meth:`record_illegal_state`.
-        self.illegal_states: List[Tuple[Optional[object], StateCube]] = []
-        #: States proven unreachable by *structural* analysis (e.g. local FSM
-        #: extraction).  Unlike :attr:`illegal_states`, which records initial
-        #: states from which one particular requirement could not be
-        #: justified, these cubes are time-invariant facts about the design
-        #: and may be used to prune the search in every time frame.
-        self.structurally_illegal: List[StateCube] = []
-        self.transitions: Dict[Tuple[StateCube, StateCube], TransitionRecord] = {}
-        self.prune_hits = 0
-        self.recorded_illegal = 0
-        # --- persistent cross-bound learning ---------------------------
+    def __init__(self, max_learned_cubes: int = 256):
         self.max_learned_cubes = max_learned_cubes
         #: fingerprint -> learned cube, in recency order (LRU eviction).
         self.learned_cubes: "OrderedDict[int, LearnedCube]" = OrderedDict()
@@ -219,91 +204,6 @@ class ExtendedStateTransitionGraph:
     def state_cube(register_values: Sequence[Tuple[str, BV3]]) -> StateCube:
         """Normalise a state description into a hashable cube tuple."""
         return tuple(sorted(register_values, key=lambda item: item[0]))
-
-    # ------------------------------------------------------------------
-    def record_illegal_state(self, state: StateCube, context: Optional[object] = None) -> None:
-        """Record a (partial) state from which a requirement could not be
-        justified.
-
-        ``context`` identifies the search the fact was learned in (the
-        justifier passes the unrolling depth): a state that cannot justify a
-        goal placed ``k`` frames away may well justify the same goal placed
-        further out, so learned facts are only reused within the same context.
-        Structural facts that hold in every context belong in
-        :meth:`record_structurally_illegal_state` instead.
-        """
-        if not self.enabled or not state:
-            return
-        if len(self.illegal_states) >= self.max_entries:
-            return
-        entry = (context, state)
-        if any(
-            existing_context == context and self._covers(existing, state)
-            for existing_context, existing in self.illegal_states
-        ):
-            return
-        # Drop existing entries that the new, more general cube covers.
-        self.illegal_states = [
-            (existing_context, existing)
-            for existing_context, existing in self.illegal_states
-            if existing_context != context or not self._covers(state, existing)
-        ]
-        self.illegal_states.append(entry)
-        self.recorded_illegal += 1
-
-    def is_illegal(self, state: StateCube, context: Optional[object] = None) -> bool:
-        """True when the state is covered by a cube learned in ``context``."""
-        if not self.enabled:
-            return False
-        for illegal_context, illegal in self.illegal_states:
-            if illegal_context == context and self._covers(illegal, state):
-                self.prune_hits += 1
-                return True
-        return False
-
-    def record_structurally_illegal_state(self, state: StateCube) -> None:
-        """Record a state proven unreachable regardless of the property.
-
-        These facts typically come from :func:`repro.analysis.fsm.extract_local_fsms`
-        (the paper's Section 6 extension: local state transition graphs guide
-        the justification away from illegal states).
-        """
-        if not self.enabled or not state:
-            return
-        if len(self.structurally_illegal) >= self.max_entries:
-            return
-        if any(self._covers(existing, state) for existing in self.structurally_illegal):
-            return
-        self.structurally_illegal = [
-            existing
-            for existing in self.structurally_illegal
-            if not self._covers(state, existing)
-        ]
-        self.structurally_illegal.append(state)
-
-    def is_structurally_illegal(self, state: StateCube) -> bool:
-        """True when the state is covered by a structurally illegal cube."""
-        if not self.enabled:
-            return False
-        for illegal in self.structurally_illegal:
-            if self._covers(illegal, state):
-                self.prune_hits += 1
-                return True
-        return False
-
-    def record_transition(self, source: StateCube, target: StateCube, status: str) -> None:
-        """Record an observed transition attempt and its outcome."""
-        if not self.enabled:
-            return
-        key = (source, target)
-        record = self.transitions.get(key)
-        if record is None:
-            if len(self.transitions) >= self.max_entries:
-                return
-            self.transitions[key] = TransitionRecord(source, target, status)
-        else:
-            record.visits += 1
-            record.status = status
 
     # ------------------------------------------------------------------
     # Persistent cross-bound learning
@@ -488,28 +388,9 @@ class ExtendedStateTransitionGraph:
             if candidate.failures < self.candidate_patience
         ]
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _covers(general: StateCube, specific: StateCube) -> bool:
-        """True when every register constraint of ``general`` covers the
-        corresponding constraint of ``specific``."""
-        specific_map = dict(specific)
-        for name, cube in general:
-            other = specific_map.get(name)
-            if other is None:
-                return False
-            if not cube.covers(other):
-                return False
-        return True
-
     def stats(self) -> Dict[str, int]:
         """Counters for reporting and the ablation bench."""
         return {
-            "illegal_states": len(self.illegal_states),
-            "structurally_illegal": len(self.structurally_illegal),
-            "recorded_illegal": self.recorded_illegal,
-            "transitions": len(self.transitions),
-            "prune_hits": self.prune_hits,
             "learned_cubes": len(self.learned_cubes),
             "cubes_learned": self.cubes_learned,
             "cubes_lifted": self.cubes_lifted,
@@ -526,8 +407,7 @@ class ExtendedStateTransitionGraph:
         }
 
     def __repr__(self) -> str:
-        return "ExtendedStateTransitionGraph(%d illegal, %d learned cubes, %d transitions)" % (
-            len(self.illegal_states),
+        return "ExtendedStateTransitionGraph(%d learned cubes, %d proven-FAIL targets)" % (
             len(self.learned_cubes),
-            len(self.transitions),
+            len(self.proven_fail_targets),
         )

@@ -52,10 +52,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.decisions import find_decision_candidates
-from repro.atpg.estg import ExtendedStateTransitionGraph, LearnedCube
+from repro.atpg.estg import ExtendedStateTransitionGraph, LearnedCube, StateCube, covers
 from repro.atpg.timeframe import UnrolledModel, VarKey
 from repro.bitvector import BV3, BV3Conflict
 from repro.implication.assignment import ImplicationConflict, RootCause
@@ -278,7 +278,7 @@ class Justifier:
         prove_mode: bool = True,
         use_bias: bool = True,
         limits: Optional[JustifierLimits] = None,
-        estg: Optional[ExtendedStateTransitionGraph] = None,
+        illegal_states: Sequence[StateCube] = (),
         learning: Optional[LearningContext] = None,
     ):
         self.model = model
@@ -286,7 +286,9 @@ class Justifier:
         self.prove_mode = prove_mode
         self.use_bias = use_bias
         self.limits = limits if limits is not None else JustifierLimits()
-        self.estg = estg
+        #: states the design can never occupy (typically from local FSM
+        #: analysis); time-invariant, so tested in every frame.
+        self.illegal_states = tuple(illegal_states)
         self.learning = learning
         self.decisions = 0
         self.backtracks = 0
@@ -541,14 +543,8 @@ class Justifier:
             self._aborted = True
             return JustifyOutcome.ABORT, None
 
-        if self.estg is not None:
-            if self.estg.is_illegal(self._state_cube(), context=self.model.num_frames):
-                return JustifyOutcome.FAIL, None
-            # Structurally illegal states are time-invariant facts (typically
-            # seeded from local FSM extraction) and may be tested in *every*
-            # frame of the unrolled model.
-            if self.estg.structurally_illegal and self._hits_structurally_illegal():
-                return JustifyOutcome.FAIL, None
+        if self.illegal_states and self._hits_structurally_illegal():
+            return JustifyOutcome.FAIL, None
 
         unjustified = self._unjustified()
         if not unjustified:
@@ -872,24 +868,21 @@ class Justifier:
             if not registers:
                 continue
             state = ExtendedStateTransitionGraph.state_cube(registers)
-            if self.estg.is_structurally_illegal(state):
+            if any(covers(illegal, state) for illegal in self.illegal_states):
                 return True
         return False
 
     def _learn_illegal_state(self) -> None:
         # Only record states that are meaningfully constrained and fully
         # derived from implication of the (failed) requirements.
-        if self.estg is None and self.learning is None:
+        if self.learning is None:
             return
         state = self._state_cube()
         if not state or len(state) > 8:
             return
-        if self.estg is not None:
-            self.estg.record_illegal_state(state, context=self.model.num_frames)
-        if self.learning is not None:
-            # Queue the cube for the conflict re-check that guards its
-            # promotion into the persistent store (see checker engine).
-            self.learning.estg.record_state_candidate(state)
+        # Queue the cube for the conflict re-check that guards its
+        # promotion into the persistent store (see checker engine).
+        self.learning.estg.record_state_candidate(state)
 
     @staticmethod
     def _gate_of(node: ImplicationNode):

@@ -140,10 +140,9 @@ class UnrolledModel:
         #: store and the proven-FAIL target memo ride the model through the
         #: :class:`~repro.checker.incremental.UnrolledModelCache`, so facts
         #: learned at one bound prune every later bound and every property
-        #: sharing the (circuit, initial state, environment) cache key.  The
-        #: heuristic ESTG stores stay disabled here; the checker keeps its
-        #: own graph for the ``use_estg`` ablation path.
-        self.estg = ExtendedStateTransitionGraph(enabled=False)
+        #: sharing the (circuit, initial state, environment) cache key.  This
+        #: is the model's only ESTG.
+        self.estg = ExtendedStateTransitionGraph()
 
         #: persistent knowledge base plumbing (set by
         #: :meth:`repro.kb.store.KnowledgeBase.attach`): a zero-argument

@@ -12,9 +12,7 @@ it disagrees with the modular solver.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence
-
-from repro.modsolver.linear import ModularLinearSystem
+from typing import List, Optional, Sequence
 
 
 class RationalLinearSolver:
@@ -26,37 +24,15 @@ class RationalLinearSolver:
         self.width = width
 
     # ------------------------------------------------------------------
-    def solve_system(self, system: ModularLinearSystem) -> Optional[Dict[Hashable, int]]:
-        """Solve the same system the modular solver would, non-modularly.
-
-        Returns an assignment only when the *rational* solution is unique,
-        integral and within ``[0, 2**width)`` for every variable -- the
-        behaviour of a solver that ignores modulation.  Returns ``None``
-        otherwise (which is where the false negatives come from).
-        """
-        variables = list(system.variables)
-        rows = [
-            [Fraction(c.coefficients.get(var, 0)) for var in variables]
-            for c in system.constraints
-        ]
-        rhs = [Fraction(c.rhs) for c in system.constraints]
-        solution = self._gaussian_elimination(rows, rhs, len(variables))
-        if solution is None:
-            return None
-        result: Dict[Hashable, int] = {}
-        for var, value in zip(variables, solution):
-            if value.denominator != 1:
-                return None
-            integer = int(value)
-            if not 0 <= integer < (1 << self.width):
-                return None
-            result[var] = integer
-        return result
-
     def solve_matrix(
         self, rows: Sequence[Sequence[int]], rhs: Sequence[int]
     ) -> Optional[List[int]]:
-        """Matrix-form convenience wrapper mirroring the modular solver.
+        """Solve ``rows · x = rhs`` over the rationals.
+
+        Returns an assignment only when the rational solution is unique,
+        integral and within ``[0, 2**width)`` for every variable -- the
+        behaviour of a solver that ignores modulation.  Returns ``None``
+        otherwise (which is where the false negatives come from).
 
         The coefficients are used *as given* (signed, un-modulated) -- that is
         the whole point of this baseline.  Routing them through the modular

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from repro.atpg.estg import ExtendedStateTransitionGraph, LearnedCube
+from repro.atpg.estg import LearnedCube
 from repro.atpg.justify import (
     Justifier,
     JustifierLimits,
@@ -66,14 +66,10 @@ class CheckerOptions:
     kb_path: Optional[str] = None
     #: use the legal-assignment-bias decision ordering (ablation switch).
     use_bias: bool = True
-    #: learn illegal states in an extended state transition graph.  This is a
-    #: heuristic accelerator; it may prune witness branches, so it is off by
-    #: default and mainly used by the ablation benchmarks.
-    use_estg: bool = False
-    #: extract local FSMs up front and seed the ESTG with their locally
-    #: unreachable states (the paper's Section 6 extension).  Implies ESTG use
-    #: for the structural store; sound because locally unreachable states can
-    #: never occur in any execution from the default initial state.
+    #: extract local FSMs up front and prune search branches that enter one
+    #: of their locally unreachable states, in any frame (the paper's
+    #: Section 6 extension).  Sound because locally unreachable states can
+    #: never occur in any execution from the check's initial state.
     use_local_fsm_guidance: bool = False
     #: measure peak heap usage with tracemalloc (small overhead).
     trace_memory: bool = True
@@ -132,18 +128,18 @@ class AssertionChecker:
             circuit_snapshot(circuit)
             self._kb = open_knowledge_base(self.options.kb_path)
         self.compiler = PropertyCompiler(circuit)
-        use_estg = self.options.use_estg or self.options.use_local_fsm_guidance
-        self.estg = ExtendedStateTransitionGraph(enabled=use_estg)
         self.lowered = self.compiler.compile_environment(self.environment, initial_state)
         self.initial_state = self.lowered.initial_state
+        #: FSM-unreachable state cubes the justifier prunes (FSM guidance).
+        self.illegal_states = ()
         if self.options.use_local_fsm_guidance:
-            # Reachability starts from this check's initial state.  Only
-            # design registers are seeded, so the facts hold for every
+            # Reachability starts from this check's initial state.  The
+            # cubes name only design registers, so the facts hold for every
             # property compiled into the circuit later.
-            from repro.analysis.fsm import extract_local_fsms, seed_estg_from_fsms
+            from repro.analysis.fsm import extract_local_fsms, unreachable_state_cubes
 
             fsms = extract_local_fsms(circuit, max_width=FSM_GUIDANCE_MAX_WIDTH)
-            seed_estg_from_fsms(self.estg, fsms, self.initial_state)
+            self.illegal_states = unreachable_state_cubes(fsms, self.initial_state)
 
     # ------------------------------------------------------------------
     def check(self, prop: Property, max_frames: Optional[int] = None) -> CheckResult:
@@ -294,10 +290,11 @@ class AssertionChecker:
             model.compile_seconds,
         )
         learning_store = model.estg if self.options.learning else None
-        # The heuristic ESTG stores (use_estg / FSM guidance) may prune
-        # unsoundly by design; verdicts reached under them must never enter
-        # the shared proven-FAIL memo.
-        memo_safe = learning_store is not None and not self.estg.enabled
+        # FSM guidance prunes with facts the memo key does not record, so
+        # verdicts reached under it stay out of the shared proven-FAIL memo.
+        memo_safe = (
+            learning_store is not None and not self.options.use_local_fsm_guidance
+        )
         search_fp = self._search_fingerprint(compiled)
         if memo_safe and learning_store.is_proven_fail(search_fp, target_frame):
             statistics.targets_skipped += 1
@@ -519,7 +516,7 @@ class AssertionChecker:
             prove_mode=isinstance(compiled.prop, Assertion),
             use_bias=self.options.use_bias,
             limits=self.options.limits,
-            estg=self.estg if self.estg.enabled else None,
+            illegal_states=self.illegal_states,
             learning=learning,
         )
         return justifier.run()

@@ -757,7 +757,7 @@ def _add_check_arguments(parser: argparse.ArgumentParser,
     parser.add_argument(
         "--fsm-guidance",
         action="store_true",
-        help="seed the search with local FSM reachability facts",
+        help="prune search states that local FSM analysis proves unreachable",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument(

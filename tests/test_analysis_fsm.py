@@ -1,13 +1,16 @@
-"""Tests for local FSM extraction and ESTG seeding."""
+"""Tests for local FSM extraction and FSM-guided pruning."""
 
 import pytest
 
-from repro.analysis import extract_local_fsm, extract_local_fsms, seed_estg_from_fsms
-from repro.atpg import ExtendedStateTransitionGraph, Justifier, UnrolledModel
+from repro import api
+from repro.analysis import extract_local_fsm, extract_local_fsms, unreachable_state_cubes
+from repro.atpg import Justifier, UnrolledModel
 from repro.bitvector import BV3
 from repro.checker import AssertionChecker, CheckerOptions, CheckStatus
+from repro.checker.incremental import UnrolledModelCache
+from repro.hdl import compile_verilog
 from repro.netlist import Circuit
-from repro.properties import Assertion, Signal, Witness
+from repro.properties import Assertion, Signal, Witness, parse_expression
 
 
 def build_wrapping_counter(limit=5, width=3):
@@ -122,41 +125,33 @@ def test_format_mentions_unreachable_states():
 
 
 # ----------------------------------------------------------------------
-# ESTG seeding and checker integration
+# Unreachable state cubes and checker integration
 # ----------------------------------------------------------------------
+def cnt_cube(value):
+    return (("cnt", BV3.from_int(3, value)),)
+
+
 def test_seed_estg_records_structural_facts():
-    circuit = build_wrapping_counter()
-    fsms = extract_local_fsms(circuit)
-    estg = ExtendedStateTransitionGraph()
-    recorded = seed_estg_from_fsms(estg, fsms)
-    assert recorded == 2
-    illegal = ExtendedStateTransitionGraph.state_cube([("cnt", BV3.from_int(3, 7))])
-    legal = ExtendedStateTransitionGraph.state_cube([("cnt", BV3.from_int(3, 3))])
-    assert estg.is_structurally_illegal(illegal)
-    assert not estg.is_structurally_illegal(legal)
-    assert estg.stats()["structurally_illegal"] == 2
+    """The counter's dead states above the wrap limit become one state cube
+    each; FSM guidance hands these cubes to the justifier."""
+    fsms = extract_local_fsms(build_wrapping_counter())
+    assert unreachable_state_cubes(fsms) == (cnt_cube(6), cnt_cube(7))
 
 
 def test_seed_estg_starts_from_the_given_initial_state():
     """Started at 7 the counter wraps through 0..5 and only 6 is never
     occupied; started at 6 every state is reachable."""
     fsms = extract_local_fsms(build_wrapping_counter())
-    estg = ExtendedStateTransitionGraph()
-    assert seed_estg_from_fsms(estg, fsms, {"cnt": 7}) == 1
-    assert estg.is_structurally_illegal(
-        ExtendedStateTransitionGraph.state_cube([("cnt", BV3.from_int(3, 6))])
-    )
-    assert seed_estg_from_fsms(ExtendedStateTransitionGraph(), fsms, {"cnt": 6}) == 0
+    assert unreachable_state_cubes(fsms, {"cnt": 7}) == (cnt_cube(6),)
+    assert unreachable_state_cubes(fsms, {"cnt": 6}) == ()
 
 
 def test_justifier_prunes_structurally_illegal_states():
     """With the initial state left free the model alone admits cnt == 7 (hold
-    the dead state), but the FSM-seeded ESTG knows the real design can never
-    occupy it and prunes the branch."""
+    the dead state), but the FSM cubes know the real design can never
+    occupy it and prune the branch."""
     circuit = build_wrapping_counter()
-    fsms = extract_local_fsms(circuit)
-    estg = ExtendedStateTransitionGraph()
-    seed_estg_from_fsms(estg, fsms)
+    illegal_states = unreachable_state_cubes(extract_local_fsms(circuit))
     cnt = circuit.net("cnt")
 
     unguided = UnrolledModel(circuit, 3, free_initial_state=True)
@@ -165,9 +160,8 @@ def test_justifier_prunes_structurally_illegal_states():
 
     guided = UnrolledModel(circuit, 3, free_initial_state=True)
     guided.assign(cnt, 2, BV3.from_int(3, 7))
-    result = Justifier(guided, prove_mode=False, estg=estg).run()
+    result = Justifier(guided, prove_mode=False, illegal_states=illegal_states).run()
     assert not result.succeeded
-    assert estg.prune_hits >= 1
 
 
 def test_checker_verdicts_unchanged_with_fsm_guidance():
@@ -183,4 +177,45 @@ def test_checker_verdicts_unchanged_with_fsm_guidance():
     assert guided.check(prop_holds).status is CheckStatus.HOLDS
     assert plain.check(prop_witness).status is CheckStatus.WITNESS_FOUND
     assert guided.check(prop_witness).status is CheckStatus.WITNESS_FOUND
-    assert guided.estg.stats()["structurally_illegal"] >= 1
+    assert cnt_cube(7) in guided.illegal_states
+    assert plain.illegal_states == ()
+
+
+#: Every state of this counter is reachable (``clr`` resets, ``en`` counts),
+#: so FSM guidance has nothing to prune and must not change the verdict.
+CLEARABLE_COUNTER = """
+module top(input clk, input en, input clr, output [2:0] cnt);
+  reg [2:0] cnt;
+  always @(posedge clk) if (clr) cnt <= 0; else if (en) cnt <= cnt + 1;
+endmodule
+"""
+
+
+def test_fsm_guidance_keeps_the_clearable_counter_violation():
+    circuit = compile_verilog(CLEARABLE_COUNTER)
+    prop = Assertion("p", parse_expression("cnt != 5"))
+    results = {}
+    for guidance in (False, True):
+        results[guidance] = AssertionChecker(
+            circuit,
+            options=CheckerOptions(max_frames=6, use_local_fsm_guidance=guidance),
+            model_cache=UnrolledModelCache(),
+        ).check(prop)
+    guided, plain = results[True], results[False]
+    assert guided.status is plain.status is CheckStatus.FAILS
+    # ``validated``: the trace replayed through repro.simulation.
+    assert guided.counterexample.validated
+    assert guided.counterexample == plain.counterexample
+
+
+def test_fsm_guided_atpg_agrees_with_sat_on_the_clearable_counter():
+    report = api.check(api.CheckRequest(
+        circuit=api.CircuitRef.source(CLEARABLE_COUNTER),
+        properties=(api.PropertySpec.assertion("p", "cnt != 5"),),
+        max_frames=6,
+        fsm_guidance=True,
+        engines=("atpg", "sat"),
+        compare=True,
+    ))
+    assert report.disagreements == ()
+    assert report.results[0].status == CheckStatus.FAILS.value

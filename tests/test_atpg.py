@@ -3,7 +3,6 @@
 import pytest
 
 from repro.atpg import (
-    ExtendedStateTransitionGraph,
     Justifier,
     JustifyOutcome,
     UnrolledModel,
@@ -11,6 +10,7 @@ from repro.atpg import (
     legal_assignment_bias,
     legal_one_probabilities,
 )
+from repro.atpg.estg import covers
 from repro.atpg.justify import JustifierLimits
 from repro.bitvector import BV3
 from repro.bitvector.bv3 import bv
@@ -241,53 +241,11 @@ def test_justifier_statistics_populated():
 
 
 # ----------------------------------------------------------------------
-# ESTG learning
+# State-cube containment
 # ----------------------------------------------------------------------
-def test_estg_records_and_prunes():
-    estg = ExtendedStateTransitionGraph()
-    state = estg.state_cube([("mode", bv("111"))])
-    estg.record_illegal_state(state)
-    assert estg.is_illegal(state)
-    # A more specific state is covered by the recorded cube.
-    specific = estg.state_cube([("mode", bv("111")), ("other", bv("0"))])
-    assert not estg.is_illegal(specific) or True  # other register missing in general cube
-    covered = estg.state_cube([("mode", bv("111"))])
-    assert estg.is_illegal(covered)
-    assert estg.stats()["illegal_states"] == 1
-
-
-def test_estg_generalisation_replaces_specific_entries():
-    estg = ExtendedStateTransitionGraph()
-    specific = estg.state_cube([("mode", bv("111"))])
-    general = estg.state_cube([("mode", bv("1xx"))])
-    estg.record_illegal_state(specific)
-    estg.record_illegal_state(general)
-    assert len(estg.illegal_states) == 1
-    assert estg.is_illegal(specific)
-
-
-def test_estg_disabled_mode():
-    estg = ExtendedStateTransitionGraph(enabled=False)
-    state = estg.state_cube([("mode", bv("111"))])
-    estg.record_illegal_state(state)
-    assert not estg.is_illegal(state)
-    assert estg.stats()["illegal_states"] == 0
-
-
-def test_estg_transitions():
-    estg = ExtendedStateTransitionGraph()
-    a = estg.state_cube([("s", bv("001"))])
-    b = estg.state_cube([("s", bv("010"))])
-    estg.record_transition(a, b, "visited")
-    estg.record_transition(a, b, "conflict")
-    assert estg.stats()["transitions"] == 1
-    assert list(estg.transitions.values())[0].visits == 2
-
-
 def test_estg_covers_with_unknown_bits():
     """X bits in the general cube cover any value of those bits; X bits in
     the specific cube are only covered by X (or wider) in the general one."""
-    covers = ExtendedStateTransitionGraph._covers
     general = (("mode", bv("1xx")),)
     assert covers(general, (("mode", bv("100")),))
     assert covers(general, (("mode", bv("1x1")),))
@@ -297,7 +255,6 @@ def test_estg_covers_with_unknown_bits():
 
 
 def test_estg_covers_empty_and_missing_registers():
-    covers = ExtendedStateTransitionGraph._covers
     # An empty general cube constrains nothing and covers every state...
     assert covers((), (("mode", bv("01")),))
     assert covers((), ())
@@ -305,19 +262,6 @@ def test_estg_covers_empty_and_missing_registers():
     # unconstrained cannot cover it.
     assert not covers((("mode", bv("01")),), ())
     assert not covers((("mode", bv("01")),), (("other", bv("01")),))
-
-
-def test_estg_rejects_empty_cubes_and_respects_max_entries():
-    estg = ExtendedStateTransitionGraph(max_entries=2)
-    estg.record_illegal_state(())  # empty cubes are never recorded
-    assert estg.stats()["illegal_states"] == 0
-    for value in ("001", "010", "100"):
-        estg.record_illegal_state(estg.state_cube([("s", bv(value))]))
-    # The third cube hit the max_entries ceiling and was dropped.
-    assert estg.stats()["illegal_states"] == 2
-    assert not estg.is_illegal(estg.state_cube([("s", bv("100"))]))
-    estg.record_structurally_illegal_state(())
-    assert estg.stats()["structurally_illegal"] == 0
 
 
 # ----------------------------------------------------------------------

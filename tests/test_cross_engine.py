@@ -10,12 +10,12 @@ model checker joins the comparison on the violation cases (where its DPLL
 search is cheap); its exhaustive UNSAT proofs over deep unrollings are
 exercised separately in ``test_baselines.py``.
 
-The environment cases run all four engines under seeded environmental
-setups (an input assumption, a one-hot group, pins, an init vector) on
-designs small enough for SAT to prove every bound.  Every conclusive verdict
-must match the exact BDD answer, and every reported trace must validate
-under the shared :func:`~repro.simulation.replay_trace` from the
-environment's initial state.
+The environment cases run all four engines, and ATPG once more under FSM
+guidance, under seeded environmental setups (an input assumption, a one-hot
+group, pins, an init vector) on designs small enough for SAT to prove every
+bound.  Every conclusive verdict must match the exact BDD answer, and every
+reported trace must validate under the shared
+:func:`~repro.simulation.replay_trace` from the environment's initial state.
 """
 
 import random
@@ -233,9 +233,14 @@ def build_environment(seed: int):
 
 
 def run_every_engine(circuit, prop, environment, bound=BOUND):
-    """Verdicts of all four engines plus the traces they report."""
+    """Verdicts of all four engines, plus ATPG under FSM guidance, and the
+    traces they report."""
     word = AssertionChecker(
         circuit, environment=environment, options=CheckerOptions(max_frames=bound)
+    ).check(prop)
+    guided = AssertionChecker(
+        circuit, environment=environment,
+        options=CheckerOptions(max_frames=bound, use_local_fsm_guidance=True),
     ).check(prop)
     bdd = BddSymbolicChecker(circuit, environment=environment).check(prop)
     sat = SATBoundedChecker(circuit, environment=environment, max_frames=bound).check(prop)
@@ -245,12 +250,14 @@ def run_every_engine(circuit, prop, environment, bound=BOUND):
     ).check(prop)
     verdicts = {
         "atpg": _normalise(word.status),
+        "atpg_fsm": _normalise(guided.status),
         "bdd": _normalise(bdd.status),
         "sat": _normalise(sat.status),
         "random": _normalise(rand.status),
     }
     traces = {
         "atpg": word.counterexample,
+        "atpg_fsm": guided.counterexample,
         "sat": sat.counterexample,
         "random": rand.counterexample,
     }
@@ -261,7 +268,8 @@ def assert_engines_agree(circuit, prop, environment, bound=BOUND):
     verdicts, traces = run_every_engine(circuit, prop, environment, bound)
     exact = verdicts["bdd"]
     assert exact != "aborted", verdicts
-    assert verdicts["atpg"] == exact and verdicts["sat"] == exact, verdicts
+    for engine in ("atpg", "atpg_fsm", "sat"):
+        assert verdicts[engine] == exact, verdicts
     # Random simulation proves nothing: on unreachable goals it may only
     # report "not found"; on reachable ones it may find the goal or miss.
     if exact == "unreachable":

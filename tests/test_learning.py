@@ -183,14 +183,16 @@ def test_fail_memo_is_keyed_by_search_configuration():
 
 
 def test_fail_memo_not_written_under_heuristic_estg():
-    """use_estg may prune unsoundly; its verdicts must stay out of the
-    shared proven-FAIL memo."""
+    """FSM guidance prunes with facts the memo key does not record; its
+    verdicts must stay out of the shared proven-FAIL memo."""
     case = build_case("p2")
     cache = UnrolledModelCache()
     checker = AssertionChecker(
         case.circuit, environment=case.environment,
         initial_state=case.initial_state,
-        options=CheckerOptions(max_frames=case.max_frames, use_estg=True),
+        options=CheckerOptions(
+            max_frames=case.max_frames, use_local_fsm_guidance=True
+        ),
         model_cache=cache,
     )
     checker.check(case.prop)
