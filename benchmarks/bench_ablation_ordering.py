@@ -48,7 +48,7 @@ def test_bias_ordering_ablation(benchmark, case_id, use_bias):
             "bias ordering" if use_bias else "fanout ordering",
             result.statistics.decisions,
             result.statistics.backtracks,
-            result.statistics.cpu_seconds,
+            result.statistics.wall_seconds,
         )
     )
 
@@ -67,7 +67,7 @@ def test_estg_ablation(benchmark, learning):
             "learning=%s" % learning,
             result.statistics.decisions,
             result.statistics.backtracks,
-            result.statistics.cpu_seconds,
+            result.statistics.wall_seconds,
         )
     )
 
@@ -80,7 +80,7 @@ def test_ablation_report(benchmark):
 
     def _format():
         header = "%-5s %-18s %10s %12s %10s" % (
-            "prop", "configuration", "decisions", "backtracks", "cpu (s)",
+            "prop", "configuration", "decisions", "backtracks", "wall (s)",
         )
         lines = [header, "-" * len(header)]
         for row in _ROWS:

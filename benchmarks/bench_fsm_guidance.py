@@ -16,7 +16,7 @@ The benchmark measures the effect on two representative checks:
 * a deep witness search on a protocol controller whose phase register has
   four dead encodings.
 
-Reported columns: extraction overhead is included in the guided run's CPU
+Reported columns: extraction overhead is included in the guided run's wall
 time, so the comparison is end-to-end.
 """
 
@@ -87,7 +87,7 @@ def test_fsm_guidance_on_paper_cases(benchmark, case_id, guidance):
             result.status.value,
             result.statistics.decisions,
             result.statistics.backtracks,
-            result.statistics.cpu_seconds,
+            result.statistics.wall_seconds,
         )
     )
 
@@ -103,7 +103,7 @@ def test_fsm_guidance_on_controller(benchmark, guidance):
             result.status.value,
             result.statistics.decisions,
             result.statistics.backtracks,
-            result.statistics.cpu_seconds,
+            result.statistics.wall_seconds,
         )
     )
 
@@ -114,7 +114,7 @@ def test_fsm_guidance_report(benchmark):
 
     def _format():
         header = "%-6s %-10s %-16s %10s %12s %10s" % (
-            "case", "config", "verdict", "decisions", "backtracks", "cpu (s)",
+            "case", "config", "verdict", "decisions", "backtracks", "wall (s)",
         )
         lines = [header, "-" * len(header)]
         for row in sorted(_ROWS):

@@ -71,7 +71,7 @@ def test_scalability_word_level(benchmark, num_clients):
             num_clients,
             "word-level ATPG",
             result.status.value,
-            result.statistics.cpu_seconds,
+            result.statistics.wall_seconds,
             result.statistics.peak_memory_mb,
             result.statistics.decisions,
         )
@@ -87,7 +87,7 @@ def test_scalability_sat_bmc(benchmark, num_clients):
             num_clients,
             "SAT BMC (bit-level)",
             result.status.value,
-            result.cpu_seconds,
+            result.wall_seconds,
             result.peak_memory_mb,
             result.clauses,
         )
@@ -105,7 +105,7 @@ def test_scalability_bdd_symbolic(benchmark, num_clients):
             num_clients,
             "BDD symbolic MC",
             result.status.value,
-            result.cpu_seconds,
+            result.wall_seconds,
             result.peak_memory_mb,
             result.peak_nodes,
         )
@@ -120,7 +120,7 @@ def test_scalability_report(benchmark):
 
     def _format():
         header = "%10s %-22s %-10s %10s %10s %22s" % (
-            "clients", "engine", "verdict", "cpu (s)", "mem (MB)",
+            "clients", "engine", "verdict", "wall (s)", "mem (MB)",
             "decisions/clauses/nodes",
         )
         lines = [header, "-" * len(header)]

@@ -53,7 +53,7 @@ def main(argv=None) -> int:
         "(%d decisions, %d frames built, rule-cache hit rate %.1f%%)\n"
         % (
             args.case, case.design, args.bound, result.status.value,
-            result.statistics.cpu_seconds, result.statistics.decisions,
+            result.statistics.wall_seconds, result.statistics.decisions,
             result.statistics.frames_built,
             100.0 * result.statistics.rule_cache_hit_rate,
         )

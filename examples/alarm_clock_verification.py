@@ -73,7 +73,7 @@ def prove_hour_never_thirteen() -> None:
     print("p9  hour never shows 13:    ", result.status.value,
           "(decisions %d, backtracks %d, %.2fs)"
           % (result.statistics.decisions, result.statistics.backtracks,
-             result.statistics.cpu_seconds))
+             result.statistics.wall_seconds))
 
 
 if __name__ == "__main__":

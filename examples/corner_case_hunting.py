@@ -9,10 +9,8 @@ value, then:
    on the bug via one :class:`repro.CheckRequest` (every engine runs to
    completion so their answers can be compared),
 2. fans the whole property list across a multiprocessing batch with
-   deterministic per-job seeds and prints the unified JSON report,
-3. compacts a wandering random witness trace with the loop-detection
-   utilities, and
-4. dumps the final counterexample as a VCD waveform for inspection.
+   deterministic per-job seeds and prints the unified JSON report, and
+3. dumps the final counterexample as a VCD waveform for inspection.
 
 Everything checker-related goes through ``repro.api`` -- the supported
 import path -- rather than internal modules; the request built here is the
@@ -22,8 +20,6 @@ Run:  python examples/corner_case_hunting.py
 """
 
 from repro import Assertion, Circuit, PropertySpec, Signal, Witness, api, build_request
-from repro.checker.compact import compact_trace
-from repro.properties.convert import PropertyCompiler
 from repro.simulation import trace_to_vcd
 
 #: The corner-case header value.  Its byte checksum (0xFF + 0xD0 = 207) is
@@ -100,9 +96,9 @@ def main() -> None:
 
     print()
     print("=== 2. batch run across a worker pool ===")
-    # A random witness for "drops == 2" typically wanders; job seeds are
-    # derived from the request seed, so this report is reproducible.  Both
-    # properties travel in one request, each with its own bound.
+    # Job seeds are derived from the request seed, so this report is
+    # reproducible.  Both properties travel in one request, each with its
+    # own bound.
     witness_property = Witness("two_drops", Signal("drops") == 2)
     batch_request = build_request(
         build_packet_filter(),
@@ -132,32 +128,10 @@ def main() -> None:
     print("  disagreements: %s" % (outcome.batch.disagreements or "none"))
 
     print()
-    print("=== 3. witness compaction ===")
-    witness_item = outcome.batch.items[1]
-    random_result = witness_item.result.engine_results[0]
-    # Compaction replays the trace, so the replay circuit needs the compiled
-    # property monitor; compiling into a fresh copy reproduces the same
-    # monitor net name the batch worker used.
-    circuit = build_packet_filter()
-    PropertyCompiler(circuit).compile(witness_property)
-    if random_result.counterexample is None:
-        print("  random simulation found no witness to compact")
-    else:
-        compaction = compact_trace(circuit, random_result.counterexample)
-        print(
-            "  witness length %d -> %d cycles (%d loops removed)"
-            % (
-                compaction.original_length,
-                compaction.compacted_length,
-                compaction.loops_removed,
-            )
-        )
-
-    print()
-    print("=== 4. VCD dump of the counterexample ===")
+    print("=== 3. VCD dump of the counterexample ===")
     bug_trace = outcome.batch.items[0].result.counterexample
     if bug_trace is not None:
-        vcd_text = trace_to_vcd(circuit, bug_trace.trace)
+        vcd_text = trace_to_vcd(build_packet_filter(), bug_trace.trace)
         path = "packet_filter_bug.vcd"
         with open(path, "w") as stream:
             stream.write(vcd_text)

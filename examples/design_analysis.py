@@ -1,4 +1,4 @@
-"""Structural analysis guiding verification: FSMs, counters and don't-cares.
+"""Structural analysis guiding verification: FSMs and counters.
 
 The paper's discussion section suggests mining high-level structure from the
 RTL -- local finite state machines, counters, shift registers -- and using it
@@ -7,21 +7,14 @@ runs that flow on a small serial-protocol controller:
 
 1. report the control/datapath structure and the recognised modules,
 2. extract the local FSMs and show which state encodings are unreachable,
-3. validate the designer's internal don't-care conditions (the p10/p14 flow),
-4. check the same assertion with and without FSM guidance and compare the
+3. check the same assertion with and without FSM guidance and compare the
    search statistics.
 
 Run:  python examples/design_analysis.py
 """
 
 from repro import Assertion, AssertionChecker, CheckerOptions, Circuit, Signal
-from repro.analysis import (
-    DontCareSet,
-    analyze_structure,
-    extract_local_fsms,
-    recognize_modules,
-    validate_dont_cares,
-)
+from repro.analysis import analyze_structure, extract_local_fsms, recognize_modules
 
 
 def build_protocol_controller() -> Circuit:
@@ -90,24 +83,6 @@ def main() -> None:
         print(fsm.format())
         print()
 
-    print("=== don't-care validation (p10 / p14 flow) ===")
-    dont_cares = DontCareSet(circuit.name)
-    dont_cares.add(
-        "phase_above_stop",
-        Signal("phase") >= 4,
-        "phase encodings 4-7 are unused by the protocol",
-    )
-    dont_cares.add(
-        "count_outside_data",
-        (Signal("phase") != 2) & (Signal("bit_count") != 0),
-        "the bit counter only runs during the data phase",
-    )
-    for verdict in validate_dont_cares(
-        circuit, dont_cares, options=CheckerOptions(max_frames=6)
-    ):
-        print(" ", verdict.summary())
-    print()
-
     print("=== FSM guidance ablation ===")
     target = Assertion("phase_never_5", Signal("phase") != 5)
     for label, options in (
@@ -116,13 +91,13 @@ def main() -> None:
     ):
         result = AssertionChecker(circuit, options=options).check(target)
         print(
-            "  %-18s verdict=%s decisions=%d backtracks=%d cpu=%.3fs"
+            "  %-18s verdict=%s decisions=%d backtracks=%d wall=%.3fs"
             % (
                 label,
                 result.status.value,
                 result.statistics.decisions,
                 result.statistics.backtracks,
-                result.statistics.cpu_seconds,
+                result.statistics.wall_seconds,
             )
         )
 

@@ -44,7 +44,7 @@ def main() -> None:
     bounded = checker.check(Assertion("bounded", Signal("cnt") <= 9))
     print("assertion 'cnt <= 9':", bounded.status.value,
           "(explored %d frames, %.3fs)" % (bounded.frames_explored,
-                                           bounded.statistics.cpu_seconds))
+                                           bounded.statistics.wall_seconds))
 
     # 2. A false assertion: the checker produces a validated counterexample.
     never_five = checker.check(Assertion("never_five", Signal("cnt") != 5))

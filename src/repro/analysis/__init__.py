@@ -4,16 +4,14 @@ The paper's concluding discussion (Section 6) points out that more high-level
 information can be mined from the RTL description and used to speed up the
 search: local finite state machines, counters, shift registers, and the
 internal don't-care conditions recorded during quick synthesis.  This package
-implements those analyses on top of the word-level netlist:
+implements the structural analyses on top of the word-level netlist:
 
 * :mod:`repro.analysis.structure` -- control/datapath partition and primitive
   histogram reports (the "circuit model" of Section 1);
 * :mod:`repro.analysis.fsm` -- local finite-state-machine extraction with
   reachability over the extracted state transition graph, whose unreachable
   states the ATPG prunes under FSM guidance;
-* :mod:`repro.analysis.recognize` -- counter and shift-register recognition;
-* :mod:`repro.analysis.dontcare` -- internal don't-care bookkeeping and the
-  "don't-cares are external" validation flow of properties p10 / p14.
+* :mod:`repro.analysis.recognize` -- counter and shift-register recognition.
 """
 
 from repro.analysis.structure import (
@@ -36,12 +34,6 @@ from repro.analysis.recognize import (
     recognize_shift_registers,
     recognize_modules,
 )
-from repro.analysis.dontcare import (
-    DontCare,
-    DontCareSet,
-    DontCareVerdict,
-    validate_dont_cares,
-)
 
 __all__ = [
     "GateHistogram",
@@ -58,8 +50,4 @@ __all__ = [
     "recognize_counters",
     "recognize_shift_registers",
     "recognize_modules",
-    "DontCare",
-    "DontCareSet",
-    "DontCareVerdict",
-    "validate_dont_cares",
 ]

@@ -90,31 +90,6 @@ class LocalFsm:
             return set()
         return {state for state in range(self.num_states) if state not in reachable}
 
-    def find_cycles(self) -> List[List[int]]:
-        """Simple cycles in the extracted graph, restricted to reachable states.
-
-        Used by the loop-detection extension: a witness search never needs to
-        traverse the same local state twice, and the cycle structure bounds
-        the useful unrolling depth.
-        """
-        reachable = self.reachable_states()
-        cycles: List[List[int]] = []
-        seen_cycles: Set[frozenset] = set()
-        for start in sorted(reachable):
-            stack = [(start, [start])]
-            while stack:
-                state, path = stack.pop()
-                for successor in self.successors(state):
-                    if successor == start and len(path) >= 1:
-                        signature = frozenset(path)
-                        if signature not in seen_cycles:
-                            seen_cycles.add(signature)
-                            cycles.append(list(path))
-                    elif successor not in path and successor in reachable:
-                        if len(path) < self.num_states:
-                            stack.append((successor, path + [successor]))
-        return cycles
-
     def format(self) -> str:
         """Human-readable transition listing."""
         lines = [

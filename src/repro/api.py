@@ -53,8 +53,10 @@ from repro.properties.spec import Assertion, Property, Witness
 #: engine, cube-hit ordering); v1.0 payloads that still set them parse, and
 #: the values are ignored.
 REQUEST_SCHEMA = "repro-check-request/v1.1"
-#: JSON schema tag of the serialised report.
-REPORT_SCHEMA = "repro-check-report/v1"
+#: JSON schema tag of the serialised report.  v1.1 dropped the duplicate
+#: ``stats["cpu_seconds"]`` of single-engine verdicts (the verdict's own
+#: ``wall_seconds`` carries that value); v1 reports still parse.
+REPORT_SCHEMA = "repro-check-report/v1.1"
 
 
 class RequestError(ValueError):
@@ -249,6 +251,8 @@ class PropertySpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "PropertySpec":
+        if not isinstance(payload, Mapping):
+            raise RequestError("properties must hold objects, got %r" % (payload,))
         kind = payload.get("kind")
         if kind not in ("assert", "witness"):
             raise RequestError("property kind must be 'assert' or 'witness', got %r" % (kind,))
@@ -258,8 +262,8 @@ class PropertySpec:
             kind=str(kind),
             name=str(payload["name"]),
             expr=str(payload["expr"]),
-            max_frames=_opt_int(payload.get("max_frames")),
-            seed=_opt_int(payload.get("seed")),
+            max_frames=_opt_int(payload.get("max_frames"), "properties.max_frames"),
+            seed=_opt_int(payload.get("seed"), "properties.seed"),
         )
 
 
@@ -270,12 +274,24 @@ def _expr_text(expr: Union[str, object]) -> str:
     return format_expression(expr)
 
 
-def _opt_int(value: object) -> Optional[int]:
-    return None if value is None else int(value)
+def _int(value: object, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise RequestError("%s must be an integer, got %r" % (field, value)) from None
 
 
-def _opt_float(value: object) -> Optional[float]:
-    return None if value is None else float(value)
+def _opt_int(value: object, field: str) -> Optional[int]:
+    return None if value is None else _int(value, field)
+
+
+def _opt_float(value: object, field: str) -> Optional[float]:
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise RequestError("%s must be a number, got %r" % (field, value)) from None
 
 
 # ----------------------------------------------------------------------
@@ -326,12 +342,13 @@ class CheckRequest:
             raise RequestError("a request needs at least one engine")
         if len(set(self.engines)) != len(self.engines):
             raise RequestError("duplicate engines: %s" % (",".join(self.engines),))
-        if self.jobs < 1:
-            raise RequestError("jobs must be >= 1, got %d" % (self.jobs,))
-        if self.sim_width is not None and self.sim_width < 1:
-            raise RequestError("sim_width must be >= 1, got %d" % (self.sim_width,))
-        if self.max_frames is not None and self.max_frames < 1:
-            raise RequestError("max_frames must be >= 1, got %d" % (self.max_frames,))
+        for name in ("jobs", "max_frames", "sim_width", "random_runs", "random_cycles",
+                     "bdd_iterations", "bdd_node_limit"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise RequestError("%s must be >= 1, got %d" % (name, value))
+        if self.time_budget is not None and self.time_budget <= 0:
+            raise RequestError("time_budget must be > 0, got %r" % (self.time_budget,))
 
     @property
     def uses_portfolio(self) -> bool:
@@ -434,40 +451,44 @@ class CheckRequest:
         budget = _mapping(payload.get("budget"))
         search = _mapping(payload.get("search"))
         batch = _mapping(payload.get("batch"))
-        pinned = environment.get("pin") or {}
         initial_state = environment.get("initial_state")
         return cls(
             circuit=CircuitRef.from_dict(circuit_payload),
             properties=tuple(
-                PropertySpec.from_dict(item) for item in payload.get("properties") or []
+                PropertySpec.from_dict(item)
+                for item in _list(payload.get("properties"), "properties")
             ),
-            pinned=tuple(sorted((str(k), int(v)) for k, v in pinned.items())),
+            pinned=_int_bindings(environment.get("pin"), "environment.pin"),
             one_hot=tuple(
-                tuple(str(name) for name in group)
-                for group in environment.get("one_hot") or []
+                tuple(str(name) for name in _list(group, "environment.one_hot"))
+                for group in _list(environment.get("one_hot"), "environment.one_hot")
             ),
-            assumptions=tuple(str(a) for a in environment.get("assume") or []),
+            assumptions=tuple(
+                str(a) for a in _list(environment.get("assume"), "environment.assume")
+            ),
             initial_state=(
                 None if initial_state is None
-                else tuple(sorted((str(k), int(v)) for k, v in initial_state.items()))
+                else _int_bindings(initial_state, "environment.initial_state")
             ),
             init_vectors=tuple(
-                tuple(sorted((str(k), int(v)) for k, v in vector.items()))
-                for vector in environment.get("init_vectors") or []
+                _int_bindings(vector, "environment.init_vectors")
+                for vector in _list(environment.get("init_vectors"), "environment.init_vectors")
             ),
-            engines=tuple(str(e) for e in payload.get("engines") or ("atpg",)),
-            max_frames=_opt_int(bounds.get("max_frames")),
-            time_budget=_opt_float(budget.get("time_seconds")),
-            sim_width=_opt_int(budget.get("sim_width")),
-            seed=_opt_int(budget.get("seed")),
-            random_runs=_opt_int(budget.get("random_runs")),
-            random_cycles=_opt_int(budget.get("random_cycles")),
-            bdd_iterations=_opt_int(budget.get("bdd_iterations")),
-            bdd_node_limit=_opt_int(budget.get("bdd_node_limit")),
+            engines=tuple(
+                str(e) for e in _list(payload.get("engines"), "engines") or ("atpg",)
+            ),
+            max_frames=_opt_int(bounds.get("max_frames"), "bounds.max_frames"),
+            time_budget=_opt_float(budget.get("time_seconds"), "budget.time_seconds"),
+            sim_width=_opt_int(budget.get("sim_width"), "budget.sim_width"),
+            seed=_opt_int(budget.get("seed"), "budget.seed"),
+            random_runs=_opt_int(budget.get("random_runs"), "budget.random_runs"),
+            random_cycles=_opt_int(budget.get("random_cycles"), "budget.random_cycles"),
+            bdd_iterations=_opt_int(budget.get("bdd_iterations"), "budget.bdd_iterations"),
+            bdd_node_limit=_opt_int(budget.get("bdd_node_limit"), "budget.bdd_node_limit"),
             learning=bool(search.get("learning", True)),
             kb_path=_opt_str(search.get("kb_path")),
             fsm_guidance=bool(search.get("fsm_guidance", False)),
-            jobs=int(batch.get("jobs", 1)),
+            jobs=_int(batch.get("jobs", 1), "batch.jobs"),
             compare=bool(batch.get("compare", False)),
         )
 
@@ -482,6 +503,27 @@ class CheckRequest:
 
 def _mapping(value: object) -> Mapping[str, object]:
     return value if isinstance(value, Mapping) else {}
+
+
+def _list(value: object, field: str) -> Sequence[object]:
+    """A JSON array field (``None`` reads as empty); strings are rejected."""
+    if value is None:
+        return ()
+    if not isinstance(value, (list, tuple)):
+        raise RequestError("%s must be a list, got %r" % (field, value))
+    return value
+
+
+def _int_bindings(value: object, field: str) -> Tuple[Tuple[str, int], ...]:
+    """A JSON ``{name: integer}`` object as sorted (name, value) pairs."""
+    if value is None:
+        return ()
+    if not isinstance(value, Mapping):
+        raise RequestError("%s must be an object of name: integer, got %r" % (field, value))
+    return tuple(sorted(
+        (str(name), _int(number, "%s.%s" % (field, name)))
+        for name, number in value.items()
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -679,12 +721,12 @@ class PropertyVerdict:
             status=str(payload.get("status", CheckStatus.ABORTED.value)),
             conclusive=bool(payload.get("conclusive", False)),
             winner=_opt_str(payload.get("winner")),
-            frames_explored=_opt_int(payload.get("frames_explored")),
+            frames_explored=_opt_int(payload.get("frames_explored"), "frames_explored"),
             wall_seconds=float(payload.get("wall_seconds", 0.0)),
             trace=dict(payload["trace"]) if payload.get("trace") is not None else None,
             stats=dict(_mapping(payload.get("stats"))),
             engines=tuple(dict(e) for e in payload.get("engines") or []),
-            seed=_opt_int(payload.get("seed")),
+            seed=_opt_int(payload.get("seed"), "seed"),
             disagreement=tuple(str(d) for d in payload.get("disagreement") or []),
         )
 
@@ -978,8 +1020,6 @@ def _run_batch(
 
 
 def _verdict_from_result(result: CheckResult) -> PropertyVerdict:
-    stats = statistics_to_dict(result.statistics)
-    stats["cpu_seconds"] = round(result.statistics.cpu_seconds, 6)
     return PropertyVerdict(
         name=result.prop.name,
         kind="assertion" if result.prop.is_assertion else "witness",
@@ -987,13 +1027,13 @@ def _verdict_from_result(result: CheckResult) -> PropertyVerdict:
         conclusive=result.status.is_conclusive,
         winner="atpg" if result.status.is_conclusive else None,
         frames_explored=result.frames_explored,
-        wall_seconds=result.statistics.cpu_seconds,
+        wall_seconds=result.statistics.wall_seconds,
         trace=(
             counterexample_to_dict(result.counterexample)
             if result.counterexample is not None
             else None
         ),
-        stats=stats,
+        stats=statistics_to_dict(result.statistics),
     )
 
 

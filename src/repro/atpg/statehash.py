@@ -1,34 +1,23 @@
-"""State hashing, property digests and execution-loop detection.
+"""Process-stable fingerprints and structural property digests.
 
-The paper's future-work section names two algorithmic extensions: efficient
-state hashing for the extended state transition graph, and detection of loops
-in execution sequences.  Both are implemented here, together with the
-structural property digests the persistent knowledge base keys facts by:
+The persistent knowledge base, the ESTG's learned-cube stores and the fleet
+router all key facts by 64-bit hashes that must not drift between processes
+or machines, so every fingerprint in the repo is built here on one FNV-1a:
 
-* :class:`StateHasher` canonicalises register-value snapshots (dictionaries or
-  :data:`~repro.atpg.estg.StateCube` tuples) into stable 64-bit hashes, so
-  visited-state sets can be kept as plain integer sets instead of storing the
-  full cubes;
+* :func:`fnv1a` is the shared hash function;
+* :func:`hash_cube_literals` fingerprints learned-cube literals;
 * :func:`property_digest` / :func:`property_search_digest` hash a property
   expression *structurally* (alpha-renamed: the digest depends only on the
   expression's shape and the free design-signal names it binds, never on
   Python ``repr`` details or object identity), so equivalent properties can
-  share learned facts across processes;
-* :func:`find_first_loop` / :func:`find_loops` locate revisited states in an
-  execution sequence -- a witness or counterexample that revisits a state
-  contains a removable loop, and a search that revisits a state has exhausted
-  the new behaviour reachable along that branch.
+  share learned facts across processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Tuple
 
 from repro.bitvector import BV3
-
-#: Snapshot forms accepted by the hasher: name->value dicts or cube tuples.
-StateLike = Union[Mapping[str, int], Sequence[Tuple[str, BV3]]]
 
 #: 64-bit FNV-1a parameters (stable across processes, unlike ``hash``).
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -36,7 +25,13 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 
-def _fnv1a(data: bytes) -> int:
+def fnv1a(data: bytes) -> int:
+    """64-bit FNV-1a over ``data``.
+
+    Every persistent fingerprint in the repo (cube fingerprints, property
+    digests, the knowledge-base keys in :mod:`repro.kb`) goes through this
+    one function so the constants live in exactly one place.
+    """
     value = _FNV_OFFSET
     for byte in data:
         value ^= byte
@@ -44,67 +39,18 @@ def _fnv1a(data: bytes) -> int:
     return value
 
 
-def fnv1a(data: bytes) -> int:
-    """Public 64-bit FNV-1a over ``data``.
-
-    Every persistent fingerprint in the repo (state hashes, cube
-    fingerprints, the knowledge-base keys in :mod:`repro.kb`) goes through
-    this one function so the constants live in exactly one place.
-    """
-    return _fnv1a(data)
-
-
-class StateHasher:
-    """Canonical, process-stable hashing of register-state snapshots.
-
-    Two snapshots hash equally exactly when they bind the same register names
-    to the same values (unknown bits included, for cube snapshots).  The
-    hasher is deliberately independent of Python's randomised ``hash`` so the
-    values can be logged, compared across runs and stored in the ESTG.
-    """
-
-    def __init__(self, registers: Optional[Iterable[str]] = None):
-        #: optional fixed register order; otherwise names are sorted per call.
-        self.registers = list(registers) if registers is not None else None
-
-    # ------------------------------------------------------------------
-    def canonical_items(self, state: StateLike) -> List[Tuple[str, str]]:
-        """The (name, printable value) pairs in canonical order."""
-        if isinstance(state, Mapping):
-            items = [(name, str(int(value))) for name, value in state.items()]
-        else:
-            items = [(name, str(cube)) for name, cube in state]
-        if self.registers is not None:
-            order = {name: index for index, name in enumerate(self.registers)}
-            items = [item for item in items if item[0] in order]
-            items.sort(key=lambda item: order[item[0]])
-        else:
-            items.sort(key=lambda item: item[0])
-        return items
-
-    def hash_state(self, state: StateLike) -> int:
-        """A stable 64-bit hash of the snapshot."""
-        payload = ";".join("%s=%s" % item for item in self.canonical_items(state))
-        return _fnv1a(payload.encode("utf-8"))
-
-    def equal(self, first: StateLike, second: StateLike) -> bool:
-        """Exact comparison (used to confirm hash matches)."""
-        return self.canonical_items(first) == self.canonical_items(second)
-
-
 def hash_cube_literals(literals: Iterable[Tuple[str, int, BV3]]) -> int:
     """A stable 64-bit fingerprint of learned-cube literals.
 
     ``literals`` are (signal name, frame position, value cube) triples; the
-    fingerprint is order-independent (literals are canonically sorted) and,
-    like :meth:`StateHasher.hash_state`, independent of Python's randomised
-    ``hash``, so the learned-cube stores of two processes deduplicate
-    identically.
+    fingerprint is order-independent (literals are canonically sorted) and
+    independent of Python's randomised ``hash``, so the learned-cube stores
+    of two processes deduplicate identically.
     """
     items = sorted(
         "%s@%d=%s" % (name, position, cube) for name, position, cube in literals
     )
-    return _fnv1a(";".join(items).encode("utf-8"))
+    return fnv1a(";".join(items).encode("utf-8"))
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +115,7 @@ def property_digest(expr) -> int:
     digest is process-stable (pure FNV-1a over a canonical serialisation),
     which is what lets the knowledge base key facts by it on disk.
     """
-    return _fnv1a(_canonical_expr(expr, normalize=True).encode("utf-8"))
+    return fnv1a(_canonical_expr(expr, normalize=True).encode("utf-8"))
 
 
 def property_search_digest(expr) -> int:
@@ -181,63 +127,5 @@ def property_search_digest(expr) -> int:
     memo, which must reproduce this search's abort behaviour exactly) may
     only be shared between searches over the identical monitor.
     """
-    return _fnv1a(_canonical_expr(expr, normalize=False).encode("utf-8"))
+    return fnv1a(_canonical_expr(expr, normalize=False).encode("utf-8"))
 
-
-@dataclass
-class ExecutionLoop:
-    """A detected loop: the state at ``start`` recurs at ``end``."""
-
-    start: int
-    end: int
-
-    @property
-    def length(self) -> int:
-        """Number of cycles the loop spans."""
-        return self.end - self.start
-
-
-def find_first_loop(
-    states: Sequence[StateLike], hasher: Optional[StateHasher] = None
-) -> Optional[ExecutionLoop]:
-    """The first revisit of an earlier state in the sequence, if any.
-
-    Hash collisions are resolved by exact comparison, so a reported loop is
-    always a true revisit.
-    """
-    hasher = hasher if hasher is not None else StateHasher()
-    seen: Dict[int, List[int]] = {}
-    for index, state in enumerate(states):
-        code = hasher.hash_state(state)
-        for earlier in seen.get(code, []):
-            if hasher.equal(states[earlier], state):
-                return ExecutionLoop(start=earlier, end=index)
-        seen.setdefault(code, []).append(index)
-    return None
-
-
-def find_loops(
-    states: Sequence[StateLike], hasher: Optional[StateHasher] = None
-) -> List[ExecutionLoop]:
-    """Every (earlier, later) pair of identical states, in discovery order."""
-    hasher = hasher if hasher is not None else StateHasher()
-    seen: Dict[int, List[int]] = {}
-    loops: List[ExecutionLoop] = []
-    for index, state in enumerate(states):
-        code = hasher.hash_state(state)
-        for earlier in seen.get(code, []):
-            if hasher.equal(states[earlier], state):
-                loops.append(ExecutionLoop(start=earlier, end=index))
-        seen.setdefault(code, []).append(index)
-    return loops
-
-
-def loop_free_length(states: Sequence[StateLike], hasher: Optional[StateHasher] = None) -> int:
-    """Length of the longest loop-free prefix of the sequence.
-
-    A bounded search never needs to unroll further than the number of
-    distinct reachable states, so this is also a cheap lower-bound estimate
-    of the useful unrolling depth for witness generation.
-    """
-    loop = find_first_loop(states, hasher)
-    return len(states) if loop is None else loop.end

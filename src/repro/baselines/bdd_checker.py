@@ -64,7 +64,7 @@ class BddCheckResult:
     prop: Property
     status: CheckStatus
     iterations: int
-    cpu_seconds: float = 0.0
+    wall_seconds: float = 0.0
     peak_memory_mb: float = 0.0
     #: total BDD nodes allocated by the manager (the memory-explosion proxy).
     peak_nodes: int = 0
@@ -437,7 +437,7 @@ class BddSymbolicChecker:
             prop=prop,
             status=status,
             iterations=iterations,
-            cpu_seconds=meter.elapsed_seconds,
+            wall_seconds=meter.elapsed_seconds,
             peak_memory_mb=meter.peak_memory_mb,
             peak_nodes=manager.total_nodes,
             reachable_nodes=manager.node_count(reachable),

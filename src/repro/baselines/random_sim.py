@@ -107,7 +107,7 @@ class RandomSimulationChecker:
         with ResourceMeter(trace_memory=self.options.trace_memory) as meter:
             counterexample = self._simulate(compiled.monitor.name, goal_value, rng, runs)
 
-        statistics.cpu_seconds = meter.elapsed_seconds
+        statistics.wall_seconds = meter.elapsed_seconds
         statistics.peak_memory_mb = meter.peak_memory_mb
         statistics.frames_explored = self.vectors_simulated
 

@@ -30,7 +30,7 @@ class SATCheckResult:
     prop: Property
     status: CheckStatus
     frames_explored: int
-    cpu_seconds: float = 0.0
+    wall_seconds: float = 0.0
     peak_memory_mb: float = 0.0
     clauses: int = 0
     variables: int = 0
@@ -113,7 +113,7 @@ class SATBoundedChecker:
             prop=prop,
             status=status,
             frames_explored=frames_explored,
-            cpu_seconds=meter.elapsed_seconds,
+            wall_seconds=meter.elapsed_seconds,
             peak_memory_mb=meter.peak_memory_mb,
             clauses=total_clauses,
             variables=total_variables,

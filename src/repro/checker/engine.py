@@ -206,7 +206,7 @@ class AssertionChecker:
                 self.model_cache.evict(self.circuit)
                 raise
 
-        statistics.cpu_seconds = meter.elapsed_seconds
+        statistics.wall_seconds = meter.elapsed_seconds
         statistics.peak_memory_mb = meter.peak_memory_mb
 
         status = self._verdict(prop, counterexample, aborted)

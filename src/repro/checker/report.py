@@ -8,8 +8,8 @@ harness all share one formatter:
 * :func:`result_to_dict` / :func:`results_to_json` -- machine readable output;
 * :func:`format_result` -- one readable block per property, including the
   counterexample / witness trace when one exists;
-* :func:`format_results_table` -- the Table 2 layout (verdict, CPU seconds,
-  peak memory, search statistics) for a batch of results.
+* :func:`format_results_table` -- the Table 2 layout (verdict, wall-clock
+  seconds, peak memory, search statistics) for a batch of results.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def result_to_dict(result: CheckResult) -> Dict[str, object]:
         "kind": "assertion" if result.prop.is_assertion else "witness",
         "status": result.status.value,
         "frames_explored": result.frames_explored,
-        "cpu_seconds": round(statistics.cpu_seconds, 6),
+        "wall_seconds": round(statistics.wall_seconds, 6),
     }
     payload.update(statistics_to_dict(statistics))
     if result.counterexample is not None:
@@ -97,7 +97,7 @@ def format_result(result: CheckResult, include_trace: bool = True) -> str:
             result.status.value,
         ),
         "  frames explored : %d" % (result.frames_explored,),
-        "  cpu time        : %.3f s" % (statistics.cpu_seconds,),
+        "  wall time       : %.3f s" % (statistics.wall_seconds,),
         "  peak memory     : %.2f MB" % (statistics.peak_memory_mb,),
         "  decisions       : %d (%d backtracks, %d conflicts)"
         % (statistics.decisions, statistics.backtracks, statistics.conflicts),
@@ -132,7 +132,7 @@ def format_results_table(
 
     with_paper = paper_cpu is not None or paper_memory is not None
     header = "%-22s %-18s %10s %10s %10s %10s" % (
-        "property", "verdict", "cpu (s)", "mem (MB)", "decisions", "backtracks",
+        "property", "verdict", "wall (s)", "mem (MB)", "decisions", "backtracks",
     )
     if with_paper:
         header += " %12s %12s" % ("paper cpu", "paper mem")
@@ -142,7 +142,7 @@ def format_results_table(
         row = "%-22s %-18s %10.3f %10.2f %10d %10d" % (
             name,
             result.status.value,
-            statistics.cpu_seconds,
+            statistics.wall_seconds,
             statistics.peak_memory_mb,
             statistics.decisions,
             statistics.backtracks,

@@ -83,10 +83,10 @@ class CheckResult:
         return self.status in (CheckStatus.HOLDS, CheckStatus.WITNESS_FOUND)
 
     def __repr__(self) -> str:
-        return "CheckResult(%s: %s, frames=%d, cpu=%.3fs, mem=%.2fMB)" % (
+        return "CheckResult(%s: %s, frames=%d, wall=%.3fs, mem=%.2fMB)" % (
             self.prop.name,
             self.status.value,
             self.frames_explored,
-            self.statistics.cpu_seconds,
+            self.statistics.wall_seconds,
             self.statistics.peak_memory_mb,
         )

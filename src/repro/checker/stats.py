@@ -12,7 +12,7 @@ from typing import Optional
 class CheckStatistics:
     """Aggregated statistics of one property check."""
 
-    cpu_seconds: float = 0.0
+    wall_seconds: float = 0.0
     peak_memory_mb: float = 0.0
     decisions: int = 0
     backtracks: int = 0

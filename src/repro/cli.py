@@ -210,15 +210,16 @@ def _dump_first_trace(path: str, circuit: Circuit, traces) -> None:
     """Write the first available counterexample as VCD.
 
     ``traces`` yields ``(label, counterexample-or-None)`` pairs; the first
-    pair with a trace wins.
+    pair with a trace wins.  The notice goes to stderr so that ``--json``
+    output on stdout stays parseable.
     """
     for label, counterexample in traces:
         if counterexample is not None:
             with open(path, "w") as stream:
                 stream.write(trace_to_vcd(circuit, counterexample.trace))
-            print("trace of %s written to %s" % (label, path))
+            print("trace of %s written to %s" % (label, path), file=sys.stderr)
             return
-    print("no trace produced; %s not written" % (path,))
+    print("no trace produced; %s not written" % (path,), file=sys.stderr)
 
 
 def _command_check(args: argparse.Namespace) -> int:

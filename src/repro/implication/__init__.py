@@ -14,7 +14,7 @@ not the fully unknown value (word-level signals can be implied many times).
 """
 
 from repro.implication.assignment import Assignment, ImplicationConflict
-from repro.implication.compiled import CompiledAssignment, CompiledEngine, compile_model
+from repro.implication.compiled import CompiledAssignment, CompiledEngine
 from repro.implication.engine import ImplicationEngine, ImplicationNode
 from repro.implication.rules import build_rule, forward_simulate
 
@@ -27,5 +27,4 @@ __all__ = [
     "ImplicationNode",
     "build_rule",
     "forward_simulate",
-    "compile_model",
 ]

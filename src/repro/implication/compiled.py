@@ -41,7 +41,6 @@ from repro.implication.assignment import (
     Assignment,
     ImplicationConflict,
     RootCause,
-    Savepoint,
 )
 from repro.implication.engine import (
     ConflictAnalysis,
@@ -49,7 +48,7 @@ from repro.implication.engine import (
     ImplicationNode,
 )
 
-__all__ = ["CompiledAssignment", "CompiledEngine", "compile_model"]
+__all__ = ["CompiledAssignment", "CompiledEngine"]
 
 
 class CompiledAssignment(Assignment):
@@ -814,14 +813,3 @@ class CompiledEngine(ImplicationEngine):
         if len(unjustified) > self.frontier_peak:
             self.frontier_peak = len(unjustified)
 
-
-def compile_model(engine: ImplicationEngine) -> Optional[CompiledEngine]:
-    """Return ``engine`` if it is a compiled kernel, else ``None``.
-
-    Lowering is *incremental by construction*: the unrolled model interns
-    slots as each frame's nodes are added (see
-    :meth:`CompiledEngine.add_node`), so there is no separate batch pass to
-    run -- this helper only answers "is this engine compiled?" in a
-    forward-compatible way.
-    """
-    return engine if isinstance(engine, CompiledEngine) else None

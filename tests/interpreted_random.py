@@ -51,7 +51,7 @@ def interpreted_check(circuit, prop, environment=None, initial_state=None, optio
         if counterexample is not None:
             break
     statistics = CheckStatistics()
-    statistics.cpu_seconds = time.perf_counter() - started
+    statistics.wall_seconds = time.perf_counter() - started
     statistics.frames_explored = vectors
     if counterexample is None:
         status = CheckStatus.HOLDS if prop.is_assertion else CheckStatus.WITNESS_NOT_FOUND

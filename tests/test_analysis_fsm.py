@@ -106,16 +106,6 @@ def test_extract_rejects_oversized_register():
         extract_local_fsm(circuit, circuit.flip_flops[0], max_states=64)
 
 
-def test_cycles_found_in_counter_loop():
-    circuit = build_wrapping_counter(limit=2, width=2)
-    fsm = extract_local_fsm(circuit, circuit.flip_flops[0])
-    cycles = fsm.find_cycles()
-    assert cycles, "the wrap-around loop should be detected"
-    assert any(set(cycle) == {0, 1, 2} for cycle in cycles)
-    # Self-loops from the hold branch are cycles too.
-    assert any(len(cycle) == 1 for cycle in cycles)
-
-
 def test_format_mentions_unreachable_states():
     circuit = build_wrapping_counter()
     fsm = extract_local_fsm(circuit, circuit.flip_flops[0])

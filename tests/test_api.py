@@ -86,6 +86,20 @@ def legacy_v1_payload(case_id: str = "p5") -> dict:
     return payload
 
 
+#: malformed request fields, each with the field name its error must carry.
+MALFORMED_FIELDS = [
+    ("bounds", {"max_frames": "abc"}, "bounds.max_frames"),
+    ("environment", {"pin": {"a": "x"}}, "environment.pin.a"),
+    ("batch", {"jobs": "two"}, "batch.jobs"),
+    ("environment", {"pin": [1, 2]}, "environment.pin"),
+    ("properties", [5], "properties"),
+    ("environment", {"one_hot": 5}, "environment.one_hot"),
+    ("engines", "atpg", "engines"),
+    ("budget", {"time_seconds": -1}, "time_budget"),
+    ("budget", {"random_runs": -3}, "random_runs"),
+]
+
+
 # ----------------------------------------------------------------------
 # CheckRequest serialisation
 # ----------------------------------------------------------------------
@@ -138,6 +152,14 @@ class TestRequestRoundTrip:
             api.CheckRequest(circuit=api.CircuitRef.case("p1"), jobs=0)
         with pytest.raises(api.RequestError):
             api.CheckRequest(circuit=api.CircuitRef.case("p1"), sim_width=0)
+
+    @pytest.mark.parametrize("key, value, field", MALFORMED_FIELDS,
+                             ids=[field for _, _, field in MALFORMED_FIELDS])
+    def test_malformed_field_raises_request_error(self, key, value, field):
+        payload = api.CheckRequest(circuit=api.CircuitRef.case("p1")).to_dict()
+        payload[key] = value
+        with pytest.raises(api.RequestError, match=field):
+            api.CheckRequest.from_dict(payload)
 
     def test_inline_circuit_is_not_serialisable(self):
         request = api.build_request(build_counter(), "count != 12")
@@ -319,6 +341,18 @@ class TestFacade:
         payload["results"][0]["future_detail"] = "x"
         rebuilt = api.CheckReport.from_dict(payload)
         assert rebuilt.results[0].status == payload["results"][0]["status"]
+
+    def test_stored_v1_report_still_parses(self):
+        report = api.check(api.CheckRequest(circuit=api.CircuitRef.case("p1")))
+        payload = report.to_dict()
+        assert payload["schema"] == api.REPORT_SCHEMA == "repro-check-report/v1.1"
+        # A v1 writer also duplicated the verdict's wall time into its stats.
+        payload["schema"] = "repro-check-report/v1"
+        payload["results"][0]["stats"]["cpu_seconds"] = payload["results"][0]["wall_seconds"]
+        rebuilt = api.CheckReport.from_dict(payload).to_dict()
+        assert rebuilt["results"] == payload["results"]
+        assert rebuilt["exit_code"] == report.exit_code
+        assert rebuilt["schema"] == api.REPORT_SCHEMA
 
     def test_environment_decomposition_through_build_request(self):
         environment = Environment()

@@ -131,6 +131,35 @@ def test_check_command_witness_and_json(counter_file, capsys):
     assert decoded[0]["trace"]["length"] >= 3
 
 
+@pytest.mark.parametrize(
+    "engine_flags", [[], ["--engines", "atpg,bdd"]], ids=["single", "portfolio"]
+)
+def test_check_json_stays_parseable_with_vcd(counter_file, capsys, tmp_path, engine_flags):
+    vcd_path = tmp_path / "trace.vcd"
+    exit_code = main(
+        [
+            "check",
+            counter_file,
+            "--pin",
+            "rst=0",
+            "--assert",
+            "never_three=count != 3",
+            "--max-frames",
+            "8",
+            "--json",
+            "--vcd",
+            str(vcd_path),
+        ]
+        + engine_flags
+    )
+    captured = capsys.readouterr()
+    assert exit_code == 1
+    json.loads(captured.out)
+    # The VCD notice (written, or not written when the winning engine
+    # produced no trace) goes to stderr.
+    assert str(vcd_path) in captured.err
+
+
 def test_check_command_one_hot_environment(decoder_file, capsys):
     exit_code = main(
         [

@@ -36,7 +36,7 @@ from repro.netlist import Circuit
 from repro.properties import Assertion, Signal, Witness
 
 #: wall-clock / environment-dependent keys excluded from stat comparison.
-TIME_KEYS = {"compile_time_ms", "peak_memory_mb", "cpu_seconds"}
+TIME_KEYS = {"compile_time_ms", "peak_memory_mb", "wall_seconds"}
 #: counts compile passes, so it legitimately differs between the modes.
 MODE_KEYS = {"compiled_models"}
 

@@ -43,7 +43,7 @@ def test_result_to_dict_fields(sample_results):
     assert payload["property"] == "never_seven"
     assert payload["kind"] == "assertion"
     assert payload["status"] == "holds"
-    assert payload["cpu_seconds"] >= 0
+    assert payload["wall_seconds"] >= 0
     assert "trace" not in payload
 
     failing = result_to_dict(fails)

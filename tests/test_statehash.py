@@ -1,72 +1,13 @@
-"""Tests for state hashing, loop detection and trace compaction."""
+"""Tests for the process-stable cube fingerprints."""
 
 
-from repro.atpg.statehash import (
-    ExecutionLoop,
-    StateHasher,
-    find_first_loop,
-    find_loops,
-    hash_cube_literals,
-    loop_free_length,
-)
-from repro.baselines import RandomSimulationChecker, RandomSimulationOptions
+from repro.atpg.statehash import hash_cube_literals
 from repro.bitvector.bv3 import bv
-from repro.checker import AssertionChecker, CheckerOptions, CheckStatus
-from repro.checker.compact import compact_trace
-from repro.netlist import Circuit
-from repro.properties import Signal, Witness
-from repro.simulation import Simulator
-
-
-def build_counter(limit=3, width=2):
-    circuit = Circuit("counter")
-    en = circuit.input("en", 1)
-    cnt = circuit.state("cnt", width)
-    at_max = circuit.eq(cnt, limit)
-    nxt = circuit.mux(at_max, circuit.add(cnt, 1), circuit.const(0, width))
-    circuit.dff_into(cnt, circuit.mux(en, cnt, nxt), init_value=0)
-    circuit.output(cnt)
-    return circuit
-
-
-# ----------------------------------------------------------------------
-# Hashing
-# ----------------------------------------------------------------------
-def test_hash_is_order_independent_and_stable():
-    hasher = StateHasher()
-    a = {"x": 3, "y": 1}
-    b = {"y": 1, "x": 3}
-    assert hasher.hash_state(a) == hasher.hash_state(b)
-    assert hasher.equal(a, b)
-    # Stable across hasher instances (no per-process salting).
-    assert StateHasher().hash_state(a) == hasher.hash_state(a)
-
-
-def test_hash_distinguishes_values_and_names():
-    hasher = StateHasher()
-    assert hasher.hash_state({"x": 1}) != hasher.hash_state({"x": 2})
-    assert hasher.hash_state({"x": 1}) != hasher.hash_state({"y": 1})
-
-
-def test_hash_of_cube_states_includes_unknown_bits():
-    hasher = StateHasher()
-    known = [("mode", bv("10"))]
-    partial = [("mode", bv("1x"))]
-    assert hasher.hash_state(known) != hasher.hash_state(partial)
-    assert hasher.equal(partial, [("mode", bv("1x"))])
-
-
-def test_register_filter_restricts_the_snapshot():
-    hasher = StateHasher(registers=["cnt"])
-    full = {"cnt": 2, "other": 9}
-    reduced = {"cnt": 2}
-    assert hasher.hash_state(full) == hasher.hash_state(reduced)
 
 
 def test_hash_values_are_stable_across_processes():
-    """Pinned constants: FNV-1a output must not drift between runs or
+    """Pinned constant: FNV-1a output must not drift between runs or
     machines (the learned-cube stores rely on it for deduplication)."""
-    assert StateHasher().hash_state({"cnt": 3, "mode": 1}) == 2589969766604552132
     assert hash_cube_literals(
         [("a", 0, bv("1x")), ("b", -1, bv("01"))]
     ) == 9838414925954797333
@@ -83,121 +24,3 @@ def test_cube_literal_fingerprint_is_order_independent():
     assert hash_cube_literals(forward) != hash_cube_literals(
         [("a", 0, bv("11")), ("b", -1, bv("01"))]
     )
-
-
-# ----------------------------------------------------------------------
-# Loop detection
-# ----------------------------------------------------------------------
-def test_find_first_loop_reports_earliest_revisit():
-    states = [{"s": 0}, {"s": 1}, {"s": 2}, {"s": 1}, {"s": 2}]
-    loop = find_first_loop(states)
-    assert loop == ExecutionLoop(start=1, end=3)
-    assert loop.length == 2
-
-
-def test_find_loops_reports_every_revisit():
-    states = [{"s": 0}, {"s": 1}, {"s": 0}, {"s": 1}]
-    loops = find_loops(states)
-    assert ExecutionLoop(0, 2) in loops
-    assert ExecutionLoop(1, 3) in loops
-
-
-def test_loop_free_sequence():
-    states = [{"s": value} for value in range(5)]
-    assert find_first_loop(states) is None
-    assert find_loops(states) == []
-    assert loop_free_length(states) == 5
-
-
-def test_loop_free_length_stops_at_first_revisit():
-    states = [{"s": 0}, {"s": 1}, {"s": 1}, {"s": 2}]
-    assert loop_free_length(states) == 2
-
-
-def _witness_state_sequence(circuit, counterexample):
-    """Register snapshots along a witness trace (initial state included)."""
-    simulator = Simulator(circuit, initial_state=counterexample.initial_state)
-    states = [dict(simulator.register_values())]
-    for vector in counterexample.inputs:
-        simulator.step(vector)
-        states.append(dict(simulator.register_values()))
-    return states
-
-
-def test_atpg_witness_sequence_loop_marks_the_idle_step():
-    circuit = build_counter(limit=3, width=2)
-    checker = AssertionChecker(circuit, options=CheckerOptions(max_frames=8))
-    result = checker.check(Witness("reach_three", Signal("cnt") == 3))
-    assert result.status is CheckStatus.WITNESS_FOUND
-    states = _witness_state_sequence(circuit, result.counterexample)
-    # The x-filled inputs idle once after the counter reaches 3, so the
-    # sequence ends in a self-loop -- exactly what loop detection reports.
-    assert states == [{"cnt": 0}, {"cnt": 1}, {"cnt": 2}, {"cnt": 3}, {"cnt": 3}]
-    assert find_first_loop(states) == ExecutionLoop(start=3, end=4)
-    assert loop_free_length(states) == 4
-
-
-def test_random_witness_sequence_exposes_its_loop():
-    circuit = build_counter(limit=3, width=2)
-    checker = RandomSimulationChecker(
-        circuit,
-        options=RandomSimulationOptions(num_runs=32, cycles_per_run=24, seed=9),
-    )
-    result = checker.check(Witness("reach_three", Signal("cnt") == 3))
-    assert result.status is CheckStatus.WITNESS_FOUND
-    states = _witness_state_sequence(circuit, result.counterexample)
-    # This seed's wandering witness revisits its start state: the loop is
-    # exactly what compact_trace removes.
-    loop = find_first_loop(states)
-    assert loop is not None
-    assert loop_free_length(states) == loop.end < len(states)
-
-
-def test_simulated_counter_loops_at_its_period():
-    circuit = build_counter(limit=3, width=2)
-    simulator = Simulator(circuit)
-    states = []
-    for _ in range(10):
-        states.append(dict(simulator.register_values()))
-        simulator.step({"en": 1})
-    loop = find_first_loop(states)
-    assert loop is not None
-    assert loop.length == 4  # the counter has period 4
-
-
-# ----------------------------------------------------------------------
-# Trace compaction
-# ----------------------------------------------------------------------
-def test_compaction_shortens_a_wandering_witness():
-    circuit = build_counter(limit=3, width=2)
-    checker = RandomSimulationChecker(
-        circuit,
-        options=RandomSimulationOptions(num_runs=32, cycles_per_run=24, seed=9),
-    )
-    result = checker.check(Witness("reach_three", Signal("cnt") == 3))
-    assert result.status is CheckStatus.WITNESS_FOUND
-    original = result.counterexample
-    # Random stimulus almost surely idles (en=0) somewhere, creating loops.
-    compaction = compact_trace(circuit, original)
-    compacted = compaction.counterexample
-    assert compaction.original_length == original.length
-    assert compacted.length <= original.length
-    assert compacted.validated
-    # The compacted trace still reaches the goal at its final frame.
-    simulator = Simulator(circuit, initial_state=compacted.initial_state)
-    final = [simulator.step(vector) for vector in compacted.inputs][-1]
-    assert final["cnt"] == 3
-    # The shortest possible witness takes exactly 4 frames (3 increments, and
-    # the monitor is sampled after the state update of the previous frame).
-    if compaction.shortened:
-        assert compacted.length < original.length
-
-
-def test_compaction_leaves_minimal_traces_unchanged():
-    circuit = build_counter(limit=3, width=2)
-    checker = AssertionChecker(circuit, options=CheckerOptions(max_frames=8))
-    result = checker.check(Witness("reach_two", Signal("cnt") == 2))
-    assert result.status is CheckStatus.WITNESS_FOUND
-    compaction = compact_trace(circuit, result.counterexample)
-    assert compaction.compacted_length == result.counterexample.length
-    assert compaction.loops_removed == 0
