@@ -18,8 +18,9 @@ BENCH_MIN_TIME ?= 0.01
 COV_FLOOR ?= 78
 
 #: profile configuration (see benchmarks/profile_check.py --help).
-PROFILE_CASE ?= p3
-PROFILE_BOUND ?= 12
+#: an empty PROFILE_BOUND profiles the case at its own bundled bound.
+PROFILE_CASE ?= p12
+PROFILE_BOUND ?=
 PROFILE_TOP ?= 25
 
 .PHONY: test lint coverage docs-check bench-smoke bench-check bench-baseline bench-full profile
@@ -38,7 +39,7 @@ docs-check:
 # dump the top functions by cumulative time (hot-path regression triage).
 profile:
 	$(PYTHON) benchmarks/profile_check.py --case $(PROFILE_CASE) \
-	    --bound $(PROFILE_BOUND) --top $(PROFILE_TOP)
+	    $(if $(PROFILE_BOUND),--bound $(PROFILE_BOUND)) --top $(PROFILE_TOP)
 
 coverage:
 	$(PYTHON) -m pytest -q --cov=repro --cov-report=term-missing \

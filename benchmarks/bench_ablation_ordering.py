@@ -5,8 +5,8 @@ DESIGN.md calls out two search heuristics of Section 3.2 for ablation:
 1. ordering decision candidates by legal-assignment bias (and trying the
    complement of the bias first when proving) versus plain fanout ordering,
 2. learning illegal states in the extended state transition graph (ESTG),
-   switched by ``CheckerOptions.learning``: conflict-lifted cubes and
-   re-check-verified illegal state cubes on the cached model's store.
+   switched by ``CheckerOptions.learning``: conflict-lifted cubes on the
+   cached model's store.
 
 Both are measured on the alarm-clock p9 assertion (the hardest proof of
 Table 2) and on an arbiter witness search, reporting decisions/backtracks.

@@ -6,7 +6,10 @@ spot without wiring up external tooling.
 
 Usage::
 
-    python benchmarks/profile_check.py [--case p3] [--bound 12] [--top 25]
+    python benchmarks/profile_check.py [--case p12] [--bound N] [--top 25]
+
+The default case, p12, spends its time in the branch-and-bound search (444
+decisions at its bundled bound); ``--bound`` defaults to the case's own.
 """
 
 import argparse
@@ -24,10 +27,10 @@ from repro.circuits import all_case_ids, build_case  # noqa: E402
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--case", default="p3", choices=all_case_ids(),
-                        help="zoo property case to profile (default: p3)")
-    parser.add_argument("--bound", type=int, default=12,
-                        help="unrolling bound (default: 12)")
+    parser.add_argument("--case", default="p12", choices=all_case_ids(),
+                        help="zoo property case to profile (default: p12)")
+    parser.add_argument("--bound", type=int, default=None,
+                        help="unrolling bound (default: the case's own)")
     parser.add_argument("--top", type=int, default=25,
                         help="rows in the cumulative-time dump (default: 25)")
     parser.add_argument("--output", metavar="FILE",
@@ -35,11 +38,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     case = build_case(args.case)
+    bound = case.max_frames if args.bound is None else args.bound
     checker = AssertionChecker(
         case.circuit,
         environment=case.environment,
         initial_state=case.initial_state,
-        options=CheckerOptions(max_frames=args.bound, trace_memory=False),
+        options=CheckerOptions(max_frames=bound, trace_memory=False),
         model_cache=UnrolledModelCache(),
     )
 
@@ -52,7 +56,7 @@ def main(argv=None) -> int:
         "case %s (%s), bound %d: %s in %.3fs "
         "(%d decisions, %d frames built, rule-cache hit rate %.1f%%)\n"
         % (
-            args.case, case.design, args.bound, result.status.value,
+            args.case, case.design, bound, result.status.value,
             result.statistics.wall_seconds, result.statistics.decisions,
             result.statistics.frames_built,
             100.0 * result.statistics.rule_cache_hit_rate,

@@ -213,6 +213,12 @@ class PropertySpec:
     max_frames: Optional[int] = None
     seed: Optional[int] = None
 
+    def __post_init__(self):
+        if self.max_frames is not None and self.max_frames < 1:
+            raise RequestError(
+                "properties.max_frames must be >= 1, got %r" % (self.max_frames,)
+            )
+
     @classmethod
     def assertion(cls, name: str, expr: Union[str, object], **overrides) -> "PropertySpec":
         """An assertion spec from an expression string or tree."""
@@ -275,6 +281,10 @@ def _expr_text(expr: Union[str, object]) -> str:
 
 
 def _int(value: object, field: str) -> int:
+    # bool is an int subclass and int() truncates floats: reject both
+    # rather than read ``true`` as 1 or ``2.9`` as 2.
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise RequestError("%s must be an integer, got %r" % (field, value))
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -288,6 +298,8 @@ def _opt_int(value: object, field: str) -> Optional[int]:
 def _opt_float(value: object, field: str) -> Optional[float]:
     if value is None:
         return None
+    if isinstance(value, bool):
+        raise RequestError("%s must be a number, got %r" % (field, value))
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -485,11 +497,11 @@ class CheckRequest:
             random_cycles=_opt_int(budget.get("random_cycles"), "budget.random_cycles"),
             bdd_iterations=_opt_int(budget.get("bdd_iterations"), "budget.bdd_iterations"),
             bdd_node_limit=_opt_int(budget.get("bdd_node_limit"), "budget.bdd_node_limit"),
-            learning=bool(search.get("learning", True)),
+            learning=_bool(search.get("learning", True), "search.learning"),
             kb_path=_opt_str(search.get("kb_path")),
-            fsm_guidance=bool(search.get("fsm_guidance", False)),
+            fsm_guidance=_bool(search.get("fsm_guidance", False), "search.fsm_guidance"),
             jobs=_int(batch.get("jobs", 1), "batch.jobs"),
-            compare=bool(batch.get("compare", False)),
+            compare=_bool(batch.get("compare", False), "batch.compare"),
         )
 
     @classmethod
@@ -499,6 +511,13 @@ class CheckRequest:
         except ValueError as exc:
             raise RequestError("request is not valid JSON: %s" % (exc,)) from exc
         return cls.from_dict(payload)
+
+
+def _bool(value: object, field: str) -> bool:
+    """A JSON boolean field; ``bool()`` would read ``"false"`` as true."""
+    if not isinstance(value, bool):
+        raise RequestError("%s must be true or false, got %r" % (field, value))
+    return value
 
 
 def _mapping(value: object) -> Mapping[str, object]:

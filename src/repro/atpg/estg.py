@@ -7,11 +7,9 @@ reuses that information in subsequent ATPG runs to prune the decision space.
 Every fact our ESTG keeps is a sound theorem about the model:
 
 * *learned cubes* (:class:`LearnedCube`) -- conflict-lifted combinations of
-  search decisions proven contradictory by implication, and the paper's
-  illegal state cubes: a failed subtree's state cube is queued as a
-  :class:`StateCubeCandidate` and promoted to a learned cube only once a
-  conflict re-check re-derives it; learned cubes prune the search as
-  constraint nodes;
+  search decisions (and datapath-solver certificates) proven contradictory
+  when a search subtree fails, this reproduction's form of the paper's
+  illegal state cubes; learned cubes prune the search as constraint nodes;
 * a *proven-FAIL target memo* -- (property, target frame) pairs whose whole
   justification search failed, so re-checking the same target at a deeper
   bound can skip the search entirely;
@@ -91,10 +89,11 @@ class LearnedCube:
     #: property fingerprint when the goal participated in the derivation;
     #: ``None`` marks a property-independent fact.
     prop_fp: Optional[object] = None
-    #: how the cube was derived: "resolution" (subtree conflict resolution),
-    #: "conflict" (single implication conflict), "state" (re-check-verified
-    #: illegal state cube) or "datapath" (a modular-solver infeasibility
-    #: certificate participated in the derivation).
+    #: how the cube was derived: "resolution" (subtree conflict resolution)
+    #: or "datapath" (a modular-solver infeasibility certificate
+    #: participated in the derivation).  Knowledge-base stores may also
+    #: carry "state" cubes written by older versions; they load and prune
+    #: like any other.
     source: str = "resolution"
     hits: int = 0
     #: store fingerprint, set on recording (None for session-only cubes);
@@ -140,25 +139,9 @@ class SolverCore:
     from_kb: bool = False
 
 
-@dataclass
-class StateCubeCandidate:
-    """An illegal-state cube awaiting its conflict re-check.
-
-    Recorded by the justifier when a search subtree fails; promoted to a
-    :class:`LearnedCube` only once asserting the (lifted) cube at frame 0
-    re-derives a conflict by pure implication -- the soundness guard.
-    ``failures`` counts re-checks that found no conflict; candidates go
-    dormant after a few misses (deeper unrollings can change propagation
-    reach, so one miss is not final) to keep the guard cheap.
-    """
-
-    state: StateCube
-    failures: int = 0
-
-
 class ExtendedStateTransitionGraph:
-    """Learned cubes, state-cube candidates, proven-FAIL memos and solver
-    cores of one unrolled model."""
+    """Learned cubes, proven-FAIL memos and solver cores of one unrolled
+    model."""
 
     def __init__(self, max_learned_cubes: int = 256):
         self.max_learned_cubes = max_learned_cubes
@@ -167,11 +150,6 @@ class ExtendedStateTransitionGraph:
         #: (property fingerprint, target frame) pairs whose justification
         #: search was proven to FAIL on this model.
         self.proven_fail_targets: Set[Tuple[object, int]] = set()
-        #: illegal-state cubes awaiting their re-check (fingerprint -> cand).
-        self.state_candidates: "OrderedDict[int, StateCubeCandidate]" = OrderedDict()
-        self.max_state_candidates = 64
-        #: candidates stop re-checking after this many missed contexts.
-        self.candidate_patience = 2
         self.cubes_learned = 0
         self.cubes_lifted = 0
         self.cube_hits = 0
@@ -363,30 +341,6 @@ class ExtendedStateTransitionGraph:
     def is_proven_fail(self, prop_fp: object, target_frame: int) -> bool:
         """True when this (property, target) search is already proven FAIL."""
         return (prop_fp, target_frame) in self.proven_fail_targets
-
-    # ------------------------------------------------------------------
-    def record_state_candidate(self, state: StateCube) -> None:
-        """Queue an illegal-state cube for its conflict re-check."""
-        if not state:
-            return
-        fingerprint = hash_cube_literals(
-            [(name, 0, cube) for name, cube in state]
-        )
-        candidate = self.state_candidates.get(fingerprint)
-        if candidate is not None:
-            self.state_candidates.move_to_end(fingerprint)
-            return
-        self.state_candidates[fingerprint] = StateCubeCandidate(state=state)
-        while len(self.state_candidates) > self.max_state_candidates:
-            self.state_candidates.popitem(last=False)
-
-    def pending_state_candidates(self) -> List[StateCubeCandidate]:
-        """Candidates still worth re-checking."""
-        return [
-            candidate
-            for candidate in self.state_candidates.values()
-            if candidate.failures < self.candidate_patience
-        ]
 
     def stats(self) -> Dict[str, int]:
         """Counters for reporting and the ablation bench."""

@@ -567,7 +567,6 @@ class Justifier:
             feasible, leaf_facts = self._datapath_feasible()
             if feasible:
                 return JustifyOutcome.SUCCESS, None
-            self._learn_illegal_state()
             # Only a solver infeasibility *certificate* yields facts here;
             # budget-exhausted (Unknown) and completion-heuristic leaves
             # return None, which poisons every enclosing resolution so
@@ -618,7 +617,6 @@ class Justifier:
                     facts = None
                 else:
                     facts.merge(branch)
-        self._learn_illegal_state()
         if facts is not None:
             # Resolution over this node's decision: both values failed, so
             # the decision itself drops out of the learned antecedents.
@@ -845,15 +843,8 @@ class Justifier:
         return False
 
     # ------------------------------------------------------------------
-    # ESTG interaction
+    # Structurally illegal states (local FSM analysis)
     # ------------------------------------------------------------------
-    def _state_cube(self):
-        registers = [
-            (ff.q.name, self.model.value(ff.q, 0)) for ff in self.model.circuit.flip_flops
-        ]
-        registers = [(name, cube) for name, cube in registers if not cube.is_fully_unknown()]
-        return ExtendedStateTransitionGraph.state_cube(registers)
-
     def _hits_structurally_illegal(self) -> bool:
         """True when any frame's implied register values fall inside a
         structurally illegal state cube."""
@@ -871,18 +862,6 @@ class Justifier:
             if any(covers(illegal, state) for illegal in self.illegal_states):
                 return True
         return False
-
-    def _learn_illegal_state(self) -> None:
-        # Only record states that are meaningfully constrained and fully
-        # derived from implication of the (failed) requirements.
-        if self.learning is None:
-            return
-        state = self._state_cube()
-        if not state or len(state) > 8:
-            return
-        # Queue the cube for the conflict re-check that guards its
-        # promotion into the persistent store (see checker engine).
-        self.learning.estg.record_state_candidate(state)
 
     @staticmethod
     def _gate_of(node: ImplicationNode):

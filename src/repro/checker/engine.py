@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from repro.atpg.estg import LearnedCube
 from repro.atpg.justify import (
     Justifier,
     JustifierLimits,
@@ -305,9 +304,7 @@ class AssertionChecker:
         model.extend_to(target_frame + 1)
         self._restore_savepoint = engine.savepoint()
         try:
-            self._assert_requirements(
-                model, compiled, target_frame, learning_store=learning_store
-            )
+            self._assert_requirements(model, compiled, target_frame)
         except ImplicationConflict:
             if memo_safe:
                 learning_store.record_proven_fail(search_fp, target_frame)
@@ -326,19 +323,9 @@ class AssertionChecker:
         return search.outcome, search
 
     def _assert_requirements(
-        self,
-        model: UnrolledModel,
-        compiled: CompiledProperty,
-        target_frame: int,
-        learning_store=None,
+        self, model: UnrolledModel, compiled: CompiledProperty, target_frame: int
     ) -> None:
-        """Assert environment constraints (all frames) and the goal (target).
-
-        With a learning store present the environment is propagated first
-        and pending illegal-state candidates get their conflict re-check in
-        the goal-free context, so verified cubes hold for *every* property
-        sharing this model; the goal is asserted afterwards.
-        """
+        """Assert environment constraints (all frames) and the goal (target)."""
         engine = model.engine
         env_root = RootCause("env")
         for frame in range(target_frame + 1):
@@ -353,9 +340,6 @@ class AssertionChecker:
                     model.key(net, frame), BV3.from_int(1, 1),
                     propagate=False, reason=env_root,
                 )
-        if learning_store is not None:
-            engine.propagate()
-            self._verify_state_candidates(model)
         # The inverted property goal at the target frame.
         engine.assign(
             model.key(compiled.monitor, target_frame),
@@ -363,117 +347,6 @@ class AssertionChecker:
             propagate=False, reason=RootCause("goal"),
         )
         engine.propagate()
-
-    # ------------------------------------------------------------------
-    # Learned-cube verification (the conflict re-check guard)
-    # ------------------------------------------------------------------
-    def _verify_state_candidates(self, model: UnrolledModel) -> None:
-        """Promote pending illegal-state cubes that re-derive a conflict.
-
-        Runs in the environment-only context (goal not yet asserted): a
-        cube whose assertion at frame 0 conflicts by pure implication is
-        illegal for every property sharing the model.  The conflict's
-        antecedents lift the cube down to the registers that participated,
-        guarded by a second re-check of the lifted cube.
-        """
-        store = model.estg
-        pending = store.pending_state_candidates()
-        if not pending:
-            return
-        by_name = {ff.q.name: ff.q for ff in model.circuit.flip_flops}
-        for candidate in pending:
-            literals = []
-            resolvable = True
-            for name, cube in candidate.state:
-                net = by_name.get(name)
-                if net is None:
-                    resolvable = False
-                    break
-                literals.append((net, cube))
-            if not resolvable:
-                candidate.failures = store.candidate_patience
-                continue
-            promoted = self._recheck_state_cube(model, literals)
-            if promoted is None:
-                candidate.failures += 1
-                continue
-            candidate.failures = store.candidate_patience  # settled
-            store.record_learned_cube(
-                promoted, lifted=len(promoted.literals) < len(literals)
-            )
-
-    def _recheck_state_cube(
-        self, model: UnrolledModel, literals
-    ) -> Optional[LearnedCube]:
-        """Assert a state cube at frame 0 and keep it only if it conflicts.
-
-        The antecedent walk runs down to the per-bound savepoint (below the
-        environment band), not just to the re-check's own assignments: a
-        conflict may lean on values the environment back-implied from later
-        frames, and those frames must enter the cone so the cube's window
-        check keeps it away from shallower bounds where that environment
-        depth is not asserted.
-        """
-        engine = model.engine
-        walk_mark = self._restore_savepoint[0][0]
-
-        def attempt(cubes):
-            mark = walk_mark
-            roots = {
-                model.key(net, 0): RootCause("state", model.key(net, 0), value)
-                for net, value in cubes
-            }
-            engine.push_level()
-            try:
-                for net, value in cubes:
-                    key = model.key(net, 0)
-                    engine.assign(key, value, propagate=False, reason=roots[key])
-                engine.propagate()
-            except ImplicationConflict as exc:
-                analysis = engine.analyze_conflict(exc, mark)
-                engine.pop_level()
-                # A literal whose own assignment contradicted never reached
-                # the trail; credit it as a participant explicitly.
-                if exc.key in roots:
-                    analysis.roots.append(roots[exc.key])
-                return analysis
-            engine.pop_level()
-            return None
-
-        analysis = attempt(literals)
-        if analysis is None:
-            return None
-        chosen, cone = literals, analysis.cone
-        if not analysis.opaque:
-            participating = {
-                root.key for root in analysis.roots if root.kind == "state"
-            }
-            lifted = [
-                (net, value)
-                for net, value in literals
-                if model.key(net, 0) in participating
-            ]
-            if lifted and len(lifted) < len(literals):
-                # The guard: the lifted cube must still conflict on its own.
-                second = attempt(lifted)
-                if second is not None:
-                    chosen, cone = lifted, second.cone
-        frames = [key[1] for key in cone]
-        # Propagation only reaches active frames, so the cone bounds the
-        # unrolling depth the fact needs; opaque analyses fall back to the
-        # current window.
-        max_frame = max(frames, default=model.num_frames - 1)
-        return LearnedCube(
-            literals=tuple(
-                (net, 0, value)
-                for net, value in sorted(chosen, key=lambda item: item[0].name)
-            ),
-            shiftable=False,
-            min_position=0,
-            max_position=max_frame,
-            prop_fp=None,
-            source="state",
-        )
 
     def _learning_counter_marks(self):
         if not self.options.learning:

@@ -37,8 +37,6 @@ class RootCause:
       on it are only reusable for the same property, re-based to the new
       target);
     * ``"base"`` -- part of the base model (initial state values);
-    * ``"state"`` -- an illegal-state cube literal asserted during the
-      conflict re-check guard (see the checker's candidate verification);
     * ``"solver"`` / ``"completion"`` -- datapath solver choices (their
       failures are heuristic, so cones containing them are never learned
       as proofs).  Note the asymmetry with solver *certificates*: a proved

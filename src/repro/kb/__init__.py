@@ -1,8 +1,8 @@
 """Persistent cross-process knowledge base for learned search facts.
 
 Everything the checker learns while riding a cached unrolled model --
-conflict-lifted cubes, verified illegal-state cubes, datapath infeasibility
-certificates, proven-FAIL target memos -- used to die with the process.
+conflict-lifted cubes, datapath infeasibility certificates, proven-FAIL
+target memos -- used to die with the process.
 This package persists those facts in a versioned sqlite store keyed by
 process-stable structural fingerprints, so batch workers and successive CLI
 runs pick up where the last process left off.

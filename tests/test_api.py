@@ -97,6 +97,15 @@ MALFORMED_FIELDS = [
     ("engines", "atpg", "engines"),
     ("budget", {"time_seconds": -1}, "time_budget"),
     ("budget", {"random_runs": -3}, "random_runs"),
+    ("search", {"learning": "false"}, "search.learning"),
+    ("search", {"fsm_guidance": 1}, "search.fsm_guidance"),
+    ("batch", {"compare": "false"}, "batch.compare"),
+    ("budget", {"seed": True}, "budget.seed"),
+    ("budget", {"sim_width": 2.9}, "budget.sim_width"),
+    ("budget", {"time_seconds": True}, "budget.time_seconds"),
+    ("properties",
+     [{"kind": "assert", "name": "x", "expr": "0 == 1", "max_frames": 0}],
+     "properties.max_frames"),
 ]
 
 

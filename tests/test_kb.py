@@ -14,10 +14,12 @@ import shutil
 import sqlite3
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import repro
+from repro.atpg.estg import ExtendedStateTransitionGraph
 from repro.checker import AssertionChecker, CheckerOptions
 from repro.checker.incremental import UnrolledModelCache
 from repro.circuits import build_case
@@ -28,6 +30,7 @@ from repro.kb import (
     initial_state_kb_fingerprint,
     model_kb_key,
 )
+from repro.kb.fingerprints import circuit_snapshot, identity_kb_key
 from repro.netlist import Circuit
 from repro.properties import Environment, parse_expression
 
@@ -455,6 +458,62 @@ def test_prune_keeps_hottest_cubes_per_model(tmp_path):
         assert after["fail_memos"] == before["fail_memos"]
     finally:
         store.close()
+
+
+# ----------------------------------------------------------------------
+# Stores written by older versions
+# ----------------------------------------------------------------------
+def _sweep_p14(kb_path=None):
+    case = build_case("p14")
+    # Snapshot before property compilation grows the circuit, as a
+    # knowledge-base-enabled checker does (the snapshot is cached).
+    circuit_snapshot(case.circuit)
+    cache = UnrolledModelCache()
+    checker = AssertionChecker(
+        case.circuit,
+        environment=case.environment,
+        initial_state=case.initial_state,
+        options=CheckerOptions(max_frames=8, kb_path=kb_path, trace_memory=False),
+        model_cache=cache,
+    )
+    results = [checker.check(case.prop, max_frames=bound) for bound in range(1, 9)]
+    model, _ = cache.acquire(case.circuit, checker.lowered)
+    return case.circuit, checker, model, results
+
+
+def test_legacy_state_cubes_still_load_and_prune(tmp_path):
+    """Older versions also persisted goal-free, non-shiftable cubes with
+    ``source="state"``.  A store holding such rows keeps loading into a
+    fresh checker, and its cubes keep pruning."""
+    circuit, checker, model, cold = _sweep_p14()
+    legacy = ExtendedStateTransitionGraph()
+    for cube in model.estg.learned_cubes.values():
+        if cube.prop_fp is None and not cube.shiftable:
+            legacy.record_learned_cube(replace(cube, source="state", hits=0))
+    assert legacy.learned_cubes
+    kb_path = str(tmp_path / "legacy.db")
+    store = KnowledgeBase(kb_path)
+    try:
+        _, net_names = circuit_snapshot(circuit)
+        key = identity_kb_key(circuit, checker.lowered.identity)
+        assert store.flush_model(key, legacy, net_names, circuit.name) == len(
+            legacy.learned_cubes
+        )
+    finally:
+        store.close()
+
+    _, _, warm_model, warm = _sweep_p14(kb_path)
+    assert [r.status for r in warm] == [r.status for r in cold]
+    assert warm[-1].statistics.kb_cubes_loaded == len(legacy.learned_cubes)
+    assert sum(r.statistics.kb_hits for r in warm) > 0
+    fired = [
+        cube for cube in warm_model.estg.learned_cubes.values()
+        if cube.from_kb and cube.hits
+    ]
+    assert fired and all(cube.source == "state" for cube in fired)
+    assert sum(r.statistics.decisions for r in warm) <= sum(
+        r.statistics.decisions for r in cold
+    )
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,8 @@ illegal cubes and proven-FAIL target frames on the cached unrolled model.
 These tests pin its soundness contract -- identical verdicts and identical
 counterexamples to the non-learning search at *every* bound, on the zoo and
 on fuzzed netlists -- plus the supporting machinery: the dirty-set
-unjustified frontier, conflict analysis, cube re-basing, the re-check guard
-for illegal-state cubes, the proven-FAIL memo, batch grouping by circuit and
-the new statistics counters.
+unjustified frontier, conflict analysis, cube re-basing, the proven-FAIL
+memo, batch grouping by circuit and the new statistics counters.
 """
 
 import pytest
@@ -445,53 +444,6 @@ def test_touch_keeps_firing_cubes_out_of_eviction():
     session = make(nets[1])
     estg.touch(session)
     assert session.fingerprint is None
-
-
-def test_state_candidates_dedup_and_patience():
-    estg = ExtendedStateTransitionGraph()
-    state = estg.state_cube([("r", bv("10"))])
-    estg.record_state_candidate(state)
-    estg.record_state_candidate(state)
-    assert len(estg.state_candidates) == 1
-    (candidate,) = estg.pending_state_candidates()
-    candidate.failures = estg.candidate_patience
-    assert not estg.pending_state_candidates()
-
-
-def test_state_cube_recheck_promotes_and_lifts():
-    """A state cube contradicting the model is verified, and lifting drops
-    registers that did not participate in the conflict."""
-    from repro.netlist import Circuit
-
-    circuit = Circuit("recheck")
-    a = circuit.input("a", 1)
-    r1 = circuit.dff(a, init_value=0, name="r1")
-    r2 = circuit.dff(a, init_value=None, name="r2")  # free initial value
-    circuit.output(circuit.or_(r1, r2, name="out"))
-    cache = UnrolledModelCache()
-    checker = AssertionChecker(
-        circuit,
-        options=CheckerOptions(max_frames=3, trace_memory=False),
-        model_cache=cache,
-    )
-    model, _ = cache.acquire(circuit)
-    model.extend_to(3)
-    # The per-bound savepoint a check takes before asserting requirements.
-    checker._restore_savepoint = model.engine.savepoint()
-    # Candidate: r1 forced against its init-implied value, r2 left at a
-    # satisfiable value -- only r1 participates in the conflict.
-    promoted = checker._recheck_state_cube(
-        model,
-        [(circuit.net("r1"), BV3.from_int(1, 1)),
-         (circuit.net("r2"), BV3.from_int(1, 0))],
-    )
-    assert promoted is not None
-    assert promoted.source == "state" and not promoted.shiftable
-    assert [net.name for net, _, _ in promoted.literals] == ["r1"]
-    # A satisfiable cube is rejected by the guard.
-    assert checker._recheck_state_cube(
-        model, [(circuit.net("r2"), BV3.from_int(1, 1))]
-    ) is None
 
 
 # ----------------------------------------------------------------------
