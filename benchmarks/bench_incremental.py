@@ -60,7 +60,7 @@ def _run_case(case_id, bound, incremental):
         case.circuit,
         environment=case.environment,
         initial_state=case.initial_state,
-        options=CheckerOptions(max_frames=bound, trace_memory=False),
+        options=CheckerOptions(max_frames=bound),
         model_cache=UnrolledModelCache(),
     )
     return checker.check(case.prop)
@@ -109,7 +109,7 @@ def _run_batch(incremental, bound=8):
             fresh_check(ports.circuit, prop, max_frames=bound)
             for prop in _batch_properties(ports)
         ]
-    options = CheckerOptions(max_frames=bound, trace_memory=False)
+    options = CheckerOptions(max_frames=bound)
     # One checker per batch, as the batch runner does per (circuit, env) job
     # group; the incremental path shares its unrolled skeleton across all
     # four properties through the model cache.

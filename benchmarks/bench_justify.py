@@ -69,7 +69,6 @@ def _search_checker(case_id, bound, compiled):
         options=CheckerOptions(
             max_frames=bound,
             learning=False,
-            trace_memory=False,
         ),
         model_cache=UnrolledModelCache(compiled=compiled),
     )

@@ -91,7 +91,7 @@ def _run_sweep(case_id, depth, learning, kb_path=None):
         initial_state=case.initial_state,
         options=CheckerOptions(
             max_frames=depth, learning=learning,
-            kb_path=kb_path, trace_memory=False,
+            kb_path=kb_path,
         ),
         model_cache=UnrolledModelCache(),
     )

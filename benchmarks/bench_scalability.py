@@ -6,9 +6,9 @@ the exponential growth of the state space" than BDD-based symbolic model
 checking; it also cites SAT-based bounded model checking (Biere et al.) as
 the memory-lean bit-level alternative.  This benchmark checks the one-hot
 bus-select assertion (p3-style) on token rings of growing size with all
-three engines and reports run time, peak heap and the size of the
-representation each engine builds (search decisions, CNF clauses, or BDD
-nodes).
+three engines and reports run time, peak heap (each check runs under
+``reporting.heap_tracing``) and the size of the representation each engine
+builds (search decisions, CNF clauses, or BDD nodes).
 
 The expected shape: the BDD engine's node count / memory blows up (or hits
 its node budget and aborts) as the ring grows, while the word-level engine
@@ -44,21 +44,24 @@ def _run_word_level(num_clients):
     checker = AssertionChecker(
         ports.circuit, options=CheckerOptions(max_frames=MAX_FRAMES)
     )
-    result = checker.check(_one_hot_property(ports))
+    with reporting.heap_tracing():
+        result = checker.check(_one_hot_property(ports))
     return ports, result
 
 
 def _run_sat(num_clients):
     ports = build_token_ring(num_clients=num_clients, data_width=8)
     checker = SATBoundedChecker(ports.circuit, max_frames=MAX_FRAMES)
-    result = checker.check(_one_hot_property(ports))
+    with reporting.heap_tracing():
+        result = checker.check(_one_hot_property(ports))
     return ports, result
 
 
 def _run_bdd(num_clients):
     ports = build_token_ring(num_clients=num_clients, data_width=8)
     checker = BddSymbolicChecker(ports.circuit, node_limit=BDD_NODE_LIMIT)
-    result = checker.check(_one_hot_property(ports))
+    with reporting.heap_tracing():
+        result = checker.check(_one_hot_property(ports))
     return ports, result
 
 

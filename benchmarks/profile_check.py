@@ -43,7 +43,7 @@ def main(argv=None) -> int:
         case.circuit,
         environment=case.environment,
         initial_state=case.initial_state,
-        options=CheckerOptions(max_frames=bound, trace_memory=False),
+        options=CheckerOptions(max_frames=bound),
         model_cache=UnrolledModelCache(),
     )
 

@@ -67,10 +67,18 @@ from repro.properties import (
     Environment,
 )
 from repro.checker import AssertionChecker, CheckerOptions, CheckResult, CheckStatus
-from repro.sim import BitParallelSim, compile_circuit
 from repro.simulation import Simulator
 
 __version__ = "0.3.0"
+
+
+def __getattr__(name: str):
+    # repro.sim loads on first use, keeping it off the `repro check` path.
+    if name in ("BitParallelSim", "compile_circuit"):
+        from repro import sim
+
+        return getattr(sim, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [
     "api",

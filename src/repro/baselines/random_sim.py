@@ -47,8 +47,6 @@ class RandomSimulationOptions:
     cycles_per_run: int = 16
     #: RNG seed for reproducible experiments.
     seed: int = 2000
-    #: measure peak heap usage with tracemalloc.
-    trace_memory: bool = True
     #: lanes per bit-parallel batch (K); each lane is an independent run.
     sim_width: int = 64
 
@@ -104,7 +102,7 @@ class RandomSimulationChecker:
         statistics = CheckStatistics()
         self.vectors_simulated = 0
 
-        with ResourceMeter(trace_memory=self.options.trace_memory) as meter:
+        with ResourceMeter() as meter:
             counterexample = self._simulate(compiled.monitor.name, goal_value, rng, runs)
 
         statistics.wall_seconds = meter.elapsed_seconds

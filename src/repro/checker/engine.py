@@ -70,8 +70,6 @@ class CheckerOptions:
     #: Section 6 extension).  Sound because locally unreachable states can
     #: never occur in any execution from the check's initial state.
     use_local_fsm_guidance: bool = False
-    #: measure peak heap usage with tracemalloc (small overhead).
-    trace_memory: bool = True
     #: resource limits of the branch-and-bound search.
     limits: JustifierLimits = field(default_factory=JustifierLimits)
 
@@ -149,7 +147,7 @@ class AssertionChecker:
         aborted = False
         counterexample: Optional[Counterexample] = None
 
-        with ResourceMeter(trace_memory=self.options.trace_memory) as meter:
+        with ResourceMeter() as meter:
             try:
                 model, reused = self.model_cache.acquire(self.circuit, self.lowered)
                 self._incremental_model = model

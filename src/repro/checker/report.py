@@ -89,6 +89,7 @@ def results_to_json(results: Iterable[CheckResult], indent: int = 2) -> str:
 def format_result(result: CheckResult, include_trace: bool = True) -> str:
     """A readable multi-line report for one property."""
     statistics = result.statistics
+    memory = statistics.peak_memory_mb  # 0.0 when the heap was not traced
     lines = [
         "property %s (%s): %s"
         % (
@@ -98,7 +99,7 @@ def format_result(result: CheckResult, include_trace: bool = True) -> str:
         ),
         "  frames explored : %d" % (result.frames_explored,),
         "  wall time       : %.3f s" % (statistics.wall_seconds,),
-        "  peak memory     : %.2f MB" % (statistics.peak_memory_mb,),
+        "  peak memory     : %s" % ("%.2f MB" % memory if memory else "not measured",),
         "  decisions       : %d (%d backtracks, %d conflicts)"
         % (statistics.decisions, statistics.backtracks, statistics.conflicts),
         "  implications    : %d (%d arithmetic solver calls)"
@@ -139,11 +140,11 @@ def format_results_table(
     lines = [header, "-" * len(header)]
     for name, result in zip(names, results):
         statistics = result.statistics
-        row = "%-22s %-18s %10.3f %10.2f %10d %10d" % (
+        row = "%-22s %-18s %10.3f %10s %10d %10d" % (
             name,
             result.status.value,
             statistics.wall_seconds,
-            statistics.peak_memory_mb,
+            "%.2f" % statistics.peak_memory_mb if statistics.peak_memory_mb else "-",
             statistics.decisions,
             statistics.backtracks,
         )

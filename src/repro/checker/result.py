@@ -83,10 +83,11 @@ class CheckResult:
         return self.status in (CheckStatus.HOLDS, CheckStatus.WITNESS_FOUND)
 
     def __repr__(self) -> str:
-        return "CheckResult(%s: %s, frames=%d, wall=%.3fs, mem=%.2fMB)" % (
+        memory = self.statistics.peak_memory_mb
+        return "CheckResult(%s: %s, frames=%d, wall=%.3fs, mem=%s)" % (
             self.prop.name,
             self.status.value,
             self.frames_explored,
             self.statistics.wall_seconds,
-            self.statistics.peak_memory_mb,
+            "%.2fMB" % (memory,) if memory else "not measured",
         )

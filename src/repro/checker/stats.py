@@ -5,7 +5,6 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass
@@ -86,34 +85,28 @@ class CheckStatistics:
 
 
 class ResourceMeter:
-    """Context manager measuring wall-clock time and peak Python heap usage.
+    """Context manager measuring wall-clock time and peak Python heap growth.
 
     The paper reports CPU seconds and megabytes on an UltraSparc-5; we report
     wall-clock seconds and the peak `tracemalloc` heap delta, which preserves
     the relative shape across properties (the claim under test is the *low
-    memory growth* of the ATPG-based approach).
+    memory growth* of the ATPG-based approach).  The heap is read only when
+    already traced (``python -X tracemalloc``); untraced, the delta is ``0.0``.
     """
 
-    def __init__(self, trace_memory: bool = True):
-        self.trace_memory = trace_memory
-        self.elapsed_seconds = 0.0
-        self.peak_memory_mb = 0.0
-        self._start: Optional[float] = None
-        self._started_tracing = False
+    elapsed_seconds = 0.0
+    peak_memory_mb = 0.0
 
     def __enter__(self) -> "ResourceMeter":
-        self._start = time.perf_counter()
-        if self.trace_memory:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracing = True
+        self._traced = tracemalloc.is_tracing()
+        if self._traced:
+            self._traced_on_entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
+        self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.elapsed_seconds = time.perf_counter() - (self._start or 0.0)
-        if self.trace_memory and tracemalloc.is_tracing():
-            _, peak = tracemalloc.get_traced_memory()
-            self.peak_memory_mb = peak / (1024.0 * 1024.0)
-            if self._started_tracing:
-                tracemalloc.stop()
+        self.elapsed_seconds = time.perf_counter() - self._start
+        if self._traced and tracemalloc.is_tracing():
+            growth = tracemalloc.get_traced_memory()[1] - self._traced_on_entry
+            self.peak_memory_mb = max(growth, 0) / (1024.0 * 1024.0)

@@ -50,7 +50,6 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from repro import api
-from repro.analysis import analyze_structure, extract_local_fsms, recognize_modules
 from repro.checker import (
     AssertionChecker,
     CheckerOptions,
@@ -178,6 +177,8 @@ def _request_from_args(args: argparse.Namespace) -> api.CheckRequest:
 # Commands
 # ----------------------------------------------------------------------
 def _command_stats(args: argparse.Namespace) -> int:
+    from repro.analysis import analyze_structure
+
     circuit = _load_circuit(args.design, top=args.top)
     stats = circuit.stats()
     print(
@@ -194,6 +195,8 @@ def _command_stats(args: argparse.Namespace) -> int:
 
 
 def _command_analyze(args: argparse.Namespace) -> int:
+    from repro.analysis import analyze_structure, extract_local_fsms, recognize_modules
+
     circuit = _load_circuit(args.design, top=args.top)
     print(analyze_structure(circuit).format())
     print()

@@ -1,6 +1,11 @@
 """Integration tests for the assertion checker (Fig. 1 flow)."""
 
+import os
+import tracemalloc
 
+import pytest
+
+import repro
 from repro import (
     Assertion,
     AssertionChecker,
@@ -14,7 +19,12 @@ from repro import (
     Simulator,
     Witness,
 )
+from repro import api
 from repro.atpg.justify import JustifierLimits
+from repro.baselines.bdd_checker import BddSymbolicChecker
+from repro.baselines.random_sim import RandomSimulationChecker
+from repro.baselines.sat_checker import SATBoundedChecker
+from repro.checker import ResourceMeter
 from repro.properties.spec import And
 
 
@@ -195,3 +205,71 @@ def test_max_frames_override_in_check_call():
     checker = AssertionChecker(build_counter(), options=CheckerOptions(max_frames=2))
     result = checker.check(Witness("reach_five", Signal("cnt") == 5), max_frames=8)
     assert result.status is CheckStatus.WITNESS_FOUND
+
+
+# ----------------------------------------------------------------------
+# Memory measurement: read tracemalloc only when the caller traces
+# ----------------------------------------------------------------------
+_MB = 1024 * 1024
+
+#: every engine's check, called the way a default user calls it.
+DEFAULT_CHECKS = {
+    "api": lambda circuit, prop: api.check(api.build_request(circuit, prop, max_frames=3)),
+    "atpg": lambda circuit, prop: AssertionChecker(
+        circuit, options=CheckerOptions(max_frames=3)
+    ).check(prop),
+    "sat": lambda circuit, prop: SATBoundedChecker(circuit, max_frames=3).check(prop),
+    "bdd": lambda circuit, prop: BddSymbolicChecker(circuit).check(prop),
+    "random": lambda circuit, prop: RandomSimulationChecker(circuit).check(prop),
+}
+
+
+@pytest.fixture
+def untraced():
+    if tracemalloc.is_tracing():
+        pytest.skip("the interpreter already traces the heap")
+
+
+@pytest.mark.parametrize("engine", sorted(DEFAULT_CHECKS))
+def test_default_check_leaves_the_heap_untraced(untraced, engine):
+    DEFAULT_CHECKS[engine](build_counter(), Assertion("bounded", Signal("cnt") <= 9))
+    assert not tracemalloc.is_tracing()
+
+
+def test_check_under_caller_tracing_reports_megabytes(untraced):
+    tracemalloc.start()
+    try:
+        checker = AssertionChecker(build_counter(), options=CheckerOptions(max_frames=3))
+        result = checker.check(Assertion("bounded", Signal("cnt") <= 9))
+        assert tracemalloc.is_tracing()
+    finally:
+        tracemalloc.stop()
+    assert result.statistics.peak_memory_mb > 0.0
+
+
+def test_meter_reports_only_the_growth_inside_it(untraced):
+    tracemalloc.start()
+    try:
+        ballast = bytearray(5 * _MB)
+        with ResourceMeter() as meter:
+            grown = bytearray(_MB)
+        del ballast, grown
+    finally:
+        tracemalloc.stop()
+    assert 0.9 < meter.peak_memory_mb < 2.0
+
+
+def test_untraced_meter_reports_zero(untraced):
+    with ResourceMeter() as meter:
+        bytearray(_MB)
+    assert meter.peak_memory_mb == 0.0
+    assert meter.elapsed_seconds > 0.0
+
+
+def test_checker_never_starts_heap_tracing():
+    package = os.path.dirname(repro.__file__)
+    for root, _, files in os.walk(package):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), encoding="utf-8") as handle:
+                    assert "tracemalloc.start" not in handle.read(), name

@@ -1,6 +1,9 @@
 """Tests for the command-line interface (``python -m repro``)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -261,3 +264,22 @@ def test_check_rejects_bad_sim_width(counter_file, flags, message):
     # The request's own validation reports these; the CLI only wraps it.
     with pytest.raises(SystemExit, match=message):
         main(["check", counter_file, "--assert", "count <= 9"] + flags)
+
+
+def test_cli_import_leaves_sim_and_analysis_unloaded():
+    """``repro.sim`` and ``repro.analysis`` load on first use, not on the
+    ``repro check`` start-up path; the top-level re-exports still resolve."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import sys, repro.cli\n"
+        "print(sorted(m for m in ('repro.sim', 'repro.analysis') if m in sys.modules))\n"
+        "import repro\n"
+        "print(repro.BitParallelSim.__name__, repro.compile_circuit.__name__)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "BitParallelSim compile_circuit"]

@@ -349,7 +349,7 @@ def _alias_check(circuit, assumption, cache, kb_path=None):
     environment = Environment().assume(parse_expression(assumption))
     return AssertionChecker(
         circuit, environment=environment, initial_state={"r": 0},
-        options=CheckerOptions(max_frames=4, kb_path=kb_path, trace_memory=False),
+        options=CheckerOptions(max_frames=4, kb_path=kb_path),
         model_cache=cache,
     ).check(Assertion("p", parse_expression("r == 0")))
 
@@ -406,7 +406,7 @@ def test_equal_environments_share_one_cached_model():
     def models_reused(environment):
         return AssertionChecker(
             ports.circuit, environment=environment,
-            options=CheckerOptions(max_frames=2, trace_memory=False),
+            options=CheckerOptions(max_frames=2),
             model_cache=cache,
         ).check(Witness("w", Signal(ports.grants[0].name) == 1)).statistics.models_reused
 

@@ -59,7 +59,6 @@ checker = AssertionChecker(
         max_frames=depth,
         learning=True,
         kb_path=None if kb_arg == "-" else kb_arg,
-        trace_memory=False,
     ),
     model_cache=UnrolledModelCache(),
 )
@@ -275,7 +274,6 @@ def _check_case_with_kb(kb_path):
         options=CheckerOptions(
             max_frames=case.max_frames,
             kb_path=kb_path,
-            trace_memory=False,
         ),
         model_cache=UnrolledModelCache(),
     )
@@ -473,7 +471,7 @@ def _sweep_p14(kb_path=None):
         case.circuit,
         environment=case.environment,
         initial_state=case.initial_state,
-        options=CheckerOptions(max_frames=8, kb_path=kb_path, trace_memory=False),
+        options=CheckerOptions(max_frames=8, kb_path=kb_path),
         model_cache=cache,
     )
     results = [checker.check(case.prop, max_frames=bound) for bound in range(1, 9)]

@@ -35,7 +35,6 @@ def _sweep(circuit, prop, bounds, learning, environment=None, initial_state=None
         initial_state=initial_state,
         options=CheckerOptions(
             max_frames=max(bounds), learning=learning,
-            trace_memory=False,
         ),
         model_cache=UnrolledModelCache(),
     )
@@ -112,7 +111,7 @@ def test_learning_shared_across_checker_instances():
     object starts from the first one's proven targets."""
     case = build_case("p2")
     cache = UnrolledModelCache()
-    options = CheckerOptions(max_frames=case.max_frames, trace_memory=False)
+    options = CheckerOptions(max_frames=case.max_frames)
     first = AssertionChecker(
         case.circuit, environment=case.environment,
         initial_state=case.initial_state, options=options, model_cache=cache,
@@ -638,7 +637,7 @@ def test_budget_exhausted_solver_results_never_learn(arithmetic_budget):
     checker = AssertionChecker(
         circuit,
         options=CheckerOptions(
-            max_frames=3, trace_memory=False,
+            max_frames=3,
             limits=JustifierLimits(arithmetic_budget=arithmetic_budget),
         ),
         model_cache=cache,

@@ -1,5 +1,6 @@
 """Tests for the result reporting helpers (text and JSON)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -109,3 +110,23 @@ def test_format_results_table_label_mismatch(sample_results):
     holds, _, _ = sample_results
     with pytest.raises(ValueError):
         format_results_table([holds], labels=["a", "b"])
+
+
+def _with_memory(result, peak_memory_mb):
+    statistics = dataclasses.replace(result.statistics, peak_memory_mb=peak_memory_mb)
+    return dataclasses.replace(result, statistics=statistics)
+
+
+def test_unmeasured_memory_does_not_read_as_a_measurement(sample_results):
+    holds = _with_memory(sample_results[0], 0.0)
+    assert "peak memory     : not measured" in format_result(holds)
+    assert format_results_table([holds]).splitlines()[2].split()[3] == "-"
+    assert "mem=not measured" in repr(holds)
+    assert result_to_dict(holds)["peak_memory_mb"] == 0.0
+
+
+def test_measured_memory_prints_megabytes(sample_results):
+    holds = _with_memory(sample_results[0], 1.5)
+    assert "peak memory     : 1.50 MB" in format_result(holds)
+    assert format_results_table([holds]).splitlines()[2].split()[3] == "1.50"
+    assert "mem=1.50MB" in repr(holds)
