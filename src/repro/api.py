@@ -36,11 +36,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, MutableMapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.checker.engine import AssertionChecker, CheckerOptions
+from repro.checker.incremental import shared_model_cache
 from repro.checker.report import counterexample_to_dict, statistics_to_dict
 from repro.checker.result import CheckResult, CheckStatus
 from repro.netlist.circuit import Circuit
@@ -173,8 +176,9 @@ class CircuitRef:
     def cache_key(self) -> Tuple:
         """A hashable identity for design-resolution caches.
 
-        File-backed refs include the file's mtime/size so an edited design
-        is re-elaborated instead of served stale.
+        File-backed refs include a digest of the file's bytes, as source
+        refs do of their text, so an edited design is re-elaborated instead
+        of served stale -- even a same-size rewrite within one mtime tick.
         """
         if self.kind == "inline":
             return ("inline", id(self.circuit))
@@ -185,11 +189,11 @@ class CircuitRef:
             return ("source", digest, self.top)
         path = os.path.abspath(self.path or "")
         try:
-            stat = os.stat(path)
-            freshness: Tuple = (stat.st_mtime_ns, stat.st_size)
+            with open(path, "rb") as stream:
+                digest: Optional[str] = hashlib.sha256(stream.read()).hexdigest()
         except OSError:
-            freshness = (None, None)
-        return ("verilog", path, freshness, self.top)
+            digest = None
+        return ("verilog", path, digest, self.top)
 
 
 def _opt_str(value: object) -> Optional[str]:
@@ -611,41 +615,95 @@ def build_request(
 # ----------------------------------------------------------------------
 # Design resolution
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class ResolvedDesign:
-    """A circuit ref resolved into live objects plus its bundled defaults."""
+    """A circuit ref resolved into live objects plus its bundled defaults.
+
+    Resolved designs are shared by every request for the same ref, so
+    treat them as read-only.
+    """
 
     circuit: Circuit
     environment: Optional[Environment] = None
     initial_state: Optional[Dict[str, int]] = None
     default_properties: Tuple[PropertySpec, ...] = ()
     default_max_frames: Optional[int] = None
+    #: held by the one request checking this design at a time.
+    lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
 
-def resolve_design(
-    ref: CircuitRef,
-    cache: Optional[MutableMapping[Tuple, ResolvedDesign]] = None,
-) -> ResolvedDesign:
-    """Turn a circuit ref into a live :class:`ResolvedDesign`.
+#: How many designs the process keeps resolved: the same bound as the
+#: unrolled-model cache, whose models are keyed by these circuits.
+DESIGN_CACHE_SIZE = 8
 
-    ``cache`` (keyed by :meth:`CircuitRef.cache_key`) is what makes repeated
-    requests *warm*: handing back the same circuit object lets the
-    process-wide :class:`~repro.checker.incremental.UnrolledModelCache` (and
-    the learned facts riding its models) hit across requests.  The service
-    workers hold one such cache for their whole life.
+_designs: "OrderedDict[Tuple, ResolvedDesign]" = OrderedDict()
+_designs_lock = threading.Lock()
+
+
+def _forget_designs_in_child() -> None:
+    # A forked child starts with no resolved designs: a service worker owns
+    # one design and must not pin every circuit its parent resolved, and a
+    # lock another parent thread held at fork time would never be released.
+    global _designs_lock
+    _designs.clear()
+    _designs_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_designs_in_child)
+
+
+def resolve_design(ref: CircuitRef) -> ResolvedDesign:
+    """Turn a circuit ref into a live :class:`ResolvedDesign`, warm if it can.
+
+    Every non-``inline`` ref is served from one process-wide LRU keyed by
+    :meth:`CircuitRef.cache_key`.  Handing back the same circuit object is
+    what makes repeated requests *warm*: the process-wide
+    :class:`~repro.checker.incremental.UnrolledModelCache` (and the learned
+    facts riding its models) keys by circuit identity.  A design that falls
+    out of the LRU takes its models with it, so both caches stay bounded
+    together.
     """
-    key = ref.cache_key() if cache is not None else None
-    if cache is not None:
-        resolved = cache.get(key)
+    if ref.kind == "inline":
+        return load_design(ref)
+    key = ref.cache_key()
+    with _designs_lock:
+        resolved = _designs.get(key)
         if resolved is not None:
+            _designs.move_to_end(key)
             return resolved
-    resolved = _resolve_uncached(ref)
-    if cache is not None:
-        cache[key] = resolved
+    # Elaborate outside the lock.  A racing duplicate keeps the first
+    # insert, so both callers share one circuit and its models.
+    loaded = load_design(ref)
+    with _designs_lock:
+        resolved = _designs.setdefault(key, loaded)
+        _designs.move_to_end(key)
+        dropped = []
+        while len(_designs) > DESIGN_CACHE_SIZE:
+            dropped.append(_designs.popitem(last=False)[1])
+    for stale in dropped:
+        shared_model_cache().evict(stale.circuit)
     return resolved
 
 
-def _resolve_uncached(ref: CircuitRef) -> ResolvedDesign:
+def clear_design_cache() -> None:
+    """Drop every cached design and its models (flushing KB facts)."""
+    with _designs_lock:
+        dropped = list(_designs.values())
+        _designs.clear()
+    for stale in dropped:
+        shared_model_cache().evict(stale.circuit)
+
+
+def designs_resident() -> int:
+    """How many designs the process-wide cache holds."""
+    with _designs_lock:
+        return len(_designs)
+
+
+def load_design(ref: CircuitRef) -> ResolvedDesign:
+    """Elaborate a circuit ref without touching the design cache."""
     if ref.kind == "inline":
         if ref.circuit is None:
             raise RequestError("inline circuit ref carries no circuit")
@@ -660,9 +718,7 @@ def _resolve_uncached(ref: CircuitRef) -> ResolvedDesign:
         return ResolvedDesign(
             circuit=case.circuit,
             environment=case.environment,
-            initial_state=(
-                None if case.initial_state is None else dict(case.initial_state)
-            ),
+            initial_state=case.initial_state,
             default_properties=(PropertySpec.from_property(case.prop),),
             default_max_frames=case.max_frames,
         )
@@ -907,39 +963,28 @@ def clamp_to_deadline(request: CheckRequest,
     return request
 
 
-def check(
-    request: CheckRequest,
-    *,
-    design_cache: Optional[MutableMapping[Tuple, ResolvedDesign]] = None,
-) -> CheckReport:
+def check(request: CheckRequest) -> CheckReport:
     """Check a request in-process and return the unified report.
 
     The stable public entry point: routes through the classic single-engine
     checker or the portfolio/batch machinery exactly as ``repro check``
     does, based on the request's own knobs.
     """
-    return run_request(request, design_cache=design_cache).report
+    return run_request(request).report
 
 
-def check_batch(
-    request: CheckRequest,
-    *,
-    design_cache: Optional[MutableMapping[Tuple, ResolvedDesign]] = None,
-) -> CheckReport:
+def check_batch(request: CheckRequest) -> CheckReport:
     """Check a request through the portfolio/batch machinery unconditionally.
 
     Use this when per-engine details, worker fan-out or compare mode are
     wanted even for a single default-engine request.
     """
-    return run_request(
-        request, design_cache=design_cache, force_batch=True
-    ).report
+    return run_request(request, force_batch=True).report
 
 
 def run_request(
     request: CheckRequest,
     *,
-    design_cache: Optional[MutableMapping[Tuple, ResolvedDesign]] = None,
     force_batch: bool = False,
 ) -> RequestOutcome:
     """Execute a request and return both raw and unified outcomes."""
@@ -951,13 +996,26 @@ def run_request(
                 "unknown engine %r (available: %s)"
                 % (name, ", ".join(available_engines()))
             )
-    resolved = resolve_design(request.circuit, design_cache)
+    resolved = resolve_design(request.circuit)
+    if resolved.lock.acquire(blocking=False):
+        try:
+            return _run_resolved(request, resolved, force_batch)
+        finally:
+            resolved.lock.release()
+    # Another thread is checking this design, and a circuit and its models
+    # are not thread-safe: check a private cold copy instead.
+    return _run_resolved(request, load_design(request.circuit), force_batch)
+
+
+def _run_resolved(
+    request: CheckRequest, resolved: ResolvedDesign, force_batch: bool
+) -> RequestOutcome:
     environment = request.build_environment()
     if environment is None:
         environment = resolved.environment
     initial_state = request.initial_state_mapping()
-    if initial_state is None:
-        initial_state = resolved.initial_state
+    if initial_state is None and resolved.initial_state is not None:
+        initial_state = dict(resolved.initial_state)
     specs = request.properties or resolved.default_properties
     if not specs:
         raise RequestError(
@@ -1093,6 +1151,9 @@ __all__ = [
     "check",
     "check_batch",
     "clamp_to_deadline",
+    "clear_design_cache",
+    "designs_resident",
+    "load_design",
     "resolve_design",
     "run_request",
 ]

@@ -208,6 +208,13 @@ class NonlinearSolver:
         for var in fixed:
             tags.setdefault(var, frozenset((var,)))
         base = self._with_fixed(linear, fixed, tags)
+        # An operand in no linear row must still be a variable of the
+        # system, or a solution would leave it unassigned once a
+        # substitution pins only its partner.
+        for constraint in nonlinear:
+            for var in constraint.variables():
+                if var not in fixed:
+                    base.add_variable(var)
         if not nonlinear:
             return self._solve_linear(base, fixed, ())
         return self._solve_recursive(base, list(nonlinear), fixed, tags, self.budget)

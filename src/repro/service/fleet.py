@@ -483,7 +483,7 @@ class FleetRouter:
             cached = self._fingerprints.get(cache_key)
         if cached is not None:
             return cached
-        resolved = api.resolve_design(request.circuit)
+        resolved = api.load_design(request.circuit)
         fingerprint = "%016x" % circuit_fingerprint(resolved.circuit)
         with self._lock:
             self._fingerprints[cache_key] = fingerprint

@@ -499,6 +499,8 @@ class Supervisor:
         The first submission of a design elaborates it once in the
         supervisor (in a thread, off the event loop) to compute the
         structural fingerprint; repeats are served from the route cache.
+        It bypasses the process-wide design cache, or every worker forked
+        afterwards would inherit the circuits of other workers' designs.
         """
         cache_key = request.circuit.cache_key()
         key = self._route_cache.get(cache_key)
@@ -506,7 +508,7 @@ class Supervisor:
             return key
 
         def compute():
-            resolved = api.resolve_design(request.circuit)
+            resolved = api.load_design(request.circuit)
             return ("%016x" % circuit_fingerprint(resolved.circuit),
                     resolved.circuit.name)
 

@@ -3,11 +3,12 @@
 One worker owns one circuit (keyed by its structural fingerprint) and runs
 check jobs for it *serially*, which is exactly what makes the daemon fast:
 
-* a **design cache** keeps the resolved circuit object alive, so the
-  process-wide :class:`~repro.checker.incremental.UnrolledModelCache`
-  (keyed partly by object identity) serves every job after the first from
-  the warm unrolled model -- along with the learned illegal cubes, ESTG
-  state and proven-FAIL memos riding on it;
+* :func:`repro.api.resolve_design`'s process-wide design cache keeps the
+  resolved circuit object alive, so the process-wide
+  :class:`~repro.checker.incremental.UnrolledModelCache` (keyed partly by
+  object identity) serves every job after the first from the warm unrolled
+  model -- along with the learned illegal cubes, ESTG state and
+  proven-FAIL memos riding on it;
 * the **knowledge-base handle** is opened once per store path and held for
   the worker's life (:func:`repro.kb.open_knowledge_base` deduplicates per
   process), so KB cubes are loaded from sqlite once, not per job;
@@ -130,7 +131,6 @@ class _WorkerState:
 
     def __init__(self, worker_key: str):
         self.worker_key = worker_key
-        self.design_cache: Dict = {}
         self.kb_paths: Dict[str, None] = {}  # insertion-ordered set
         self.jobs_done = 0
         self.warm_hits = 0
@@ -158,14 +158,14 @@ class _WorkerState:
     def degrade(self) -> None:
         """Soft-watermark response: shed the warm state, keep the process.
 
-        Evicts the unrolled-model cache and the resolved-design cache and
-        flushes every attached KB store first, so the memory comes back
+        Evicts the unrolled-model cache and the process-wide design cache
+        and flushes every attached KB store first, so the memory comes back
         without losing a single learned fact -- the next job runs cold but
         correct.
         """
         flush_attached_stores()
         shared_model_cache().clear()
-        self.design_cache.clear()
+        api.clear_design_cache()
         self.degradations += 1
 
     def snapshot(self) -> Dict[str, object]:
@@ -195,7 +195,7 @@ class _WorkerState:
             "degradations": self.degradations,
             "model_cache": cache,
             "cache_residency": cache.get("entries", 0),
-            "designs_resident": len(self.design_cache),
+            "designs_resident": api.designs_resident(),
             "kb": kb_blocks,
             "uptime_seconds": round(time.time() - self.started_at, 3),
         }
@@ -287,7 +287,7 @@ def worker_main(conn, worker_key: str, config: Optional[Dict] = None) -> None:
             request = api.CheckRequest.from_dict(message["request"])
             request = _clamped_request(request, message.get("deadline_seconds"))
             state.note_request(request)
-            report = api.check(request, design_cache=state.design_cache)
+            report = api.check(request)
         except Exception as exc:
             heartbeat.stop()
             try:

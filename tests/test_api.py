@@ -11,13 +11,16 @@ checker verbatim.
 
 import dataclasses
 import json
+import sys
+import threading
 
 import pytest
 
 from repro import api
 from repro.atpg.statehash import property_search_digest
 from repro.checker.engine import AssertionChecker, CheckerOptions
-from repro.circuits import all_case_ids, build_case
+from repro.checker.incremental import UnrolledModelCache, shared_model_cache
+from repro.circuits import all_case_ids, build_case, extended_case_ids
 from repro.netlist import Circuit
 from repro.portfolio.batch import BatchOptions
 from repro.portfolio.engines import AtpgEngine, EngineBudget
@@ -326,10 +329,9 @@ class TestFacade:
         assert report.results[0].winner == "atpg"
 
     def test_design_cache_reuses_circuit_objects(self):
-        cache = {}
         request = api.CheckRequest(circuit=api.CircuitRef.case("p1"))
-        first = api.resolve_design(request.circuit, cache)
-        second = api.resolve_design(request.circuit, cache)
+        first = api.resolve_design(request.circuit)
+        second = api.resolve_design(request.circuit)
         assert first.circuit is second.circuit
 
     def test_report_json_round_trip(self):
@@ -389,3 +391,160 @@ class TestFacade:
         assert payload["schema"] == api.REQUEST_SCHEMA
         assert set(payload) >= {"circuit", "properties", "environment",
                                 "engines", "bounds", "budget", "search", "batch"}
+
+
+@pytest.fixture
+def cold_caches():
+    """Start and end with empty process-wide design and model caches."""
+    api.clear_design_cache()
+    shared_model_cache().clear()
+    yield
+    api.clear_design_cache()
+
+
+def wrap_counter(limit: int) -> str:
+    """A 4-bit counter wrapping at ``limit``: one distinct design per limit."""
+    return (
+        "module counter(clk, count);\n"
+        "  input clk;\n"
+        "  output [3:0] count;\n"
+        "  reg [3:0] count;\n"
+        "  always @(posedge clk) begin\n"
+        "    if (count == 4'd%d) count <= 4'd0;\n"
+        "    else count <= count + 4'd1;\n"
+        "  end\n"
+        "endmodule\n" % limit
+    )
+
+
+def counter_request(ref: api.CircuitRef, bad: int = 12,
+                    max_frames: int = 4) -> api.CheckRequest:
+    return api.CheckRequest(
+        circuit=ref,
+        properties=(api.PropertySpec.assertion("safe", "count != %d" % bad),),
+        initial_state=(("count", 0),),
+        max_frames=max_frames,
+    )
+
+
+@pytest.mark.usefixtures("cold_caches")
+class TestDesignCache:
+    """The process-wide design cache behind :func:`api.resolve_design`."""
+
+    @pytest.mark.parametrize("case_id", all_case_ids() + extended_case_ids())
+    def test_second_case_check_is_warm_and_identical(self, case_id):
+        request = api.CheckRequest(circuit=api.CircuitRef.case(case_id))
+        cold = api.check(request).results[0]
+        warm = api.check(request).results[0]
+        assert cold.stats["models_reused"] == 0
+        assert warm.stats["models_reused"] == 1
+        assert warm.status == cold.status == build_case(case_id).expected_status.value
+        assert warm.trace == cold.trace
+
+    def test_ninth_design_evicts_the_oldest_and_its_models(self, monkeypatch):
+        evicted = []
+        real_evict = UnrolledModelCache.evict
+
+        def spy(cache, circuit):
+            evicted.append(circuit)
+            real_evict(cache, circuit)
+
+        monkeypatch.setattr(UnrolledModelCache, "evict", spy)
+        refs = [api.CircuitRef.source(wrap_counter(limit)) for limit in range(6, 15)]
+        assert len(refs) == api.DESIGN_CACHE_SIZE + 1
+        circuits = []
+        for ref in refs:
+            api.check(counter_request(ref))
+            circuits.append(api.resolve_design(ref).circuit)
+        oldest = circuits[0]
+        assert api.designs_resident() == api.DESIGN_CACHE_SIZE
+        assert len(evicted) == 1 and evicted[0] is oldest
+        assert all(
+            model.circuit is not oldest
+            for model in shared_model_cache()._entries.values()
+        )
+        assert api.resolve_design(refs[1]).circuit is circuits[1]
+        assert api.resolve_design(refs[0]).circuit is not oldest
+
+    def test_inline_refs_never_enter_the_cache(self):
+        report = api.check(api.build_request(build_counter(), "count != 12",
+                                             max_frames=4))
+        assert report.results[0].status == "holds"
+        assert api.designs_resident() == 0
+
+    def test_worker_degrade_empties_the_cache(self):
+        from repro.service.worker import _WorkerState
+
+        api.check(api.CheckRequest(circuit=api.CircuitRef.case("p1")))
+        state = _WorkerState("key")
+        assert state.snapshot()["designs_resident"] == 1
+        state.degrade()
+        assert api.designs_resident() == 0
+        assert state.snapshot()["designs_resident"] == 0
+        assert len(shared_model_cache()) == 0
+
+    def test_busy_design_is_checked_on_a_private_copy(self):
+        """A design another thread is checking is never shared: the request
+        runs cold on its own circuit and leaves the cached one alone."""
+        request = counter_request(api.CircuitRef.source(wrap_counter(9)))
+        resolved = api.resolve_design(request.circuit)
+        nets = len(resolved.circuit.nets)
+        with resolved.lock:
+            verdict = api.check(request).results[0]
+        assert verdict.status == "holds"
+        assert verdict.stats["models_reused"] == 0
+        assert len(resolved.circuit.nets) == nets
+        assert api.check(request).results[0].stats["models_reused"] == 0
+
+    def test_threads_sharing_the_cache_get_right_answers(self):
+        """More threads than cores, a tiny switch interval and more designs
+        than the cache holds: every verdict stays right and the cache stays
+        bounded."""
+        limits = range(1, 1 + api.DESIGN_CACHE_SIZE + 2)
+        expected = {limit: "holds" if limit < 7 else "fails" for limit in limits}
+        requests = {
+            limit: counter_request(
+                api.CircuitRef.source(wrap_counter(limit)), bad=7, max_frames=9
+            )
+            for limit in limits
+        }
+        errors, wrong = [], []
+
+        def worker(offset):
+            try:
+                for step in range(12):
+                    limit = limits[(offset + step) % len(limits)]
+                    status = api.check(requests[limit]).results[0].status
+                    if status != expected[limit]:
+                        wrong.append((limit, status))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and wrong == []
+        assert api.designs_resident() <= api.DESIGN_CACHE_SIZE
+
+    def test_verilog_refs_are_keyed_by_content(self, tmp_path):
+        """A same-size rewrite without ``os.utime`` can keep the mtime
+        within one clock tick: only the content tells the two apart.
+        Rewriting identical bytes keeps the design warm."""
+        path = tmp_path / "design.v"
+        request = counter_request(api.CircuitRef.verilog(str(path)), bad=2)
+        path.write_text(wrap_counter(1))
+        assert api.check(request).results[0].status == "holds"
+        path.write_text(wrap_counter(9))
+        assert api.check(request).results[0].status == "fails"
+        path.write_text(wrap_counter(9))
+        verdict = api.check(request).results[0]
+        assert verdict.status == "fails"
+        assert verdict.stats["models_reused"] == 1

@@ -322,12 +322,11 @@ def test_every_engine_starts_from_the_init_vector_state():
 
 @pytest.mark.parametrize("case_id", ["p7", "p13"])
 def test_warm_requests_do_not_grow_the_circuit(case_id):
-    cache = {}
     request = api.CheckRequest(circuit=api.CircuitRef.case(case_id))
     counts = []
     for _ in range(3):
-        api.check(request, design_cache=cache)
-        counts.append(len(api.resolve_design(request.circuit, cache).circuit.nets))
+        api.check(request)
+        counts.append(len(api.resolve_design(request.circuit).circuit.nets))
     assert len(set(counts)) == 1, counts
 
 
@@ -345,11 +344,8 @@ def test_warm_replay_of_seeded_environments_matches_cold():
     plan = [(seed, target) for seed in range(8) for target in range(4)]
     # Every cold run gets a circuit of its own, so it shares no model.
     cold = [api.check(request(build_env_circuit(0), *job)).results[0] for job in plan]
-    shared, design_cache = build_env_circuit(0), {}
-    warm = [
-        api.check(request(shared, *job), design_cache=design_cache).results[0]
-        for job in plan
-    ]
+    shared = build_env_circuit(0)
+    warm = [api.check(request(shared, *job)).results[0] for job in plan]
     def trace(verdict):
         # Monitor names are generated per circuit, the rest must match.
         return None if verdict.trace is None else dict(verdict.trace, monitor=None)

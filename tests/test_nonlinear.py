@@ -1,8 +1,12 @@
 """Tests for non-linear constraint handling (multipliers, shifters)."""
 
+import dataclasses
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import api
 from repro.modsolver.linear import ModularLinearSystem
 from repro.modsolver.nonlinear import (
     NonlinearConstraint,
@@ -154,3 +158,39 @@ def test_unsolvable_congruence_is_certified():
     )
     assert isinstance(result, Infeasible)
     assert "gate" in result.core and "key_a" in result.core
+
+
+def test_operand_in_no_linear_row_is_still_assigned():
+    """A multiplier operand that appears in no linear row must still be a
+    variable of the system: pinning only its partner used to leave it out
+    of the solution and crash the constraint check with a KeyError."""
+    linear = ModularLinearSystem(4)
+    linear.add_constraint({"p": 1, "s": 1}, 3)
+    constraint = NonlinearConstraint("mul", "x", "y", "p", 4)
+    result = NonlinearSolver().solve(linear, [constraint])
+    if isinstance(result, Solution):
+        assert constraint.is_satisfied(result.assignment)
+        assert (result.assignment["p"] + result.assignment["s"]) % 16 == 3
+
+
+MUL_LT_CONST = os.path.join(os.path.dirname(__file__), "designs", "mul_lt_const.v")
+
+
+def test_multiplier_compare_design_agrees_with_sat():
+    """``bad = (x * y) < 4`` fails in one cycle (x = y = 0).  ATPG used to
+    crash in the non-linear solver on it; now it agrees with SAT."""
+    request = api.CheckRequest(
+        circuit=api.CircuitRef.verilog(MUL_LT_CONST),
+        properties=(api.PropertySpec.assertion("nobad", "bad == 0"),),
+        engines=("atpg", "sat"), compare=True, max_frames=1,
+    )
+    verdict = api.check(request).results[0]
+    assert verdict.disagreement == ()
+    assert {engine["engine"]: engine["status"] for engine in verdict.engines} == {
+        "atpg": "fails", "sat": "fails",
+    }
+    single = api.check(dataclasses.replace(request, engines=("atpg",), compare=False))
+    trace = single.results[0].trace
+    assert trace["validated"]
+    inputs = trace["inputs"][0]
+    assert (inputs["x"] * inputs["y"]) % 16 < 4
