@@ -19,7 +19,7 @@ COV_FLOOR ?= 78
 
 #: profile configuration (see benchmarks/profile_check.py --help).
 #: an empty PROFILE_BOUND profiles the case at its own bundled bound.
-PROFILE_CASE ?= p12
+PROFILE_CASE ?= p9
 PROFILE_BOUND ?=
 PROFILE_TOP ?= 25
 

@@ -9,7 +9,9 @@ through ``UnrolledModelCache(compiled=False)``.
 
 This benchmark drives both engines through the two workloads that dominate
 checker time on the p5/p12/p15 zoo cases, and gates the headline claim:
-**>= 3x median speedup across the sweep suite**.
+**>= 3x median speedup across the sweep suite**.  The p12 search sweep
+makes no decisions: its reflexive ``broadcast != broadcast`` comparators
+fold to constants, so every target is refuted by propagation alone.
 
 * **search sweeps** -- the full branch-and-bound justification search,
   re-run on a warm incremental model with learning disabled so every round

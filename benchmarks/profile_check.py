@@ -6,9 +6,9 @@ spot without wiring up external tooling.
 
 Usage::
 
-    python benchmarks/profile_check.py [--case p12] [--bound N] [--top 25]
+    python benchmarks/profile_check.py [--case p9] [--bound N] [--top 25]
 
-The default case, p12, spends its time in the branch-and-bound search (444
+The default case, p9, spends its time in the branch-and-bound search (170
 decisions at its bundled bound); ``--bound`` defaults to the case's own.
 """
 
@@ -27,8 +27,8 @@ from repro.circuits import all_case_ids, build_case  # noqa: E402
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--case", default="p12", choices=all_case_ids(),
-                        help="zoo property case to profile (default: p12)")
+    parser.add_argument("--case", default="p9", choices=all_case_ids(),
+                        help="zoo property case to profile (default: p9)")
     parser.add_argument("--bound", type=int, default=None,
                         help="unrolling bound (default: the case's own)")
     parser.add_argument("--top", type=int, default=25,

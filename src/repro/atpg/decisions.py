@@ -20,7 +20,6 @@ from repro.atpg.probability import (
 )
 from repro.atpg.timeframe import UnrolledModel, VarKey
 from repro.bitvector import BV3
-from repro.implication.assignment import RootCause
 from repro.implication.engine import ImplicationNode
 
 
@@ -46,10 +45,9 @@ class DecisionCandidate:
             return 1 - self.bias_value
         return self.bias_value
 
-    def root_cause(self, value: int) -> RootCause:
-        """The trail root recorded when this candidate is decided to
-        ``value`` -- the literal that conflict lifting resolves over."""
-        return RootCause("decision", self.key, BV3.from_int(1, value))
+    def cube(self, value: int) -> BV3:
+        """The cube assigned when this candidate is decided to ``value``."""
+        return BV3.from_int(1, value)
 
 
 def find_decision_candidates(

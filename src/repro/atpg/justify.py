@@ -9,18 +9,24 @@ assignment already carries the property requirements.  It repeatedly:
 3. decides the candidate with the highest legal assignment bias
    (complement-of-bias first in prove mode), runs word-level implication, and
    backtracks on conflicts,
-4. when the control constraints are satisfied, checks the remaining datapath
-   requirements with the modular arithmetic solver and a bounded completion
-   search; if they are infeasible the ATPG backtracks and looks for the next
-   control solution.  The solver's answers are typed: a *proved* infeasible
-   system carries a certificate (the engine keys of the clashing source
-   constraints) that is analysed exactly like an implication conflict, so
-   datapath refutations feed conflict learning; a budget-exhausted
-   ``Unknown`` prunes the leaf only and never produces a learned cube.
+4. when no control candidate is left, hands the remaining datapath
+   requirements to the modular arithmetic solver once.  Its answers are
+   typed: a *proved* infeasible system carries a certificate (the engine
+   keys of the clashing source constraints) that is analysed exactly like
+   an implication conflict, so datapath refutations feed conflict
+   learning; a solution is assigned and kept when it justifies every
+   remaining gate.  Otherwise (an ``Unknown``, or a solution that leaves
+   gates unjustified) the leaf is closed by the same decision loop,
+   branching on single bits of the free input words in the leaf's cone,
+   within :data:`LEAF_BACKTRACK_BUDGET` backtracks.  A leaf that exhausts
+   the budget is *unproven*: it fails without facts, and a search that
+   ends in FAIL with an unproven leaf reports ABORT instead.
 
 The outcome is SUCCESS (every requirement justified -- a counterexample /
 witness exists), FAIL (the requirements cannot be satisfied -- the assertion
-holds for this unrolling), or ABORT (a resource limit was hit).
+holds for this unrolling), or ABORT (a resource limit was hit).  A FAIL is
+always a proof: every failed branch ends in an implication conflict, a
+solver certificate, an FSM-unreachable state or two failed sub-branches.
 
 Unjustified gates are tracked through the implication engine's *dirty-set
 frontier* (see :meth:`~repro.implication.engine.ImplicationEngine.unjustified_frontier`):
@@ -51,8 +57,9 @@ reaches the same verdict and the same counterexample.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.decisions import find_decision_candidates
 from repro.atpg.estg import ExtendedStateTransitionGraph, LearnedCube, StateCube, covers
@@ -63,6 +70,10 @@ from repro.implication.engine import ImplicationNode
 from repro.modsolver.extract import ArithmeticProblem, DatapathConstraintExtractor
 from repro.modsolver.result import Infeasible, Solution
 from repro.netlist.arith import Adder, Multiplier, ShiftLeft, ShiftRight, Subtractor
+
+#: backtracks one datapath leaf may spend branching on input-word bits
+#: before it is given up as unproven.
+LEAF_BACKTRACK_BUDGET = 4096
 
 
 class JustifyOutcome(enum.Enum):
@@ -85,6 +96,9 @@ class JustifyResult:
     implications: int = 0
     #: datapath solver calls answered with an infeasibility certificate.
     solver_cores: int = 0
+    #: datapath leaves given up after :data:`LEAF_BACKTRACK_BUDGET`
+    #: backtracks; a FAIL with any of them is reported as ABORT.
+    unproven_leaves: int = 0
 
     @property
     def succeeded(self) -> bool:
@@ -99,7 +113,6 @@ class JustifierLimits:
     max_backtracks: int = 50_000
     max_depth: int = 5_000
     decision_cut_limit: int = 64
-    completion_attempts: int = 8
     arithmetic_budget: int = 256
 
 
@@ -146,6 +159,26 @@ class _SubtreeFacts:
         self.max_frame = max(self.max_frame, other.max_frame)
         self.base = self.base or other.base
         self.datapath = self.datapath or other.datapath
+
+
+@dataclass
+class _BitCandidate:
+    """A leaf decision: one unknown bit of a free input word."""
+
+    key: VarKey
+    width: int
+    bit: int
+
+    @staticmethod
+    def preferred_first_value(prove_mode: bool) -> int:
+        return 0
+
+    def cube(self, value: int) -> BV3:
+        return BV3(self.width, value << self.bit, 1 << self.bit)
+
+
+class _UnprovenLeaf(Exception):
+    """Unwinds a branched datapath leaf that cannot be closed."""
 
 
 def problem_fingerprint(problem: ArithmeticProblem) -> str:
@@ -295,7 +328,10 @@ class Justifier:
         self.conflicts = 0
         self.arithmetic_calls = 0
         self.solver_cores = 0
-        self._aborted = False
+        self.unproven_leaves = 0
+        #: backtrack count on entry to the datapath leaf being branched
+        #: (``None`` outside a leaf subtree).
+        self._leaf_mark: Optional[int] = None
         #: cubes learned during this search, waiting to be installed as
         #: constraint nodes at the next safe point (between sibling
         #: branches); see :meth:`_flush_pending_cubes`.
@@ -334,6 +370,8 @@ class Justifier:
         if outcome is not JustifyOutcome.SUCCESS:
             while self.engine.assignment.decision_level > base_level:
                 self.engine.pop_level()
+        if outcome is JustifyOutcome.FAIL and self.unproven_leaves:
+            outcome = JustifyOutcome.ABORT
         return self._result(outcome, start_implications)
 
     def _result(self, outcome: JustifyOutcome, start_implications: int) -> JustifyResult:
@@ -345,6 +383,7 @@ class Justifier:
             arithmetic_calls=self.arithmetic_calls,
             implications=self.engine.implication_count - start_implications,
             solver_cores=self.solver_cores,
+            unproven_leaves=self.unproven_leaves,
         )
 
     # ------------------------------------------------------------------
@@ -457,10 +496,6 @@ class Justifier:
         decisions = [root for root in facts.roots if root.kind == "decision"]
         if not decisions or len(decisions) > context.max_cube_literals:
             return
-        if any(root.kind in ("solver", "completion") for root in facts.roots):
-            # Datapath solver choices are heuristic; their failures are not
-            # proofs, so nothing may be learned from cones containing them.
-            return
         merged: Dict[VarKey, BV3] = {}
         try:
             for root in decisions:
@@ -536,12 +571,18 @@ class Justifier:
 
     # ------------------------------------------------------------------
     def _search(self, depth: int) -> Tuple[JustifyOutcome, Optional[_SubtreeFacts]]:
-        if self.decisions > self.limits.max_decisions or depth > self.limits.max_depth:
-            self._aborted = True
+        limits = self.limits
+        if (
+            self.decisions > limits.max_decisions
+            or depth > limits.max_depth
+            or self.backtracks > limits.max_backtracks
+        ):
             return JustifyOutcome.ABORT, None
-        if self.backtracks > self.limits.max_backtracks:
-            self._aborted = True
-            return JustifyOutcome.ABORT, None
+        if (
+            self._leaf_mark is not None
+            and self.backtracks - self._leaf_mark > LEAF_BACKTRACK_BUDGET
+        ):
+            raise _UnprovenLeaf()
 
         if self.illegal_states and self._hits_structurally_illegal():
             return JustifyOutcome.FAIL, None
@@ -553,28 +594,29 @@ class Justifier:
         # Decision candidates are the undecided *control* signals in the
         # backward cone of every unjustified gate (control or datapath).  The
         # paper restricts the branch-and-bound to these signals; the datapath
-        # values themselves are never enumerated.
+        # is handed to the modular arithmetic solver at the leaves.
         candidates = find_decision_candidates(
             self.model,
             unjustified,
-            limit=self.limits.decision_cut_limit,
+            limit=limits.decision_cut_limit,
             prove_mode=self.prove_mode,
             use_bias=self.use_bias,
         )
-        if not candidates:
-            # No control freedom remains: hand the residual requirements to
-            # the modular arithmetic constraint solver (plus completion).
-            feasible, leaf_facts = self._datapath_feasible()
-            if feasible:
-                return JustifyOutcome.SUCCESS, None
-            # Only a solver infeasibility *certificate* yields facts here;
-            # budget-exhausted (Unknown) and completion-heuristic leaves
-            # return None, which poisons every enclosing resolution so
-            # nothing is ever learned from an unproven branch.
-            return JustifyOutcome.FAIL, leaf_facts
+        if candidates:
+            return self._decide(candidates[0], depth)
+        if self._leaf_mark is None:
+            return self._datapath_leaf(depth)
+        # Inside a branched leaf the solver is not consulted again.
+        candidate = self._bit_candidate()
+        if candidate is None:
+            raise _UnprovenLeaf()
+        return self._decide(candidate, depth)
 
+    def _decide(
+        self, candidate, depth: int
+    ) -> Tuple[JustifyOutcome, Optional[_SubtreeFacts]]:
+        """Try both values of one decision; FAIL only when both fail."""
         learning = self.learning
-        candidate = candidates[0]
         first = candidate.preferred_first_value(self.prove_mode)
         facts: Optional[_SubtreeFacts] = (
             _SubtreeFacts(min_frame=self.model.num_frames) if learning is not None else None
@@ -582,14 +624,15 @@ class Justifier:
         own_roots: List[RootCause] = []
         for value in (first, 1 - first):
             self.decisions += 1
+            cube = candidate.cube(value)
             root: Optional[RootCause] = None
             if learning is not None:
                 learning.estg.last_fired = None
-                root = candidate.root_cause(value)
+                root = RootCause("decision", candidate.key, cube)
                 own_roots.append(root)
             self.engine.push_level()
             try:
-                self.engine.assign(candidate.key, BV3.from_int(1, value), reason=root)
+                self.engine.assign(candidate.key, cube, reason=root)
             except ImplicationConflict as exc:
                 self.conflicts += 1
                 if facts is not None:
@@ -637,15 +680,8 @@ class Justifier:
         self._control_memo[id(node)] = (node, result)
         return result
 
-    def _datapath_unjustified(self) -> List[ImplicationNode]:
-        return [
-            node
-            for node in self._unjustified()
-            if not self._is_control_node(node)
-        ]
-
     # ------------------------------------------------------------------
-    # Datapath phase: modular arithmetic solving + bounded completion
+    # Datapath leaves: modular arithmetic solving, then bit branching
     # ------------------------------------------------------------------
     def _certificate_facts(self, infeasible: Infeasible) -> Optional[_SubtreeFacts]:
         """Turn a solver infeasibility core into learnable subtree facts.
@@ -670,34 +706,29 @@ class Justifier:
             facts.datapath = True
         return facts
 
-    def _datapath_feasible(self) -> Tuple[bool, Optional[_SubtreeFacts]]:
-        """Solve the residual datapath requirements at a search leaf.
+    def _datapath_leaf(
+        self, depth: int
+    ) -> Tuple[JustifyOutcome, Optional[_SubtreeFacts]]:
+        """Close a search leaf that has no control candidate left.
 
-        Returns ``(feasible, facts)``.  ``facts`` is non-``None`` only when
-        the modular solver *proved* the extracted system contradictory (an
-        :class:`~repro.modsolver.result.Infeasible` certificate): those
-        leaves are theorems and participate in conflict learning.  Leaves
-        closed by budget exhaustion (``Unknown``), by a conflicting solver
-        assignment or by the completion heuristic stay unlearnable.
-
-        On failure the engine is rolled back to the leaf's entry savepoint:
-        the completion phase opens one decision level per completed key, so
-        a plain ``pop_level`` would leave those levels dangling and the
-        enclosing decision's backtrack would undo the wrong level.
+        The modular solver runs once.  An infeasibility certificate fails the
+        leaf with learnable facts; a solution that justifies every remaining
+        gate is kept.  Anything else is rolled back and the leaf branches on
+        input-word bits (see :meth:`_bit_candidate`) within
+        :data:`LEAF_BACKTRACK_BUDGET` backtracks.  A leaf that cannot be
+        closed is rolled back to its entry and fails without facts, counted
+        in ``unproven_leaves``.
         """
-        unjustified = self._datapath_unjustified()
-        if not unjustified:
-            return True, None
-
         arithmetic_nodes = [
             node
-            for node in unjustified
-            if isinstance(self._gate_of(node), (Adder, Subtractor, Multiplier, ShiftLeft, ShiftRight))
+            for node in self._unjustified()
+            if not self._is_control_node(node)
+            and isinstance(self._gate_of(node), (Adder, Subtractor, Multiplier, ShiftLeft, ShiftRight))
         ]
+        save = self.engine.savepoint()
         if arithmetic_nodes:
             self.arithmetic_calls += 1
-            extractor = DatapathConstraintExtractor(self.engine)
-            problem = extractor.extract(arithmetic_nodes)
+            problem = DatapathConstraintExtractor(self.engine).extract(arithmetic_nodes)
             if not problem.is_empty():
                 store = self.learning.estg if self.learning is not None else None
                 fingerprint = None
@@ -711,7 +742,7 @@ class Justifier:
                         # takes the identical FAIL path without paying for
                         # the solve.
                         self.solver_cores += 1
-                        return False, self._certificate_facts(
+                        return JustifyOutcome.FAIL, self._certificate_facts(
                             Infeasible(self._core_keys(memo.core))
                         )
                 result = problem.solve(budget=self.limits.arithmetic_budget)
@@ -721,34 +752,62 @@ class Justifier:
                         store.record_solver_core(
                             fingerprint, self._core_names(result.core)
                         )
-                    return False, self._certificate_facts(result)
-                if not isinstance(result, Solution):
-                    # Unknown: the budget gave out; prune locally only.
-                    return False, None
-                save = self.engine.savepoint()
-                self.engine.push_level()
-                try:
-                    for key, value in result.assignment.items():
-                        width = self.engine.assignment.width(key)
-                        cube = BV3.from_int(width, value)
-                        self.engine.assign(
-                            key, cube, propagate=False,
-                            reason=RootCause("solver", key, cube),
-                        )
-                    self.engine.propagate()
-                except ImplicationConflict:
-                    self.conflicts += 1
-                    self.engine.rollback_to(save)
-                    return False, None
-                if self._complete_datapath():
-                    return True, None
+                    return JustifyOutcome.FAIL, self._certificate_facts(result)
+                if isinstance(result, Solution) and self._assign_solution(result):
+                    return JustifyOutcome.SUCCESS, None
                 self.engine.rollback_to(save)
-                return False, None
-        save = self.engine.savepoint()
-        if self._complete_datapath():
-            return True, None
-        self.engine.rollback_to(save)
-        return False, None
+
+        candidate = self._bit_candidate()
+        if candidate is not None:
+            self._leaf_mark = self.backtracks
+            try:
+                return self._decide(candidate, depth)
+            except _UnprovenLeaf:
+                self.engine.rollback_to(save)
+            finally:
+                self._leaf_mark = None
+        self.unproven_leaves += 1
+        return JustifyOutcome.FAIL, None
+
+    def _assign_solution(self, solution: Solution) -> bool:
+        """Assign a solver solution; True when it justifies every gate."""
+        try:
+            for key, value in solution.assignment.items():
+                cube = BV3.from_int(self.engine.assignment.width(key), value)
+                self.engine.assign(
+                    key, cube, propagate=False, reason=RootCause("solver", key, cube)
+                )
+            self.engine.propagate()
+        except ImplicationConflict:
+            self.conflicts += 1
+            return False
+        return not self._unjustified()
+
+    def _bit_candidate(self) -> Optional[_BitCandidate]:
+        """The next leaf branch: the most significant unknown bit of the
+        first undriven key with unknown bits, found by a BFS through
+        ``model.driver_node`` from the unjustified datapath nodes (from
+        every unjustified node when only control nodes are left)."""
+        unjustified = self._unjustified()
+        roots = [node for node in unjustified if not self._is_control_node(node)]
+        assignment = self.engine.assignment
+        driver_node = self.model.driver_node
+        queue = deque(key for node in roots or unjustified for key in node.input_keys)
+        visited = set(queue)
+        while queue:
+            key = queue.popleft()
+            driver = driver_node.get(key)
+            if driver is None:
+                cube = assignment.get(key)
+                unknown = cube.mask & ~cube.known
+                if unknown:
+                    return _BitCandidate(key, cube.width, unknown.bit_length() - 1)
+                continue
+            for upstream in driver.input_keys:
+                if upstream not in visited:
+                    visited.add(upstream)
+                    queue.append(upstream)
+        return None
 
     @staticmethod
     def _core_names(core) -> Tuple[Tuple[str, int], ...]:
@@ -771,76 +830,6 @@ class Justifier:
                 return frozenset()
             keys.append(self.model.key(circuit.net(name), frame))
         return frozenset(keys)
-
-    def _complete_datapath(self) -> bool:
-        """Greedy completion of the remaining undetermined datapath inputs.
-
-        Repeatedly pick an unjustified node and try a small set of candidate
-        completions (min / max of the current cube) for one of its
-        undetermined free input keys.  Bounded by ``completion_attempts``.
-
-        Datapath nodes are served first: while any datapath node is
-        unjustified, every attempt goes to a datapath key, so the bounded
-        budget is not burnt completing control-node keys that ride along in
-        the unjustified set (those are handled once the datapath is clear,
-        e.g. comparator outputs feeding control with no decision freedom
-        left).
-        """
-        for _ in range(self.limits.completion_attempts):
-            unjustified = self._unjustified()
-            if not unjustified:
-                return True
-            datapath = [
-                node for node in unjustified if not self._is_control_node(node)
-            ]
-            progressed = False
-            for node in datapath if datapath else unjustified:
-                key = self._pick_completion_key(node)
-                if key is None:
-                    continue
-                if self._try_completions(key):
-                    progressed = True
-                    break
-            if not progressed:
-                return False
-        return not self._unjustified()
-
-    def _pick_completion_key(self, node: ImplicationNode) -> Optional[Hashable]:
-        free_keys = []
-        other_keys = []
-        for key in node.input_keys:
-            cube = self.engine.assignment.get(key)
-            if cube.is_fully_known():
-                continue
-            if self.model.driver_node.get(key) is None:
-                free_keys.append(key)
-            else:
-                other_keys.append(key)
-        if free_keys:
-            return free_keys[0]
-        if other_keys:
-            return other_keys[0]
-        return None
-
-    def _try_completions(self, key: Hashable) -> bool:
-        cube = self.engine.assignment.get(key)
-        width = self.engine.assignment.width(key)
-        candidates = []
-        for value in (cube.min_value(), cube.max_value()):
-            if value not in candidates:
-                candidates.append(value)
-        for value in candidates:
-            self.engine.push_level()
-            try:
-                completion = BV3.from_int(width, value)
-                self.engine.assign(
-                    key, completion, reason=RootCause("completion", key, completion)
-                )
-                return True
-            except ImplicationConflict:
-                self.conflicts += 1
-                self.engine.pop_level()
-        return False
 
     # ------------------------------------------------------------------
     # Structurally illegal states (local FSM analysis)

@@ -121,11 +121,10 @@ def property_digest(expr) -> int:
 def property_search_digest(expr) -> int:
     """Stable 64-bit digest of the *exact* spelling of a property expression.
 
-    Unlike :func:`property_digest` this preserves operand order: the spelling
-    determines the compiled monitor's structure and therefore the search's
-    decision order, and procedure-sensitive facts (the proven-FAIL target
-    memo, which must reproduce this search's abort behaviour exactly) may
-    only be shared between searches over the identical monitor.
+    Unlike :func:`property_digest` this preserves operand order.
+    :func:`~repro.properties.environment.environment_identity` keys
+    assumptions by it, so the on-disk model keys of the knowledge base
+    depend on it and it must never change.
     """
     return fnv1a(_canonical_expr(expr, normalize=False).encode("utf-8"))
 

@@ -27,7 +27,7 @@ from repro.atpg.justify import (
     JustifyOutcome,
     LearningContext,
 )
-from repro.atpg.statehash import property_digest, property_search_digest
+from repro.atpg.statehash import property_digest
 from repro.atpg.timeframe import UnrolledModel
 from repro.bitvector import BV3
 from repro.checker.incremental import UnrolledModelCache, shared_model_cache
@@ -226,42 +226,11 @@ class AssertionChecker:
         builds a logically identical monitor, so facts keyed this way
         transfer across ``check()`` calls, checker instances, equivalent
         property spellings and -- via the knowledge base -- processes.
-        Learned cubes are ordering-independent *theorems*, so this key
-        carries no search configuration.
+        Learned cubes and proven-FAIL memos are *theorems* (every FAIL is a
+        proof, see :mod:`repro.atpg.justify`), so this key carries no search
+        configuration.
         """
         return (property_digest(compiled.prop.expr), compiled.goal_value)
-
-    def _search_fingerprint(self, compiled: CompiledProperty) -> object:
-        """The proven-FAIL memo key: property spelling plus search config.
-
-        Unlike learned cubes, a FAIL verdict is the outcome of *this*
-        bounded search procedure -- the datapath completion heuristics are
-        decision-order dependent -- so memoised verdicts may only be reused
-        by searches with identical ordering and resource configuration.
-        That includes the exact property spelling
-        (:func:`~repro.atpg.statehash.property_search_digest`, which keeps
-        operand order): a commuted but equivalent expression compiles to a
-        differently-shaped monitor and hence a different decision order.
-        """
-        options = self.options
-        limits = options.limits
-        # The engine flavour is deliberately absent: the compiled kernel is
-        # bit-identical to the interpreted oracle, so memos transfer across
-        # the two.  The literals ``False``, ``0`` and ``2000`` fill the slots
-        # of retired switches at the values they always had by default (the
-        # cube-hit ordering flag, then the probability-sampling vector count
-        # and seed): they keep the JSON of this key unchanged, so FAIL memos
-        # already stored in knowledge bases keep matching.
-        return (
-            (property_search_digest(compiled.prop.expr), compiled.goal_value),
-            options.use_bias,
-            False,
-            0,
-            2000,
-            (limits.max_decisions, limits.max_backtracks, limits.max_depth,
-             limits.decision_cut_limit, limits.completion_attempts,
-             limits.arithmetic_budget),
-        )
 
     def _check_target_frame(
         self, compiled: CompiledProperty, target_frame: int,
@@ -287,15 +256,12 @@ class AssertionChecker:
             model.compile_seconds,
         )
         learning_store = model.estg if self.options.learning else None
-        # FSM guidance prunes with facts the memo key does not record, so
-        # verdicts reached under it stay out of the shared proven-FAIL memo.
-        memo_safe = (
-            learning_store is not None and not self.options.use_local_fsm_guidance
-        )
-        search_fp = self._search_fingerprint(compiled)
-        if memo_safe and learning_store.is_proven_fail(search_fp, target_frame):
+        prop_fp = self._prop_fingerprint(compiled)
+        if learning_store is not None and learning_store.is_proven_fail(
+            prop_fp, target_frame
+        ):
             statistics.targets_skipped += 1
-            if (search_fp, target_frame) in learning_store.kb_fail_targets:
+            if (prop_fp, target_frame) in learning_store.kb_fail_targets:
                 # The skip is owed to a memo loaded from the knowledge base.
                 learning_store.kb_hits += 1
             return JustifyOutcome.FAIL, None
@@ -304,20 +270,20 @@ class AssertionChecker:
         try:
             self._assert_requirements(model, compiled, target_frame)
         except ImplicationConflict:
-            if memo_safe:
-                learning_store.record_proven_fail(search_fp, target_frame)
+            if learning_store is not None:
+                learning_store.record_proven_fail(prop_fp, target_frame)
             return JustifyOutcome.FAIL, None
         learning = None
         if learning_store is not None:
             learning = LearningContext(
                 estg=learning_store,
-                prop_fp=self._prop_fingerprint(compiled),
+                prop_fp=prop_fp,
                 target_frame=target_frame,
                 base_trail_mark=self._restore_savepoint[0][0],
             )
         search = self._run_justifier(model, compiled, learning)
-        if memo_safe and search.outcome is JustifyOutcome.FAIL:
-            learning_store.record_proven_fail(search_fp, target_frame)
+        if learning_store is not None and search.outcome is JustifyOutcome.FAIL:
+            learning_store.record_proven_fail(prop_fp, target_frame)
         return search.outcome, search
 
     def _assert_requirements(

@@ -43,6 +43,7 @@ def statistics_to_dict(statistics) -> Dict[str, object]:
         "implications": statistics.implications,
         "arithmetic_calls": statistics.arithmetic_calls,
         "solver_cores": statistics.solver_cores,
+        "unproven_leaves": statistics.unproven_leaves,
         "solver_cores_learned": statistics.solver_cores_learned,
         "solver_core_hits": statistics.solver_core_hits,
         "kb_solver_cores_loaded": statistics.kb_solver_cores_loaded,

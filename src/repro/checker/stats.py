@@ -30,6 +30,9 @@ class CheckStatistics:
     justified_cache_misses: int = 0
     #: datapath solver calls refuted with an infeasibility certificate.
     solver_cores: int = 0
+    #: datapath leaves the justifier could not close within its branching
+    #: budget; a search with any of them ends ``aborted``, never ``holds``.
+    unproven_leaves: int = 0
     #: memoised solver certificates (CheckerOptions.learning): certificates
     #: newly recorded during this check, leaves answered by replaying a
     #: stored certificate instead of re-solving, and -- a gauge like
@@ -69,6 +72,7 @@ class CheckStatistics:
         self.implications += result.implications
         self.arithmetic_calls += result.arithmetic_calls
         self.solver_cores += result.solver_cores
+        self.unproven_leaves += result.unproven_leaves
         self.justify_runs += 1
 
     @property

@@ -37,13 +37,12 @@ class RootCause:
       on it are only reusable for the same property, re-based to the new
       target);
     * ``"base"`` -- part of the base model (initial state values);
-    * ``"solver"`` / ``"completion"`` -- datapath solver choices (their
-      failures are heuristic, so cones containing them are never learned
-      as proofs).  Note the asymmetry with solver *certificates*: a proved
-      :class:`~repro.modsolver.result.Infeasible` answer never assigns
-      anything, so no ``"solver"`` root enters its cone -- the certificate
-      is seeded from the clashing keys directly and analysed like any
-      implication conflict.
+    * ``"solver"`` -- a datapath solver solution assigned at a search
+      leaf.  It is kept only when it justifies every gate, and rolled back
+      before the leaf branches otherwise, so no conflict analysis ever
+      meets it.  A proved :class:`~repro.modsolver.result.Infeasible`
+      answer assigns nothing: the certificate is seeded from the clashing
+      keys directly and analysed like any implication conflict.
     """
 
     __slots__ = ("kind", "key", "cube")

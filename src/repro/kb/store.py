@@ -6,7 +6,7 @@ One :class:`KnowledgeBase` wraps one sqlite file holding, per *model key*
 
 * the model's **learned cubes** -- literals, anchoring metadata (shiftable /
   frame window), property digest scope, derivation source and hit counter;
-* its **proven-FAIL target memos** -- (search fingerprint, target frame)
+* its **proven-FAIL target memos** -- (property fingerprint, target frame)
   pairs whose whole justification search completed with FAIL;
 * its **solver infeasibility cores** (schema v2) -- canonical arithmetic
   problem fingerprints mapped to the conflict core the modular solver
@@ -42,8 +42,10 @@ from repro.bitvector import BV3
 from repro.kb.fingerprints import circuit_snapshot, identity_kb_key
 
 #: current on-disk format version (bump on any incompatible schema change).
-#: v1: cubes + fail memos.  v2: adds the ``solver_cores`` table.
-SCHEMA_VERSION = 2
+#: v1: cubes + fail memos.  v2: adds the ``solver_cores`` table.  v3: fail
+#: memos are keyed by the property digest alone (the ``search_fp`` column
+#: holds the JSON of ``[digest, goal value]``).
+SCHEMA_VERSION = 3
 
 #: seconds sqlite waits on a locked database before raising; concurrent
 #: batch workers flush small transactions, so collisions resolve quickly.
@@ -101,6 +103,12 @@ _MIGRATIONS = {
         " core TEXT NOT NULL,"
         " hits INTEGER NOT NULL DEFAULT 0,"
         " PRIMARY KEY (model_key, fingerprint))",
+    ],
+    2: [
+        # v2 -> v3: fail memos were keyed by the search configuration and
+        # may come from heuristic (non-proof) searches; drop them.  Cubes
+        # and solver cores were only ever learned from proofs and stay.
+        "DELETE FROM fail_memos",
     ],
 }
 
@@ -325,12 +333,12 @@ class KnowledgeBase:
             if estg.adopt_kb_cube(cube, fingerprint):
                 cubes_loaded += 1
         memos_loaded = 0
-        for search_json, target_frame in memo_rows:
+        for memo_json, target_frame in memo_rows:
             try:
-                search_fp = _freeze(json.loads(search_json))
+                prop_fp = _freeze(json.loads(memo_json))
             except (ValueError, TypeError):
                 continue
-            if estg.adopt_kb_fail(search_fp, int(target_frame)):
+            if estg.adopt_kb_fail(prop_fp, int(target_frame)):
                 memos_loaded += 1
         for fingerprint, core_json, hits in core_rows:
             core = self._parse_core(core_json, circuit)
@@ -404,7 +412,7 @@ class KnowledgeBase:
 
         Returns the number of cube rows written (0 when disabled).  Only
         cubes whose literals all name snapshot nets are persisted; memos are
-        written whenever their search fingerprint JSON-round-trips.  Safe to
+        written whenever their property fingerprint JSON-round-trips.  Safe to
         call repeatedly -- merging is idempotent.
         """
         if self.disabled or self._conn is None:

@@ -10,8 +10,9 @@ grouped by bit width.
 
 Partial knowledge from implication is preserved in two ways: fully known
 operands become constants in the equations, and partially known operands
-carry their cube so that candidate solutions from the solver can be checked
-against the already-implied bits.
+carry their cube so that a solution breaking the already-implied bits is
+answered :class:`~repro.modsolver.result.Unknown` (the justifier then
+branches on those bits).
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ from repro.modsolver.nonlinear import NonlinearConstraint, NonlinearSolver
 from repro.modsolver.result import Infeasible, Solution, Unknown
 from repro.netlist.arith import Adder, Multiplier, ShiftLeft, ShiftRight, Subtractor
 from repro.netlist.gates import BufGate, ConstGate
-
-#: solver re-invocations spent reconciling a solution with partially
-#: implied cubes (the bounded completion retry of :meth:`_solve_width`).
-PARTIAL_CUBE_RETRY_BUDGET = 8
-
 
 @dataclass
 class ArithmeticProblem:
@@ -73,8 +69,7 @@ class ArithmeticProblem:
         """Solve every extracted constraint group (typed result).
 
         Widths are solved independently; the non-linear constraints of each
-        width are handled by :class:`NonlinearSolver`.  Candidate solutions
-        are filtered against the partially-implied cubes.  Returns
+        width are handled by :class:`NonlinearSolver`.  Returns
 
         * :class:`~repro.modsolver.result.Solution` with one combined
           assignment when every group is satisfiable,
@@ -82,8 +77,8 @@ class ArithmeticProblem:
           core when some group is *proved* contradictory (any single
           infeasible group certifies the whole problem), or
         * :class:`~repro.modsolver.result.Unknown` when a group ran out of
-          budget or no in-budget candidate respected the partial cubes --
-          never a proof, so callers must not learn from it.
+          budget or its solution broke a partially implied cube -- never
+          a proof, so callers must not learn from it.
         """
         solver = NonlinearSolver(budget=budget, enumeration_limit=enumeration_limit)
         combined: Dict[Hashable, int] = {}
@@ -111,8 +106,8 @@ class ArithmeticProblem:
         nonlinear: List[NonlinearConstraint],
         width: int,
     ) -> Union[Solution, Infeasible, Unknown]:
-        # Pin fully known variables, and try a small set of completions for
-        # partially known ones (their cube's min/max completions).
+        # Pin fully known variables; partially known ones are checked
+        # against the solution.
         fixed: Dict[Hashable, int] = {}
         partial: List[Hashable] = []
         for var in set(linear.variables) | {
@@ -131,61 +126,11 @@ class ArithmeticProblem:
         result = solver.solve(linear, nonlinear, fixed=fixed)
         if not isinstance(result, Solution):
             return result
-        return self._respect_partial_cubes(
-            solver, linear, nonlinear, fixed, partial, result.assignment
-        )
-
-    def _respect_partial_cubes(
-        self,
-        solver: NonlinearSolver,
-        linear: ModularLinearSystem,
-        nonlinear: List[NonlinearConstraint],
-        fixed: Dict[Hashable, int],
-        partial: List[Hashable],
-        solution: Dict[Hashable, int],
-    ) -> Union[Solution, Unknown]:
-        """Reconcile a solution with the partially implied cubes.
-
-        Each violating variable is retried with *both* of its cube's
-        boundary completions (min and max), depth-first, bounded by
-        :data:`PARTIAL_CUBE_RETRY_BUDGET` solver re-invocations.  The pins
-        are heuristic choices, so a failure here -- including an infeasible
-        pinned system -- is only ever :class:`Unknown`, never a certificate.
-        """
-        budget = [PARTIAL_CUBE_RETRY_BUDGET]
-
-        def refine(
-            pinned: Dict[Hashable, int], candidate: Dict[Hashable, int]
-        ) -> Optional[Solution]:
-            violating = [
-                var
-                for var in partial
-                if var in candidate and not self.cubes[var].contains_int(candidate[var])
-            ]
-            if not violating:
-                return Solution(candidate)
-            var = violating[0]
-            completions = []
-            for value in (self.cubes[var].min_value(), self.cubes[var].max_value()):
-                if value not in completions:
-                    completions.append(value)
-            for value in completions:
-                if budget[0] <= 0:
-                    return None
-                budget[0] -= 1
-                attempt = dict(pinned)
-                attempt[var] = value
-                result = solver.solve(linear, nonlinear, fixed=attempt)
-                if isinstance(result, Solution):
-                    refined = refine(attempt, result.assignment)
-                    if refined is not None:
-                        return refined
-            return None
-
-        refined = refine(dict(fixed), solution)
-        if refined is None:
-            return Unknown("completion")
-        return refined
+        if any(not self.cubes[var].contains_int(result.assignment[var])
+               for var in partial if var in result.assignment):
+            # The justifier branches on the partially known words instead.
+            return Unknown("solution violates a partially implied cube")
+        return result
 
 
 class DatapathConstraintExtractor:
@@ -199,7 +144,7 @@ class DatapathConstraintExtractor:
 
         Only arithmetic primitives contribute constraints; other node types
         are ignored (their requirements are handled by implication and by the
-        completion phase of the justifier).
+        justifier's leaf branching).
 
         The extraction closes over the *connected arithmetic network*: any
         arithmetic node sharing a still-undetermined variable with an already

@@ -317,6 +317,8 @@ class Circuit:
     # Comparators
     # ------------------------------------------------------------------
     def _compare(self, op: str, a: Operand, b: Operand, name: Optional[str]) -> Net:
+        if isinstance(a, Net) and a is b:
+            return self.const(1 if op in ("==", "<=", ">=") else 0, 1, name)
         width = self._operand_width([a, b])
         out = self.new_net(name, 1, NetKind.CONTROL)
         self._register(

@@ -11,6 +11,7 @@ from repro.atpg import (
     legal_one_probabilities,
 )
 from repro.atpg.estg import covers
+from repro.atpg import justify as justify_module
 from repro.atpg.justify import JustifierLimits
 from repro.bitvector import BV3
 from repro.bitvector.bv3 import bv
@@ -265,80 +266,75 @@ def test_estg_covers_empty_and_missing_registers():
 
 
 # ----------------------------------------------------------------------
-# Datapath completion: budget goes to datapath nodes first
+# Datapath leaves: solver once, then branching on input-word bits
 # ----------------------------------------------------------------------
-def _mixed_completion_model():
-    """Control OR (built first, so earlier in canonical order) plus a
-    datapath comparator, both unjustified, both completable."""
-    circuit = Circuit("mixed")
-    c1 = circuit.input("c1", 1)
-    c2 = circuit.input("c2", 1)
-    ctl = circuit.or_(c1, c2, name="ctl")
-    x = circuit.input("x", 8)
-    probe = circuit.ne(x, 3, name="probe")
-    circuit.output(ctl)
-    circuit.output(probe)
+def _leaf_model(width, build_bad):
+    """One frame whose only requirement is ``bad == 1`` on word inputs."""
+    circuit = Circuit("leaf")
+    x = circuit.input("x", width)
+    y = circuit.input("y", width)
+    bad = build_bad(circuit, x, y)
+    circuit.output(bad)
     model = UnrolledModel(circuit, 1)
-    model.assign(ctl, 0, BV3.from_int(1, 1), propagate=False)
-    model.assign(probe, 0, BV3.from_int(1, 1), propagate=False)
-    model.engine.propagate()
+    model.assign(bad, 0, BV3.from_int(1, 1))
     return circuit, model
 
 
-def test_completion_budget_serves_datapath_nodes_first():
-    """Regression: with a single completion attempt the budget must go to
-    the datapath comparator's key, not to the control OR that precedes it
-    in canonical node order (the old scan burnt attempts on control)."""
-    circuit, model = _mixed_completion_model()
-    justifier = Justifier(model, limits=JustifierLimits(completion_attempts=1))
-    justifier._complete_datapath()
-    assert model.value(circuit.net("x"), 0).is_fully_known()
-    assert model.value(circuit.net("c1"), 0).bit(0) is None
-    assert model.value(circuit.net("c2"), 0).bit(0) is None
+def test_datapath_leaf_branches_to_a_solution():
+    """``(y < 7) & (y > 0)`` has no control decision and no arithmetic for
+    the solver; the leaf branches on the bits of ``y`` and finds a value
+    that min/max completion (0 or 255) never could."""
+    circuit, model = _leaf_model(
+        8, lambda c, x, y: c.and_(c.lt(y, 7), c.gt(y, 0))
+    )
+    result = Justifier(model).run()
+    assert result.outcome is JustifyOutcome.SUCCESS
+    assert result.decisions > 0 and result.unproven_leaves == 0
+    assert 0 < model.value(circuit.net("y"), 0).min_value() < 7
 
 
-def test_completion_clears_mixed_set_within_datapath_sized_budget():
-    """One attempt per datapath key plus one control fallback completes the
-    mixed set; the old control-first order needed control + datapath."""
-    circuit, model = _mixed_completion_model()
-    justifier = Justifier(model, limits=JustifierLimits(completion_attempts=2))
-    assert justifier._complete_datapath()
-    assert not justifier._unjustified()
+def test_leaf_branch_takes_the_msb_of_a_free_word():
+    circuit, model = _leaf_model(
+        8, lambda c, x, y: c.and_(c.lt(y, 7), c.gt(y, 0))
+    )
+    candidate = Justifier(model)._bit_candidate()
+    assert candidate.key == model.key(circuit.net("y"), 0)
+    # y < 7 already implies the top bits are 0; the branch takes the most
+    # significant bit still unknown.
+    known = model.value(circuit.net("y"), 0).known
+    assert known and candidate.bit == (0xFF & ~known).bit_length() - 1
+    assert candidate.cube(1).bit(candidate.bit) == 1
+    assert candidate.cube(1).num_known() == 1
 
 
-def test_completion_still_serves_control_only_sets():
-    """Control nodes without decision freedom keep their completion path
-    once the datapath is clear (the fallback must not disappear)."""
-    circuit = Circuit("ctlonly")
-    c1 = circuit.input("c1", 1)
-    c2 = circuit.input("c2", 1)
-    ctl = circuit.or_(c1, c2, name="ctl")
-    circuit.output(ctl)
-    model = UnrolledModel(circuit, 1)
-    model.assign(ctl, 0, BV3.from_int(1, 1), propagate=False)
-    model.engine.propagate()
-    justifier = Justifier(model, limits=JustifierLimits(completion_attempts=1))
-    assert justifier._complete_datapath()
+def test_leaf_contradiction_is_proved_by_branching():
+    """``(x > y) & (y >= x)`` at 4 bits: both branches of every bit fail,
+    so the FAIL is a proof (no unproven leaf)."""
+    _circuit, model = _leaf_model(
+        4, lambda c, x, y: c.and_(c.gt(x, y), c.ge(y, x))
+    )
+    result = Justifier(model).run()
+    assert result.outcome is JustifyOutcome.FAIL
+    assert result.unproven_leaves == 0
 
 
-def test_failed_datapath_leaf_restores_decision_levels():
-    """Regression: a failed datapath leaf must roll back every completion
-    level it opened -- a dangling level would make the enclosing decision's
-    backtrack undo the wrong refinements."""
-    circuit = Circuit("leak")
-    x = circuit.input("x", 8)
-    y = circuit.input("y", 8)
-    circuit.output(circuit.ne(x, 3, name="p1"))
-    circuit.output(circuit.ne(y, 4, name="p2"))
-    model = UnrolledModel(circuit, 1)
-    model.assign(circuit.net("p1"), 0, BV3.from_int(1, 1), propagate=False)
-    model.assign(circuit.net("p2"), 0, BV3.from_int(1, 1), propagate=False)
-    model.engine.propagate()
-    # One attempt completes only the first probe, so the leaf fails with a
-    # completion level opened mid-way.
-    justifier = Justifier(model, limits=JustifierLimits(completion_attempts=1))
+def test_failed_datapath_leaf_restores_decision_levels(monkeypatch):
+    """A leaf that exhausts its branching budget must roll back every
+    level it opened -- a dangling level would make the enclosing
+    decision's backtrack undo the wrong refinements -- and count itself as
+    unproven, which turns the search's FAIL into ABORT."""
+    monkeypatch.setattr(justify_module, "LEAF_BACKTRACK_BUDGET", 2)
+    circuit, model = _leaf_model(
+        8, lambda c, x, y: c.and_(c.gt(x, y), c.ge(y, x))
+    )
+    justifier = Justifier(model)
     before = model.engine.assignment.decision_level
-    feasible, facts = justifier._datapath_feasible()
-    assert not feasible and facts is None
+    outcome, facts = justifier._datapath_leaf(0)
+    assert outcome is JustifyOutcome.FAIL and facts is None
+    assert justifier.unproven_leaves == 1
     assert model.engine.assignment.decision_level == before
-    assert not model.value(circuit.net("x"), 0).is_fully_known()
+    assert model.value(circuit.net("x"), 0).is_fully_unknown()
+    assert model.value(circuit.net("y"), 0).is_fully_unknown()
+    result = Justifier(model).run()
+    assert result.outcome is JustifyOutcome.ABORT
+    assert result.unproven_leaves == 1

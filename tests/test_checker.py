@@ -72,14 +72,32 @@ def test_combinational_assertion_failure_found():
     assert result.counterexample.validated
 
 
-def test_combinational_assertion_holds():
+def _doubler():
     circuit = Circuit("c")
     a = circuit.input("a", 4)
-    doubled = circuit.add(a, a)
-    circuit.output(doubled, name="doubled")
-    checker = AssertionChecker(circuit)
-    result = checker.check(Assertion("even", (Signal("doubled") & 1) == 0))
+    doubled = circuit.output(circuit.add(a, a), name="doubled")
+    circuit.bit(doubled, 0, name="doubled_lsb")
+    return circuit
+
+
+def test_combinational_assertion_holds():
+    """``a + a`` is even: its least significant bit is always 0."""
+    checker = AssertionChecker(_doubler())
+    result = checker.check(Assertion("even", Signal("doubled_lsb") == 0))
     assert result.status is CheckStatus.HOLDS
+
+
+def test_logical_and_with_one_is_not_a_parity_test():
+    """``doubled & 1`` is a *logical* And, so the property says
+    ``doubled == 0``, which a = 1 refutes.  This spelling used to answer
+    ``holds`` because the datapath leaf was closed by min/max guessing."""
+    prop = Assertion("even", (Signal("doubled") & 1) == 0)
+    result = AssertionChecker(_doubler()).check(prop)
+    assert result.status is CheckStatus.FAILS
+    assert result.counterexample.validated
+    assert result.counterexample.inputs[0]["a"] % 8 != 0
+    sat = SATBoundedChecker(_doubler(), max_frames=1).check(prop)
+    assert sat.status is CheckStatus.FAILS
 
 
 # ----------------------------------------------------------------------

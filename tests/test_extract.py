@@ -111,7 +111,7 @@ def test_empty_extraction():
 
 
 # ----------------------------------------------------------------------
-# Typed results: certificates, budget exhaustion and cube completions
+# Typed results: certificates, budget exhaustion and partial cubes
 # ----------------------------------------------------------------------
 def test_extracted_infeasibility_carries_engine_keys():
     """The p15 shape: three adders whose implied outputs are mutually
@@ -155,23 +155,9 @@ def test_budget_exhausted_problem_answers_unknown():
     assert isinstance(result, Unknown)
 
 
-def test_partial_cube_retry_explores_both_completions():
-    """Regression (satellite): a system satisfiable only at a violating
-    variable's max_value() must be solved on the first violation -- the old
-    retry pinned min on even attempts and never revisited the choice."""
-    problem = ArithmeticProblem()
-    system = ModularLinearSystem(4)
-    system.add_constraint({"x": 2}, 14)   # x in {7, 15}
-    problem.linear_by_width[4] = system
-    problem.cubes["x"] = bv("11xx")       # x in {12..15}: only 15 fits
-    result = problem.solve()
-    assert isinstance(result, Solution)
-    assert result.assignment["x"] == 15
-
-
 def test_partial_cube_retry_failure_is_unknown():
-    """When no boundary completion fits, the answer is Unknown (the pins
-    are heuristic choices), not a certificate."""
+    """A solution that breaks a partially implied cube is Unknown, not a
+    certificate: the justifier branches on the cube's unknown bits."""
     problem = ArithmeticProblem()
     system = ModularLinearSystem(4)
     system.add_constraint({"x": 2}, 12)   # x in {6, 14}

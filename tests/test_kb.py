@@ -184,19 +184,22 @@ def test_cross_process_roundtrip_via_cli(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Memo keys stay stable across releases
+# Memo keys stay stable across releases; v2 stores migrate to v3
 # ----------------------------------------------------------------------
-#: ``json.dumps`` of p5's proven-FAIL memo key under default options, as
-#: written to the ``fail_memos.search_fp`` column by releases that still
-#: had the cube-hit ordering switch.  The third element is that switch's
-#: old (default-off) slot; stores written then must keep matching.
-P5_SEARCH_FP_JSON = (
+#: ``json.dumps`` of p5's proven-FAIL memo key, as written to the
+#: ``fail_memos.search_fp`` column since schema v3: the normalised property
+#: digest and the goal value, the key learned cubes are scoped by.
+P5_MEMO_KEY_JSON = "[8982715274654717957, 0]"
+
+#: A p5 memo key as schema v2 wrote it: the property spelling plus the
+#: search configuration.
+P5_V2_MEMO_KEY_JSON = (
     "[[8982715274654717957, 0], true, false, 0, 2000, "
     "[200000, 50000, 5000, 64, 8, 256]]"
 )
 
 
-def test_search_fingerprint_json_is_stable():
+def test_fail_memo_key_json_is_stable():
     case = build_case("p5")
     checker = AssertionChecker(
         case.circuit,
@@ -205,7 +208,52 @@ def test_search_fingerprint_json_is_stable():
         model_cache=UnrolledModelCache(),
     )
     compiled = checker.compiler.compile(case.prop)
-    assert json.dumps(checker._search_fingerprint(compiled)) == P5_SEARCH_FP_JSON
+    assert json.dumps(checker._prop_fingerprint(compiled)) == P5_MEMO_KEY_JSON
+
+
+def test_v2_store_opens_as_v3_without_its_fail_memos(tmp_path):
+    """v2 memos were keyed by the search configuration and may come from
+    heuristic searches, so the v3 migration drops them; cubes were only
+    ever learned from proofs, so they stay, load and keep pruning."""
+    written = tmp_path / "written.db"
+    _, _, _, cold = _sweep_p14(str(written))
+    legacy = str(tmp_path / "legacy.db")
+    shutil.copy(written, legacy)
+    conn = sqlite3.connect(legacy)
+    conn.execute("UPDATE kb_meta SET value = '2' WHERE key = 'schema_version'")
+    (model_key,) = conn.execute("SELECT model_key FROM models").fetchone()
+    conn.execute(
+        "INSERT INTO fail_memos(model_key, search_fp, target_frame) VALUES(?, ?, 0)",
+        (model_key, P5_V2_MEMO_KEY_JSON),
+    )
+    conn.commit()
+    (cubes,) = conn.execute("SELECT COUNT(*) FROM cubes").fetchone()
+    (memos,) = conn.execute("SELECT COUNT(*) FROM fail_memos").fetchone()
+    conn.close()
+    assert cubes > 0 and memos > 1
+
+    store = KnowledgeBase(legacy)
+    try:
+        assert not store.disabled
+        stats = store.stats()
+        assert stats["schema_version"] == SCHEMA_VERSION == 3
+        assert stats["cubes"] == cubes
+        assert stats["fail_memos"] == 0
+    finally:
+        store.close()
+    conn = sqlite3.connect(legacy)
+    try:
+        assert conn.execute(
+            "SELECT value FROM kb_meta WHERE key = 'schema_version'"
+        ).fetchone() == ("3",)
+    finally:
+        conn.close()
+
+    _, _, _, warm = _sweep_p14(legacy)
+    assert [r.status for r in warm] == [r.status for r in cold]
+    assert warm[0].statistics.kb_cubes_loaded > 0
+    assert warm[0].statistics.targets_skipped == 0
+    assert sum(r.statistics.kb_hits for r in warm) > 0
 
 
 def _golden_circuit():

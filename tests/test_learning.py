@@ -16,13 +16,13 @@ from repro.atpg.justify import Justifier
 from repro.atpg.timeframe import UnrolledModel
 from repro.bitvector import BV3
 from repro.bitvector.bv3 import bv
-from repro.checker import AssertionChecker, CheckerOptions
+from repro.checker import AssertionChecker, CheckerOptions, CheckStatus
 from repro.checker.incremental import UnrolledModelCache
 from repro.checker.report import statistics_to_dict
 from repro.circuits import all_case_ids, build_case, build_token_ring, extended_case_ids
 from repro.implication.assignment import ImplicationConflict, RootCause
 from repro.implication.engine import ImplicationEngine, ImplicationNode
-from repro.properties import Assertion, OneHot, Signal, Witness
+from repro.properties import And, Assertion, OneHot, Signal, Witness
 
 from test_bitparallel import build_random_circuit
 
@@ -160,41 +160,77 @@ def test_deep_witness_found_after_assertion_checks_share_the_model():
     _assert_equivalent(run(True), run(False))
 
 
-def test_fail_memo_is_keyed_by_search_configuration():
-    """FAIL verdicts come out of a decision-order-dependent procedure, so a
-    differently configured checker must not consume them."""
-    case = build_case("p2")
+def _memo_pair(case_id, first_options, second_options, second_prop=None):
+    """Check a zoo case with two checkers sharing one model cache."""
+    case = build_case(case_id)
     cache = UnrolledModelCache()
-    AssertionChecker(
-        case.circuit, environment=case.environment,
-        initial_state=case.initial_state,
-        options=CheckerOptions(max_frames=case.max_frames, use_bias=True),
-        model_cache=cache,
-    ).check(case.prop)
-    other = AssertionChecker(
-        case.circuit, environment=case.environment,
-        initial_state=case.initial_state,
-        options=CheckerOptions(max_frames=case.max_frames, use_bias=False),
-        model_cache=cache,
-    ).check(case.prop)
-    assert other.statistics.targets_skipped == 0
+    results = []
+    for options, prop in ((first_options, case.prop),
+                          (second_options, second_prop or case.prop)):
+        checker = AssertionChecker(
+            case.circuit, environment=case.environment,
+            initial_state=case.initial_state,
+            options=CheckerOptions(max_frames=case.max_frames, **options),
+            model_cache=cache,
+        )
+        results.append(checker.check(prop))
+    model, _ = cache.acquire(case.circuit, checker.lowered)
+    return results, model
 
 
-def test_fail_memo_not_written_under_heuristic_estg():
-    """FSM guidance prunes with facts the memo key does not record; its
-    verdicts must stay out of the shared proven-FAIL memo."""
-    case = build_case("p2")
+def test_fail_memo_transfers_across_use_bias():
+    """Every FAIL is a proof, so the decision order that reached it does
+    not matter: a checker without the bias ordering reuses the memos."""
+    (first, second), _model = _memo_pair("p2", {"use_bias": True}, {"use_bias": False})
+    assert second.status is first.status
+    assert second.statistics.targets_skipped == first.frames_explored
+    assert second.statistics.decisions == 0
+
+
+@pytest.mark.parametrize("guided_first", [True, False])
+def test_fail_memo_transfers_across_fsm_guidance(guided_first):
+    """FSM guidance prunes only FSM-unreachable states, so its FAILs are
+    theorems too: memos are written under guidance and flow both ways."""
+    guided = {"use_local_fsm_guidance": True}
+    first_options, second_options = (guided, {}) if guided_first else ({}, guided)
+    (first, second), model = _memo_pair("p2", first_options, second_options)
+    assert model.estg.proven_fail_targets
+    assert second.status is first.status
+    assert second.statistics.targets_skipped == first.frames_explored
+
+
+def test_fail_memo_transfers_across_equivalent_spellings():
+    """Memos are keyed by the normalised property digest, like cubes."""
+    case = build_case("p9")
+    commuted = Assertion("commuted", And(*reversed(case.prop.expr.terms)))
+    (first, second), _model = _memo_pair("p9", {}, {}, second_prop=commuted)
+    assert first.status is CheckStatus.HOLDS
+    assert second.status is CheckStatus.HOLDS
+    assert second.statistics.targets_skipped == first.frames_explored
+
+
+def test_unproven_leaf_aborts_and_writes_no_memo(monkeypatch):
+    """A leaf that exhausts its branching budget makes the check
+    ``aborted`` (never ``holds``), is reported in the statistics and the
+    JSON report, and leaves no proven-FAIL memo behind."""
+    from repro.atpg import justify
+    from repro.checker.report import result_to_dict
+    from repro.netlist import Circuit
+
+    monkeypatch.setattr(justify, "LEAF_BACKTRACK_BUDGET", 2)
+    circuit = Circuit("contradiction")
+    x = circuit.input("x", 8)
+    y = circuit.input("y", 8)
+    circuit.output(circuit.and_(circuit.gt(x, y), circuit.ge(y, x)), name="bad")
     cache = UnrolledModelCache()
     checker = AssertionChecker(
-        case.circuit, environment=case.environment,
-        initial_state=case.initial_state,
-        options=CheckerOptions(
-            max_frames=case.max_frames, use_local_fsm_guidance=True
-        ),
-        model_cache=cache,
+        circuit, options=CheckerOptions(max_frames=1), model_cache=cache
     )
-    checker.check(case.prop)
-    model, _ = cache.acquire(case.circuit, checker.lowered)
+    result = checker.check(Assertion("nobad", Signal("bad") == 0))
+    assert result.status is CheckStatus.ABORTED
+    assert result.statistics.unproven_leaves > 0
+    assert result_to_dict(result)["unproven_leaves"] == result.statistics.unproven_leaves
+    model, _ = cache.acquire(circuit, checker.lowered)
     assert not model.estg.proven_fail_targets
 
 
@@ -622,32 +658,37 @@ def _unknowable_mul_circuit():
 @pytest.mark.parametrize("arithmetic_budget", [1, 256])
 def test_budget_exhausted_solver_results_never_learn(arithmetic_budget):
     """Regression (satellite): a budget-exhausted (Unknown) solver answer
-    must never install a learned cube -- it proves nothing.  budget=1 pins
-    the NonlinearSolver(budget=1) start; the default budget exhausts the
-    incomplete factor enumeration instead, with the same obligation."""
+    proves nothing, so it must never become a datapath cube or a memoised
+    solver core.  budget=1 pins the NonlinearSolver(budget=1) start; the
+    default budget exhausts the incomplete factor enumeration instead.  The
+    leaves are closed by branching, whose "resolution" cubes are sound:
+    the verdicts match the learning-off search at every bound."""
     from repro.atpg.justify import JustifierLimits
     from repro.properties import And, Not
 
-    circuit = _unknowable_mul_circuit()
     prop = Assertion(
         "sentinel",
         Not(And(Signal("product") == 6, Signal("total") == 0)),
     )
-    cache = UnrolledModelCache()
-    checker = AssertionChecker(
-        circuit,
-        options=CheckerOptions(
-            max_frames=3,
-            limits=JustifierLimits(arithmetic_budget=arithmetic_budget),
-        ),
-        model_cache=cache,
-    )
-    results = [checker.check(prop, max_frames=bound) for bound in (1, 2, 3)]
+
+    def sweep(learning):
+        circuit = _unknowable_mul_circuit()
+        checker = AssertionChecker(
+            circuit,
+            options=CheckerOptions(
+                max_frames=3,
+                learning=learning,
+                limits=JustifierLimits(arithmetic_budget=arithmetic_budget),
+            ),
+            model_cache=UnrolledModelCache(),
+        )
+        return [checker.check(prop, max_frames=bound) for bound in (1, 2, 3)]
+
+    results = sweep(True)
+    _assert_equivalent(results, sweep(False))
     assert all(result.status.value == "holds" for result in results)
-    model, _ = cache.acquire(circuit, checker.lowered)
-    assert not model.estg.learned_cubes
-    assert model.estg.datapath_cubes_learned == 0
     for result in results:
         assert result.statistics.solver_cores == 0
-        assert result.statistics.cubes_learned == 0
         assert result.statistics.datapath_cubes_learned == 0
+        assert result.statistics.solver_cores_learned == 0
+        assert result.statistics.unproven_leaves == 0
