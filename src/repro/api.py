@@ -58,8 +58,10 @@ from repro.properties.spec import Assertion, Property, Witness
 REQUEST_SCHEMA = "repro-check-request/v1.1"
 #: JSON schema tag of the serialised report.  v1.1 dropped the duplicate
 #: ``stats["cpu_seconds"]`` of single-engine verdicts (the verdict's own
-#: ``wall_seconds`` carries that value); v1 reports still parse.
-REPORT_SCHEMA = "repro-check-report/v1.1"
+#: ``wall_seconds`` carries that value); v1.2 dropped the three solver-core
+#: memo counters (``solver_cores_learned``, ``solver_core_hits``,
+#: ``kb_solver_cores_loaded``).  Older reports still parse.
+REPORT_SCHEMA = "repro-check-report/v1.2"
 
 
 class RequestError(ValueError):

@@ -12,9 +12,11 @@ Every fact our ESTG keeps is a sound theorem about the model:
   illegal state cubes; learned cubes prune the search as constraint nodes;
 * a *proven-FAIL target memo* -- (property, target frame) pairs whose whole
   justification search failed, so re-checking the same target at a deeper
-  bound can skip the search entirely;
-* *solver cores* (:class:`SolverCore`) -- memoised datapath-solver
-  infeasibility certificates.
+  bound can skip the search entirely.
+
+A datapath-solver infeasibility certificate needs no store of its own: it is
+analysed like an implication conflict, so it leaves a ``"datapath"`` cube,
+and the search it closes leaves a proven-FAIL memo.  Both replay it.
 
 The graph rides a cached :class:`~repro.atpg.timeframe.UnrolledModel` (see
 :mod:`repro.checker.incremental`), so its facts persist across *bounds*,
@@ -120,28 +122,8 @@ class LearnedCube:
         return [(net, position, cube) for net, position, cube in self.literals]
 
 
-@dataclass
-class SolverCore:
-    """A memoised datapath-solver infeasibility certificate.
-
-    Keyed (in :attr:`ExtendedStateTransitionGraph.solver_cores`) by the
-    canonical fingerprint of the extracted :class:`~repro.modsolver.extract.ArithmeticProblem`
-    (see :func:`repro.atpg.justify.problem_fingerprint`).  ``core`` holds
-    the certificate's engine keys as ``(net name, frame)`` pairs -- the
-    name-based form both serialises to the knowledge base and rebuilds
-    into live keys on any model of the same circuit.
-    """
-
-    core: Tuple[Tuple[str, int], ...]
-    hits: int = 0
-    #: True for cores installed from the persistent knowledge base; their
-    #: replays count as ``kb_hits``.
-    from_kb: bool = False
-
-
 class ExtendedStateTransitionGraph:
-    """Learned cubes, proven-FAIL memos and solver cores of one unrolled
-    model."""
+    """Learned cubes and proven-FAIL memos of one unrolled model."""
 
     def __init__(self, max_learned_cubes: int = 256):
         self.max_learned_cubes = max_learned_cubes
@@ -168,14 +150,6 @@ class ExtendedStateTransitionGraph:
         #: the installed cube that raised the most recent conflict, consumed
         #: by conflict analysis so derived facts inherit its provenance.
         self.last_fired: Optional[LearnedCube] = None
-        #: datapath infeasibility certificates memoised by canonical problem
-        #: fingerprint; an LRU like the learned cubes.  A hit replays the
-        #: stored certificate instead of re-running the modular solver.
-        self.max_solver_cores = 128
-        self.solver_cores: "OrderedDict[str, SolverCore]" = OrderedDict()
-        self.solver_cores_learned = 0
-        self.solver_core_hits = 0
-        self.kb_solver_cores_loaded = 0
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -250,60 +224,6 @@ class ExtendedStateTransitionGraph:
         self.kb_cubes_loaded += 1
         return True
 
-    def record_solver_core(
-        self, fingerprint: str, core: Tuple[Tuple[str, int], ...]
-    ) -> bool:
-        """Memoise a fresh infeasibility certificate (LRU, deduplicated).
-
-        Returns ``True`` when the fingerprint was new; re-recording an
-        existing one only refreshes its LRU position.
-        """
-        existing = self.solver_cores.get(fingerprint)
-        if existing is not None:
-            self.solver_cores.move_to_end(fingerprint)
-            return False
-        self.solver_cores[fingerprint] = SolverCore(core=tuple(core))
-        self.solver_cores_learned += 1
-        while len(self.solver_cores) > self.max_solver_cores:
-            self.solver_cores.popitem(last=False)
-        return True
-
-    def lookup_solver_core(self, fingerprint: str) -> Optional[SolverCore]:
-        """The memoised certificate for a problem fingerprint, if any.
-
-        A hit refreshes the entry's LRU position and books the hit counters
-        (including knowledge-base attribution for loaded cores).
-        """
-        entry = self.solver_cores.get(fingerprint)
-        if entry is None:
-            return None
-        self.solver_cores.move_to_end(fingerprint)
-        entry.hits += 1
-        self.solver_core_hits += 1
-        if entry.from_kb:
-            self.kb_hits += 1
-        return entry
-
-    def adopt_kb_solver_core(
-        self, fingerprint: str, core: Tuple[Tuple[str, int], ...], hits: int = 0
-    ) -> bool:
-        """Install a solver core loaded from the persistent knowledge base.
-
-        Mirrors :meth:`adopt_kb_cube`: no learning counters, merge keeps
-        the maximum hit count, and the load never evicts live entries.
-        """
-        existing = self.solver_cores.get(fingerprint)
-        if existing is not None:
-            existing.hits = max(existing.hits, hits)
-            return False
-        if len(self.solver_cores) >= self.max_solver_cores:
-            return False
-        self.solver_cores[fingerprint] = SolverCore(
-            core=tuple(core), hits=hits, from_kb=True
-        )
-        self.kb_solver_cores_loaded += 1
-        return True
-
     def adopt_kb_fail(self, prop_fp: object, target_frame: int) -> bool:
         """Install a proven-FAIL memo entry loaded from the knowledge base.
 
@@ -354,10 +274,6 @@ class ExtendedStateTransitionGraph:
             "proven_fail_targets": len(self.proven_fail_targets),
             "kb_cubes_loaded": self.kb_cubes_loaded,
             "kb_hits": self.kb_hits,
-            "solver_cores": len(self.solver_cores),
-            "solver_cores_learned": self.solver_cores_learned,
-            "solver_core_hits": self.solver_core_hits,
-            "kb_solver_cores_loaded": self.kb_solver_cores_loaded,
         }
 
     def __repr__(self) -> str:

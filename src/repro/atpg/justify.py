@@ -47,7 +47,10 @@ When a :class:`LearningContext` is supplied, the search additionally learns
   initial-state values anchor to absolute frames;
 * stored cubes are installed as pure constraint nodes at the start of each
   later search (retracted with the per-bound goals), pruning any branch that
-  re-enters a combination already proven contradictory.
+  re-enters a combination already proven contradictory;
+* solver answers are not memoised: a leaf that is reached runs the solver
+  once, and a certificate is reused only through the ``"datapath"`` cube it
+  lifts to and the proven-FAIL memo of the search it closes.
 
 Pruning is conflict-only -- learned nodes never refine values -- so a search
 with learning explores a subset of the non-learning search's branches and
@@ -67,13 +70,21 @@ from repro.atpg.timeframe import UnrolledModel, VarKey
 from repro.bitvector import BV3, BV3Conflict
 from repro.implication.assignment import ImplicationConflict, RootCause
 from repro.implication.engine import ImplicationNode
-from repro.modsolver.extract import ArithmeticProblem, DatapathConstraintExtractor
+from repro.modsolver.extract import DatapathConstraintExtractor
 from repro.modsolver.result import Infeasible, Solution
 from repro.netlist.arith import Adder, Multiplier, ShiftLeft, ShiftRight, Subtractor
 
 #: backtracks one datapath leaf may spend branching on input-word bits
 #: before it is given up as unproven.
 LEAF_BACKTRACK_BUDGET = 4096
+
+#: decision candidates collected per search step (the backward-traversal
+#: cut of :func:`~repro.atpg.decisions.find_decision_candidates`).
+DECISION_CUT_LIMIT = 64
+
+#: learned cubes wider than this are not recorded (wide cubes re-fire
+#: rarely and slow down the constraint scan).
+MAX_CUBE_LITERALS = 8
 
 
 class JustifyOutcome(enum.Enum):
@@ -112,7 +123,6 @@ class JustifierLimits:
     max_decisions: int = 200_000
     max_backtracks: int = 50_000
     max_depth: int = 5_000
-    decision_cut_limit: int = 64
     arithmetic_budget: int = 256
 
 
@@ -131,9 +141,6 @@ class LearningContext:
     prop_fp: object
     target_frame: int
     base_trail_mark: int
-    #: learned cubes wider than this are not recorded (wide cubes re-fire
-    #: rarely and slow down the constraint scan).
-    max_cube_literals: int = 8
 
 
 @dataclass
@@ -181,95 +188,18 @@ class _UnprovenLeaf(Exception):
     """Unwinds a branched datapath leaf that cannot be closed."""
 
 
-def problem_fingerprint(problem: ArithmeticProblem) -> str:
-    """Canonical, process-stable fingerprint of an extracted problem.
-
-    Captures everything :meth:`ArithmeticProblem.solve` depends on --
-    constraints *in extraction order* (the solver's variable ordering
-    follows insertion), constants, provenance tags and the partial-knowledge
-    cubes -- with engine keys rendered as ``(net name, frame)``.  Two leaves
-    with the same fingerprint would therefore receive the exact same answer
-    from the solver, which is what lets the justifier replay a memoised
-    infeasibility certificate instead of re-solving.
-    """
-
-    def name_of(key) -> str:
-        return getattr(key[0], "name", None) or repr(key[0])
-
-    def var(value):
-        if isinstance(value, int):
-            return ("c", value)
-        return ("v", name_of(value), value[1])
-
-    def tags(tag_set):
-        # Tags are a frozenset; their order never reaches the solver, so
-        # sorting here is free of behavioural consequence.
-        return tuple(sorted((name_of(key), key[1]) for key in tag_set))
-
-    linear = tuple(
-        (
-            width,
-            tuple(
-                (
-                    tuple(
-                        (name_of(key), key[1], coeff)
-                        for key, coeff in constraint.coefficients.items()
-                    ),
-                    constraint.rhs,
-                    tags(constraint.tags),
-                )
-                for constraint in problem.linear_by_width[width].constraints
-            ),
-        )
-        for width in sorted(problem.linear_by_width)
-    )
-    nonlinear = tuple(
-        (c.kind, var(c.a), var(c.b), var(c.product), c.width, tags(c.tags))
-        for c in problem.nonlinear
-    )
-    cubes = tuple(
-        (name_of(key), key[1], cube.width, cube.known, cube.value)
-        for key, cube in problem.cubes.items()
-    )
-    return repr((linear, nonlinear, cubes))
-
-
-def _make_cube_rule(required: List[BV3], store: ExtendedStateTransitionGraph,
-                    cube: LearnedCube):
+def _make_packed_cube_rule(required: List[BV3], store: ExtendedStateTransitionGraph,
+                           cube: LearnedCube):
     """Build the conflict-only rule of one installed learned cube.
 
     The rule raises exactly when the current assignment entails every
     literal; it never refines a value, so installed cubes can only remove
-    branches that are already contradictory.
-    """
-
-    def rule(cubes: List[BV3]) -> List[BV3]:
-        for literal, current in zip(required, cubes):
-            if not literal.covers(current):
-                return list(cubes)
-        store.cube_hits += 1
-        if cube.source == "datapath":
-            store.datapath_cube_hits += 1
-        if cube.from_kb:
-            store.kb_hits += 1
-        cube.hits += 1
-        store.touch(cube)
-        store.last_fired = cube
-        raise BV3Conflict("learned illegal cube (%s)" % cube.source)
-
-    return rule
-
-
-def _make_packed_cube_rule(required: List[BV3], store: ExtendedStateTransitionGraph,
-                           cube: LearnedCube):
-    """Compiled-kernel variant of :func:`_make_cube_rule` (a prune *row*).
-
-    The literal cubes are packed once, at install time, into a single
-    (known, value) integer pair with per-literal bit offsets; each
-    evaluation packs the current cubes the same way and decides the whole
-    entailment with two mask operations.  Per disjoint bit range this is
-    exactly the per-literal ``covers`` conjunction, so the rule fires under
-    the same condition, with the same side effects, as the interpreted one.
+    branches that are already contradictory.  The literal cubes are packed
+    once, at install time, into a single (known, value) integer pair with
+    per-literal bit offsets; each evaluation packs the current cubes the
+    same way and decides the whole entailment with two mask operations.
+    Per disjoint bit range this is exactly the per-literal ``covers``
+    conjunction, on either implication engine.
     """
     offsets: List[int] = []
     req_known = 0
@@ -412,15 +342,10 @@ class Justifier:
         self, keys: List[VarKey], required: List[BV3], cube: LearnedCube
     ) -> ImplicationNode:
         """Build and register the prune-only constraint node of one cube."""
-        make_rule = (
-            _make_packed_cube_rule
-            if getattr(self.engine, "is_compiled", False)
-            else _make_cube_rule
-        )
         node = ImplicationNode(
             "learned:%s@%d" % (cube.source, self.learning.target_frame),
             keys,
-            make_rule(required, self.learning.estg, cube),
+            _make_packed_cube_rule(required, self.learning.estg, cube),
             num_outputs=0,
             tag=("learned", cube),
         )
@@ -494,7 +419,7 @@ class Justifier:
         """Lift and store the resolved antecedents of a failed subtree."""
         context = self.learning
         decisions = [root for root in facts.roots if root.kind == "decision"]
-        if not decisions or len(decisions) > context.max_cube_literals:
+        if not decisions or len(decisions) > MAX_CUBE_LITERALS:
             return
         merged: Dict[VarKey, BV3] = {}
         try:
@@ -598,7 +523,7 @@ class Justifier:
         candidates = find_decision_candidates(
             self.model,
             unjustified,
-            limit=limits.decision_cut_limit,
+            limit=DECISION_CUT_LIMIT,
             prove_mode=self.prove_mode,
             use_bias=self.use_bias,
         )
@@ -730,28 +655,9 @@ class Justifier:
             self.arithmetic_calls += 1
             problem = DatapathConstraintExtractor(self.engine).extract(arithmetic_nodes)
             if not problem.is_empty():
-                store = self.learning.estg if self.learning is not None else None
-                fingerprint = None
-                if store is not None:
-                    fingerprint = problem_fingerprint(problem)
-                    memo = store.lookup_solver_core(fingerprint)
-                    if memo is not None:
-                        # Replay the memoised certificate.  The fingerprint
-                        # pins the exact extracted problem, so solve() would
-                        # deterministically return this same core; the leaf
-                        # takes the identical FAIL path without paying for
-                        # the solve.
-                        self.solver_cores += 1
-                        return JustifyOutcome.FAIL, self._certificate_facts(
-                            Infeasible(self._core_keys(memo.core))
-                        )
                 result = problem.solve(budget=self.limits.arithmetic_budget)
                 if isinstance(result, Infeasible):
                     self.solver_cores += 1
-                    if store is not None and result.core:
-                        store.record_solver_core(
-                            fingerprint, self._core_names(result.core)
-                        )
                     return JustifyOutcome.FAIL, self._certificate_facts(result)
                 if isinstance(result, Solution) and self._assign_solution(result):
                     return JustifyOutcome.SUCCESS, None
@@ -808,28 +714,6 @@ class Justifier:
                     visited.add(upstream)
                     queue.append(upstream)
         return None
-
-    @staticmethod
-    def _core_names(core) -> Tuple[Tuple[str, int], ...]:
-        """A certificate's engine keys as sorted, storable (name, frame)s."""
-        return tuple(sorted((key[0].name, key[1]) for key in core))
-
-    def _core_keys(self, names) -> frozenset:
-        """Rebuild engine keys from stored (name, frame) pairs.
-
-        When any name no longer resolves (a stale knowledge-base entry) the
-        whole certificate is withheld from conflict analysis -- an
-        under-seeded cone would miss antecedents and learn an over-general
-        cube.  The empty set makes :meth:`_certificate_facts` learn nothing
-        while the leaf still (correctly) fails.
-        """
-        circuit = self.model.circuit
-        keys = []
-        for name, frame in names:
-            if not circuit.has_net(name):
-                return frozenset()
-            keys.append(self.model.key(circuit.net(name), frame))
-        return frozenset(keys)
 
     # ------------------------------------------------------------------
     # Structurally illegal states (local FSM analysis)

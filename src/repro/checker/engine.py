@@ -319,7 +319,7 @@ class AssertionChecker:
         return (
             store.cubes_learned, store.cubes_lifted, store.cube_hits,
             store.datapath_cubes_learned, store.datapath_cube_hits,
-            store.kb_hits, store.solver_cores_learned, store.solver_core_hits,
+            store.kb_hits,
         )
 
     def _accumulate_learning_counters(self, statistics: CheckStatistics) -> None:
@@ -337,12 +337,9 @@ class AssertionChecker:
         statistics.datapath_cubes_learned += store.datapath_cubes_learned - marks[3]
         statistics.datapath_cube_hits += store.datapath_cube_hits - marks[4]
         statistics.kb_hits += store.kb_hits - marks[5]
-        statistics.solver_cores_learned += store.solver_cores_learned - marks[6]
-        statistics.solver_core_hits += store.solver_core_hits - marks[7]
-        # Gauges, not deltas: how many knowledge-base facts the shared model
-        # carries (every check on a warm model reports the full count).
+        # A gauge, not a delta: how many knowledge-base cubes the shared
+        # model carries (every check on a warm model reports the full count).
         statistics.kb_cubes_loaded = store.kb_cubes_loaded
-        statistics.kb_solver_cores_loaded = store.kb_solver_cores_loaded
 
     def _run_justifier(
         self, model: UnrolledModel, compiled: CompiledProperty,

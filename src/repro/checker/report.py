@@ -44,9 +44,6 @@ def statistics_to_dict(statistics) -> Dict[str, object]:
         "arithmetic_calls": statistics.arithmetic_calls,
         "solver_cores": statistics.solver_cores,
         "unproven_leaves": statistics.unproven_leaves,
-        "solver_cores_learned": statistics.solver_cores_learned,
-        "solver_core_hits": statistics.solver_core_hits,
-        "kb_solver_cores_loaded": statistics.kb_solver_cores_loaded,
         "models_reused": statistics.models_reused,
         "frames_built": statistics.frames_built,
         "compiled_models": statistics.compiled_models,

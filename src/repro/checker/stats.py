@@ -33,17 +33,11 @@ class CheckStatistics:
     #: datapath leaves the justifier could not close within its branching
     #: budget; a search with any of them ends ``aborted``, never ``holds``.
     unproven_leaves: int = 0
-    #: memoised solver certificates (CheckerOptions.learning): certificates
-    #: newly recorded during this check, leaves answered by replaying a
-    #: stored certificate instead of re-solving, and -- a gauge like
-    #: ``kb_cubes_loaded`` -- certificates the model carries from the
-    #: persistent knowledge base.
-    solver_cores_learned: int = 0
-    solver_core_hits: int = 0
-    kb_solver_cores_loaded: int = 0
-    #: compiled check kernel (CheckerOptions.compiled): models lowered
-    #: through the compile pass during this check, and the milliseconds the
-    #: pass spent (frame building, incremental extension, circuit sync).
+    #: compiled check kernel (the engine of the model cache, see
+    #: :class:`~repro.checker.incremental.UnrolledModelCache`): models
+    #: lowered through the compile pass during this check, and the
+    #: milliseconds the pass spent (frame building, incremental extension,
+    #: circuit sync).
     compiled_models: int = 0
     compile_time_ms: float = 0.0
     #: cross-bound search learning (CheckerOptions.learning).

@@ -291,8 +291,6 @@ class CompiledEngine(ImplicationEngine):
     time -- the lowering pass of the compiled kernel.
     """
 
-    is_compiled = True
-
     def __init__(self, assignment: Optional[CompiledAssignment] = None):
         if assignment is None:
             assignment = CompiledAssignment()

