@@ -22,8 +22,11 @@ COV_FLOOR ?= 78
 PROFILE_CASE ?= p9
 PROFILE_BOUND ?=
 PROFILE_TOP ?= 25
+#: rows printed by `make importtime`.
+IMPORTTIME_TOP ?= 25
 
-.PHONY: test lint coverage docs-check bench-smoke bench-check bench-baseline bench-full profile
+.PHONY: test lint coverage docs-check bench-smoke bench-check bench-baseline bench-full profile \
+        importtime
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -40,6 +43,14 @@ docs-check:
 profile:
 	$(PYTHON) benchmarks/profile_check.py --case $(PROFILE_CASE) \
 	    $(if $(PROFILE_BOUND),--bound $(PROFILE_BOUND)) --top $(PROFILE_TOP)
+
+# Time the imports of one default single-engine `repro check` with no
+# bytecode caches (every module compiles from source) and print the top
+# imports by cumulative time (start-up regression triage).
+importtime:
+	PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src $(PYTHON) -X importtime -m repro check \
+	    tests/designs/y_range.v --witness "hit=bad == 1" --json 2>&1 >/dev/null \
+	    | sort -t'|' -k2 -rn | head -n $(IMPORTTIME_TOP)
 
 coverage:
 	$(PYTHON) -m pytest -q --cov=repro --cov-report=term-missing \

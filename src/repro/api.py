@@ -63,6 +63,12 @@ REQUEST_SCHEMA = "repro-check-request/v1.1"
 #: ``kb_solver_cores_loaded``).  Older reports still parse.
 REPORT_SCHEMA = "repro-check-report/v1.2"
 
+#: The engines a request may name, in canonical order.  The portfolio's
+#: ``ENGINE_REGISTRY`` holds the same names in the same order; checking a
+#: request against this tuple keeps the portfolio and its process machinery
+#: off the single-engine path.
+ENGINE_NAMES = ("atpg", "bdd", "sat", "random")
+
 
 class RequestError(ValueError):
     """A request cannot be built, serialised or resolved."""
@@ -367,6 +373,12 @@ class CheckRequest:
                 raise RequestError("%s must be >= 1, got %d" % (name, value))
         if self.time_budget is not None and self.time_budget <= 0:
             raise RequestError("time_budget must be > 0, got %r" % (self.time_budget,))
+        for group in self.one_hot:
+            if len(group) < 2:
+                raise RequestError(
+                    "environment.one_hot group %r needs at least two signals"
+                    % (list(group),)
+                )
 
     @property
     def uses_portfolio(self) -> bool:
@@ -990,13 +1002,10 @@ def run_request(
     force_batch: bool = False,
 ) -> RequestOutcome:
     """Execute a request and return both raw and unified outcomes."""
-    from repro.portfolio.engines import available_engines
-
     for name in request.engines:
-        if name not in available_engines():
+        if name not in ENGINE_NAMES:
             raise RequestError(
-                "unknown engine %r (available: %s)"
-                % (name, ", ".join(available_engines()))
+                "unknown engine %r (available: %s)" % (name, ", ".join(ENGINE_NAMES))
             )
     resolved = resolve_design(request.circuit)
     if resolved.lock.acquire(blocking=False):
@@ -1023,6 +1032,7 @@ def _run_resolved(
         raise RequestError(
             "request has no properties and the circuit ref supplies no default"
         )
+    _check_net_names(request, resolved.circuit)
     max_frames = request.max_frames
     if max_frames is None:
         max_frames = resolved.default_max_frames
@@ -1032,6 +1042,28 @@ def _run_resolved(
     if force_batch or request.uses_portfolio:
         return _run_batch(request, resolved.circuit, environment, initial_state, specs)
     return _run_single(request, resolved.circuit, environment, initial_state, specs)
+
+
+def _check_net_names(request: CheckRequest, circuit: Circuit) -> None:
+    """Reject a request that names a net the design does not have."""
+    named = [("environment.pin", name) for name, _ in request.pinned]
+    named += [("environment.one_hot", name) for group in request.one_hot for name in group]
+    named += [
+        ("environment.assume", name)
+        for text in request.assumptions
+        for name in parse_expression(text).signals()
+    ]
+    named += [("environment.initial_state", name) for name, _ in request.initial_state or ()]
+    named += [
+        ("property %s" % spec.name, name)
+        for spec in request.properties
+        for name in parse_expression(spec.expr).signals()
+    ]
+    for field_name, name in named:
+        if not circuit.has_net(name):
+            raise RequestError(
+                "%s: no net named %r in circuit %r" % (field_name, name, circuit.name)
+            )
 
 
 def _run_single(
@@ -1140,6 +1172,7 @@ def _verdict_from_batch_item(item) -> PropertyVerdict:
 __all__ = [
     "REQUEST_SCHEMA",
     "REPORT_SCHEMA",
+    "ENGINE_NAMES",
     "CheckReport",
     "CheckRequest",
     "CheckStatus",

@@ -62,7 +62,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.decisions import find_decision_candidates
 from repro.atpg.estg import ExtendedStateTransitionGraph, LearnedCube, StateCube, covers
@@ -70,9 +70,10 @@ from repro.atpg.timeframe import UnrolledModel, VarKey
 from repro.bitvector import BV3, BV3Conflict
 from repro.implication.assignment import ImplicationConflict, RootCause
 from repro.implication.engine import ImplicationNode
-from repro.modsolver.extract import DatapathConstraintExtractor
-from repro.modsolver.result import Infeasible, Solution
 from repro.netlist.arith import Adder, Multiplier, ShiftLeft, ShiftRight, Subtractor
+
+if TYPE_CHECKING:
+    from repro.modsolver.result import Infeasible, Solution
 
 #: backtracks one datapath leaf may spend branching on input-word bits
 #: before it is given up as unproven.
@@ -652,6 +653,11 @@ class Justifier:
         ]
         save = self.engine.savepoint()
         if arithmetic_nodes:
+            # The solver loads on the first leaf that calls it: most checks
+            # never do, and it is a large share of the start-up compile.
+            from repro.modsolver.extract import DatapathConstraintExtractor
+            from repro.modsolver.result import Infeasible, Solution
+
             self.arithmetic_calls += 1
             problem = DatapathConstraintExtractor(self.engine).extract(arithmetic_nodes)
             if not problem.is_empty():

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import time
-import tracemalloc
 from dataclasses import dataclass
+
+# The builtin behind ``tracemalloc``: asking whether the heap is traced costs
+# no import of ``tracemalloc`` (and its ``pickle``, ``linecache``, ...).
+import _tracemalloc
 
 
 @dataclass
@@ -96,8 +99,10 @@ class ResourceMeter:
     peak_memory_mb = 0.0
 
     def __enter__(self) -> "ResourceMeter":
-        self._traced = tracemalloc.is_tracing()
+        self._traced = _tracemalloc.is_tracing()
         if self._traced:
+            import tracemalloc
+
             self._traced_on_entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
         self._start = time.perf_counter()
@@ -105,6 +110,8 @@ class ResourceMeter:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.elapsed_seconds = time.perf_counter() - self._start
-        if self._traced and tracemalloc.is_tracing():
+        if self._traced and _tracemalloc.is_tracing():
+            import tracemalloc
+
             growth = tracemalloc.get_traced_memory()[1] - self._traced_on_entry
             self.peak_memory_mb = max(growth, 0) / (1024.0 * 1024.0)

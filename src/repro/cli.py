@@ -60,7 +60,6 @@ from repro.checker import (
 from repro.hdl import compile_verilog
 from repro.netlist.circuit import Circuit
 from repro.properties.parse import PropertyParseError, parse_expression
-from repro.simulation.vcd import trace_to_vcd
 
 
 def _load_circuit(path: str, top: Optional[str] = None) -> Circuit:
@@ -140,7 +139,12 @@ def _request_from_args(args: argparse.Namespace) -> api.CheckRequest:
         if "=" not in pin:
             raise SystemExit("--pin expects signal=value, got %r" % (pin,))
         name, value = pin.split("=", 1)
-        pinned.append((name.strip(), int(value, 0)))
+        try:
+            pinned.append((name.strip(), int(value, 0)))
+        except ValueError:
+            raise SystemExit(
+                "--pin expects signal=value with an integer value, got %r" % (pin,)
+            ) from None
     one_hot = tuple(
         tuple(name.strip() for name in group.split(","))
         for group in args.one_hot or []
@@ -216,6 +220,8 @@ def _dump_first_trace(path: str, circuit: Circuit, traces) -> None:
     pair with a trace wins.  The notice goes to stderr so that ``--json``
     output on stdout stays parseable.
     """
+    from repro.simulation.vcd import trace_to_vcd
+
     for label, counterexample in traces:
         if counterexample is not None:
             with open(path, "w") as stream:

@@ -16,7 +16,10 @@ from typing import List, Optional, Sequence
 
 from repro.bitvector import BV3, BV3Conflict, propagate_adder, propagate_subtractor
 from repro.bitvector.arith3 import mul3
-from repro.modsolver.modular import solve_scalar_congruence
+
+#: :func:`repro.modsolver.modular.solve_scalar_congruence`, bound by the
+#: first multiplier factor rule: checks without one never load the solver.
+_solve_scalar_congruence = None
 
 
 def imply_adder(has_cin: bool, has_cout: bool, cubes: Sequence[BV3]) -> List[BV3]:
@@ -94,7 +97,12 @@ def imply_multiplier(cubes: Sequence[BV3]) -> List[BV3]:
 
 def _imply_factor(known_operand: int, product: int, other: BV3, width: int) -> BV3:
     """Refine the unknown multiplier operand when the solution is unique."""
-    solutions = solve_scalar_congruence(known_operand % (1 << width), product, width)
+    global _solve_scalar_congruence
+    if _solve_scalar_congruence is None:
+        from repro.modsolver.modular import solve_scalar_congruence
+
+        _solve_scalar_congruence = solve_scalar_congruence
+    solutions = _solve_scalar_congruence(known_operand % (1 << width), product, width)
     if solutions is None:
         raise BV3Conflict(
             "no %d-bit operand satisfies %d * x = %d (mod 2**%d)"

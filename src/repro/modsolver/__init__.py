@@ -20,45 +20,41 @@ counterexamples).
   certificate / :class:`Unknown` for exhausted budgets), which keep
   "proved infeasible" strictly apart from "gave up" so the search-learning
   layer only ever learns from proofs.
+
+The re-exports below resolve lazily, each loading only its own submodule on
+first use.  The package itself is imported on the first datapath leaf or
+scalar-congruence rule of a check, so a check that never reaches the
+datapath never compiles the solver.
 """
 
-from repro.modsolver.modular import (
-    multiplicative_inverse,
-    multiplicative_inverse_with_product,
-    solve_scalar_congruence,
-    odd_part,
-    two_adic_valuation,
-    ScalarSolutions,
-)
-from repro.modsolver.linear import (
-    ModularLinearSystem,
-    ModularSolutionSet,
-    LinearConstraint,
-)
-from repro.modsolver.nonlinear import (
-    NonlinearConstraint,
-    enumerate_factor_pairs,
-    NonlinearSolver,
-)
-from repro.modsolver.extract import DatapathConstraintExtractor, ArithmeticProblem
-from repro.modsolver.result import Infeasible, Solution, Unknown
+#: re-exported name -> the submodule defining it.
+_EXPORTS = {
+    "multiplicative_inverse": "modular",
+    "multiplicative_inverse_with_product": "modular",
+    "solve_scalar_congruence": "modular",
+    "odd_part": "modular",
+    "two_adic_valuation": "modular",
+    "ScalarSolutions": "modular",
+    "ModularLinearSystem": "linear",
+    "ModularSolutionSet": "linear",
+    "LinearConstraint": "linear",
+    "NonlinearConstraint": "nonlinear",
+    "enumerate_factor_pairs": "nonlinear",
+    "NonlinearSolver": "nonlinear",
+    "DatapathConstraintExtractor": "extract",
+    "ArithmeticProblem": "extract",
+    "Solution": "result",
+    "Infeasible": "result",
+    "Unknown": "result",
+}
 
-__all__ = [
-    "Solution",
-    "Infeasible",
-    "Unknown",
-    "multiplicative_inverse",
-    "multiplicative_inverse_with_product",
-    "solve_scalar_congruence",
-    "odd_part",
-    "two_adic_valuation",
-    "ScalarSolutions",
-    "ModularLinearSystem",
-    "ModularSolutionSet",
-    "LinearConstraint",
-    "NonlinearConstraint",
-    "enumerate_factor_pairs",
-    "NonlinearSolver",
-    "DatapathConstraintExtractor",
-    "ArithmeticProblem",
-]
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        from importlib import import_module
+
+        return getattr(import_module("repro.modsolver." + _EXPORTS[name]), name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+__all__ = list(_EXPORTS)

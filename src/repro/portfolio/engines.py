@@ -283,7 +283,9 @@ class RandomSimEngine:
         )
 
 
-#: Engine registry: name -> zero-argument adapter factory.
+#: Engine registry: name -> zero-argument adapter factory.  Its names, in
+#: order, are :data:`repro.api.ENGINE_NAMES`, which requests are checked
+#: against without importing the portfolio.
 ENGINE_REGISTRY = {
     AtpgEngine.name: AtpgEngine,
     BddEngine.name: BddEngine,

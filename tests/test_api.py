@@ -97,6 +97,7 @@ MALFORMED_FIELDS = [
     ("environment", {"pin": [1, 2]}, "environment.pin"),
     ("properties", [5], "properties"),
     ("environment", {"one_hot": 5}, "environment.one_hot"),
+    ("environment", {"one_hot": [["count"]]}, "environment.one_hot group"),
     ("engines", "atpg", "engines"),
     ("budget", {"time_seconds": -1}, "time_budget"),
     ("budget", {"random_runs": -3}, "random_runs"),
@@ -388,6 +389,20 @@ class TestFacade:
         request = api.build_request(build_counter(), "count != 12",
                                     engines=("warp",))
         with pytest.raises(api.RequestError):
+            api.check(request)
+
+    @pytest.mark.parametrize("field, knobs", [
+        ("environment.pin", {"pinned": (("nosuch", 1),)}),
+        ("environment.one_hot", {"one_hot": (("count", "nosuch"),)}),
+        ("environment.assume", {"assumptions": ("nosuch == 1",)}),
+        ("environment.initial_state", {"initial_state": (("nosuch", 1),)}),
+        ("property bad", {"properties": (api.PropertySpec.assertion("bad", "nosuch <= 9"),)}),
+    ], ids=["pin", "one_hot", "assume", "initial_state", "property"])
+    def test_unknown_net_is_a_request_error(self, field, knobs):
+        fields = {"properties": (api.PropertySpec.assertion("ok", "count != 12"),)}
+        fields.update(knobs)
+        request = api.CheckRequest(circuit=api.CircuitRef.inline(build_counter()), **fields)
+        with pytest.raises(api.RequestError, match="^%s: no net named 'nosuch'" % field):
             api.check(request)
 
     def test_request_json_is_camera_ready(self):

@@ -283,3 +283,151 @@ def test_cli_import_leaves_sim_and_analysis_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "BitParallelSim compile_circuit"]
+
+
+# ----------------------------------------------------------------------
+# the one-shot start-up path
+# ----------------------------------------------------------------------
+DESIGNS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "designs")
+
+#: modules a default single-engine ``repro check`` must not load: each one
+#: loads on first use by the path that needs it.
+ONE_SHOT_UNLOADED = (
+    "repro.portfolio", "repro.modsolver", "repro.baselines", "repro.kb",
+    "repro.service", "repro.simulation.vcd", "multiprocessing", "tracemalloc",
+)
+
+
+def _src_env():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _run_with_modules(script_args, body):
+    """Run ``body`` in a fresh interpreter; return (process, loaded guards).
+
+    The interpreter prints which :data:`ONE_SHOT_UNLOADED` modules it holds
+    at exit, after whatever ``body`` printed or exited with.
+    """
+    script = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print('LOADED', sorted(m for m in %r if m in sys.modules),"
+        " file=sys.stderr))\n" % (ONE_SHOT_UNLOADED,)
+    ) + body
+    proc = subprocess.run(
+        [sys.executable, "-c", script] + list(script_args),
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    loaded = [line for line in proc.stderr.splitlines() if line.startswith("LOADED ")]
+    assert len(loaded) == 1, proc.stderr
+    return proc, loaded[0][len("LOADED "):]
+
+
+def test_one_shot_check_loads_only_what_it_runs():
+    """A default ``python -m repro check`` that never reaches the datapath
+    loads neither the solver nor the portfolio and its process machinery,
+    the KB, the service, the baselines, the VCD writer nor tracemalloc."""
+    design = os.path.join(DESIGNS, "y_range.v")
+    proc, loaded = _run_with_modules(
+        ["check", design, "--witness", "hit=bad == 1", "--json"],
+        "import runpy\n"
+        "sys.argv = ['repro'] + sys.argv[1:]\n"
+        "runpy.run_module('repro', run_name='__main__')\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)[0]
+    assert result["status"] == "witness_found"
+    assert result["arithmetic_calls"] == 0
+    assert loaded == "[]"
+
+
+def test_datapath_check_loads_the_solver_and_counts_alike():
+    """p15 reaches the solver: a fresh interpreter loads it on demand and
+    reports the verdict and search counters of a process that had it."""
+    import repro.modsolver.extract  # noqa: F401  (this process has the solver)
+    from repro import api
+    from repro.checker.incremental import shared_model_cache
+
+    counters = ("decisions", "backtracks", "conflicts", "implications",
+                "arithmetic_calls", "solver_cores", "unproven_leaves",
+                "cubes_learned", "datapath_cubes_learned", "cube_hits",
+                "targets_skipped")
+    proc, loaded = _run_with_modules(
+        [],
+        "import json\n"
+        "from repro import api\n"
+        "report = api.check(api.CheckRequest(circuit=api.CircuitRef.case('p15')))\n"
+        "print(json.dumps(report.results[0].to_dict()))\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert loaded == "['repro.modsolver']"
+    fresh = json.loads(proc.stdout)
+
+    api.clear_design_cache()
+    shared_model_cache().clear()
+    here = api.check(api.CheckRequest(circuit=api.CircuitRef.case("p15"))).results[0]
+    assert fresh["status"] == here.status == "holds"
+    assert fresh["stats"]["arithmetic_calls"] > 0
+    assert {k: fresh["stats"][k] for k in counters} == {k: here.stats[k] for k in counters}
+
+
+def test_engine_names_are_the_portfolio_registry(counter_file, capsys):
+    from repro import api
+    from repro.portfolio.engines import ENGINE_REGISTRY
+
+    assert api.ENGINE_NAMES == tuple(ENGINE_REGISTRY)
+    exit_code = main(["check", counter_file, "--assert", "count <= 9",
+                      "--engines", "atpg,sat", "--max-frames", "3", "--json"])
+    assert exit_code == 0
+    result = json.loads(capsys.readouterr().out)["results"][0]
+    assert result["status"] == "holds"
+    assert sorted(engine["engine"] for engine in result["engines"]) == ["atpg", "sat"]
+    unknown = r"unknown engine 'warp' \(available: atpg, bdd, sat, random\)"
+    with pytest.raises(SystemExit, match=unknown):
+        main(["check", counter_file, "--assert", "count <= 9", "--engines", "atpg,warp"])
+
+
+# ----------------------------------------------------------------------
+# malformed environment inputs end in one line, not a traceback
+# ----------------------------------------------------------------------
+UNKNOWN_NET_FLAGS = [
+    (["--assert", "count <= 9", "--pin", "nosuch=1"], "environment.pin"),
+    (["--assert", "count <= 9", "--one-hot", "count,nosuch"], "environment.one_hot"),
+    (["--assert", "count <= 9", "--assume", "nosuch == 1"], "environment.assume"),
+    (["--assert", "a=nosuch <= 9"], "property a"),
+]
+
+
+@pytest.mark.parametrize("flags, field", UNKNOWN_NET_FLAGS,
+                         ids=[field for _, field in UNKNOWN_NET_FLAGS])
+def test_check_rejects_an_unknown_net(counter_file, flags, field):
+    with pytest.raises(SystemExit, match="^%s: no net named 'nosuch'" % field):
+        main(["check", counter_file] + flags)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--one-hot", "count"], r"environment.one_hot group \['count'\] needs at least two"),
+        (["--pin", "rst=abc"],
+         "^--pin expects signal=value with an integer value, got 'rst=abc'$"),
+    ],
+    ids=["one-hot-of-one", "pin-not-integer"],
+)
+def test_check_rejects_malformed_environment(counter_file, flags, message):
+    with pytest.raises(SystemExit, match=message):
+        main(["check", counter_file, "--assert", "count <= 9"] + flags)
+
+
+def test_check_reports_an_unknown_net_in_one_line(counter_file):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "check", counter_file,
+         "--assert", "count <= 9", "--pin", "nosuch=1"],
+        env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "environment.pin: no net named 'nosuch' in circuit 'counter'"
+    ]

@@ -21,6 +21,8 @@ import contextlib
 import copy
 import os
 import socket as socket_module
+import subprocess
+import sys
 import threading
 import time
 
@@ -234,6 +236,25 @@ def normalized(report: api.CheckReport) -> dict:
             engine.pop("wall_seconds", None)
             engine.pop("stats", None)
     return payload
+
+
+def test_supervisor_loads_the_solver_before_forking_workers():
+    """Workers fork from the supervisor, so it loads the lazily imported
+    datapath solver up front: no worker compiles it inside a job."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import sys\n"
+        "from repro.service.supervisor import ServiceOptions, Supervisor\n"
+        "print('repro.modsolver.extract' in sys.modules)\n"
+        "Supervisor(ServiceOptions(socket_path='unused.sock'))\n"
+        "print('repro.modsolver.extract' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 class TestDaemon:
