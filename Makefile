@@ -22,8 +22,6 @@ COV_FLOOR ?= 78
 PROFILE_CASE ?= p9
 PROFILE_BOUND ?=
 PROFILE_TOP ?= 25
-#: rows printed by `make importtime`.
-IMPORTTIME_TOP ?= 25
 
 .PHONY: test lint coverage docs-check bench-smoke bench-check bench-baseline bench-full profile \
         importtime
@@ -50,7 +48,7 @@ profile:
 importtime:
 	PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src $(PYTHON) -X importtime -m repro check \
 	    tests/designs/y_range.v --witness "hit=bad == 1" --json 2>&1 >/dev/null \
-	    | sort -t'|' -k2 -rn | head -n $(IMPORTTIME_TOP)
+	    | sort -t'|' -k2 -rn | head -n 25
 
 coverage:
 	$(PYTHON) -m pytest -q --cov=repro --cov-report=term-missing \

@@ -1053,6 +1053,11 @@ def _check_net_names(request: CheckRequest, circuit: Circuit) -> None:
         for text in request.assumptions
         for name in parse_expression(text).signals()
     ]
+    named += [
+        ("environment.init_vectors", name)
+        for vector in request.init_vectors
+        for name, _ in vector
+    ]
     named += [("environment.initial_state", name) for name, _ in request.initial_state or ()]
     named += [
         ("property %s" % spec.name, name)
@@ -1063,6 +1068,13 @@ def _check_net_names(request: CheckRequest, circuit: Circuit) -> None:
         if not circuit.has_net(name):
             raise RequestError(
                 "%s: no net named %r in circuit %r" % (field_name, name, circuit.name)
+            )
+    registers = {ff.q.name for ff in circuit.flip_flops}
+    for name, _ in request.initial_state or ():
+        if name not in registers:
+            raise RequestError(
+                "environment.initial_state: %r is not a register output in circuit %r"
+                % (name, circuit.name)
             )
 
 

@@ -48,7 +48,6 @@ from repro.portfolio.engines import (
     EngineBudget,
     RandomSimEngine,
     SatEngine,
-    available_engines,
     make_engine,
 )
 from repro.portfolio.result import (
@@ -73,7 +72,6 @@ __all__ = [
     "EngineBudget",
     "RandomSimEngine",
     "SatEngine",
-    "available_engines",
     "make_engine",
     "EngineResult",
     "PortfolioResult",

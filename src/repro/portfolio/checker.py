@@ -61,7 +61,15 @@ class PortfolioOptions:
 
 
 def fork_context():
-    """The ``fork`` multiprocessing context, or ``None`` if unsupported."""
+    """The ``fork`` multiprocessing context, or ``None`` if unsupported.
+
+    Every process this package and the service fork takes its context from
+    here.  The checker loads the datapath solver only on first use, so load
+    it now, before any fork: no child (an engine racer, a batch worker, a
+    daemon worker respawned after retirement) compiles it inside a job.
+    """
+    import repro.modsolver.extract  # noqa: F401
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms

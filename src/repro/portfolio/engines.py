@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import List, Mapping, Optional, Protocol
+from typing import Mapping, Optional, Protocol
 
 from repro.checker.engine import AssertionChecker, CheckerOptions
 from repro.checker.result import CheckStatus
@@ -292,11 +292,6 @@ ENGINE_REGISTRY = {
     SatEngine.name: SatEngine,
     RandomSimEngine.name: RandomSimEngine,
 }
-
-
-def available_engines() -> List[str]:
-    """Registry names of all known engines, in canonical order."""
-    return list(ENGINE_REGISTRY)
 
 
 def make_engine(name: str) -> Engine:

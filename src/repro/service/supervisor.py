@@ -196,10 +196,6 @@ class Supervisor:
         if context is None:  # pragma: no cover - non-POSIX platforms
             raise RuntimeError("the verification service needs a POSIX fork context")
         self._context = context
-        # Workers fork from this process, and the checker loads the datapath
-        # solver only on first use: load it here, before any fork, so no
-        # worker (a respawn after retirement included) compiles it in a job.
-        import repro.modsolver.extract  # noqa: F401
         self.workers: "OrderedDict[str, WorkerHandle]" = OrderedDict()
         self.jobs: Dict[str, Job] = {}
         self._job_ids = itertools.count(1)

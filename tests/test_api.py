@@ -391,18 +391,25 @@ class TestFacade:
         with pytest.raises(api.RequestError):
             api.check(request)
 
-    @pytest.mark.parametrize("field, knobs", [
-        ("environment.pin", {"pinned": (("nosuch", 1),)}),
-        ("environment.one_hot", {"one_hot": (("count", "nosuch"),)}),
-        ("environment.assume", {"assumptions": ("nosuch == 1",)}),
-        ("environment.initial_state", {"initial_state": (("nosuch", 1),)}),
-        ("property bad", {"properties": (api.PropertySpec.assertion("bad", "nosuch <= 9"),)}),
-    ], ids=["pin", "one_hot", "assume", "initial_state", "property"])
-    def test_unknown_net_is_a_request_error(self, field, knobs):
+    @pytest.mark.parametrize("field, knobs, error", [
+        ("environment.pin", {"pinned": (("nosuch", 1),)}, "no net named 'nosuch'"),
+        ("environment.one_hot", {"one_hot": (("count", "nosuch"),)}, "no net named 'nosuch'"),
+        ("environment.assume", {"assumptions": ("nosuch == 1",)}, "no net named 'nosuch'"),
+        ("environment.initial_state", {"initial_state": (("nosuch", 1),)},
+         "no net named 'nosuch'"),
+        ("property bad", {"properties": (api.PropertySpec.assertion("bad", "nosuch <= 9"),)},
+         "no net named 'nosuch'"),
+        ("environment.init_vectors", {"init_vectors": ((("en", 0), ("nosuch", 1)),)},
+         "no net named 'nosuch'"),
+        ("environment.initial_state", {"initial_state": (("en", 1),)},
+         "'en' is not a register output"),
+    ], ids=["pin", "one_hot", "assume", "initial_state", "property", "init_vectors",
+            "initial_state_not_a_register"])
+    def test_unknown_net_is_a_request_error(self, field, knobs, error):
         fields = {"properties": (api.PropertySpec.assertion("ok", "count != 12"),)}
         fields.update(knobs)
         request = api.CheckRequest(circuit=api.CircuitRef.inline(build_counter()), **fields)
-        with pytest.raises(api.RequestError, match="^%s: no net named 'nosuch'" % field):
+        with pytest.raises(api.RequestError, match="^%s: %s" % (field, error)):
             api.check(request)
 
     def test_request_json_is_camera_ready(self):

@@ -1,14 +1,19 @@
 """Tests for the engine portfolio: adapters, racing, batching, CLI wiring."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+from repro import api
 from repro.checker.result import CheckStatus, Counterexample
 from repro.netlist import Circuit
 import repro.portfolio.checker as portfolio_checker
 from repro.portfolio import (
+    ENGINE_REGISTRY,
     AtpgEngine,
     BatchJob,
     BatchOptions,
@@ -20,7 +25,6 @@ from repro.portfolio import (
     PortfolioOptions,
     RandomSimEngine,
     SatEngine,
-    available_engines,
     detect_disagreement,
     make_engine,
 )
@@ -99,10 +103,30 @@ def test_random_adapter_seed_reproducibility():
 
 
 def test_engine_registry():
-    assert available_engines() == ["atpg", "bdd", "sat", "random"]
+    assert list(ENGINE_REGISTRY) == list(api.ENGINE_NAMES) == ["atpg", "bdd", "sat", "random"]
     assert make_engine("bdd").name == "bdd"
     with pytest.raises(ValueError, match="unknown engine"):
         make_engine("z3")
+
+
+def test_fork_context_loads_the_solver_before_any_fork():
+    """Engine racers, batch workers and daemon workers all fork from a
+    context taken here, so no child compiles the lazily imported datapath
+    solver inside its job."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import sys\n"
+        "from repro.portfolio.checker import fork_context\n"
+        "print('repro.modsolver.extract' in sys.modules)\n"
+        "fork_context()\n"
+        "print('repro.modsolver.extract' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_engine_result_json_round_trip():
