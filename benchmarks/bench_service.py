@@ -118,12 +118,14 @@ def _measure(socket_path):
         # First submit pays the worker's cold start; everything after is warm.
         check_via_service(request, socket_path=socket_path, fallback=False)
         warm_times = []
+        hops = []
         for _ in range(ROUNDS):
             started = time.perf_counter()
             warm_report = check_via_service(
                 request, socket_path=socket_path, fallback=False
             )
             warm_times.append(time.perf_counter() - started)
+            hops.append(_hops(warm_report, warm_times[-1]))
 
         rows.append(
             {
@@ -132,11 +134,35 @@ def _measure(socket_path):
                 "warm_median": statistics.median(warm_times),
                 "local_median": statistics.median(local_times),
                 "warm_hits": warm_report.service["worker"]["warm_hits"],
+                "hops_ms": [1000.0 * statistics.median(column) for column in zip(*hops)],
                 "identical": _normalized(warm_report) == _normalized(cold_report),
                 "status": warm_report.results[0].status,
             }
         )
     return rows
+
+
+def _hops(report: api.CheckReport, round_trip: float):
+    """One warm round split into (queue wait, pipe + worker overhead,
+    reply-to-client remainder), in seconds, from the result's job block."""
+    job = report.service["job"]
+    queued = job["started_at"] - job["submitted_at"]
+    pipe = job["finished_at"] - job["started_at"] - report.wall_seconds
+    return (queued, pipe, round_trip - (job["finished_at"] - job["submitted_at"]))
+
+
+def _format_hops(rows):
+    lines = ["%-6s %14s %18s %14s" % ("case", "queue (ms)", "pipe+worker (ms)",
+                                      "reply (ms)")]
+    lines.append("-" * len(lines[0]))
+    for row in rows:
+        lines.append("%-6s %14.3f %18.3f %14.3f" % ((row["case"],) + tuple(row["hops_ms"])))
+    lines.append("")
+    lines.append("(medians of the warm rounds, not gated: queue = started_at -"
+                 " submitted_at; pipe+worker = finished_at - started_at - the")
+    lines.append(" report's wall_seconds; reply = the client's round trip minus"
+                 " finished_at - submitted_at)")
+    return "\n".join(lines)
 
 
 def _format_table(rows):
@@ -203,3 +229,4 @@ def test_warm_daemon_beats_cold_in_process(benchmark):
     table = _format_table(rows)
     reporting.register_table("[Service] warm daemon vs. cold in-process", table)
     print("\n[Service] warm daemon vs. cold in-process\n" + table)
+    print("\n[Service] warm daemon hop breakdown\n" + _format_hops(rows))

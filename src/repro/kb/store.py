@@ -18,8 +18,10 @@ Design rules (see ``docs/knowledge-base.md`` for the full contract):
   process-stable fingerprint) taking the maximum hit counter, and only ever
   *adds* proven-FAIL memos; concurrent flushes from batch workers therefore
   commute;
-* **crash safety** -- every flush is a single immediate write transaction;
-  a reader either sees the previous consistent state or the new one;
+* **crash safety** -- every flush that writes is a single immediate write
+  transaction; a reader either sees the previous consistent state or the
+  new one.  A flush with nothing new since this handle's last commit for
+  the model writes nothing at all;
 * **fail open** -- a corrupt, truncated or unreadable store never fails a
   check: the handle degrades to an empty, write-disabled knowledge base and
   records the reason in :attr:`KnowledgeBase.disabled_reason`.
@@ -116,6 +118,20 @@ def _jsonable(value) -> bool:
     return False
 
 
+def _flush_signature(estg: ExtendedStateTransitionGraph) -> tuple:
+    """What a flush of ``estg`` would merge: cube hit counters and memos.
+
+    Cube rows only ever change by a new fingerprint or a higher hit count
+    (the merge takes the maximum), and memo rows only by a new memo, so an
+    unchanged signature means the flush would write nothing new.
+    """
+    return (
+        frozenset((fingerprint, cube.hits)
+                  for fingerprint, cube in estg.learned_cubes.items()),
+        frozenset(estg.proven_fail_targets),
+    )
+
+
 class KnowledgeBase:
     """Handle on one knowledge-base file; never raises into a check.
 
@@ -132,6 +148,9 @@ class KnowledgeBase:
         self._conn: Optional[sqlite3.Connection] = None
         #: models attached this process: key -> (estg weakref, names, name).
         self._attached: Dict[str, Tuple[weakref.ref, frozenset, str]] = {}
+        #: model key -> signature of what this handle last committed for it
+        #: (see :func:`_flush_signature`); an unchanged flush is skipped.
+        self._flushed: Dict[str, tuple] = {}
         try:
             self._conn = sqlite3.connect(path, timeout=_BUSY_TIMEOUT)
             self._conn.isolation_level = None  # explicit transactions only
@@ -369,10 +388,12 @@ class KnowledgeBase:
     ) -> int:
         """Write the graph's persistable facts for ``key`` in one write-tx.
 
-        Returns the number of cube rows written (0 when disabled).  Only
-        cubes whose literals all name snapshot nets are persisted; memos are
-        written whenever their property fingerprint JSON-round-trips.  Safe to
-        call repeatedly -- merging is idempotent.
+        Returns the number of cube rows written (0 when disabled, or when
+        nothing changed since this handle last committed ``key``: then no
+        transaction is opened).  Only cubes whose literals all name snapshot
+        nets are persisted; memos are written whenever their property
+        fingerprint JSON-round-trips.  Safe to call repeatedly -- merging
+        is idempotent.
         """
         if self.disabled or self._conn is None:
             return 0
@@ -384,6 +405,9 @@ class KnowledgeBase:
             self._disable("injected fsync failure during flush")
             return 0
         tear_after = rule is not None and rule.kind == "torn-write"
+        signature = _flush_signature(estg)
+        if not tear_after and self._flushed.get(key) == signature:
+            return 0
         cube_rows = []
         for fingerprint, cube in estg.learned_cubes.items():
             row = self._serialize_cube(fingerprint, cube, net_names)
@@ -419,6 +443,7 @@ class KnowledgeBase:
                     if tear_after:
                         self._tear_file()
                         return 0
+                    self._flushed[key] = signature
                     return len(cube_rows)
                 except BaseException:
                     conn.execute("ROLLBACK")

@@ -7,9 +7,10 @@ worker processes (:mod:`repro.service.worker`):
   (:func:`repro.kb.fingerprints.circuit_fingerprint`), so every check of the
   same design lands on the same worker and hits its warm unrolled-model
   cache, learned cubes and open KB handle;
-* each worker runs jobs serially; the supervisor talks to it over a
-  :mod:`multiprocessing` pipe pumped through ``asyncio.to_thread``, so one
-  slow job never blocks the listener;
+* each worker runs jobs serially; the supervisor talks to it over a unix
+  socketpair held as an asyncio stream on the event loop (one reader task
+  per worker routes its messages by ``op``), so one slow job never blocks
+  the listener and no job holds a thread;
 * a crashed worker is detected by pipe EOF: its running job is requeued
   once (``requeue_limit``) onto a fresh worker, then reported as a failure
   with the crash cause;
@@ -32,7 +33,9 @@ Hardening (PR 8) -- the failure-handling duties on top of that core:
   ``quarantine_limit`` times is failed typed (``quarantined``) and
   refused on resubmit, instead of burning fresh workers forever;
 * **idempotent resubmit**: retried submits carrying the same
-  ``submit_key`` collapse onto the original job;
+  ``submit_key`` collapse onto the original job (while the job is still
+  in the job table, which keeps the newest :data:`FINISHED_JOBS_KEPT`
+  finished jobs);
 * **graceful drain**: SIGTERM (or ``shutdown`` with ``mode: "drain"``)
   finishes in-flight jobs, refuses new submits with the typed
   ``draining`` cause, flushes every worker's KB stores and exits 0;
@@ -52,17 +55,32 @@ from __future__ import annotations
 import asyncio
 import itertools
 import os
+import pickle
 import signal
+import socket
+import struct
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Set
+from multiprocessing.connection import Connection
+from typing import Callable, Deque, Dict, Mapping, Optional, Set
 
 from repro import api, faults
 from repro.kb.fingerprints import circuit_fingerprint
 from repro.portfolio.checker import fork_context
 from repro.service import protocol
 from repro.service.worker import worker_main
+
+#: finished (done / failed / cancelled) jobs the job table keeps, newest
+#: first; older ones are forgotten together with their ``submit_key``.
+FINISHED_JOBS_KEPT = 1024
+
+#: seconds the ``stats`` verb waits for idle workers' fresh stats blocks.
+STATS_REPLY_TIMEOUT = 5.0
+
+#: loop iterations from a socket accept to the connection callback
+#: (accept, transport creation, ``connection_made``), with one to spare.
+_ACCEPT_ITERATIONS = 4
 
 
 @dataclass
@@ -165,12 +183,15 @@ class WorkerHandle:
         self.key = key
         self.queue: "asyncio.Queue[Job]" = asyncio.Queue()
         self.proc = None
-        self.conn = None
+        self.pipe: Optional[_WorkerPipe] = None
         self.runner: Optional[asyncio.Task] = None
         self.current: Optional[Job] = None
         self.jobs_done = 0
         self.restarts = 0
         self.last_stats: Optional[Dict[str, object]] = None
+        #: the ``kb`` list of the worker's last full stats block (per-job
+        #: replies carry counters only).
+        self.kb_blocks: Optional[list] = None
         self.last_active = time.time()
         #: last heartbeat-reported RSS, for the stats verb.
         self.rss_bytes: Optional[int] = None
@@ -182,9 +203,120 @@ class WorkerHandle:
         return self.current is None and self.queue.empty()
 
 
-def _recv(conn):
-    """Blocking pipe receive (runs inside ``asyncio.to_thread``)."""
-    return conn.recv()
+def _frame(message: object) -> bytes:
+    """One message in :class:`multiprocessing.connection.Connection` framing.
+
+    A 4-byte big-endian signed length (``-1`` and an 8-byte length above
+    2 GiB), then the pickle -- what the worker's ``Connection.recv`` reads.
+    """
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    if len(data) > 0x7FFFFFFF:
+        return struct.pack("!iQ", -1, len(data)) + data
+    return struct.pack("!i", len(data)) + data
+
+
+def _reap(proc, timeout: float) -> None:
+    """Wait for a stopping worker process; kill it if it outlives ``timeout``."""
+    proc.join(timeout)
+    if proc.is_alive():  # pragma: no cover - wedged worker
+        proc.kill()
+        proc.join(5)
+
+
+class _WorkerPipe:
+    """The supervisor's end of one worker's socketpair, on the event loop.
+
+    One task per pipe opens the asyncio stream and then reads frames for
+    the worker's whole life, routing them by ``op``: every message
+    refreshes :attr:`last_message` and goes to ``on_message``; ``done`` /
+    ``job-error`` resolve the ``"result"`` waiter, ``stats`` and
+    ``stopped`` their own.  On EOF (or :meth:`close`) every pending waiter
+    resolves to ``None``.  Nothing here blocks the loop: a worker stopped
+    in the middle of a frame just leaves ``readexactly`` waiting.
+    """
+
+    def __init__(self, sock: socket.socket,
+                 on_message: Callable[[Optional[str], Dict[str, object]], None]):
+        loop = asyncio.get_running_loop()
+        self.closed = False
+        #: monotonic time of the last message of any kind (the watchdog's).
+        self.last_message = time.monotonic()
+        self._sock: Optional[socket.socket] = sock
+        self._on_message = on_message
+        self._writer: Optional[asyncio.StreamWriter] = None
+        self._opened: asyncio.Future = loop.create_future()
+        self._waiters: Dict[str, asyncio.Future] = {}
+        self._task = loop.create_task(self._read_loop())
+
+    def expect(self, kind: str) -> asyncio.Future:
+        """The future of the next ``kind`` message (shared while pending)."""
+        waiter = self._waiters.get(kind)
+        if waiter is None or waiter.done():
+            waiter = asyncio.get_running_loop().create_future()
+            if self.closed:
+                waiter.set_result(None)
+            else:
+                self._waiters[kind] = waiter
+        return waiter
+
+    def forget(self, kind: str, waiter: asyncio.Future) -> None:
+        """Stop routing ``kind`` messages to ``waiter`` (its reader gave up)."""
+        if self._waiters.get(kind) is waiter:
+            del self._waiters[kind]
+
+    async def send(self, message: Mapping[str, object]) -> None:
+        """Write one framed message; ``EOFError`` once the pipe is closed."""
+        if not self._opened.done():
+            await asyncio.shield(self._opened)
+        if self.closed or self._writer is None:
+            raise EOFError("worker pipe is closed")
+        self._writer.write(_frame(message))
+        await self._writer.drain()
+
+    def close(self) -> None:
+        self._shut()
+        self._task.cancel()
+
+    def _shut(self) -> None:
+        self.closed = True
+        if not self._opened.done():
+            self._opened.set_result(None)
+        waiters, self._waiters = self._waiters, {}
+        for waiter in waiters.values():
+            if not waiter.done():
+                waiter.set_result(None)
+        if self._writer is not None:
+            self._writer.close()
+        elif self._sock is not None:
+            self._sock.close()
+        self._sock = None
+
+    async def _read_loop(self) -> None:
+        try:
+            reader, self._writer = await asyncio.open_unix_connection(sock=self._sock)
+            self._sock = None
+            if not self._opened.done():
+                self._opened.set_result(None)
+            while True:
+                (size,) = struct.unpack("!i", await reader.readexactly(4))
+                if size == -1:
+                    (size,) = struct.unpack("!Q", await reader.readexactly(8))
+                message = pickle.loads(await reader.readexactly(size))
+                self.last_message = time.monotonic()
+                op = None
+                if isinstance(message, dict):
+                    op = message.get("op")
+                    self._on_message(op, message)
+                if op == "heartbeat":
+                    continue
+                waiter = self._waiters.pop(op if op in ("stats", "stopped") else "result",
+                                           None)
+                if waiter is not None and not waiter.done():
+                    waiter.set_result(message)
+        except (asyncio.IncompleteReadError, OSError, EOFError, pickle.UnpicklingError):
+            pass
+        finally:
+            self._shut()
 
 
 class Supervisor:
@@ -197,7 +329,12 @@ class Supervisor:
             raise RuntimeError("the verification service needs a POSIX fork context")
         self._context = context
         self.workers: "OrderedDict[str, WorkerHandle]" = OrderedDict()
+        #: every unfinished job plus the newest FINISHED_JOBS_KEPT finished.
         self.jobs: Dict[str, Job] = {}
+        #: ids of the finished jobs still in the table, oldest first.
+        self._finished: Deque[str] = deque()
+        #: unfinished jobs by state, kept as counters for the stats verb.
+        self._in_flight = {"queued": 0, "running": 0}
         self._job_ids = itertools.count(1)
         self.counters = {
             "submitted": 0, "completed": 0, "failed": 0,
@@ -223,6 +360,8 @@ class Supervisor:
         #: submit_key -> job_id, for idempotent resubmits.
         self._submit_keys: Dict[str, str] = {}
         self._drain_task: Optional[asyncio.Task] = None
+        #: open client connections, closed by :meth:`stop`.
+        self._clients: Set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -235,7 +374,7 @@ class Supervisor:
         if os.path.exists(socket_path):
             os.unlink(socket_path)  # stale socket from an unclean exit
         self._server = await asyncio.start_unix_server(
-            self._client_connected, path=socket_path, limit=protocol.MAX_LINE_BYTES,
+            self._accept, path=socket_path, limit=protocol.MAX_LINE_BYTES,
         )
         self._install_signal_handlers()
 
@@ -263,8 +402,19 @@ class Supervisor:
     async def stop(self) -> None:
         self._closing = True
         if self._server is not None:
+            # Stop accepting first, and let a connection accepted just before
+            # reach _accept: asyncio (3.11) leaks the socket of one that is
+            # still on its way when the server closes, and its client then
+            # waits out a full read timeout.
+            loop = asyncio.get_running_loop()
+            for listener in self._server.sockets:
+                loop.remove_reader(listener.fileno())
+            for _ in range(_ACCEPT_ITERATIONS):
+                await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
+        for writer in list(self._clients):
+            writer.close()
         for handle in list(self.workers.values()):
             await self._retire(handle)
         self.workers.clear()
@@ -305,6 +455,11 @@ class Supervisor:
     # ------------------------------------------------------------------
     # Client connections
     # ------------------------------------------------------------------
+    def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+        """Register a client connection before its handler task first runs."""
+        self._clients.add(writer)
+        return self._client_connected(reader, writer)
+
     async def _client_connected(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         try:
@@ -346,6 +501,7 @@ class Supervisor:
         finally:
             # Close without awaiting: during shutdown this task is itself
             # cancelled by the server teardown and must not block on it.
+            self._clients.discard(writer)
             writer.close()
 
     async def _dispatch(self, verb: str, payload: Mapping[str, object]) -> Dict[str, object]:
@@ -366,6 +522,7 @@ class Supervisor:
         if verb == "cancel":
             return await self._verb_cancel(payload)
         if verb == "stats":
+            await self._refresh_idle_stats()
             return protocol.ok_response("stats", stats=self.stats())
         if verb == "shutdown":
             return self._verb_shutdown(payload)
@@ -435,6 +592,7 @@ class Supervisor:
         )
         job.worker_key = worker_key
         self.jobs[job.job_id] = job
+        self._in_flight["queued"] += 1
         if job.submit_key is not None:
             self._submit_keys[job.submit_key] = job.job_id
         self.counters["submitted"] += 1
@@ -473,18 +631,18 @@ class Supervisor:
     async def _verb_cancel(self, payload: Mapping[str, object]) -> Dict[str, object]:
         job = self._job_for(payload)
         if job.state == "queued":
-            job.finish("cancelled", "cancelled while queued", cause="cancelled")
+            self._finish(job, "cancelled", "cancelled while queued", cause="cancelled")
             self.counters["cancelled"] += 1
             return protocol.ok_response("cancel", job_id=job.job_id,
                                         cancelled=True, state=job.state)
         if job.state == "running":
             # Mark first so the runner's EOF handler knows this was deliberate,
             # then kill the worker (a wedged search has no polite interrupt).
-            job.finish("cancelled", "cancelled while running", cause="cancelled")
+            self._finish(job, "cancelled", "cancelled while running", cause="cancelled")
             self.counters["cancelled"] += 1
             handle = self.workers.get(job.worker_key or "")
             if handle is not None:
-                await asyncio.to_thread(self._kill_worker, handle)
+                await self._kill_worker(handle)
             return protocol.ok_response("cancel", job_id=job.job_id,
                                         cancelled=True, state=job.state)
         return protocol.ok_response("cancel", job_id=job.job_id,
@@ -551,6 +709,35 @@ class Supervisor:
             asyncio.get_running_loop().create_task(self._retire(handle))
 
     # ------------------------------------------------------------------
+    # Job table
+    # ------------------------------------------------------------------
+    def _start(self, job: Job) -> None:
+        """A queued job goes to its worker."""
+        self._in_flight["queued"] -= 1
+        self._in_flight["running"] += 1
+        job.state = "running"
+
+    def _requeue(self, job: Job) -> None:
+        """A running job goes back to the queue (its worker died)."""
+        self._in_flight["running"] -= 1
+        self._in_flight["queued"] += 1
+        job.state = "queued"
+
+    def _finish(self, job: Job, state: str, error: Optional[str] = None,
+                cause: Optional[str] = None) -> None:
+        """Finish a job once, and forget the oldest finished jobs."""
+        if job.done.is_set():
+            return
+        self._in_flight[job.state] -= 1
+        job.finish(state, error, cause)
+        self._finished.append(job.job_id)
+        while len(self._finished) > FINISHED_JOBS_KEPT:
+            old = self.jobs.pop(self._finished.popleft(), None)
+            if old is not None and old.submit_key is not None \
+                    and self._submit_keys.get(old.submit_key) == old.job_id:
+                del self._submit_keys[old.submit_key]
+
+    # ------------------------------------------------------------------
     # Worker processes
     # ------------------------------------------------------------------
     def _worker_config(self) -> Dict[str, object]:
@@ -561,64 +748,72 @@ class Supervisor:
         }
 
     def _spawn(self, handle: WorkerHandle) -> None:
-        parent, child = self._context.Pipe()
+        ours, theirs = socket.socketpair()
+        child = Connection(theirs.detach())
         process = self._context.Process(
             target=worker_main,
             args=(child, handle.key, self._worker_config()),
             name="repro-worker-%s" % handle.key[:8],
             daemon=True,
         )
-        process.start()
-        child.close()
-        handle.conn = parent
+        try:
+            process.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            child.close()
         handle.proc = process
+        handle.pipe = _WorkerPipe(
+            ours, lambda op, message: self._on_worker_message(handle, op, message)
+        )
 
-    def _kill_worker(self, handle: WorkerHandle) -> None:
-        """Hard-stop a worker process (blocking; call via ``to_thread``)."""
-        try:
-            handle.conn.close()
-        except (OSError, AttributeError):
-            pass
-        if handle.proc is not None and handle.proc.is_alive():
-            handle.proc.kill()
-            handle.proc.join(5)
+    def _on_worker_message(self, handle: WorkerHandle, op: Optional[str],
+                           message: Dict[str, object]) -> None:
+        """Bookkeeping every worker message gets, before it is routed."""
+        if op == "heartbeat":
+            rss = message.get("rss_bytes")
+            if isinstance(rss, int):
+                handle.rss_bytes = rss
+            return
+        stats = message.get("stats")
+        if isinstance(stats, dict):
+            handle.last_stats = stats
+            if "kb" in stats:
+                handle.kb_blocks = stats["kb"]
 
-    def _stop_worker(self, handle: WorkerHandle, timeout: float = 15.0) -> None:
+    async def _kill_worker(self, handle: WorkerHandle) -> None:
+        """Hard-stop a worker process; only the reaping runs in a thread."""
+        proc = handle.proc
+        if proc is not None and proc.is_alive():
+            proc.kill()
+        if handle.pipe is not None:
+            handle.pipe.close()
+        if proc is not None:
+            await asyncio.to_thread(proc.join, 5)
+
+    async def _retire(self, handle: WorkerHandle, timeout: float = 15.0) -> None:
         """Graceful stop: the worker flushes its KB stores before exiting."""
-        try:
-            handle.conn.send({"op": "stop"})
-            deadline = time.time() + timeout
-            while handle.conn.poll(max(0.0, deadline - time.time())):
-                reply = handle.conn.recv()
-                if not isinstance(reply, dict):
-                    continue
-                if reply.get("op") == "heartbeat":
-                    continue  # a stop can race the end of a running job
-                if reply.get("stats"):
-                    handle.last_stats = reply["stats"]
-                if reply.get("op") == "stopped":
-                    break
-        except (BrokenPipeError, EOFError, OSError):
-            pass
-        if handle.proc is not None:
-            handle.proc.join(timeout)
-            if handle.proc.is_alive():  # pragma: no cover - wedged worker
-                handle.proc.kill()
-                handle.proc.join(5)
-        try:
-            handle.conn.close()
-        except (OSError, AttributeError):
-            pass
-
-    async def _retire(self, handle: WorkerHandle) -> None:
-        if handle.runner is not None and not handle.runner.cancelled():
+        if handle.runner is not None and not handle.runner.done():
             handle.runner.cancel()
-        await asyncio.to_thread(self._stop_worker, handle)
+        pipe = handle.pipe
+        if pipe is not None and not pipe.closed:
+            stopped = pipe.expect("stopped")
+            try:
+                await pipe.send({"op": "stop"})
+                await asyncio.wait([stopped], timeout=timeout)
+            except (EOFError, OSError):
+                pass
+            pipe.forget("stopped", stopped)
+        if handle.proc is not None:
+            await asyncio.to_thread(_reap, handle.proc, timeout)
+        if pipe is not None:
+            pipe.close()
         self._fold_degradations(handle, handle.last_stats)
 
     async def _restart(self, handle: WorkerHandle) -> None:
         handle.restarts += 1
-        await asyncio.to_thread(self._kill_worker, handle)
+        await self._kill_worker(handle)
         if not self._closing:
             self._spawn(handle)
 
@@ -649,48 +844,45 @@ class Supervisor:
     # ------------------------------------------------------------------
     # The per-worker runner coroutine
     # ------------------------------------------------------------------
-    async def _await_result(self, handle: WorkerHandle, job: Job):
-        """Pump the worker pipe until a job result, a timeout or a hang.
+    async def _await_result(self, pipe: _WorkerPipe, result: asyncio.Future,
+                            job: Job):
+        """Wait for a job's result, a timeout or a hang.
 
         Returns ``("reply", message)``, ``("timeout", None)`` (the job's
         wall-clock budget -- service timeout or end-to-end deadline --
         expired) or ``("watchdog", None)`` (no message of any kind within
-        ``hang_timeout``: the worker is wedged, not slow).  Pipe EOF and
-        errors propagate to the caller's crash handling.
+        ``hang_timeout``: the worker is wedged, not slow).  Pipe EOF raises
+        ``EOFError`` into the caller's crash handling.
         """
         started = time.monotonic()
-        last_message = started
         budget = self.options.job_timeout
         remaining_deadline = job.deadline_remaining()
         if remaining_deadline is not None:
             budget = remaining_deadline if budget is None \
                 else min(budget, remaining_deadline)
-        while True:
-            now = time.monotonic()
-            waits = []
-            if budget is not None:
-                waits.append(budget - (now - started))
-            if self.options.hang_timeout is not None:
-                waits.append(self.options.hang_timeout - (now - last_message))
-            wait = min(waits) if waits else None
-            if wait is not None and wait <= 0:
-                budget_left = None if budget is None else budget - (now - started)
-                if budget_left is not None and budget_left <= 0:
-                    return ("timeout", None)
-                return ("watchdog", None)
-            try:
-                reply = await asyncio.wait_for(
-                    asyncio.to_thread(_recv, handle.conn), timeout=wait,
-                )
-            except asyncio.TimeoutError:
-                continue  # loop re-derives which deadline expired
-            if isinstance(reply, dict) and reply.get("op") == "heartbeat":
-                last_message = time.monotonic()
-                rss = reply.get("rss_bytes")
-                if isinstance(rss, int):
-                    handle.rss_bytes = rss
-                continue
-            return ("reply", reply)
+        try:
+            while not result.done():
+                now = time.monotonic()
+                waits = []
+                if budget is not None:
+                    waits.append(budget - (now - started))
+                if self.options.hang_timeout is not None:
+                    waits.append(self.options.hang_timeout - (now - pipe.last_message))
+                wait = min(waits) if waits else None
+                if wait is not None and wait <= 0:
+                    budget_left = None if budget is None else budget - (now - started)
+                    if budget_left is not None and budget_left <= 0:
+                        return ("timeout", None)
+                    return ("watchdog", None)
+                # Heartbeats move pipe.last_message without waking this
+                # loop; a timeout re-derives which deadline expired.
+                await asyncio.wait([result], timeout=wait)
+        finally:
+            pipe.forget("result", result)
+        reply = result.result()
+        if reply is None:
+            raise EOFError("worker pipe closed")
+        return ("reply", reply)
 
     async def _run_worker(self, handle: WorkerHandle) -> None:
         while True:
@@ -699,7 +891,8 @@ class Supervisor:
                 continue  # cancelled while waiting
             remaining = job.deadline_remaining()
             if remaining is not None and remaining <= 0:
-                job.finish(
+                self._finish(
+                    job,
                     "failed",
                     "aborted: %.1fs end-to-end deadline expired before dispatch"
                     % (job.deadline_seconds,),
@@ -708,7 +901,7 @@ class Supervisor:
                 self.counters["failed"] += 1
                 self.counters["timeouts"] += 1
                 continue
-            job.state = "running"
+            self._start(job)
             job.worker_key = handle.key
             job.started_at = time.time()
             job.attempts += 1
@@ -719,9 +912,14 @@ class Supervisor:
                 }
                 if remaining is not None:
                     message["deadline_seconds"] = remaining
-                await asyncio.to_thread(handle.conn.send, message)
-                outcome, reply = await self._await_result(handle, job)
-            except (EOFError, OSError, BrokenPipeError):
+                pipe = handle.pipe
+                if pipe is None:
+                    raise EOFError("worker has no pipe")
+                result = pipe.expect("result")
+                await pipe.send(message)
+                pipe.last_message = time.monotonic()
+                outcome, reply = await self._await_result(pipe, result, job)
+            except (EOFError, OSError):
                 handle.current = None
                 if job.state == "cancelled":
                     await self._restart(handle)
@@ -742,8 +940,8 @@ class Supervisor:
                     detail = "%.1fs end-to-end deadline" % deadline
                 else:
                     detail = "%.1fs service timeout" % budget
-                job.finish("failed", "aborted: job exceeded the %s" % detail,
-                           cause="timeout")
+                self._finish(job, "failed", "aborted: job exceeded the %s" % detail,
+                             cause="timeout")
                 self.counters["failed"] += 1
                 self.counters["timeouts"] += 1
                 await self._restart(handle)
@@ -752,7 +950,8 @@ class Supervisor:
                 handle.current = None
                 self.counters["watchdog_kills"] += 1
                 quarantined = self._note_worker_kill(job)
-                job.finish(
+                self._finish(
+                    job,
                     "failed",
                     "aborted: worker sent no heartbeat for %.1fs; killed as hung"
                     % (self.options.hang_timeout,),
@@ -771,20 +970,18 @@ class Supervisor:
             if op == "done":
                 job.report = reply.get("report")
                 job.worker_stats = reply.get("stats")
-                handle.last_stats = reply.get("stats")
                 self._fold_degradations(handle, handle.last_stats)
                 handle.jobs_done += 1
                 self.counters["completed"] += 1
-                job.finish("done")
+                self._finish(job, "done")
             elif op == "job-error":
-                handle.last_stats = reply.get("stats")
                 self._fold_degradations(handle, handle.last_stats)
                 self.counters["failed"] += 1
-                job.finish("failed", str(reply.get("error")), cause="job-error")
+                self._finish(job, "failed", str(reply.get("error")), cause="job-error")
             else:  # pragma: no cover - defensive
                 self.counters["failed"] += 1
-                job.finish("failed", "unexpected worker reply %r" % (op,),
-                           cause="crash")
+                self._finish(job, "failed", "unexpected worker reply %r" % (op,),
+                             cause="crash")
             if isinstance(reply, dict) and reply.get("retiring"):
                 # The worker hit its hard RSS watermark, flushed its KB
                 # state and exited after answering; respawn it cold.
@@ -795,7 +992,8 @@ class Supervisor:
         """Crash path: quarantine poison jobs, requeue the rest once."""
         quarantined = self._note_worker_kill(job)
         if quarantined:
-            job.finish(
+            self._finish(
+                job,
                 "failed",
                 "quarantined: request killed %d workers (limit %d); "
                 "last exit code %s"
@@ -809,12 +1007,13 @@ class Supervisor:
             return
         if job.requeues < self.options.requeue_limit:
             job.requeues += 1
-            job.state = "queued"
+            self._requeue(job)
             self.counters["requeued"] += 1
             await self._restart(handle)
             handle.queue.put_nowait(job)
             return
-        job.finish(
+        self._finish(
+            job,
             "failed",
             "aborted: worker crashed (exit code %s) on attempt %d; "
             "requeue limit %d reached"
@@ -827,13 +1026,34 @@ class Supervisor:
     # ------------------------------------------------------------------
     # Stats
     # ------------------------------------------------------------------
+    async def _refresh_idle_stats(self) -> None:
+        """Ask every idle worker for a fresh full stats block.
+
+        Per-job replies carry counters only; the ``kb`` list (sqlite
+        queries in the worker) is fetched here, for the ``stats`` verb.
+        A busy worker keeps its last-known block.
+        """
+        waiters = []
+        for handle in list(self.workers.values()):
+            pipe = handle.pipe
+            if not handle.idle or pipe is None or pipe.closed:
+                continue
+            waiter = pipe.expect("stats")
+            try:
+                await pipe.send({"op": "stats"})
+            except (EOFError, OSError):
+                continue
+            waiters.append(waiter)
+        if waiters:
+            await asyncio.wait(waiters, timeout=STATS_REPLY_TIMEOUT)
+
     def stats(self) -> Dict[str, object]:
         """The ``stats`` verb payload (also embedded in shutdown replies)."""
-        queued = sum(1 for job in self.jobs.values() if job.state == "queued")
-        running = sum(1 for job in self.jobs.values() if job.state == "running")
         workers = []
         for key, handle in self.workers.items():
             block: Dict[str, object] = dict(handle.last_stats or {})
+            if handle.kb_blocks is not None:
+                block.setdefault("kb", handle.kb_blocks)
             block.update({
                 "worker_key": key,
                 "circuit": self._circuit_names.get(key),
@@ -850,8 +1070,8 @@ class Supervisor:
                 block.setdefault("rss_bytes", handle.rss_bytes)
             workers.append(block)
         jobs = dict(self.counters)
-        jobs["queued"] = queued
-        jobs["running"] = running
+        jobs["queued"] = self._in_flight["queued"]
+        jobs["running"] = self._in_flight["running"]
         resilience = {
             "retries": self.counters["retries"],
             "requeued": self.counters["requeued"],

@@ -21,7 +21,8 @@ Resilience duties (PR 8):
 * while a job runs, a **heartbeat thread** sends ``{"op": "heartbeat"}``
   every ``heartbeat_interval`` seconds (with the worker's resident-set
   size), so the supervisor's hung-worker watchdog can tell *slow* from
-  *wedged*;
+  *wedged*.  The thread starts with the first job and lives as long as
+  the worker; each job arms and disarms it;
 * an end-to-end **deadline** forwarded with the job clamps the request's
   engine time budget, so a deadline set at the client bounds the solver
   itself, not just the transport;
@@ -79,51 +80,67 @@ def current_rss_bytes() -> Optional[int]:
 class _Heartbeat:
     """Background sender keeping the supervisor's watchdog fed during jobs.
 
-    The pipe is shared with the main loop, so every send goes through one
-    lock; ``pause`` exists for the ``hang`` fault kind, which must look
-    exactly like a wedged process (no result *and* no heartbeats).
+    One thread per worker process, started by the first :meth:`arm`.  The
+    pipe is shared with the main loop, so every send goes through one lock,
+    which is also this object's condition lock: :meth:`arm` and
+    :meth:`disarm` must be called with it held.  Disarming under the lock
+    that then sends a job's result is what guarantees no heartbeat follows
+    a result.  :meth:`pause` exists for the ``hang`` fault kind, which must
+    look exactly like a wedged process (no result *and* no heartbeats); the
+    next :meth:`arm` clears it.
     """
 
     def __init__(self, conn, lock: threading.Lock, interval: float):
         self._conn = conn
-        self._lock = lock
         self._interval = max(0.05, float(interval))
-        self._stop = threading.Event()
-        self._paused = threading.Event()
+        self._wake = threading.Condition(lock)
+        #: bumped by every arm, so a re-arm restarts the interval.
+        self._job = 0
+        self._armed = False
+        self._paused = False
         self._thread: Optional[threading.Thread] = None
 
-    def start(self) -> None:
-        """Begin heartbeating (one thread per job run)."""
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
+    def arm(self) -> None:
+        """Heartbeat every interval from now on (caller holds the lock)."""
+        self._job += 1
+        self._armed = True
+        self._paused = False
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._run, daemon=True)
+            self._thread.start()
+        self._wake.notify()
 
-    def stop(self) -> None:
-        """Stop and join the sender; no heartbeat can follow a result."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
+    def disarm(self) -> None:
+        """Stop heartbeating (caller holds the lock)."""
+        self._armed = False
+        self._wake.notify()
 
     def pause(self) -> None:
-        """Silence heartbeats without stopping the thread (``hang`` fault)."""
-        self._paused.set()
+        """Silence heartbeats until the next arm (``hang`` fault)."""
+        self._paused = True
 
     def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            if self._paused.is_set():
-                continue
-            message = {"op": "heartbeat", "ts": time.time()}
-            rss = current_rss_bytes()
-            if rss is not None:
-                message["rss_bytes"] = rss
-            try:
-                with self._lock:
-                    if self._stop.is_set():
-                        return
+        with self._wake:
+            while True:
+                while not self._armed:
+                    self._wake.wait()
+                job = self._job
+                due = time.monotonic() + self._interval
+                while self._armed and self._job == job:
+                    remaining = due - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._wake.wait(remaining)
+                if not self._armed or self._job != job or self._paused:
+                    continue
+                message = {"op": "heartbeat", "ts": time.time()}
+                rss = current_rss_bytes()
+                if rss is not None:
+                    message["rss_bytes"] = rss
+                try:
                     self._conn.send(message)
-            except (BrokenPipeError, OSError):
-                return
+                except (BrokenPipeError, OSError):
+                    return
 
 
 class _WorkerState:
@@ -166,20 +183,16 @@ class _WorkerState:
         api.clear_design_cache()
         self.degradations += 1
 
-    def snapshot(self) -> Dict[str, object]:
+    def snapshot(self, with_kb: bool = True) -> Dict[str, object]:
         """The live per-worker stats block of the ``stats`` verb.
 
         The ``kb`` entries reuse :meth:`repro.kb.KnowledgeBase.stats`
         verbatim -- the same shape ``repro kb stats --json`` prints -- so
-        tooling parses one schema for both.
+        tooling parses one schema for both.  Those cost sqlite queries per
+        stored model, so per-job replies pass ``with_kb=False`` and carry
+        the counters only.
         """
         cache = shared_model_cache().stats()
-        kb_blocks = []
-        for path in self.kb_paths:
-            try:
-                kb_blocks.append(open_knowledge_base(path).stats())
-            except Exception as exc:  # pragma: no cover - defensive
-                kb_blocks.append({"path": path, "disabled": True, "reason": str(exc)})
         snapshot = {
             "worker_key": self.worker_key,
             "pid": os.getpid(),
@@ -193,9 +206,17 @@ class _WorkerState:
             "model_cache": cache,
             "cache_residency": cache.get("entries", 0),
             "designs_resident": api.designs_resident(),
-            "kb": kb_blocks,
             "uptime_seconds": round(time.time() - self.started_at, 3),
         }
+        if with_kb:
+            kb_blocks = []
+            for path in self.kb_paths:
+                try:
+                    kb_blocks.append(open_knowledge_base(path).stats())
+                except Exception as exc:  # pragma: no cover - defensive
+                    kb_blocks.append({"path": path, "disabled": True,
+                                      "reason": str(exc)})
+            snapshot["kb"] = kb_blocks
         rss = current_rss_bytes()
         if rss is not None:
             snapshot["rss_bytes"] = rss
@@ -240,8 +261,15 @@ def worker_main(conn, worker_key: str, config: Optional[Dict] = None) -> None:
     # reliable orphan signal: poll with a timeout and watch the ppid.
     supervisor_pid = os.getppid()
 
+    heartbeat = _Heartbeat(conn, send_lock, settings["heartbeat_interval"])
+
     def send(message: Dict[str, object]) -> None:
         with send_lock:
+            conn.send(message)
+
+    def send_result(message: Dict[str, object]) -> None:
+        with send_lock:
+            heartbeat.disarm()
             conn.send(message)
 
     while True:
@@ -271,8 +299,8 @@ def worker_main(conn, worker_key: str, config: Optional[Dict] = None) -> None:
             continue
 
         job_id = message.get("job_id")
-        heartbeat = _Heartbeat(conn, send_lock, settings["heartbeat_interval"])
-        heartbeat.start()
+        with send_lock:
+            heartbeat.arm()
         try:
             rule = faults.maybe_fire("worker.run")
             if rule is not None and rule.kind == "hang":
@@ -286,20 +314,18 @@ def worker_main(conn, worker_key: str, config: Optional[Dict] = None) -> None:
             state.note_request(request)
             report = api.check(request)
         except Exception as exc:
-            heartbeat.stop()
             try:
-                send({
+                send_result({
                     "op": "job-error",
                     "job_id": job_id,
                     "error": "%s: %s" % (type(exc).__name__, exc),
                     "traceback": traceback.format_exc(),
-                    "stats": state.snapshot(),
+                    "stats": state.snapshot(with_kb=False),
                 })
             except (BrokenPipeError, OSError):
                 flush_attached_stores()
                 return
             continue
-        heartbeat.stop()
         state.note_report(report)
         reply: Dict[str, object] = {
             "op": "done",
@@ -309,9 +335,9 @@ def worker_main(conn, worker_key: str, config: Optional[Dict] = None) -> None:
         retiring = _apply_watermarks(state, settings)
         if retiring:
             reply["retiring"] = True
-        reply["stats"] = state.snapshot()
+        reply["stats"] = state.snapshot(with_kb=False)
         try:
-            send(reply)
+            send_result(reply)
         except (BrokenPipeError, OSError):
             # Orphaned mid-job: nobody will read the verdict, but what the
             # run *learned* still reaches the shard KB for anti-entropy.
