@@ -36,8 +36,9 @@ lint:
 docs-check:
 	$(PYTHON) tools/check_docs.py
 
-# cProfile one representative `repro check` run on the default path and
-# dump the top functions by cumulative time (hot-path regression triage).
+# cProfile one representative cold `repro check` run on the default path,
+# then 200 warm `repro.api.check` re-checks of the same case, and dump the
+# top functions of each by cumulative time (hot-path regression triage).
 profile:
 	$(PYTHON) benchmarks/profile_check.py --case $(PROFILE_CASE) \
 	    $(if $(PROFILE_BOUND),--bound $(PROFILE_BOUND)) --top $(PROFILE_TOP)

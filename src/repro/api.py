@@ -48,7 +48,7 @@ from repro.checker.report import counterexample_to_dict, statistics_to_dict
 from repro.checker.result import CheckResult, CheckStatus
 from repro.netlist.circuit import Circuit
 from repro.properties.environment import Environment
-from repro.properties.parse import format_expression, parse_expression
+from repro.properties.parse import format_expression, parsed_expression
 from repro.properties.spec import Assertion, Property, Witness
 
 #: JSON schema tag of the serialised request (bump the major on breakage).
@@ -253,7 +253,7 @@ class PropertySpec:
 
     def to_property(self) -> Property:
         """Parse the expression back into a checker-ready property."""
-        expr = parse_expression(self.expr)
+        expr = parsed_expression(self.expr)
         factory = Assertion if self.kind == "assert" else Witness
         return factory(self.name, expr)
 
@@ -287,7 +287,7 @@ class PropertySpec:
 
 def _expr_text(expr: Union[str, object]) -> str:
     if isinstance(expr, str):
-        parse_expression(expr)  # validate eagerly; raises PropertyParseError
+        parsed_expression(expr)  # validate eagerly; raises PropertyParseError
         return expr
     return format_expression(expr)
 
@@ -407,7 +407,7 @@ class CheckRequest:
         for group in self.one_hot:
             environment.one_hot(list(group))
         for text in self.assumptions:
-            environment.assume(parse_expression(text))
+            environment.assume(parsed_expression(text))
         if self.init_vectors:
             environment.initialize_with([dict(v) for v in self.init_vectors])
         return environment
@@ -1033,15 +1033,13 @@ def _run_resolved(
             "request has no properties and the circuit ref supplies no default"
         )
     _check_net_names(request, resolved.circuit)
+    # The case's own bound when the request sets none.
     max_frames = request.max_frames
     if max_frames is None:
         max_frames = resolved.default_max_frames
-    if max_frames is not None and request.max_frames is None:
-        request = replace(request, max_frames=max_frames)
 
-    if force_batch or request.uses_portfolio:
-        return _run_batch(request, resolved.circuit, environment, initial_state, specs)
-    return _run_single(request, resolved.circuit, environment, initial_state, specs)
+    run = _run_batch if force_batch or request.uses_portfolio else _run_single
+    return run(request, resolved.circuit, environment, initial_state, specs, max_frames)
 
 
 def _check_net_names(request: CheckRequest, circuit: Circuit) -> None:
@@ -1051,7 +1049,7 @@ def _check_net_names(request: CheckRequest, circuit: Circuit) -> None:
     named += [
         ("environment.assume", name)
         for text in request.assumptions
-        for name in parse_expression(text).signals()
+        for name in parsed_expression(text).signals()
     ]
     named += [
         ("environment.init_vectors", name)
@@ -1062,7 +1060,7 @@ def _check_net_names(request: CheckRequest, circuit: Circuit) -> None:
     named += [
         ("property %s" % spec.name, name)
         for spec in request.properties
-        for name in parse_expression(spec.expr).signals()
+        for name in parsed_expression(spec.expr).signals()
     ]
     for field_name, name in named:
         if not circuit.has_net(name):
@@ -1084,14 +1082,18 @@ def _run_single(
     environment: Optional[Environment],
     initial_state: Optional[Dict[str, int]],
     specs: Sequence[PropertySpec],
+    max_frames: Optional[int],
 ) -> RequestOutcome:
     """The classic deterministic path: one checker, properties in order."""
     started = time.perf_counter()
+    options = CheckerOptions.from_request(request)
+    if max_frames is not None:
+        options.max_frames = max_frames
     checker = AssertionChecker(
         circuit,
         environment=environment,
         initial_state=initial_state,
-        options=CheckerOptions.from_request(request),
+        options=options,
     )
     results = []
     for spec in specs:
@@ -1114,6 +1116,7 @@ def _run_batch(
     environment: Optional[Environment],
     initial_state: Optional[Dict[str, int]],
     specs: Sequence[PropertySpec],
+    max_frames: Optional[int],
 ) -> RequestOutcome:
     """The portfolio/batch path (mirrors the classic ``repro check`` flags)."""
     from repro.portfolio import BatchJob, BatchOptions, BatchRunner
@@ -1130,7 +1133,10 @@ def _run_batch(
         )
         for spec in specs
     ]
-    batch_report = BatchRunner(BatchOptions.from_request(request)).run(jobs)
+    options = BatchOptions.from_request(request)
+    if max_frames is not None:
+        options.budget = replace(options.budget, max_frames=max_frames)
+    batch_report = BatchRunner(options).run(jobs)
     verdicts = tuple(_verdict_from_batch_item(item) for item in batch_report.items)
     report = CheckReport(
         results=verdicts,

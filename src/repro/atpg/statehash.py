@@ -74,35 +74,37 @@ def _canonical_expr(expr, normalize: bool) -> str:
     is preserved (used for search-procedure-sensitive keys, where operand
     order changes monitor structure and hence decision order).
     """
+    # Imported once per digest, not at every node: repro.properties imports
+    # this module, so the import cannot sit at the top.
     from repro.properties import spec
 
-    if isinstance(expr, spec.Signal):
-        return "s:%s" % expr.name
-    if isinstance(expr, spec.Const):
-        return "c:%d/%s" % (expr.value, expr.width)
-    if isinstance(expr, spec.BinOp):
-        parts = [_canonical_expr(expr.lhs, normalize), _canonical_expr(expr.rhs, normalize)]
-        if normalize and expr.op in _COMMUTATIVE_OPS:
-            parts.sort()
-        return "b:%s(%s)" % (expr.op, ",".join(parts))
-    if isinstance(expr, spec.Not):
-        return "not(%s)" % _canonical_expr(expr.expr, normalize)
-    if isinstance(expr, (spec.And, spec.Or, spec.OneHot, spec.AtMostOneHot)):
-        tag = type(expr).__name__.lower()
-        parts = [_canonical_expr(term, normalize) for term in expr.terms]
-        if normalize:
-            parts.sort()
-        return "%s(%s)" % (tag, ",".join(parts))
-    if isinstance(expr, spec.Implies):
-        return "imp(%s,%s)" % (
-            _canonical_expr(expr.antecedent, normalize),
-            _canonical_expr(expr.consequent, normalize),
-        )
-    if isinstance(expr, spec.Delayed):
-        return "d%d/%d(%s)" % (expr.cycles, expr.initial, _canonical_expr(expr.expr, normalize))
-    # Forward compatibility: unknown node kinds fall back to their repr,
-    # prefixed so they can never collide with the tagged forms above.
-    return "x:%s:%r" % (type(expr).__name__, expr)
+    def walk(node) -> str:
+        if isinstance(node, spec.Signal):
+            return "s:%s" % node.name
+        if isinstance(node, spec.Const):
+            return "c:%d/%s" % (node.value, node.width)
+        if isinstance(node, spec.BinOp):
+            parts = [walk(node.lhs), walk(node.rhs)]
+            if normalize and node.op in _COMMUTATIVE_OPS:
+                parts.sort()
+            return "b:%s(%s)" % (node.op, ",".join(parts))
+        if isinstance(node, spec.Not):
+            return "not(%s)" % walk(node.expr)
+        if isinstance(node, (spec.And, spec.Or, spec.OneHot, spec.AtMostOneHot)):
+            tag = type(node).__name__.lower()
+            parts = [walk(term) for term in node.terms]
+            if normalize:
+                parts.sort()
+            return "%s(%s)" % (tag, ",".join(parts))
+        if isinstance(node, spec.Implies):
+            return "imp(%s,%s)" % (walk(node.antecedent), walk(node.consequent))
+        if isinstance(node, spec.Delayed):
+            return "d%d/%d(%s)" % (node.cycles, node.initial, walk(node.expr))
+        # Forward compatibility: unknown node kinds fall back to their repr,
+        # prefixed so they can never collide with the tagged forms above.
+        return "x:%s:%r" % (type(node).__name__, node)
+
+    return walk(expr)
 
 
 def property_digest(expr) -> int:

@@ -27,7 +27,6 @@ from repro.atpg.justify import (
     JustifyOutcome,
     LearningContext,
 )
-from repro.atpg.statehash import property_digest
 from repro.atpg.timeframe import UnrolledModel
 from repro.bitvector import BV3
 from repro.checker.incremental import UnrolledModelCache, shared_model_cache
@@ -222,15 +221,16 @@ class AssertionChecker:
 
         The key is the *normalized* structural digest of the property
         expression (:func:`~repro.atpg.statehash.property_digest`) plus the
-        goal value: any compilation of a logically identical expression
-        builds a logically identical monitor, so facts keyed this way
-        transfer across ``check()`` calls, checker instances, equivalent
-        property spellings and -- via the knowledge base -- processes.
-        Learned cubes and proven-FAIL memos are *theorems* (every FAIL is a
-        proof, see :mod:`repro.atpg.justify`), so this key carries no search
-        configuration.
+        goal value, computed once when the property is compiled
+        (:attr:`CompiledProperty.fingerprint`): any compilation of a
+        logically identical expression builds a logically identical monitor,
+        so facts keyed this way transfer across ``check()`` calls, checker
+        instances, equivalent property spellings and -- via the knowledge
+        base -- processes.  Learned cubes and proven-FAIL memos are
+        *theorems* (every FAIL is a proof, see :mod:`repro.atpg.justify`),
+        so this key carries no search configuration.
         """
-        return (property_digest(compiled.prop.expr), compiled.goal_value)
+        return compiled.fingerprint
 
     def _check_target_frame(
         self, compiled: CompiledProperty, target_frame: int,

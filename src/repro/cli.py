@@ -59,7 +59,7 @@ from repro.checker import (
 )
 from repro.hdl import compile_verilog
 from repro.netlist.circuit import Circuit
-from repro.properties.parse import PropertyParseError, parse_expression
+from repro.properties.parse import PropertyParseError, parsed_expression
 
 
 def _load_circuit(path: str, top: Optional[str] = None) -> Circuit:
@@ -84,9 +84,9 @@ def _parse_named_property(text: str) -> Tuple[Optional[str], str]:
         if not (candidate_name.rstrip().endswith(("!", "<", ">"))
                 or expression_text.startswith("=")):
             name = candidate_name.strip()
-            parse_expression(expression_text)
+            parsed_expression(expression_text)
             return name, expression_text
-    parse_expression(text)
+    parsed_expression(text)
     return None, text
 
 
@@ -151,7 +151,7 @@ def _request_from_args(args: argparse.Namespace) -> api.CheckRequest:
     )
     for assumption in args.assume or []:
         try:
-            parse_expression(assumption)
+            parsed_expression(assumption)
         except PropertyParseError as exc:
             raise SystemExit(str(exc))
 

@@ -32,6 +32,7 @@ from repro.properties.parse import (
     PropertyParseError,
     format_expression,
     parse_expression,
+    parsed_expression,
 )
 
 __all__ = [
@@ -56,4 +57,5 @@ __all__ = [
     "PropertyParseError",
     "format_expression",
     "parse_expression",
+    "parsed_expression",
 ]

@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.atpg.statehash import property_digest
 from repro.netlist.circuit import Circuit
 from repro.netlist.nets import Net, NetKind
 from repro.properties.environment import Environment, environment_identity
+from repro.properties.parse import format_expression
 from repro.properties.spec import (
     And,
     Assertion,
@@ -36,7 +38,14 @@ from repro.properties.spec import (
     Or,
     Property,
     Signal,
+    expression_memo,
 )
+
+
+@expression_memo
+def _rendered(expr: Expression) -> str:
+    # The compile memo's key for an expression, rendered once per tree.
+    return format_expression(expr)
 
 
 @dataclass
@@ -51,6 +60,10 @@ class CompiledProperty:
     #: number of leading frames in which the property is not meaningful
     #: because Delayed() registers still hold their initial values.
     warmup_frames: int
+    #: ``(property_digest(expr), goal_value)``: the identity of the learned
+    #: facts that depend on this goal (cubes scoped to it, proven-FAIL
+    #: memos), computed once here instead of at every target frame.
+    fingerprint: Tuple[int, int]
 
     @property
     def is_assertion(self) -> bool:
@@ -104,6 +117,7 @@ class PropertyCompiler:
             monitor=named,
             goal_value=goal_value,
             warmup_frames=delay_depth,
+            fingerprint=(property_digest(prop.expr), goal_value),
         )
         if key is not None:
             memo[key] = compiled
@@ -122,10 +136,8 @@ class PropertyCompiler:
         # The textual render is a structural identity for the expression;
         # expressions it cannot render (non-identifier signal names) are
         # simply not memoised.
-        from repro.properties.parse import format_expression
-
         try:
-            return (type(prop).__name__, prop.name, format_expression(prop.expr))
+            return (type(prop).__name__, prop.name, _rendered(prop.expr))
         except Exception:
             return None
 

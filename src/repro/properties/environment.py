@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.atpg.statehash import property_search_digest
 from repro.netlist.circuit import Circuit
 from repro.netlist.nets import Net
-from repro.properties.spec import Expression
+from repro.properties.spec import Expression, expression_memo
 from repro.simulation.simulator import Simulator
 
 
@@ -124,11 +124,17 @@ def environment_identity(
     for group in environment.one_hot_groups:
         parts.append("onehot:" + ",".join(group))
     for expr in environment.assumptions:
-        parts.append("assume:%016x" % property_search_digest(expr))
+        parts.append("assume:%016x" % _assumption_digest(expr))
     if environment.initialization is not None:
         for vector in environment.initialization.vectors:
             parts.append("init:" + _values(vector))
     return initial, "\n".join(parts)
+
+
+@expression_memo
+def _assumption_digest(expr: Expression) -> int:
+    # Digested once per assumption tree, not on every check under it.
+    return property_search_digest(expr)
 
 
 def _values(values: Mapping[str, int]) -> str:

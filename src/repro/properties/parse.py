@@ -19,11 +19,15 @@ never evaluated), mapped onto the property AST of
 * ``>>`` is logical implication;
 * the function forms ``onehot(...)``, ``atmostone(...)``,
   ``delayed(expr, cycles)`` and ``implies(a, b)`` are also available.
+
+:func:`parsed_expression` is the cached front door every check goes
+through: a re-check of the same text reuses the tree it parsed first.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 from typing import Union
 
 from repro.properties.spec import (
@@ -74,6 +78,23 @@ def parse_expression(text: str) -> Expression:
     except SyntaxError as exc:
         raise PropertyParseError("invalid property expression %r: %s" % (text, exc)) from exc
     return _convert(tree.body)
+
+
+#: How many distinct texts :func:`parsed_expression` keeps parsed.
+PARSE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def parsed_expression(text: str) -> Expression:
+    """:func:`parse_expression` of ``text``, parsed once per process.
+
+    Every caller gets the same tree for the same text, so facts memoised on
+    the tree's identity (a monitor's memo key, an assumption's digest) are
+    derived once too.  Expressions are never mutated after construction,
+    which is what makes sharing one safe.  A text that does not parse
+    raises every time: the cache keeps results, never errors.
+    """
+    return parse_expression(text)
 
 
 def _operand(node: ast.AST) -> Union[Expression, int]:

@@ -16,8 +16,12 @@ Two property kinds cover the paper's experiments:
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, Generic, List, Optional, Sequence, Tuple, TypeVar
+
+_T = TypeVar("_T")
 
 #: Operators allowed in :class:`BinOp`.
 BINARY_OPERATORS = (
@@ -251,6 +255,53 @@ class AtMostOneHot(Expression):
 
     def __repr__(self) -> str:
         return "AtMostOneHot(%d terms)" % (len(self.terms),)
+
+
+# ----------------------------------------------------------------------
+# Facts derived from an expression, once per process
+# ----------------------------------------------------------------------
+#: How many expression objects each :func:`expression_memo` remembers.
+EXPRESSION_MEMO_SIZE = 256
+
+
+class ExpressionMemo(Generic[_T]):
+    """A bounded, process-wide memo of one value derived from an expression.
+
+    Keyed by object identity: an expression is never mutated after
+    construction, so a value derived from it once stays true.  Each entry
+    holds its expression, so no other object can take over its ``id``
+    while the entry lives; the least recently used entry goes first.
+    A derivation that raises is not remembered.
+    """
+
+    def __init__(self, derive: Callable[[Expression], _T], size: int):
+        self._derive = derive
+        self._size = size
+        self._entries: "OrderedDict[int, Tuple[Expression, _T]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, expr: Expression) -> _T:
+        key = id(expr)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] is expr:
+                self._entries.move_to_end(key)
+                return entry[1]
+        value = self._derive(expr)
+        with self._lock:
+            self._entries[key] = (expr, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self._size:
+                self._entries.popitem(last=False)
+        return value
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def expression_memo(derive: Callable[[Expression], _T]) -> ExpressionMemo[_T]:
+    """Decorate ``derive(expr)`` into an :class:`ExpressionMemo` of it."""
+    return ExpressionMemo(derive, EXPRESSION_MEMO_SIZE)
 
 
 # ----------------------------------------------------------------------

@@ -111,15 +111,17 @@ class ServiceOptions:
 class Job:
     """One submitted check request moving through the daemon."""
 
-    def __init__(self, job_id: str, payload: Mapping[str, object],
+    def __init__(self, job_id: str, request: api.CheckRequest,
+                 payload: Mapping[str, object],
                  digest: Optional[str] = None,
                  submit_key: Optional[str] = None,
                  deadline_seconds: Optional[float] = None):
         self.job_id = job_id
-        #: the CheckRequest dict, carried verbatim from submit to worker.
+        #: the request validated at submit; the worker runs this very object.
+        self.request = request
+        #: the submitted CheckRequest dict, kept for :attr:`digest`.
         self.payload = dict(payload)
-        #: canonical request identity (quarantine key).
-        self.digest = digest or protocol.request_digest(self.payload)
+        self._digest = digest
         #: client idempotency key; resubmits with it dedupe onto this job.
         self.submit_key = submit_key
         #: end-to-end wall-clock budget from submission, if any.
@@ -137,6 +139,13 @@ class Job:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self.done = asyncio.Event()
+
+    @property
+    def digest(self) -> str:
+        """Canonical request identity (the quarantine key), hashed on first use."""
+        if self._digest is None:
+            self._digest = protocol.request_digest(self.payload)
+        return self._digest
 
     def finish(self, state: str, error: Optional[str] = None,
                cause: Optional[str] = None) -> None:
@@ -561,8 +570,10 @@ class Supervisor:
         # Validate eagerly so a malformed request is rejected at submit time
         # (with a cause), not discovered as a failed job later.
         request = api.CheckRequest.from_dict(request_payload)
-        digest = protocol.request_digest(request_payload)
-        if digest in self._quarantine:
+        # Hashing costs a canonical JSON dump: only a non-empty quarantine
+        # needs the digest now, otherwise the first worker kill computes it.
+        digest = protocol.request_digest(request_payload) if self._quarantine else None
+        if digest is not None and digest in self._quarantine:
             return protocol.error_response(
                 "submit",
                 "request %s is quarantined: it killed %d workers"
@@ -585,6 +596,7 @@ class Supervisor:
         deadline = payload.get("deadline_seconds")
         job = Job(
             "job-%d" % next(self._job_ids),
+            request,
             request_payload,
             digest=digest,
             submit_key=None if submit_key is None else str(submit_key),
@@ -908,7 +920,7 @@ class Supervisor:
             handle.current = job
             try:
                 message: Dict[str, object] = {
-                    "op": "run", "job_id": job.job_id, "request": job.payload,
+                    "op": "run", "job_id": job.job_id, "request": job.request,
                 }
                 if remaining is not None:
                     message["deadline_seconds"] = remaining

@@ -190,7 +190,8 @@ class _WorkerState:
         verbatim -- the same shape ``repro kb stats --json`` prints -- so
         tooling parses one schema for both.  Those cost sqlite queries per
         stored model, so per-job replies pass ``with_kb=False`` and carry
-        the counters only.
+        the counters only: no ``kb`` list and no ``rss_bytes`` (a
+        ``/proc`` read), which heartbeats and the full block report.
         """
         cache = shared_model_cache().stats()
         snapshot = {
@@ -217,9 +218,9 @@ class _WorkerState:
                     kb_blocks.append({"path": path, "disabled": True,
                                       "reason": str(exc)})
             snapshot["kb"] = kb_blocks
-        rss = current_rss_bytes()
-        if rss is not None:
-            snapshot["rss_bytes"] = rss
+            rss = current_rss_bytes()
+            if rss is not None:
+                snapshot["rss_bytes"] = rss
         return snapshot
 
 
@@ -242,7 +243,7 @@ def worker_main(conn, worker_key: str, config: Optional[Dict] = None) -> None:
 
     ``conn`` is the supervisor end-to-end duplex pipe.  Ops:
 
-    * ``{"op": "run", "job_id", "request": <CheckRequest dict>,
+    * ``{"op": "run", "job_id", "request": <CheckRequest>,
       "deadline_seconds"?}``
       -> interleaved ``{"op": "heartbeat", "ts", "rss_bytes"?}`` messages,
       then ``{"op": "done", "job_id", "report": <CheckReport dict>,
@@ -309,8 +310,9 @@ def worker_main(conn, worker_key: str, config: Optional[Dict] = None) -> None:
                 # timeout) is what fires.
                 heartbeat.pause()
                 time.sleep(rule.seconds if rule.seconds > 0.05 else 3600.0)
-            request = api.CheckRequest.from_dict(message["request"])
-            request = _clamped_request(request, message.get("deadline_seconds"))
+            request = _clamped_request(
+                message["request"], message.get("deadline_seconds")
+            )
             state.note_request(request)
             report = api.check(request)
         except Exception as exc:
