@@ -32,7 +32,9 @@ test:
 lint:
 	$(PYTHON) -m ruff check .
 
-# Run the README quickstart end-to-end and link-check README + docs/*.md.
+# Run the README and service quickstarts end-to-end, link-check README +
+# docs/*.md, and check that every schema tag they name is a current
+# schema constant in src/repro.
 docs-check:
 	$(PYTHON) tools/check_docs.py
 

@@ -39,8 +39,9 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.checker.engine import AssertionChecker, CheckerOptions
 from repro.checker.incremental import shared_model_cache

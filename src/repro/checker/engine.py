@@ -162,12 +162,24 @@ class AssertionChecker:
                 if self._kb is not None:
                     self._kb.attach(model, self.circuit, self.lowered)
                 self._learning_marks = self._learning_counter_marks()
+                learning_store = model.estg if self.options.learning else None
+                prop_fp = self._prop_fingerprint(compiled)
                 start_frame = compiled.warmup_frames
                 for target_frame in range(start_frame, bound):
                     statistics.frames_explored = target_frame + 1
+                    if learning_store is not None and learning_store.is_proven_fail(
+                        prop_fp, target_frame
+                    ):
+                        # Proven FAIL earlier: skip it.  Nothing runs on the
+                        # model, so no engine counter moves.
+                        statistics.targets_skipped += 1
+                        if (prop_fp, target_frame) in learning_store.kb_fail_targets:
+                            # The skip is owed to a memo loaded from the KB.
+                            learning_store.kb_hits += 1
+                        continue
                     try:
                         outcome, search = self._check_target_frame(
-                            compiled, target_frame, statistics
+                            compiled, target_frame
                         )
                         if search is not None:
                             statistics.accumulate_search(search)
@@ -232,18 +244,15 @@ class AssertionChecker:
         """
         return compiled.fingerprint
 
-    def _check_target_frame(
-        self, compiled: CompiledProperty, target_frame: int,
-        statistics: CheckStatistics,
-    ):
+    def _check_target_frame(self, compiled: CompiledProperty, target_frame: int):
         """One target frame on the shared incremental model.
 
         The model is grown (never rebuilt) to ``target_frame + 1`` frames;
         the per-bound environment/goal requirements are asserted on top of an
         engine savepoint that :meth:`_retract_goals` rolls back afterwards,
-        restoring the reusable base fixpoint.  With learning enabled, target
-        frames already proven FAIL on this model are skipped outright, and
-        failed searches extend the proven set.
+        restoring the reusable base fixpoint.  With learning enabled, failed
+        searches extend the set of target frames proven FAIL on this model
+        (which :meth:`check` skips without calling this method).
         """
         model = self._incremental_model
         engine = model.engine
@@ -257,14 +266,6 @@ class AssertionChecker:
         )
         learning_store = model.estg if self.options.learning else None
         prop_fp = self._prop_fingerprint(compiled)
-        if learning_store is not None and learning_store.is_proven_fail(
-            prop_fp, target_frame
-        ):
-            statistics.targets_skipped += 1
-            if (prop_fp, target_frame) in learning_store.kb_fail_targets:
-                # The skip is owed to a memo loaded from the knowledge base.
-                learning_store.kb_hits += 1
-            return JustifyOutcome.FAIL, None
         model.extend_to(target_frame + 1)
         self._restore_savepoint = engine.savepoint()
         try:

@@ -54,8 +54,9 @@ import json
 import os
 import re
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.atpg.statehash import fnv1a
 

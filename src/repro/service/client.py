@@ -12,9 +12,9 @@ Resilience contract (PR 8):
   surfaces as a typed :class:`ServiceTimeout`, never an eternal block);
 * connection-level failures are **retried with jittered exponential
   backoff** (:class:`RetryPolicy`); resubmits after a lost connection are
-  **idempotent** -- each logical submit carries a ``submit_key`` derived
-  from the request digest plus a one-shot nonce, and the daemon collapses
-  retries of the same key onto the original job;
+  **idempotent** -- each logical submit carries a ``submit_key``, a
+  one-shot nonce, and the daemon collapses retries of the same key onto
+  the original job;
 * the failure taxonomy is typed, not prose: :class:`ServiceUnavailable`
   (nobody listening -- the only error the in-process fallback acts on),
   :class:`ServiceConnectionLost` (mid-conversation loss),
@@ -33,9 +33,9 @@ import random
 import socket
 import tempfile
 import time
-import uuid
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro import api, faults
 from repro.service import protocol
@@ -289,7 +289,7 @@ class ServiceClient:
         """
         payload = request.to_dict() if isinstance(request, api.CheckRequest) else dict(request)
         fields: Dict[str, object] = {"request": payload}
-        fields["submit_key"] = submit_key or make_submit_key(payload)
+        fields["submit_key"] = submit_key or make_submit_key()
         if deadline is not None:
             fields["deadline_seconds"] = float(deadline)
         fields.update(extra)
@@ -370,15 +370,16 @@ def _error_from_response(response: Mapping[str, object]) -> ServiceError:
     return ServiceError(message)
 
 
-def make_submit_key(payload: Mapping[str, object]) -> str:
-    """A fresh idempotency key for one *logical* submit of ``payload``.
+def make_submit_key() -> str:
+    """A fresh idempotency key for one *logical* submit: a one-shot nonce.
 
-    Digest prefix + one-shot nonce: retries of the same logical submit
-    reuse the key (and the daemon dedupes them onto one job), while two
-    deliberate submissions of the same request get distinct keys and run
-    twice -- warming benchmarks depend on that.
+    Retries of the same logical submit reuse the key (and the daemon
+    dedupes them onto one job), while two deliberate submissions of the
+    same request get distinct keys and run twice -- warming benchmarks
+    depend on that.  The daemon compares whole keys and reads nothing into
+    them, so the key does not hash the request.
     """
-    return "%s-%s" % (protocol.request_digest(payload)[:12], uuid.uuid4().hex[:8])
+    return os.urandom(8).hex()
 
 
 def service_available(socket_path: Optional[str] = None) -> bool:
@@ -440,9 +441,8 @@ def check_via_service(
         # The job's engine budget is clamped to the deadline worker-side;
         # the grace on top covers queueing and transport.
         wait_timeout = deadline + 30.0
-    payload = request.to_dict()
     if submit_key is None:
-        submit_key = make_submit_key(payload)
+        submit_key = make_submit_key()
     try:
         client = ServiceClient(
             socket_path, retry=policy,
@@ -453,7 +453,7 @@ def check_via_service(
             return check_in_process(request, deadline)
         raise
     try:
-        job_id = client.submit(payload, deadline=deadline, submit_key=submit_key)
+        job_id = client.submit(request, deadline=deadline, submit_key=submit_key)
         attempt = 1
         while True:
             try:

@@ -46,10 +46,10 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import api, faults
 from repro.atpg.statehash import fnv1a
@@ -73,6 +73,8 @@ FLEET_FILE_ENV = "REPRO_FLEET_FILE"
 
 #: Schema tag of the fleet batch report.
 FLEET_BATCH_SCHEMA = "repro-fleet-batch-report/v1"
+#: Schema tag of the fleet status block.
+FLEET_STATUS_SCHEMA = "repro-fleet-status/v1"
 
 #: Breaker defaults: trip after this many consecutive connection-level
 #: failures, skip the endpoint for ``cooldown`` seconds, then allow one
@@ -560,7 +562,7 @@ class FleetRouter:
             raise ServiceUnavailable(
                 "no fleet endpoint available for fingerprint %s (of %d)"
                 % (fingerprint, len(self.endpoints)))
-        submit_key = make_submit_key(request.to_dict())
+        submit_key = make_submit_key()
         return self._run_chain(chain, request, deadline, timeout,
                                fallback, submit_key)
 
@@ -759,7 +761,7 @@ class FleetRouter:
         up = sum(1 for block in blocks
                  if not probe or block["probe"].get("alive"))
         return {
-            "schema": "repro-fleet-status/v1",
+            "schema": FLEET_STATUS_SCHEMA,
             "endpoints": blocks,
             "up": up,
             "total": len(blocks),
@@ -818,6 +820,7 @@ __all__ = [
     "ENDPOINTS_ENV",
     "FLEET_BATCH_SCHEMA",
     "FLEET_FILE_ENV",
+    "FLEET_STATUS_SCHEMA",
     "EndpointState",
     "FleetEndpoint",
     "FleetError",

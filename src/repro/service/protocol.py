@@ -81,11 +81,28 @@ def schema_compatible(schema: object, expected: str = PROTOCOL) -> bool:
             and version.split(".", 1)[0] == expected_version.split(".", 1)[0])
 
 
-def encode(message: Mapping[str, object]) -> bytes:
-    """Frame one message as a JSON line (adds the schema tag if absent)."""
+def dumps(value: object) -> str:
+    """The protocol's JSON text of one value (no whitespace)."""
+    return json.dumps(value, separators=(",", ":"))
+
+
+def encode(message: Mapping[str, object],
+           raw: Optional[Mapping[str, str]] = None) -> bytes:
+    """Frame one message as a JSON line (adds the schema tag if absent).
+
+    ``raw`` maps further fields to values that are already JSON text (a
+    worker's :func:`dumps` of its report); they are written as they are,
+    after the message's own fields, instead of being decoded and encoded
+    again.
+    """
     payload = dict(message)
     payload.setdefault("schema", PROTOCOL)
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+    text = dumps(payload)
+    if raw:
+        text = text[:-1] + "".join(
+            ",%s:%s" % (dumps(key), value) for key, value in raw.items()
+        ) + "}"
+    return (text + "\n").encode("utf-8")
 
 
 def decode(line: bytes) -> Dict[str, object]:
@@ -143,9 +160,8 @@ def request_digest(payload: Mapping[str, object]) -> str:
     """Canonical sha256 of a ``CheckRequest`` dict.
 
     The digest is the request's *identity* for resilience purposes: the
-    client keys idempotent resubmits on it and the supervisor keys its
-    poison-job quarantine on it, so both sides must hash the same bytes --
-    sorted keys, no whitespace.
+    supervisor keys its poison-job quarantine on it, so equal requests
+    must hash the same bytes -- sorted keys, no whitespace.
     """
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -167,6 +183,7 @@ __all__ = [
     "ProtocolError",
     "VERBS",
     "decode",
+    "dumps",
     "encode",
     "error_response",
     "ok_response",

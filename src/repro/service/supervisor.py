@@ -63,7 +63,8 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
-from typing import Callable, Deque, Dict, Mapping, Optional, Set
+from collections.abc import Mapping
+from typing import Callable, Deque, Dict, List, Optional, Set, Union
 
 from repro import api, faults
 from repro.kb.fingerprints import circuit_fingerprint
@@ -133,12 +134,14 @@ class Job:
         self.error: Optional[str] = None
         #: typed failure cause (one of protocol.FAILURE_CAUSES) when failed.
         self.cause: Optional[str] = None
-        self.report: Optional[Dict[str, object]] = None
+        #: the report as the worker's JSON text, written into ``result`` as is.
+        self.report: Optional[str] = None
         self.worker_stats: Optional[Dict[str, object]] = None
         self.submitted_at = time.time()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        self.done = asyncio.Event()
+        #: futures of the coroutines waiting for this job to finish.
+        self._waiters: List[asyncio.Future] = []
 
     @property
     def digest(self) -> str:
@@ -147,13 +150,34 @@ class Job:
             self._digest = protocol.request_digest(self.payload)
         return self._digest
 
+    @property
+    def finished(self) -> bool:
+        return self.finished_at is not None
+
+    def waiter(self) -> asyncio.Future:
+        """A future resolved when the job finishes (:meth:`forget` it after)."""
+        waiter = asyncio.get_running_loop().create_future()
+        if self.finished:
+            waiter.set_result(None)
+        else:
+            self._waiters.append(waiter)
+        return waiter
+
+    def forget(self, waiter: asyncio.Future) -> None:
+        """Drop a waiter that stopped waiting before the job finished."""
+        if waiter in self._waiters:
+            self._waiters.remove(waiter)
+
     def finish(self, state: str, error: Optional[str] = None,
                cause: Optional[str] = None) -> None:
         self.state = state
         self.error = error
         self.cause = cause
         self.finished_at = time.time()
-        self.done.set()
+        waiters, self._waiters = self._waiters, []
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_result(None)
 
     def deadline_remaining(self) -> Optional[float]:
         """Seconds left of the end-to-end deadline, or ``None`` without one."""
@@ -222,6 +246,12 @@ def _frame(message: object) -> bytes:
     if len(data) > 0x7FFFFFFF:
         return struct.pack("!iQ", -1, len(data)) + data
     return struct.pack("!i", len(data)) + data
+
+
+def _resolve(waiter: asyncio.Future) -> None:
+    """Wake whoever awaits ``waiter`` (a timer callback)."""
+    if not waiter.done():
+        waiter.set_result(None)
 
 
 def _reap(proc, timeout: float) -> None:
@@ -450,11 +480,9 @@ class Supervisor:
         # Submits are refused from the moment _draining flips, so this
         # snapshot of unfinished jobs is complete (requeues reuse the
         # same Job objects and stay covered).
-        pending = [job for job in self.jobs.values() if not job.done.is_set()]
-        if pending:
-            await asyncio.wait([
-                asyncio.ensure_future(job.done.wait()) for job in pending
-            ])
+        waiters = [job.waiter() for job in self.jobs.values() if not job.finished]
+        if waiters:
+            await asyncio.wait(waiters)
         self.shutdown_event.set()
 
     @property
@@ -482,6 +510,7 @@ class Supervisor:
                     break
                 if not line:
                     break
+                response: Union[bytes, Dict[str, object]]
                 try:
                     message = protocol.decode(line.rstrip(b"\n"))
                     verb, payload = protocol.parse_verb(message)
@@ -495,7 +524,8 @@ class Supervisor:
                     response = protocol.error_response(None, "bad request: %s" % exc)
                 except Exception as exc:  # pragma: no cover - defensive
                     response = protocol.error_response(None, "internal error: %s" % exc)
-                writer.write(protocol.encode(response))
+                writer.write(response if isinstance(response, bytes)
+                             else protocol.encode(response))
                 await writer.drain()
                 if self._shutdown_requested:
                     self.shutdown_event.set()
@@ -513,7 +543,9 @@ class Supervisor:
             self._clients.discard(writer)
             writer.close()
 
-    async def _dispatch(self, verb: str, payload: Mapping[str, object]) -> Dict[str, object]:
+    async def _dispatch(self, verb: str, payload: Mapping[str, object]
+                        ) -> Union[bytes, Dict[str, object]]:
+        """The response to one verb: a message, or an encoded ``result`` line."""
         faults.maybe_fire("supervisor.dispatch")
         if verb == "ping":
             return protocol.ok_response(
@@ -614,15 +646,22 @@ class Supervisor:
             "submit", job_id=job.job_id, state=job.state, worker=worker_key,
         )
 
-    async def _verb_result(self, payload: Mapping[str, object]) -> Dict[str, object]:
+    async def _verb_result(self, payload: Mapping[str, object]
+                           ) -> Union[bytes, Dict[str, object]]:
         job = self._job_for(payload)
-        if payload.get("wait", True) and not job.done.is_set():
+        if payload.get("wait", True) and not job.finished:
             timeout = payload.get("timeout")
+            delay = None if timeout is None else float(timeout)
+            waiter = job.waiter()
+            timer = None if delay is None \
+                else asyncio.get_running_loop().call_later(delay, _resolve, waiter)
             try:
-                await asyncio.wait_for(
-                    job.done.wait(), None if timeout is None else float(timeout)
-                )
-            except asyncio.TimeoutError:
+                await waiter
+            finally:
+                if timer is not None:
+                    timer.cancel()
+                job.forget(waiter)
+            if not job.finished:
                 return protocol.error_response(
                     "result", "job %s still %s" % (job.job_id, job.state),
                     job_id=job.job_id, state=job.state,
@@ -630,15 +669,15 @@ class Supervisor:
         response = protocol.ok_response(
             "result", job_id=job.job_id, state=job.state, job=job.describe(),
         )
-        if job.report is not None:
-            response["report"] = job.report
         if job.worker_stats is not None:
             response["stats"] = job.worker_stats
         if job.error is not None:
             response["error"] = job.error
         if job.cause is not None:
             response["cause"] = job.cause
-        return response
+        if job.report is None:
+            return response
+        return protocol.encode(response, raw={"report": job.report})
 
     async def _verb_cancel(self, payload: Mapping[str, object]) -> Dict[str, object]:
         job = self._job_for(payload)
@@ -738,7 +777,7 @@ class Supervisor:
     def _finish(self, job: Job, state: str, error: Optional[str] = None,
                 cause: Optional[str] = None) -> None:
         """Finish a job once, and forget the oldest finished jobs."""
-        if job.done.is_set():
+        if job.finished:
             return
         self._in_flight[job.state] -= 1
         job.finish(state, error, cause)
@@ -865,35 +904,57 @@ class Supervisor:
         expired) or ``("watchdog", None)`` (no message of any kind within
         ``hang_timeout``: the worker is wedged, not slow).  Pipe EOF raises
         ``EOFError`` into the caller's crash handling.
+
+        The coroutine awaits the reply future itself, with one timer.
+        Heartbeats move ``pipe.last_message`` without waking anything; a
+        timer that fires after they moved the watchdog's deadline re-arms
+        itself for the new one.  Only an expired deadline resolves the
+        future, with the name of the outcome.
         """
+        loop = asyncio.get_running_loop()
         started = time.monotonic()
         budget = self.options.job_timeout
         remaining_deadline = job.deadline_remaining()
         if remaining_deadline is not None:
             budget = remaining_deadline if budget is None \
                 else min(budget, remaining_deadline)
+        hang_timeout = self.options.hang_timeout
+        timer: Optional[asyncio.TimerHandle] = None
+
+        def time_left(now: float) -> Optional[float]:
+            waits = []
+            if budget is not None:
+                waits.append(budget - (now - started))
+            if hang_timeout is not None:
+                waits.append(hang_timeout - (now - pipe.last_message))
+            return min(waits) if waits else None
+
+        def expire() -> None:
+            nonlocal timer
+            timer = None
+            if result.done():
+                return
+            now = time.monotonic()
+            wait = time_left(now)
+            if wait is not None and wait > 0:
+                timer = loop.call_later(wait, expire)
+                return
+            timed_out = budget is not None and budget - (now - started) <= 0
+            result.set_result("timeout" if timed_out else "watchdog")
+
+        wait = time_left(started)
+        if wait is not None:
+            timer = loop.call_later(wait, expire)
         try:
-            while not result.done():
-                now = time.monotonic()
-                waits = []
-                if budget is not None:
-                    waits.append(budget - (now - started))
-                if self.options.hang_timeout is not None:
-                    waits.append(self.options.hang_timeout - (now - pipe.last_message))
-                wait = min(waits) if waits else None
-                if wait is not None and wait <= 0:
-                    budget_left = None if budget is None else budget - (now - started)
-                    if budget_left is not None and budget_left <= 0:
-                        return ("timeout", None)
-                    return ("watchdog", None)
-                # Heartbeats move pipe.last_message without waking this
-                # loop; a timeout re-derives which deadline expired.
-                await asyncio.wait([result], timeout=wait)
+            reply = await result
         finally:
+            if timer is not None:
+                timer.cancel()
             pipe.forget("result", result)
-        reply = result.result()
         if reply is None:
             raise EOFError("worker pipe closed")
+        if isinstance(reply, str):
+            return (reply, None)
         return ("reply", reply)
 
     async def _run_worker(self, handle: WorkerHandle) -> None:

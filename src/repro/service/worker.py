@@ -19,10 +19,11 @@ check jobs for it *serially*, which is exactly what makes the daemon fast:
 Resilience duties (PR 8):
 
 * while a job runs, a **heartbeat thread** sends ``{"op": "heartbeat"}``
-  every ``heartbeat_interval`` seconds (with the worker's resident-set
-  size), so the supervisor's hung-worker watchdog can tell *slow* from
-  *wedged*.  The thread starts with the first job and lives as long as
-  the worker; each job arms and disarms it;
+  (with the worker's resident-set size) once the job has gone
+  ``heartbeat_interval`` seconds without one -- never more than 1.5
+  intervals apart -- so the supervisor's hung-worker watchdog can tell
+  *slow* from *wedged*.  The thread starts with the first job and lives as
+  long as the worker; a job arms and disarms it without waking it;
 * an end-to-end **deadline** forwarded with the job clamps the request's
   engine time budget, so a deadline set at the client bounds the solver
   itself, not just the transport;
@@ -40,6 +41,7 @@ Resilience duties (PR 8):
 from __future__ import annotations
 
 import os
+import select
 import threading
 import time
 import traceback
@@ -49,6 +51,7 @@ from typing import Dict, Optional
 from repro import api, faults
 from repro.checker.incremental import shared_model_cache
 from repro.kb import flush_attached_stores, open_knowledge_base
+from repro.service import protocol
 
 #: fallback worker configuration (mirrors ServiceOptions defaults).
 DEFAULT_CONFIG = {
@@ -56,6 +59,10 @@ DEFAULT_CONFIG = {
     "rss_soft_bytes": None,
     "rss_hard_bytes": None,
 }
+
+#: milliseconds an idle worker waits for a message before it checks
+#: whether its supervisor is gone.
+ORPHAN_POLL_MS = 1000
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -83,21 +90,33 @@ class _Heartbeat:
     One thread per worker process, started by the first :meth:`arm`.  The
     pipe is shared with the main loop, so every send goes through one lock,
     which is also this object's condition lock: :meth:`arm` and
-    :meth:`disarm` must be called with it held.  Disarming under the lock
-    that then sends a job's result is what guarantees no heartbeat follows
-    a result.  :meth:`pause` exists for the ``hang`` fault kind, which must
-    look exactly like a wedged process (no result *and* no heartbeats); the
-    next :meth:`arm` clears it.
+    :meth:`disarm` must be called with it held, and they only set state.
+    Disarming under the lock that then sends a job's result is what
+    guarantees no heartbeat follows a result (the thread re-checks
+    :attr:`_armed` under that lock before it sends).
+
+    The thread keeps its own clock instead of being woken per job: while
+    jobs arrive it wakes once every half interval and sends a heartbeat
+    when the armed job has gone one interval without one, so a running
+    job's heartbeats are at most 1.5 intervals apart.  After a tick that
+    saw no job at all it parks with no timeout, and the next :meth:`arm`
+    wakes it once.  :meth:`pause` exists for the ``hang`` fault kind, which
+    must look exactly like a wedged process (no result *and* no
+    heartbeats); the next :meth:`arm` clears it.
     """
 
     def __init__(self, conn, lock: threading.Lock, interval: float):
         self._conn = conn
         self._interval = max(0.05, float(interval))
         self._wake = threading.Condition(lock)
-        #: bumped by every arm, so a re-arm restarts the interval.
+        #: bumped by every arm, so a tick can tell whether a job ran since.
         self._job = 0
         self._armed = False
         self._paused = False
+        #: monotonic time of the armed job's start or its last heartbeat.
+        self._since = 0.0
+        #: the thread waits with no timeout until the next arm.
+        self._parked = False
         self._thread: Optional[threading.Thread] = None
 
     def arm(self) -> None:
@@ -105,34 +124,40 @@ class _Heartbeat:
         self._job += 1
         self._armed = True
         self._paused = False
+        self._since = time.monotonic()
         if self._thread is None:
             self._thread = threading.Thread(target=self._run, daemon=True)
             self._thread.start()
-        self._wake.notify()
+        elif self._parked:
+            self._parked = False
+            self._wake.notify()
 
     def disarm(self) -> None:
         """Stop heartbeating (caller holds the lock)."""
         self._armed = False
-        self._wake.notify()
 
     def pause(self) -> None:
         """Silence heartbeats until the next arm (``hang`` fault)."""
         self._paused = True
 
     def _run(self) -> None:
+        tick = self._interval / 2.0
         with self._wake:
+            seen = 0  # the arm that started the thread counts as a new job
             while True:
-                while not self._armed:
-                    self._wake.wait()
-                job = self._job
-                due = time.monotonic() + self._interval
-                while self._armed and self._job == job:
-                    remaining = due - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._wake.wait(remaining)
-                if not self._armed or self._job != job or self._paused:
+                if not self._armed and self._job == seen:
+                    # A whole tick without a job: sleep until the next arm.
+                    self._parked = True
+                    while self._parked:
+                        self._wake.wait()
+                else:
+                    seen = self._job
+                    self._wake.wait(tick)
+                now = time.monotonic()
+                if not self._armed or self._paused \
+                        or now - self._since < self._interval:
                     continue
+                self._since = now
                 message = {"op": "heartbeat", "ts": time.time()}
                 rss = current_rss_bytes()
                 if rss is not None:
@@ -241,16 +266,22 @@ def _clamped_request(request: api.CheckRequest,
 def worker_main(conn, worker_key: str, config: Optional[Dict] = None) -> None:
     """Entry point of the worker child process.
 
-    ``conn`` is the supervisor end-to-end duplex pipe.  Ops:
+    ``conn`` is the worker's end of the supervisor's duplex socketpair, a
+    plain :class:`multiprocessing.connection.Connection`.  Ops:
 
     * ``{"op": "run", "job_id", "request": <CheckRequest>,
       "deadline_seconds"?}``
-      -> interleaved ``{"op": "heartbeat", "ts", "rss_bytes"?}`` messages,
-      then ``{"op": "done", "job_id", "report": <CheckReport dict>,
-      "stats", "retiring"?}`` or ``{"op": "job-error", "job_id", "error",
-      "stats", "retiring"?}``;
+      -> ``{"op": "heartbeat", "ts", "rss_bytes"?}`` messages while the job
+      runs (see :class:`_Heartbeat`), then ``{"op": "done", "job_id",
+      "report": <CheckReport dict as protocol JSON text>, "stats",
+      "retiring"?}`` or ``{"op": "job-error", "job_id", "error", "stats",
+      "retiring"?}``.  The report is encoded here, once: the supervisor
+      writes the text into its ``result`` line as it is;
     * ``{"op": "stats"}`` -> ``{"op": "stats", "stats"}``;
     * ``{"op": "stop"}`` -> flush KB stores, ``{"op": "stopped"}``, exit.
+
+    The loop waits for the next message on one ``select.poll`` object
+    registered at start-up, waking every second to watch for orphaning.
     """
     settings = dict(DEFAULT_CONFIG)
     if config:
@@ -261,6 +292,8 @@ def worker_main(conn, worker_key: str, config: Optional[Dict] = None) -> None:
     # SIGKILLed supervisor never yields EOF here.  Reparenting is the
     # reliable orphan signal: poll with a timeout and watch the ppid.
     supervisor_pid = os.getppid()
+    poller = select.poll()
+    poller.register(conn.fileno(), select.POLLIN)
 
     heartbeat = _Heartbeat(conn, send_lock, settings["heartbeat_interval"])
 
@@ -275,7 +308,7 @@ def worker_main(conn, worker_key: str, config: Optional[Dict] = None) -> None:
 
     while True:
         try:
-            while not conn.poll(1.0):
+            while not poller.poll(ORPHAN_POLL_MS):
                 if os.getppid() != supervisor_pid:
                     flush_attached_stores()
                     return
@@ -332,7 +365,7 @@ def worker_main(conn, worker_key: str, config: Optional[Dict] = None) -> None:
         reply: Dict[str, object] = {
             "op": "done",
             "job_id": job_id,
-            "report": report.to_dict(),
+            "report": protocol.dumps(report.to_dict()),
         }
         retiring = _apply_watermarks(state, settings)
         if retiring:

@@ -5,7 +5,10 @@
   a thread blocked -- busy workers cannot starve the default executor the
   routing of a new design needs;
 * each worker runs one heartbeat thread for its whole life, armed and
-  disarmed per job under the send lock;
+  disarmed per job under the send lock without being woken, on its own
+  half-interval clock;
+* the report crosses the supervisor as the worker's JSON text, and the
+  supervisor waits for jobs with one future and one timer per wait;
 * per-job replies carry counters only; the ``stats`` verb asks idle
   workers for the knowledge-base block;
 * the job table keeps a bounded number of finished jobs;
@@ -24,11 +27,11 @@ from multiprocessing.connection import Connection
 
 import pytest
 
-from repro import faults
-from repro.service import fleet
+from repro import api, faults
+from repro.service import fleet, protocol
 from repro.service import supervisor as supervisor_module
 from repro.service.client import ServiceClient, ServiceError, service_available
-from repro.service.supervisor import ServiceOptions, Supervisor, _frame, _WorkerPipe
+from repro.service.supervisor import Job, ServiceOptions, Supervisor, _frame, _WorkerPipe
 from repro.service.worker import _Heartbeat
 from test_service import arm_plan, case_request
 
@@ -182,6 +185,144 @@ def test_no_heartbeat_follows_a_result_and_hang_silences_one_job():
     _wait_for(lambda: len(conn.sent) > count)
     with lock:
         heartbeat.disarm()
+
+
+def test_back_to_back_jobs_do_not_wake_the_heartbeat_thread():
+    """200 arm/disarm cycles cost the thread a constant number of wake-ups,
+    not two each."""
+    lock, conn = threading.Lock(), _Recorder()
+    heartbeat = _Heartbeat(conn, lock, 2.0)
+    wakeups = []
+    wait = heartbeat._wake.wait
+
+    def counted_wait(timeout=None):
+        result = wait(timeout)
+        wakeups.append(timeout)
+        return result
+
+    heartbeat._wake.wait = counted_wait
+    for _ in range(200):
+        with lock:
+            heartbeat.arm()
+        time.sleep(0.0005)  # the job; the main thread gives up the GIL
+        with lock:
+            heartbeat.disarm()
+    time.sleep(0.05)
+    assert len(wakeups) <= 3, wakeups
+    assert conn.sent == []
+
+
+def test_heartbeats_are_at_most_one_and_a_half_intervals_apart():
+    interval = 0.2
+    lock = threading.Lock()
+    sent = []
+
+    class Clocked:
+        def send(self, message):
+            sent.append((time.monotonic(), message["op"]))
+
+    heartbeat = _Heartbeat(Clocked(), lock, interval)
+    # Park the thread first, so the measured job starts from the idle state.
+    with lock:
+        heartbeat.arm()
+        heartbeat.disarm()
+    _wait_for(lambda: heartbeat._parked)
+    for _ in range(2):  # from a parked thread, then from a ticking one
+        sent.clear()
+        with lock:
+            heartbeat.arm()
+            armed_at = time.monotonic()
+        time.sleep(6 * interval)
+        with lock:
+            heartbeat.disarm()
+        times = [armed_at] + [at for at, op in sent if op == "heartbeat"]
+        assert len(times) >= 5, sent
+        gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+        # 1.5 intervals, plus scheduling slack on a loaded machine.
+        assert max(gaps) <= 1.5 * interval + 0.1, gaps
+        assert min(gaps) >= interval * 0.99, gaps
+
+
+# ----------------------------------------------------------------------
+# The report crosses the supervisor as text
+# ----------------------------------------------------------------------
+def test_a_result_decodes_to_the_dict_the_report_encodes_to():
+    report = api.check(case_request("p1"))  # a witness: the report has a trace
+    assert report.results[0].trace is not None
+
+    async def scenario():
+        supervisor = Supervisor(ServiceOptions(socket_path="unused.sock"))
+        job = Job("job-1", report_request, report_request.to_dict())
+        supervisor.jobs[job.job_id] = job
+        job.worker_stats = {"jobs_done": 1}
+        job.report = protocol.dumps(report.to_dict())  # what the worker sends
+        job.finish("done")
+        line = await supervisor._verb_result({"job_id": job.job_id})
+        # How the supervisor answered when the report crossed as a dict.
+        before = protocol.ok_response("result", job_id=job.job_id, state="done",
+                                      job=job.describe())
+        before["report"] = report.to_dict()
+        before["stats"] = job.worker_stats
+        return line, protocol.encode(before)
+
+    report_request = case_request("p1")
+    line, before = asyncio.run(scenario())
+    assert isinstance(line, bytes) and line.endswith(b"\n")
+    decoded = protocol.decode(line.rstrip(b"\n"))
+    assert decoded == protocol.decode(before.rstrip(b"\n"))
+    assert api.CheckReport.from_dict(decoded["report"]).to_dict() == decoded["report"]
+
+
+# ----------------------------------------------------------------------
+# The supervisor leaves no timer or waiter behind
+# ----------------------------------------------------------------------
+def test_warm_jobs_leave_no_timer_or_waiter_and_a_short_wait_is_typed(tmp_path,
+                                                                      monkeypatch):
+    socket_path = str(tmp_path / "timers.sock")
+
+    def live_timers(loop):
+        return [handle for handle in loop._scheduled if not handle.cancelled()]
+
+    def waiters(supervisor):
+        pending = [w for job in supervisor.jobs.values() for w in job._waiters]
+        for handle in supervisor.workers.values():
+            pending.extend(handle.pipe._waiters.values())
+        return pending
+
+    def warm_jobs():
+        with ServiceClient(socket_path) as client:
+            for _ in range(500):
+                assert client.result(client.submit(case_request("p5")))["state"] == "done"
+
+    def short_wait():
+        # A new design forks a new worker, which inherits the armed plan.
+        with ServiceClient(socket_path) as client:
+            job_id = client.submit(case_request("p3"))
+            _wait_for(lambda: client.status(job_id)["state"] == "running")
+            early = client.call("result", job_id=job_id, wait=True, timeout=0.1)
+            return early, client.result(job_id, timeout=30.0)
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        supervisor = Supervisor(ServiceOptions(socket_path=socket_path))
+        await supervisor.start()
+        try:
+            await asyncio.to_thread(warm_jobs)
+            after_jobs = (live_timers(loop), waiters(supervisor))
+            arm_plan(monkeypatch, tmp_path, "worker.run:sleep:seconds=1")
+            early, final = await asyncio.to_thread(short_wait)
+            after_wait = (live_timers(loop), waiters(supervisor))
+        finally:
+            await supervisor.stop()
+        return after_jobs, early, final, after_wait
+
+    after_jobs, early, final, after_wait = asyncio.run(scenario())
+    assert after_jobs == ([], [])
+    assert early["ok"] is False and early["state"] == "running", early
+    assert "still running" in early["error"]
+    assert "cause" not in early  # not a failure: the client polls on
+    assert final["state"] == "done"
+    assert after_wait == ([], [])
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,11 @@ model key and monitor net name of every zoo case.  The daemon's per-job
 costs around the check ride along: the worker runs the request object the
 supervisor validated, the quarantine digest is hashed on first use, and a
 per-job stats block reads no RSS.
+
+A warm re-check skips every target frame a proven-FAIL memo covers in the
+frame loop itself: :meth:`AssertionChecker._check_target_frame` runs only
+for frames it searches, and the reports keep every statistic they had when
+each skipped frame went through it (goldens below).
 """
 
 import sys
@@ -80,6 +85,44 @@ GOLDENS = {
     "p15": ((2455060011390002122, 0), ("initial:none", "env"),
             "f6c155a6c754c0f7-5e9c1b78f04c74dd-c2f01118f05367d4", "monitor_p15_1"),
 }
+
+
+#: case -> (status, frames explored, non-zero statistics) of a warm
+#: re-check, captured when every skipped frame still went through
+#: ``_check_target_frame``.
+WARM_GOLDENS = {
+    "p1": ("witness_found", 2, {"justified_cache_hit_rate": 1.0, "models_reused": 1,
+                                "rule_cache_hit_rate": 1.0, "targets_skipped": 1}),
+    "p2": ("holds", 3, {"models_reused": 1, "targets_skipped": 3}),
+    "p3": ("holds", 4, {"models_reused": 1, "targets_skipped": 4}),
+    "p4": ("witness_found", 6, {"models_reused": 1, "targets_skipped": 5}),
+    "p5": ("holds", 4, {"models_reused": 1, "targets_skipped": 4}),
+    "p6": ("witness_found", 4, {"justified_cache_hit_rate": 1.0, "models_reused": 1,
+                                "rule_cache_hit_rate": 1.0, "targets_skipped": 3}),
+    "p7": ("holds", 3, {"models_reused": 1, "targets_skipped": 2}),
+    "p8": ("witness_found", 3, {"justified_cache_hit_rate": 1.0, "models_reused": 1,
+                                "rule_cache_hit_rate": 1.0, "targets_skipped": 2}),
+    "p9": ("holds", 5, {"models_reused": 1, "targets_skipped": 5}),
+    "p10": ("holds", 4, {"models_reused": 1, "targets_skipped": 4}),
+    "p11": ("holds", 3, {"models_reused": 1, "targets_skipped": 3}),
+    "p12": ("holds", 3, {"models_reused": 1, "targets_skipped": 3}),
+    "p13": ("holds", 3, {"models_reused": 1, "targets_skipped": 3}),
+    "p14": ("holds", 5, {"models_reused": 1, "targets_skipped": 5}),
+    "p15": ("holds", 3, {"models_reused": 1, "targets_skipped": 3}),
+}
+
+#: case -> non-zero statistics of a check from a reloaded knowledge base
+#: (every skip is owed to a stored memo, so each one counts a ``kb_hits``).
+KB_GOLDENS = {
+    "p2": {"compiled_models": 1, "frames_built": 1, "kb_cubes_loaded": 5, "kb_hits": 3,
+           "targets_skipped": 3},
+    "p4": {"compiled_models": 1, "frames_built": 6, "kb_hits": 5, "targets_skipped": 5},
+    "p15": {"compiled_models": 1, "frames_built": 1, "kb_cubes_loaded": 30, "kb_hits": 3,
+            "targets_skipped": 3},
+}
+
+#: statistics that are times, not counts.
+TIMINGS = ("compile_time_ms", "peak_memory_mb")
 
 
 @pytest.fixture(autouse=True)
@@ -269,3 +312,55 @@ def test_per_job_stats_read_no_rss():
     assert "rss_bytes" not in state.snapshot(with_kb=False)
     if current_rss_bytes() is not None:
         assert "rss_bytes" in state.snapshot()
+
+
+# ----------------------------------------------------------------------
+# Skipped target frames
+# ----------------------------------------------------------------------
+@pytest.fixture
+def searched_frames(monkeypatch):
+    """Record every frame ``_check_target_frame`` runs, and its memo state."""
+    calls = []
+    original = AssertionChecker._check_target_frame
+
+    def recorded(self, compiled, target_frame):
+        store = self._incremental_model.estg
+        calls.append((target_frame, store.is_proven_fail(compiled.fingerprint,
+                                                         target_frame)))
+        return original(self, compiled, target_frame)
+
+    monkeypatch.setattr(AssertionChecker, "_check_target_frame", recorded)
+    return calls
+
+
+def _nonzero_stats(verdict):
+    return {name: value for name, value in verdict.stats.items()
+            if value and name not in TIMINGS}
+
+
+@pytest.mark.parametrize("case_id", sorted(WARM_GOLDENS, key=lambda c: int(c[1:])))
+def test_a_warm_recheck_searches_only_frames_it_does_not_skip(case_id, searched_frames):
+    request = api.CheckRequest(circuit=api.CircuitRef.case(case_id))
+    api.check(request)
+    searched_frames.clear()
+    verdict = api.check(request).results[0]
+    status, frames_explored, stats = WARM_GOLDENS[case_id]
+    assert (verdict.status, verdict.frames_explored, _nonzero_stats(verdict)) == \
+        (status, frames_explored, stats)
+    # No searched frame was proven FAIL, and nothing but the skipped
+    # frames and the one that found a witness is left.
+    assert all(not proven for _, proven in searched_frames)
+    assert len(searched_frames) == (1 if status == "witness_found" else 0)
+
+
+@pytest.mark.parametrize("case_id", sorted(KB_GOLDENS))
+def test_skips_owed_to_the_knowledge_base_count_as_kb_hits(case_id, tmp_path,
+                                                           searched_frames):
+    request = api.CheckRequest(circuit=api.CircuitRef.case(case_id),
+                               kb_path=str(tmp_path / "kb.sqlite"))
+    api.check(request)
+    api.clear_design_cache()
+    shared_model_cache().clear()
+    searched_frames.clear()
+    assert _nonzero_stats(api.check(request).results[0]) == KB_GOLDENS[case_id]
+    assert all(not proven for _, proven in searched_frames)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Keep the documentation honest: run the README quickstart, check links.
+"""Keep the documentation honest: run the quickstarts, check links and tags.
 
-Three checks, all run by CI and ``make docs-check``:
+Four checks, all run by CI and ``make docs-check``:
 
 1. **Quickstart execution** -- every ``bash`` fenced block between
    ``<!-- docs-check:begin -->`` / ``<!-- docs-check:end -->`` markers in
@@ -17,12 +17,18 @@ Three checks, all run by CI and ``make docs-check``:
 3. **Link check** -- every relative markdown link in README.md and
    ``docs/*.md`` must point at an existing file (anchors are stripped;
    external ``http(s)``/``mailto`` links are not fetched).
+4. **Schema tags** -- every ``repro-<name>/vN[.M]`` tag in README.md and
+   ``docs/*.md`` must equal a schema constant defined in ``src/repro``: a
+   module-level name bound to such a string (``REQUEST_SCHEMA``,
+   ``REPORT_SCHEMA``, ``PROTOCOL``, the batch and fleet report tags), so
+   a version bump cannot leave a stale tag in the documentation.
 
-``--only quickstart|service|links`` runs a single check (CI's service
-smoke job uses ``--only service``).
+``--only quickstart|service|links|schemas`` runs a single check (CI's
+service smoke job uses ``--only service``).
 """
 
 import argparse
+import ast
 import glob
 import json
 import os
@@ -59,6 +65,11 @@ _BLOCK_RE = re.compile(
 )
 #: inline + reference-style markdown links; images share the syntax.
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+#: a schema tag as the documentation spells it (a trailing full stop is
+#: punctuation, not part of the version).
+_TAG_RE = re.compile(r"repro-[a-z][a-z-]*/v[0-9][0-9A-Za-z.]*")
+#: a schema tag as a constant in the sources holds it.
+_SCHEMA_VALUE_RE = re.compile(r"repro-[a-z][a-z-]*/v[0-9]+(\.[0-9]+)?")
 
 
 def _quickstart_commands(readme_text):
@@ -216,13 +227,17 @@ def run_service_quickstart():
     return failures
 
 
+def _pages():
+    """README.md and every page under docs/."""
+    return [os.path.join(REPO, "README.md")] + sorted(
+        glob.glob(os.path.join(REPO, "docs", "*.md"))
+    )
+
+
 def check_links():
     """Verify every relative markdown link resolves; return failures."""
     failures = []
-    pages = [os.path.join(REPO, "README.md")] + sorted(
-        glob.glob(os.path.join(REPO, "docs", "*.md"))
-    )
-    for page in pages:
+    for page in _pages():
         base = os.path.dirname(page)
         for target in _LINK_RE.findall(open(page).read()):
             if target.startswith(("http://", "https://", "mailto:", "#")):
@@ -239,10 +254,50 @@ def check_links():
     return failures
 
 
+def schema_constants():
+    """The tags of every schema constant defined in ``src/repro``."""
+    constants = set()
+    for path in glob.glob(os.path.join(SRC, "repro", "**", "*.py"), recursive=True):
+        for node in ast.parse(open(path).read(), path).body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if not (isinstance(value, ast.Constant) and isinstance(value.value, str)
+                    and _SCHEMA_VALUE_RE.fullmatch(value.value)):
+                continue
+            if any(isinstance(target, ast.Name) and target.id.isupper()
+                   for target in targets):
+                constants.add(value.value)
+    return constants
+
+
+def check_schema_tags():
+    """Every schema tag in the documentation names a current constant."""
+    constants = schema_constants()
+    failures = []
+    for page in _pages():
+        relative = os.path.relpath(page, REPO)
+        for number, line in enumerate(open(page), 1):
+            for tag in _TAG_RE.findall(line):
+                tag = tag.rstrip(".")
+                if tag not in constants:
+                    failures.append(
+                        "%s:%d: schema tag %s is not a schema constant in src/repro "
+                        "(known: %s)" % (relative, number, tag,
+                                         ", ".join(sorted(constants)))
+                    )
+        print("ok: schema tags in %s" % relative)
+    return failures
+
+
 CHECKS = {
     "quickstart": run_quickstart,
     "service": run_service_quickstart,
     "links": check_links,
+    "schemas": check_schema_tags,
 }
 
 
@@ -254,9 +309,7 @@ def main():
         help="run a single check instead of all of them",
     )
     args = parser.parse_args()
-    checks = [CHECKS[args.only]] if args.only else [
-        run_quickstart, run_service_quickstart, check_links
-    ]
+    checks = [CHECKS[args.only]] if args.only else list(CHECKS.values())
     failures = []
     for check in checks:
         failures.extend(check())
