@@ -4,7 +4,8 @@ PYTHON ?= python
 #: benchmark files covered by the committed baseline and the CI smoke gate.
 # Order matters: bench_incremental times small allocation-heavy runs and
 # must run before bench_bitparallel's huge lane arrays fragment the
-# allocator (the same order is used for the committed baseline and CI).
+# allocator (the same order is used for the committed baseline, and CI runs
+# `make bench-check`).
 SMOKE_BENCHES = benchmarks/bench_incremental.py benchmarks/bench_justify.py \
                 benchmarks/bench_learning.py \
                 benchmarks/bench_table1.py benchmarks/bench_portfolio.py \

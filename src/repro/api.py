@@ -75,12 +75,12 @@ class RequestError(ValueError):
     """A request cannot be built, serialised or resolved."""
 
 
-def _schema_compatible(schema: object, expected: str) -> bool:
+def schema_compatible(schema: object, expected: str) -> bool:
     """Same-major schema check: ``<name>/v1`` accepts ``<name>/v1.3``.
 
     Messages written by a *newer minor* revision are readable by design
     (unknown fields are ignored); a different major means the layout
-    changed incompatibly and must be rejected.
+    changed incompatibly and must be rejected.  Service messages follow it too.
     """
     if schema is None:
         return True  # tolerate untagged payloads from older writers
@@ -467,7 +467,7 @@ class CheckRequest:
         """
         if not isinstance(payload, Mapping):
             raise RequestError("request payload must be a JSON object")
-        if not _schema_compatible(payload.get("schema"), REQUEST_SCHEMA):
+        if not schema_compatible(payload.get("schema"), REQUEST_SCHEMA):
             raise RequestError(
                 "incompatible request schema %r (expected %s)"
                 % (payload.get("schema"), REQUEST_SCHEMA)
@@ -889,7 +889,7 @@ class CheckReport:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "CheckReport":
-        if not _schema_compatible(payload.get("schema"), REPORT_SCHEMA):
+        if not schema_compatible(payload.get("schema"), REPORT_SCHEMA):
             raise RequestError(
                 "incompatible report schema %r (expected %s)"
                 % (payload.get("schema"), REPORT_SCHEMA)
@@ -1210,4 +1210,5 @@ __all__ = [
     "load_design",
     "resolve_design",
     "run_request",
+    "schema_compatible",
 ]

@@ -10,13 +10,15 @@ assignment already carries the property requirements.  It repeatedly:
    (complement-of-bias first in prove mode), runs word-level implication, and
    backtracks on conflicts,
 4. when no control candidate is left, hands the remaining datapath
-   requirements to the modular arithmetic solver once.  Its answers are
+   requirements to the modular arithmetic solver once
+   (:func:`repro.modsolver.extract.close_leaf`).  Its answers are
    typed: a *proved* infeasible system carries a certificate (the engine
    keys of the clashing source constraints) that is analysed exactly like
    an implication conflict, so datapath refutations feed conflict
    learning; a solution is assigned and kept when it justifies every
-   remaining gate.  Otherwise (an ``Unknown``, or a solution that leaves
-   gates unjustified) the leaf is closed by the same decision loop,
+   remaining gate.  Otherwise (an ``Unknown``, no node for the solver, or
+   a solution that leaves gates unjustified) the leaf is closed by the
+   same decision loop,
    branching on single bits of the free input words in the leaf's cone,
    within :data:`LEAF_BACKTRACK_BUDGET` backtracks.  A leaf that exhausts
    the budget is *unproven*: it fails without facts, and a search that
@@ -62,7 +64,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.decisions import find_decision_candidates
 from repro.atpg.estg import ExtendedStateTransitionGraph, LearnedCube, StateCube, covers
@@ -70,10 +72,7 @@ from repro.atpg.timeframe import UnrolledModel, VarKey
 from repro.bitvector import BV3, BV3Conflict
 from repro.implication.assignment import ImplicationConflict, RootCause
 from repro.implication.engine import ImplicationNode
-from repro.netlist.arith import Adder, Multiplier, ShiftLeft, ShiftRight, Subtractor
-
-if TYPE_CHECKING:
-    from repro.modsolver.result import Infeasible, Solution
+from repro.netlist.compare import Comparator
 
 #: backtracks one datapath leaf may spend branching on input-word bits
 #: before it is given up as unproven.
@@ -609,7 +608,7 @@ class Justifier:
     # ------------------------------------------------------------------
     # Datapath leaves: modular arithmetic solving, then bit branching
     # ------------------------------------------------------------------
-    def _certificate_facts(self, infeasible: Infeasible) -> Optional[_SubtreeFacts]:
+    def _certificate_facts(self, core: Iterable[Hashable]) -> Optional[_SubtreeFacts]:
         """Turn a solver infeasibility core into learnable subtree facts.
 
         The core's tags are implication-engine keys whose implied values
@@ -620,7 +619,7 @@ class Justifier:
         """
         if self.learning is None:
             return None
-        keys = tuple(infeasible.core)
+        keys = tuple(core)
         if not keys:
             return None
         # No installed cube fired for this synthetic conflict; clear any
@@ -645,27 +644,23 @@ class Justifier:
         closed is rolled back to its entry and fails without facts, counted
         in ``unproven_leaves``.
         """
-        arithmetic_nodes = [
-            node
-            for node in self._unjustified()
-            if not self._is_control_node(node)
-            and isinstance(self._gate_of(node), (Adder, Subtractor, Multiplier, ShiftLeft, ShiftRight))
-        ]
         save = self.engine.savepoint()
-        if arithmetic_nodes:
-            # The solver loads on the first leaf that calls it: most checks
-            # never do, and it is a large share of the start-up compile.
-            from repro.modsolver.extract import DatapathConstraintExtractor
+        datapath = [node for node in self._unjustified() if not self._is_control_node(node)]
+        # The solver takes no comparator, so a leaf of comparators alone does
+        # not load it: most checks never need it, and it is a large share of
+        # the start-up compile.
+        if not all(_is_comparator(node) for node in datapath):
+            from repro.modsolver.extract import close_leaf
             from repro.modsolver.result import Infeasible, Solution
 
-            self.arithmetic_calls += 1
-            problem = DatapathConstraintExtractor(self.engine).extract(arithmetic_nodes)
-            if not problem.is_empty():
-                result = problem.solve(budget=self.limits.arithmetic_budget)
-                if isinstance(result, Infeasible):
-                    self.solver_cores += 1
-                    return JustifyOutcome.FAIL, self._certificate_facts(result)
-                if isinstance(result, Solution) and self._assign_solution(result):
+            result = close_leaf(self.engine, datapath, self.limits.arithmetic_budget)
+            if result is not None:
+                self.arithmetic_calls += 1
+            if isinstance(result, Infeasible):
+                self.solver_cores += 1
+                return JustifyOutcome.FAIL, self._certificate_facts(result.core)
+            if isinstance(result, Solution):
+                if self._assign_solution(result.assignment):
                     return JustifyOutcome.SUCCESS, None
                 self.engine.rollback_to(save)
 
@@ -681,10 +676,10 @@ class Justifier:
         self.unproven_leaves += 1
         return JustifyOutcome.FAIL, None
 
-    def _assign_solution(self, solution: Solution) -> bool:
+    def _assign_solution(self, assignment: Dict[VarKey, int]) -> bool:
         """Assign a solver solution; True when it justifies every gate."""
         try:
-            for key, value in solution.assignment.items():
+            for key, value in assignment.items():
                 cube = BV3.from_int(self.engine.assignment.width(key), value)
                 self.engine.assign(
                     key, cube, propagate=False, reason=RootCause("solver", key, cube)
@@ -742,6 +737,7 @@ class Justifier:
                 return True
         return False
 
-    @staticmethod
-    def _gate_of(node: ImplicationNode):
-        return node.tag[0] if isinstance(node.tag, tuple) else None
+
+def _is_comparator(node: ImplicationNode) -> bool:
+    tag = node.tag
+    return isinstance(tag, tuple) and isinstance(tag[0], Comparator)

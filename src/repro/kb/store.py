@@ -422,23 +422,7 @@ class KnowledgeBase:
                 conn = self._conn
                 conn.execute("BEGIN IMMEDIATE")
                 try:
-                    conn.execute(
-                        "INSERT OR IGNORE INTO models(model_key, circuit_name) VALUES(?, ?)",
-                        (key, circuit_name),
-                    )
-                    conn.executemany(
-                        "INSERT INTO cubes(model_key, fingerprint, literals, shiftable,"
-                        " min_position, max_position, prop_digest, source, hits)"
-                        " VALUES(?, ?, ?, ?, ?, ?, ?, ?, ?)"
-                        " ON CONFLICT(model_key, fingerprint)"
-                        " DO UPDATE SET hits = MAX(hits, excluded.hits)",
-                        cube_rows,
-                    )
-                    conn.executemany(
-                        "INSERT OR IGNORE INTO fail_memos(model_key, search_fp, target_frame)"
-                        " VALUES(?, ?, ?)",
-                        memo_rows,
-                    )
+                    _merge_rows(conn, [(key, circuit_name)], cube_rows, memo_rows)
                     conn.execute("COMMIT")
                     if tear_after:
                         self._tear_file()
@@ -635,24 +619,7 @@ class KnowledgeBase:
         conn.execute("BEGIN IMMEDIATE")
         try:
             for models, cubes, memos in batches:
-                conn.executemany(
-                    "INSERT OR IGNORE INTO models(model_key, circuit_name)"
-                    " VALUES(?, ?)",
-                    models,
-                )
-                conn.executemany(
-                    "INSERT INTO cubes(model_key, fingerprint, literals, shiftable,"
-                    " min_position, max_position, prop_digest, source, hits)"
-                    " VALUES(?, ?, ?, ?, ?, ?, ?, ?, ?)"
-                    " ON CONFLICT(model_key, fingerprint)"
-                    " DO UPDATE SET hits = MAX(hits, excluded.hits)",
-                    cubes,
-                )
-                conn.executemany(
-                    "INSERT OR IGNORE INTO fail_memos(model_key, search_fp,"
-                    " target_frame) VALUES(?, ?, ?)",
-                    memos,
-                )
+                _merge_rows(conn, models, cubes, memos)
                 totals["sources"] += 1
                 totals["models"] += len(models)
                 totals["cubes"] += len(cubes)
@@ -671,6 +638,33 @@ class KnowledgeBase:
             except sqlite3.Error:
                 pass
             self._conn = None
+
+
+def _merge_rows(conn: sqlite3.Connection, models, cubes, memos) -> None:
+    """Apply the commuting merge rule inside the caller's transaction.
+
+    Models and FAIL memos are add-only; cubes union by fingerprint, keeping
+    the larger hit counter.  Every flush and every merge writes through here,
+    so replaying rows in any order and any number of times lands the same
+    store.
+    """
+    conn.executemany(
+        "INSERT OR IGNORE INTO models(model_key, circuit_name) VALUES(?, ?)",
+        models,
+    )
+    conn.executemany(
+        "INSERT INTO cubes(model_key, fingerprint, literals, shiftable,"
+        " min_position, max_position, prop_digest, source, hits)"
+        " VALUES(?, ?, ?, ?, ?, ?, ?, ?, ?)"
+        " ON CONFLICT(model_key, fingerprint)"
+        " DO UPDATE SET hits = MAX(hits, excluded.hits)",
+        cubes,
+    )
+    conn.executemany(
+        "INSERT OR IGNORE INTO fail_memos(model_key, search_fp, target_frame)"
+        " VALUES(?, ?, ?)",
+        memos,
+    )
 
 
 # ----------------------------------------------------------------------

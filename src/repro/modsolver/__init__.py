@@ -22,9 +22,9 @@ counterexamples).
   layer only ever learns from proofs.
 
 The re-exports below resolve lazily, each loading only its own submodule on
-first use.  The package itself is imported on the first datapath leaf or
-scalar-congruence rule of a check, so a check that never reaches the
-datapath never compiles the solver.
+first use.  The package itself is imported on the first datapath leaf with
+a node other than a comparator, or the first scalar-congruence rule of a
+check, so a check that never reaches the datapath never compiles the solver.
 """
 
 #: re-exported name -> the submodule defining it.

@@ -13,6 +13,10 @@ operands become constants in the equations, and partially known operands
 carry their cube so that a solution breaking the already-implied bits is
 answered :class:`~repro.modsolver.result.Unknown` (the justifier then
 branches on those bits).
+
+:func:`close_leaf` is the justifier's one call into the solver.  The gates
+the solver takes are one table, ``DatapathConstraintExtractor._BY_GATE``,
+read by both the leaf's seed selection and the extraction closure.
 """
 
 from __future__ import annotations
@@ -63,9 +67,7 @@ class ArithmeticProblem:
                     seen.append(var)
         return seen
 
-    def solve(
-        self, budget: int = 256, enumeration_limit: int = 64
-    ) -> Union[Solution, Infeasible, Unknown]:
+    def solve(self, budget: int = 256) -> Union[Solution, Infeasible, Unknown]:
         """Solve every extracted constraint group (typed result).
 
         Widths are solved independently; the non-linear constraints of each
@@ -80,7 +82,7 @@ class ArithmeticProblem:
           budget or its solution broke a partially implied cube -- never
           a proof, so callers must not learn from it.
         """
-        solver = NonlinearSolver(budget=budget, enumeration_limit=enumeration_limit)
+        solver = NonlinearSolver(budget=budget)
         combined: Dict[Hashable, int] = {}
         unknown: Optional[Unknown] = None
         widths = sorted(set(self.linear_by_width) | {c.width for c in self.nonlinear})
@@ -162,26 +164,11 @@ class DatapathConstraintExtractor:
             if id(node) in processed:
                 continue
             processed.add(id(node))
-            tag = node.tag
-            gate = tag[0] if isinstance(tag, tuple) else None
-            if isinstance(gate, Adder):
-                self._extract_adder(problem, node, gate)
-            elif isinstance(gate, Subtractor):
-                self._extract_subtractor(problem, node, gate)
-            elif isinstance(gate, Multiplier):
-                self._extract_multiplier(problem, node, gate)
-            elif isinstance(gate, (ShiftLeft, ShiftRight)):
-                self._extract_shift(problem, node, gate)
-            elif isinstance(gate, BufGate) and gate.output.width > 1:
-                # Word-level buffers (assign aliases from HDL elaboration)
-                # are pure equalities: without them, arithmetic constraints
-                # on either side of the alias land on *different* solver
-                # variables and the system degenerates to a satisfiable
-                # relaxation -- no solution respects the real netlist and
-                # no infeasibility can ever be certified.
-                self._extract_buffer(problem, node, gate)
-            else:
+            gate = _gate_of(node)
+            extractor = self._extractor(gate)
+            if extractor is None:
                 continue
+            extractor(self, problem, node, gate)
             # Pull in neighbouring arithmetic nodes (and the word-level
             # buffers gluing them together) connected through any variable
             # that is not yet fully determined.
@@ -190,20 +177,24 @@ class DatapathConstraintExtractor:
                 if cube.is_fully_known():
                     continue
                 for neighbour in self.engine.watchers(key):
-                    if id(neighbour) in processed:
-                        continue
-                    neighbour_gate = (
-                        neighbour.tag[0] if isinstance(neighbour.tag, tuple) else None
-                    )
-                    if isinstance(
-                        neighbour_gate,
-                        (Adder, Subtractor, Multiplier, ShiftLeft, ShiftRight),
-                    ) or (
-                        isinstance(neighbour_gate, BufGate)
-                        and neighbour_gate.output.width > 1
-                    ):
+                    if id(neighbour) not in processed and self._extractor(_gate_of(neighbour)):
                         worklist.append(neighbour)
         return problem
+
+    @classmethod
+    def _extractor(cls, gate):
+        """The method extracting ``gate``, or None for gates the solver ignores.
+
+        Word-level buffers (assign aliases from HDL elaboration) are pure
+        equalities: without them, arithmetic constraints on either side of
+        the alias land on *different* solver variables and the system
+        degenerates to a satisfiable relaxation -- no solution respects the
+        real netlist and no infeasibility can ever be certified.  They join
+        only through the closure: no leaf is seeded by a buffer.
+        """
+        if isinstance(gate, BufGate) and gate.output.width > 1:
+            return cls._extract_buffer
+        return cls._BY_GATE.get(type(gate))
 
     # ------------------------------------------------------------------
     def _linear_system(self, problem: ArithmeticProblem, width: int) -> ModularLinearSystem:
@@ -255,28 +246,24 @@ class DatapathConstraintExtractor:
         system.add_constraint(coefficients, -constant, tags)
 
     def _extract_adder(self, problem: ArithmeticProblem, node: ImplicationNode, gate: Adder) -> None:
-        keys = dict(zip(self._adder_pin_names(gate), node.keys))
-        signed = [(keys["a"], 1), (keys["b"], 1), (keys["out"], -1)]
-        if "cin" in keys:
-            signed.append((keys["cin"], 1))
+        pins = node.keys  # a, b, [cin], out, [cout]
+        carry = gate.carry_in is not None
+        signed = [(pins[0], 1), (pins[1], 1), (pins[2 + carry], -1)]
+        if carry:
+            signed.append((pins[2], 1))
         self._add_signed_constraint(problem, gate.output.width, signed)
 
     def _extract_buffer(
         self, problem: ArithmeticProblem, node: ImplicationNode, gate: BufGate
     ) -> None:
-        keys = dict(zip(("a", "out"), node.keys))
-        self._add_signed_constraint(
-            problem, gate.output.width, [(keys["a"], 1), (keys["out"], -1)]
-        )
+        a, out = node.keys
+        self._add_signed_constraint(problem, gate.output.width, [(a, 1), (out, -1)])
 
     def _extract_subtractor(
         self, problem: ArithmeticProblem, node: ImplicationNode, gate: Subtractor
     ) -> None:
-        keys = dict(zip(("a", "b", "out"), node.keys))
-        self._add_signed_constraint(
-            problem, gate.output.width,
-            [(keys["a"], 1), (keys["b"], -1), (keys["out"], -1)],
-        )
+        a, b, out = node.keys
+        self._add_signed_constraint(problem, gate.output.width, [(a, 1), (b, -1), (out, -1)])
 
     def _extract_multiplier(
         self, problem: ArithmeticProblem, node: ImplicationNode, gate: Multiplier
@@ -379,12 +366,32 @@ class DatapathConstraintExtractor:
             )
         )
 
-    @staticmethod
-    def _adder_pin_names(gate: Adder) -> List[str]:
-        names = ["a", "b"]
-        if gate.carry_in is not None:
-            names.append("cin")
-        names.append("out")
-        if gate.carry_out is not None:
-            names.append("cout")
-        return names
+    #: the solver's gate set, each gate type with its extraction method.
+    _BY_GATE = {
+        Adder: _extract_adder,
+        Subtractor: _extract_subtractor,
+        Multiplier: _extract_multiplier,
+        ShiftLeft: _extract_shift,
+        ShiftRight: _extract_shift,
+    }
+
+
+def _gate_of(node: ImplicationNode):
+    tag = node.tag
+    return tag[0] if isinstance(tag, tuple) else None
+
+
+def close_leaf(
+    engine: ImplicationEngine, nodes: Iterable[ImplicationNode], budget: int
+) -> Optional[Union[Solution, Infeasible, Unknown]]:
+    """Solve the datapath left at a search leaf: ``nodes`` are its unjustified
+    datapath nodes, and those the solver takes seed the extraction.
+
+    None when no node seeds it, otherwise the solver's typed answer within
+    ``budget`` (every seed extracts at least one constraint).
+    """
+    solver_gates = DatapathConstraintExtractor._BY_GATE
+    seeds = [node for node in nodes if type(_gate_of(node)) in solver_gates]
+    if not seeds:
+        return None
+    return DatapathConstraintExtractor(engine).extract(seeds).solve(budget=budget)

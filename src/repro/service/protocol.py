@@ -28,6 +28,8 @@ import hashlib
 import json
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.api import schema_compatible
+
 #: The protocol schema tag; bump the major only on incompatible layout
 #: changes, the minor on additive revisions (v1.1 added the ``ping`` health
 #: probe -- protocol version, pid, uptime and the draining flag without the
@@ -63,22 +65,6 @@ MAX_LINE_BYTES = 32 * 1024 * 1024
 
 class ProtocolError(ValueError):
     """A message violates the ``repro-service/v1`` framing or schema."""
-
-
-def schema_compatible(schema: object, expected: str = PROTOCOL) -> bool:
-    """Same-major acceptance: ``repro-service/v1.3`` is fine, ``v2`` is not.
-
-    Missing tags are tolerated (treated as current) so hand-written test
-    messages stay convenient; anything tagged must match the major.
-    """
-    if schema is None:
-        return True
-    if not isinstance(schema, str):
-        return False
-    expected_name, _, expected_version = expected.rpartition("/")
-    name, _, version = schema.rpartition("/")
-    return (name == expected_name
-            and version.split(".", 1)[0] == expected_version.split(".", 1)[0])
 
 
 def dumps(value: object) -> str:
@@ -120,7 +106,7 @@ def decode(line: bytes) -> Dict[str, object]:
         raise ProtocolError("malformed message: %s" % (exc,)) from exc
     if not isinstance(payload, dict):
         raise ProtocolError("message must be a JSON object, got %s" % (type(payload).__name__,))
-    if not schema_compatible(payload.get("schema")):
+    if not schema_compatible(payload.get("schema"), PROTOCOL):
         raise ProtocolError(
             "incompatible protocol %r (this side speaks %s)"
             % (payload.get("schema"), PROTOCOL)
@@ -190,5 +176,4 @@ __all__ = [
     "parse_verb",
     "request_digest",
     "request_message",
-    "schema_compatible",
 ]

@@ -64,7 +64,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from collections.abc import Mapping
-from typing import Callable, Deque, Dict, List, Optional, Set, Union
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro import api, faults
 from repro.kb.fingerprints import circuit_fingerprint
@@ -75,6 +75,10 @@ from repro.service.worker import worker_main
 #: finished (done / failed / cancelled) jobs the job table keeps, newest
 #: first; older ones are forgotten together with their ``submit_key``.
 FINISHED_JOBS_KEPT = 1024
+
+#: circuit refs the route cache remembers, least recently used dropped
+#: first; a forgotten design is elaborated again on its next submit.
+ROUTES_KEPT = 1024
 
 #: seconds the ``stats`` verb waits for idle workers' fresh stats blocks.
 STATS_REPLY_TIMEOUT = 5.0
@@ -212,8 +216,10 @@ class Job:
 class WorkerHandle:
     """Supervisor-side bookkeeping for one worker process."""
 
-    def __init__(self, key: str):
+    def __init__(self, key: str, circuit_name: str):
         self.key = key
+        #: human-readable circuit name (for stats).
+        self.circuit_name = circuit_name
         self.queue: "asyncio.Queue[Job]" = asyncio.Queue()
         self.proc = None
         self.pipe: Optional[_WorkerPipe] = None
@@ -387,11 +393,10 @@ class Supervisor:
         self._shutdown_requested = False
         self._draining = False
         self.shutdown_event = asyncio.Event()
-        #: circuit-ref cache key -> worker key (avoids re-elaborating designs
-        #: in the supervisor just to route repeat submissions).
-        self._route_cache: Dict[tuple, str] = {}
-        #: worker key -> human-readable circuit name (for stats).
-        self._circuit_names: Dict[str, str] = {}
+        #: circuit-ref cache key -> (worker key, circuit name), the newest
+        #: ROUTES_KEPT used (avoids re-elaborating designs in the supervisor
+        #: just to route repeat submissions).
+        self._route_cache: "OrderedDict[tuple, Tuple[str, str]]" = OrderedDict()
         #: request digest -> how often it killed a worker (crash or hang).
         self._kill_counts: Dict[str, int] = {}
         #: digests refused as poison jobs.
@@ -624,7 +629,7 @@ class Supervisor:
                     "submit", job_id=existing.job_id, state=existing.state,
                     worker=existing.worker_key, deduplicated=True,
                 )
-        worker_key = await self._worker_key_for(request)
+        worker_key, circuit_name = await self._route(request)
         deadline = payload.get("deadline_seconds")
         job = Job(
             "job-%d" % next(self._job_ids),
@@ -640,7 +645,7 @@ class Supervisor:
         if job.submit_key is not None:
             self._submit_keys[job.submit_key] = job.job_id
         self.counters["submitted"] += 1
-        handle = self._worker(worker_key)
+        handle = self._worker(worker_key, circuit_name)
         handle.queue.put_nowait(job)
         return protocol.ok_response(
             "submit", job_id=job.job_id, state=job.state, worker=worker_key,
@@ -702,8 +707,8 @@ class Supervisor:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _worker_key_for(self, request: api.CheckRequest) -> str:
-        """Map a request onto its circuit-fingerprint worker key.
+    async def _route(self, request: api.CheckRequest) -> Tuple[str, str]:
+        """Map a request onto its circuit-fingerprint worker key and name.
 
         The first submission of a design elaborates it once in the
         supervisor (in a thread, off the event loop) to compute the
@@ -712,25 +717,27 @@ class Supervisor:
         afterwards would inherit the circuits of other workers' designs.
         """
         cache_key = request.circuit.cache_key()
-        key = self._route_cache.get(cache_key)
-        if key is not None:
-            return key
+        route = self._route_cache.get(cache_key)
+        if route is not None:
+            self._route_cache.move_to_end(cache_key)
+            return route
 
         def compute():
             resolved = api.load_design(request.circuit)
             return ("%016x" % circuit_fingerprint(resolved.circuit),
                     resolved.circuit.name)
 
-        key, circuit_name = await asyncio.to_thread(compute)
-        self._route_cache[cache_key] = key
-        self._circuit_names.setdefault(key, circuit_name)
-        return key
+        route = await asyncio.to_thread(compute)
+        self._route_cache[cache_key] = route
+        if len(self._route_cache) > ROUTES_KEPT:
+            self._route_cache.popitem(last=False)
+        return route
 
-    def _worker(self, key: str) -> WorkerHandle:
+    def _worker(self, key: str, circuit_name: str) -> WorkerHandle:
         handle = self.workers.get(key)
         if handle is None:
             self._evict_idle_workers(need_room=True)
-            handle = WorkerHandle(key)
+            handle = WorkerHandle(key, circuit_name)
             self._spawn(handle)
             handle.runner = asyncio.get_running_loop().create_task(
                 self._run_worker(handle)
@@ -1129,7 +1136,7 @@ class Supervisor:
                 block.setdefault("kb", handle.kb_blocks)
             block.update({
                 "worker_key": key,
-                "circuit": self._circuit_names.get(key),
+                "circuit": handle.circuit_name,
                 "alive": bool(handle.proc is not None and handle.proc.is_alive()),
                 "busy": handle.current is not None,
                 "queue_depth": handle.queue.qsize(),

@@ -413,6 +413,38 @@ def test_job_table_keeps_only_the_newest_finished_jobs(tmp_path, monkeypatch):
     assert stats["jobs"]["queued"] == stats["jobs"]["running"] == 0
 
 
+def _source_request(index):
+    """A distinct inline design per index (every edit of a served file
+    makes a new circuit-ref key the same way)."""
+    text = ("module design%d(input [3:0] x, output bad);\n"
+            "  assign bad = (x == 4'd%d);\n"
+            "endmodule\n" % (index, index % 16))
+    return api.CheckRequest(
+        circuit=api.CircuitRef.source(text),
+        properties=(api.PropertySpec.assertion("nobad", "bad == 0"),),
+        max_frames=1,
+    )
+
+
+def test_routing_tables_stay_bounded_over_distinct_designs(tmp_path, monkeypatch):
+    kept = 3
+    monkeypatch.setattr(supervisor_module, "ROUTES_KEPT", kept)
+    designs = kept + 3
+    with supervisor_thread(tmp_path, max_workers=1) as (socket_path, supervisor):
+        with ServiceClient(socket_path) as client:
+            for index in range(designs):
+                job_id = client.submit(_source_request(index))
+                assert client.result(job_id)["state"] == "done"
+            assert len(supervisor._route_cache) == kept
+            # A design still in the route cache routes without elaborating.
+            recent = client.submit(_source_request(designs - 1))
+            assert client.result(recent)["state"] == "done"
+            assert len(supervisor._route_cache) == kept
+            workers = client.stats()["workers"]
+    assert len(workers) == 1
+    assert workers[0]["circuit"] == "design%d" % (designs - 1)
+
+
 # ----------------------------------------------------------------------
 # Shutdown closes every client connection
 # ----------------------------------------------------------------------
