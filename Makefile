@@ -54,9 +54,11 @@ importtime:
 	    tests/designs/y_range.v --witness "hit=bad == 1" --json 2>&1 >/dev/null \
 	    | sort -t'|' -k2 -rn | head -n 25
 
+# Tier-1 under coverage: stops at the first failure, writes coverage.xml
+# (CI uploads it) and fails below COV_FLOOR.
 coverage:
-	$(PYTHON) -m pytest -q --cov=repro --cov-report=term-missing \
-	    --cov-fail-under=$(COV_FLOOR)
+	$(PYTHON) -m pytest -x -q --cov=repro --cov-report=term-missing \
+	    --cov-report=xml --cov-fail-under=$(COV_FLOOR)
 
 # One fast benchmark per family, JSON report kept for the regression gate.
 bench-smoke:

@@ -1015,8 +1015,13 @@ def run_request(
         finally:
             resolved.lock.release()
     # Another thread is checking this design, and a circuit and its models
-    # are not thread-safe: check a private cold copy instead.
-    return _run_resolved(request, load_design(request.circuit), force_batch)
+    # are not thread-safe: check a private cold copy instead, and drop its
+    # model afterwards, since nothing checks the copy again.
+    copy = load_design(request.circuit)
+    try:
+        return _run_resolved(request, copy, force_batch)
+    finally:
+        shared_model_cache().evict(copy.circuit)
 
 
 def _run_resolved(

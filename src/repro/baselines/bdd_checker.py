@@ -26,35 +26,40 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.baselines.bdd import FALSE, TRUE, BddLimitExceeded, BddManager
+from repro.baselines.lowering import BitAlgebra
 from repro.checker.result import CheckStatus
 from repro.checker.stats import ResourceMeter
-from repro.netlist.arith import Adder, Multiplier, ShiftLeft, ShiftRight, Subtractor
 from repro.netlist.circuit import Circuit
-from repro.netlist.compare import Comparator
-from repro.netlist.gates import (
-    AndGate,
-    BufGate,
-    ConcatGate,
-    ConstGate,
-    NandGate,
-    NorGate,
-    NotGate,
-    OrGate,
-    ReduceAnd,
-    ReduceOr,
-    ReduceXor,
-    SliceGate,
-    XnorGate,
-    XorGate,
-    ZeroExtendGate,
-)
-from repro.netlist.mux import Mux
 from repro.netlist.nets import Net
 from repro.netlist.seq import DFF
-from repro.netlist.tristate import BusResolver, TristateBuffer
 from repro.properties.convert import PropertyCompiler
 from repro.properties.environment import Environment
 from repro.properties.spec import Assertion, Property
+
+
+class _BddAlgebra(BitAlgebra):
+    """The shared word-to-bit lowering over one manager's BDD nodes."""
+
+    def __init__(self, manager: BddManager):
+        self.manager = manager
+
+    def constant(self, value: bool) -> int:
+        return TRUE if value else FALSE
+
+    def and_gate(self, inputs) -> int:
+        return self.manager.and_all(inputs)
+
+    def or_gate(self, inputs) -> int:
+        return self.manager.or_all(inputs)
+
+    def xor_gate(self, a: int, b: int) -> int:
+        return self.manager.xor(a, b)
+
+    def not_gate(self, a: int) -> int:
+        return self.manager.not_(a)
+
+    def mux_gate(self, select: int, when_zero: int, when_one: int) -> int:
+        return self.manager.ite(select, when_one, when_zero)
 
 
 @dataclass
@@ -129,206 +134,20 @@ class BddSymbolicChecker:
     def _symbolic_simulate(self, manager: BddManager) -> Dict[Net, List[int]]:
         """One BDD per net bit, over current-state and input variables."""
         functions = self._leaf_functions(manager)
+        algebra = _BddAlgebra(manager)
         for gate in self.circuit.topological_order():
-            self._evaluate_gate(manager, functions, gate)
+            algebra.lower_gate(gate, functions)
         return functions
-
-    # ------------------------------------------------------------------
-    def _evaluate_gate(self, manager: BddManager, functions, gate) -> None:
-        m = manager
-        ins = [functions[net] for net in gate.inputs]
-
-        if isinstance(gate, ConstGate):
-            functions[gate.output] = [
-                TRUE if (gate.value >> bit) & 1 else FALSE for bit in range(gate.output.width)
-            ]
-        elif isinstance(gate, BufGate):
-            functions[gate.output] = list(ins[0])
-        elif isinstance(gate, NotGate):
-            functions[gate.output] = [m.not_(bit) for bit in ins[0]]
-        elif isinstance(gate, (AndGate, NandGate)):
-            result = list(ins[0])
-            for operand in ins[1:]:
-                result = [m.and_(a, b) for a, b in zip(result, operand)]
-            if isinstance(gate, NandGate):
-                result = [m.not_(bit) for bit in result]
-            functions[gate.output] = result
-        elif isinstance(gate, (OrGate, NorGate)):
-            result = list(ins[0])
-            for operand in ins[1:]:
-                result = [m.or_(a, b) for a, b in zip(result, operand)]
-            if isinstance(gate, NorGate):
-                result = [m.not_(bit) for bit in result]
-            functions[gate.output] = result
-        elif isinstance(gate, (XorGate, XnorGate)):
-            result = list(ins[0])
-            for operand in ins[1:]:
-                result = [m.xor(a, b) for a, b in zip(result, operand)]
-            if isinstance(gate, XnorGate):
-                result = [m.not_(bit) for bit in result]
-            functions[gate.output] = result
-        elif isinstance(gate, ReduceAnd):
-            functions[gate.output] = [m.and_all(ins[0])]
-        elif isinstance(gate, ReduceOr):
-            functions[gate.output] = [m.or_all(ins[0])]
-        elif isinstance(gate, ReduceXor):
-            parity = FALSE
-            for bit in ins[0]:
-                parity = m.xor(parity, bit)
-            functions[gate.output] = [parity]
-        elif isinstance(gate, SliceGate):
-            functions[gate.output] = list(ins[0][gate.lsb : gate.msb + 1])
-        elif isinstance(gate, ConcatGate):
-            bits: List[int] = []
-            for operand in reversed(ins):
-                bits.extend(operand)
-            functions[gate.output] = bits
-        elif isinstance(gate, ZeroExtendGate):
-            padding = [FALSE] * (gate.output.width - len(ins[0]))
-            functions[gate.output] = list(ins[0]) + padding
-        elif isinstance(gate, Adder):
-            carry = (
-                functions[gate.carry_in][0] if gate.carry_in is not None else FALSE
-            )
-            total, carry_out = self._word_add(m, functions[gate.a], functions[gate.b], carry)
-            functions[gate.output] = total
-            if gate.carry_out is not None:
-                functions[gate.carry_out] = [carry_out]
-        elif isinstance(gate, Subtractor):
-            negated = [m.not_(bit) for bit in functions[gate.b]]
-            total, _ = self._word_add(m, functions[gate.a], negated, TRUE)
-            functions[gate.output] = total
-        elif isinstance(gate, Multiplier):
-            functions[gate.output] = self._word_mul(
-                m, functions[gate.a], functions[gate.b], gate.output.width
-            )
-        elif isinstance(gate, (ShiftLeft, ShiftRight)):
-            functions[gate.output] = self._word_shift(m, gate, functions)
-        elif isinstance(gate, Comparator):
-            functions[gate.output] = [self._comparator_bit(m, gate, functions)]
-        elif isinstance(gate, Mux):
-            functions[gate.output] = self._word_mux_tree(m, gate, functions)
-        elif isinstance(gate, TristateBuffer):
-            functions[gate.output] = list(functions[gate.data])
-        elif isinstance(gate, BusResolver):
-            width = gate.output.width
-            result = [FALSE] * width
-            for data, enable in gate.drivers:
-                enable_bit = functions[enable][0]
-                result = [
-                    m.or_(acc, m.and_(bit, enable_bit))
-                    for acc, bit in zip(result, functions[data])
-                ]
-            functions[gate.output] = result
-        elif isinstance(gate, DFF):
-            pass  # handled by the transition relation
-        else:
-            raise TypeError("BDD checker has no encoding for %s" % (type(gate).__name__,))
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _word_add(manager: BddManager, a: List[int], b: List[int], carry: int):
-        total: List[int] = []
-        for bit_a, bit_b in zip(a, b):
-            partial = manager.xor(bit_a, bit_b)
-            total.append(manager.xor(partial, carry))
-            carry = manager.or_(
-                manager.and_(bit_a, bit_b), manager.and_(partial, carry)
-            )
-        return total, carry
-
-    def _word_mul(self, manager: BddManager, a: List[int], b: List[int], width: int):
-        result = [FALSE] * width
-        for shift, control in enumerate(b):
-            if shift >= width:
-                break
-            addend = [FALSE] * shift + [
-                manager.and_(bit, control) for bit in a[: width - shift]
-            ]
-            result, _ = self._word_add(manager, result, addend, FALSE)
-        return result
-
-    def _word_shift(self, manager: BddManager, gate, functions) -> List[int]:
-        a = functions[gate.a]
-        width = gate.output.width
-        if gate.amount is None:
-            amount = gate.constant
-            bits = []
-            for i in range(width):
-                src = i - amount if isinstance(gate, ShiftLeft) else i + amount
-                bits.append(a[src] if 0 <= src < len(a) else FALSE)
-            return bits
-        current = list(a)
-        for stage, control in enumerate(functions[gate.amount]):
-            shift = 1 << stage
-            if shift >= width * 2:
-                break
-            shifted = []
-            for i in range(width):
-                src = i - shift if isinstance(gate, ShiftLeft) else i + shift
-                shifted.append(current[src] if 0 <= src < width else FALSE)
-            current = [
-                manager.ite(control, s, c) for c, s in zip(current, shifted)
-            ]
-        return current
-
-    def _comparator_bit(self, manager: BddManager, gate: Comparator, functions) -> int:
-        a = functions[gate.a]
-        b = functions[gate.b]
-        equal = TRUE
-        less = FALSE
-        for bit_a, bit_b in zip(reversed(a), reversed(b)):
-            bit_less = manager.and_(manager.not_(bit_a), bit_b)
-            less = manager.or_(less, manager.and_(equal, bit_less))
-            equal = manager.and_(equal, manager.xnor(bit_a, bit_b))
-        if gate.op == "==":
-            return equal
-        if gate.op == "!=":
-            return manager.not_(equal)
-        if gate.op == "<":
-            return less
-        if gate.op == ">=":
-            return manager.not_(less)
-        if gate.op == ">":
-            return manager.and_(manager.not_(less), manager.not_(equal))
-        return manager.or_(less, equal)  # "<="
-
-    def _word_mux_tree(self, manager: BddManager, gate: Mux, functions) -> List[int]:
-        select_bits = functions[gate.select]
-        data = [functions[net] for net in gate.data]
-        padded = list(data)
-        target = 1 << len(select_bits)
-        while len(padded) < target:
-            padded.append(data[-1])
-        level = padded
-        for control in select_bits:
-            next_level = []
-            for i in range(0, len(level), 2):
-                pair = level[i + 1] if i + 1 < len(level) else level[i]
-                next_level.append(
-                    [manager.ite(control, hi, lo) for lo, hi in zip(level[i], pair)]
-                )
-            level = next_level
-        return level[0]
 
     # ------------------------------------------------------------------
     # Transition relation, initial states and environment
     # ------------------------------------------------------------------
     def _next_state_functions(self, manager: BddManager, functions) -> List[int]:
-        next_functions: List[int] = []
-        for index, (ff, bit) in enumerate(self._state_bits):
-            value = functions[ff.d][bit]
-            current = manager.variable(self._current_levels[index])
-            if ff.enable is not None:
-                enable = functions[ff.enable][0]
-                value = manager.ite(enable, value, current)
-            if ff.set is not None:
-                value = manager.ite(functions[ff.set][0], TRUE, value)
-            if ff.reset is not None:
-                reset_bit = TRUE if (ff.reset_value >> bit) & 1 else FALSE
-                value = manager.ite(functions[ff.reset][0], reset_bit, value)
-            next_functions.append(value)
-        return next_functions
+        """Next-state BDD of every state bit, in ``_state_bits`` order."""
+        algebra = _BddAlgebra(manager)
+        return [
+            bit for ff in self.circuit.flip_flops for bit in algebra.next_state(ff, functions)
+        ]
 
     def _transition_relation(self, manager: BddManager, next_functions: List[int]) -> int:
         relation = TRUE

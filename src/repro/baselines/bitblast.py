@@ -2,42 +2,21 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.baselines.cnf import TseitinEncoder
-from repro.netlist.arith import Adder, Multiplier, ShiftLeft, ShiftRight, Subtractor
-from repro.netlist.compare import Comparator
 from repro.netlist.circuit import Circuit
-from repro.netlist.gates import (
-    AndGate,
-    BufGate,
-    ConcatGate,
-    ConstGate,
-    NandGate,
-    NorGate,
-    NotGate,
-    OrGate,
-    ReduceAnd,
-    ReduceOr,
-    ReduceXor,
-    SliceGate,
-    XnorGate,
-    XorGate,
-    ZeroExtendGate,
-)
-from repro.netlist.mux import Mux
 from repro.netlist.nets import Net
-from repro.netlist.seq import DFF
-from repro.netlist.tristate import BusResolver, TristateBuffer
 
 
 class CircuitBitBlaster:
     """Unrolls a circuit over time frames and encodes it into CNF.
 
-    Net bits are mapped to CNF variables per ``(net, frame)``; registers link
-    consecutive frames.  The encoding covers every primitive the netlist
-    package offers, so any design accepted by the word-level checker can also
-    be checked by the SAT baseline.
+    Net bits are mapped to CNF literals per ``(net, frame)``; registers link
+    consecutive frames.  Gates and registers encode through the shared
+    lowering (:class:`~repro.baselines.lowering.BitAlgebra`), which covers
+    every primitive the netlist package offers, so any design accepted by the
+    word-level checker can also be checked by the SAT baseline.
     """
 
     def __init__(self, circuit: Circuit, num_frames: int, initial_state: Optional[Mapping[str, int]] = None):
@@ -46,13 +25,14 @@ class CircuitBitBlaster:
         self.initial_state = dict(initial_state or {})
         self.encoder = TseitinEncoder()
         self.formula = self.encoder.formula
-        self._bits: Dict[Tuple[Net, int], List[int]] = {}
+        #: per frame, each net's CNF literals (LSB first).
+        self._frames: List[Dict[Net, List[int]]] = []
         self._encode()
 
     # ------------------------------------------------------------------
     def bits(self, net: Net, frame: int) -> List[int]:
         """CNF literals (LSB first) of a net in a frame."""
-        return self._bits[(net, frame)]
+        return self._frames[frame][net]
 
     def constrain_value(self, net: Net, frame: int, value: int) -> None:
         """Force a net to a constant value in one frame."""
@@ -80,222 +60,26 @@ class CircuitBitBlaster:
     # ------------------------------------------------------------------
     def _encode(self) -> None:
         # Allocate literals for every frame's free nets (inputs and register
-        # outputs); derived nets get literals as their drivers are encoded.
-        for frame in range(self.num_frames):
-            for net in self.circuit.inputs:
-                self._bits[(net, frame)] = self.formula.new_variables(net.width)
+        # outputs); derived nets get literals as their drivers are lowered.
+        for _ in range(self.num_frames):
+            bits = {net: self.formula.new_variables(net.width) for net in self.circuit.inputs}
             for ff in self.circuit.flip_flops:
-                self._bits[(ff.q, frame)] = self.formula.new_variables(ff.q.width)
+                bits[ff.q] = self.formula.new_variables(ff.q.width)
+            self._frames.append(bits)
 
         # Initial state constraints at frame 0.
         for ff in self.circuit.flip_flops:
             value = self.initial_state.get(ff.q.name, ff.init_value)
-            if value is None:
-                continue
-            for index, literal in enumerate(self._bits[(ff.q, 0)]):
-                desired = (value >> index) & 1
-                self.formula.add_unit(literal if desired else -literal)
+            if value is not None:
+                self.constrain_value(ff.q, 0, value)
 
         # Combinational logic per frame, then the register transition relation.
         order = self.circuit.topological_order()
-        for frame in range(self.num_frames):
+        for bits in self._frames:
             for gate in order:
-                self._encode_gate(gate, frame)
-        for frame in range(self.num_frames - 1):
+                self.encoder.lower_gate(gate, bits)
+        for current, following in zip(self._frames, self._frames[1:]):
             for ff in self.circuit.flip_flops:
-                self._encode_register(ff, frame)
-
-    def _net_bits(self, net: Net, frame: int) -> List[int]:
-        bits = self._bits.get((net, frame))
-        if bits is None:
-            raise KeyError("net %s has no encoding in frame %d" % (net, frame))
-        return bits
-
-    def _set_bits(self, net: Net, frame: int, bits: List[int]) -> None:
-        self._bits[(net, frame)] = bits
-
-    # ------------------------------------------------------------------
-    def _encode_gate(self, gate, frame: int) -> None:
-        enc = self.encoder
-        ins = [self._net_bits(net, frame) for net in gate.inputs]
-
-        if isinstance(gate, ConstGate):
-            self._set_bits(gate.output, frame, enc.word_constant(gate.value, gate.output.width))
-        elif isinstance(gate, (BufGate,)):
-            self._set_bits(gate.output, frame, list(ins[0]))
-        elif isinstance(gate, NotGate):
-            self._set_bits(gate.output, frame, enc.word_not(ins[0]))
-        elif isinstance(gate, (AndGate, NandGate)):
-            result = ins[0]
-            for operand in ins[1:]:
-                result = enc.word_and(result, operand)
-            if isinstance(gate, NandGate):
-                result = enc.word_not(result)
-            self._set_bits(gate.output, frame, result)
-        elif isinstance(gate, (OrGate, NorGate)):
-            result = ins[0]
-            for operand in ins[1:]:
-                result = enc.word_or(result, operand)
-            if isinstance(gate, NorGate):
-                result = enc.word_not(result)
-            self._set_bits(gate.output, frame, result)
-        elif isinstance(gate, (XorGate, XnorGate)):
-            result = ins[0]
-            for operand in ins[1:]:
-                result = enc.word_xor(result, operand)
-            if isinstance(gate, XnorGate):
-                result = enc.word_not(result)
-            self._set_bits(gate.output, frame, result)
-        elif isinstance(gate, ReduceAnd):
-            self._set_bits(gate.output, frame, [enc.and_gate(ins[0])])
-        elif isinstance(gate, ReduceOr):
-            self._set_bits(gate.output, frame, [enc.or_gate(ins[0])])
-        elif isinstance(gate, ReduceXor):
-            parity = ins[0][0]
-            for literal in ins[0][1:]:
-                parity = enc.xor_gate(parity, literal)
-            self._set_bits(gate.output, frame, [parity])
-        elif isinstance(gate, SliceGate):
-            self._set_bits(gate.output, frame, list(ins[0][gate.lsb : gate.msb + 1]))
-        elif isinstance(gate, ConcatGate):
-            bits: List[int] = []
-            for operand in reversed(ins):  # least significant part last in inputs
-                bits.extend(operand)
-            self._set_bits(gate.output, frame, bits)
-        elif isinstance(gate, ZeroExtendGate):
-            padding = [enc.constant(False)] * (gate.output.width - len(ins[0]))
-            self._set_bits(gate.output, frame, list(ins[0]) + padding)
-        elif isinstance(gate, Adder):
-            carry_in = None
-            if gate.carry_in is not None:
-                carry_in = self._net_bits(gate.carry_in, frame)[0]
-            total, carry = enc.word_add(
-                self._net_bits(gate.a, frame), self._net_bits(gate.b, frame), carry_in
-            )
-            self._set_bits(gate.output, frame, total)
-            if gate.carry_out is not None:
-                self._set_bits(gate.carry_out, frame, [carry])
-        elif isinstance(gate, Subtractor):
-            self._set_bits(
-                gate.output,
-                frame,
-                enc.word_sub(self._net_bits(gate.a, frame), self._net_bits(gate.b, frame)),
-            )
-        elif isinstance(gate, Multiplier):
-            self._set_bits(
-                gate.output,
-                frame,
-                enc.word_mul(
-                    self._net_bits(gate.a, frame),
-                    self._net_bits(gate.b, frame),
-                    gate.output.width,
-                ),
-            )
-        elif isinstance(gate, (ShiftLeft, ShiftRight)):
-            self._encode_shift(gate, frame)
-        elif isinstance(gate, Comparator):
-            self._encode_comparator(gate, frame)
-        elif isinstance(gate, Mux):
-            self._encode_mux(gate, frame)
-        elif isinstance(gate, TristateBuffer):
-            self._set_bits(gate.output, frame, list(self._net_bits(gate.data, frame)))
-        elif isinstance(gate, BusResolver):
-            self._encode_bus(gate, frame)
-        elif isinstance(gate, DFF):
-            pass  # handled by _encode_register
-        else:
-            raise TypeError("bit-blaster has no encoding for %s" % (type(gate).__name__,))
-
-    def _encode_shift(self, gate, frame: int) -> None:
-        enc = self.encoder
-        a = self._net_bits(gate.a, frame)
-        width = gate.output.width
-        if gate.amount is None:
-            amount = gate.constant
-            bits = []
-            for i in range(width):
-                src = i - amount if isinstance(gate, ShiftLeft) else i + amount
-                bits.append(a[src] if 0 <= src < len(a) else enc.constant(False))
-            self._set_bits(gate.output, frame, bits)
-            return
-        # Variable shift: barrel of muxes over the amount bits.
-        amount_bits = self._net_bits(gate.amount, frame)
-        current = list(a)
-        for stage, control in enumerate(amount_bits):
-            shift = 1 << stage
-            if shift >= width * 2:
-                break
-            shifted = []
-            for i in range(width):
-                src = i - shift if isinstance(gate, ShiftLeft) else i + shift
-                shifted.append(current[src] if 0 <= src < width else enc.constant(False))
-            current = enc.word_mux(control, current, shifted)
-        self._set_bits(gate.output, frame, current)
-
-    def _encode_comparator(self, gate: Comparator, frame: int) -> None:
-        enc = self.encoder
-        a = self._net_bits(gate.a, frame)
-        b = self._net_bits(gate.b, frame)
-        if gate.op == "==":
-            bit = enc.word_equal(a, b)
-        elif gate.op == "!=":
-            bit = enc.not_gate(enc.word_equal(a, b))
-        elif gate.op == "<":
-            bit = enc.word_less_than(a, b)
-        elif gate.op == ">=":
-            bit = enc.not_gate(enc.word_less_than(a, b))
-        elif gate.op == ">":
-            bit = enc.word_less_than(b, a)
-        else:  # "<="
-            bit = enc.not_gate(enc.word_less_than(b, a))
-        self._set_bits(gate.output, frame, [bit])
-
-    def _encode_mux(self, gate: Mux, frame: int) -> None:
-        enc = self.encoder
-        select_bits = self._net_bits(gate.select, frame)
-        data = [self._net_bits(net, frame) for net in gate.data]
-        # Binary selection tree over the select bits, clamping out-of-range
-        # selects onto the last input (matching Mux.evaluate).
-        padded = list(data)
-        target = 1 << len(select_bits)
-        while len(padded) < target:
-            padded.append(data[-1])
-        level = padded
-        for stage, control in enumerate(select_bits):
-            next_level = []
-            for i in range(0, len(level), 2):
-                pair = level[i + 1] if i + 1 < len(level) else level[i]
-                next_level.append(enc.word_mux(control, level[i], pair))
-            level = next_level
-        self._set_bits(gate.output, frame, level[0])
-
-    def _encode_bus(self, gate: BusResolver, frame: int) -> None:
-        enc = self.encoder
-        width = gate.output.width
-        result = enc.word_constant(0, width)
-        for data, enable in gate.drivers:
-            data_bits = self._net_bits(data, frame)
-            enable_bit = self._net_bits(enable, frame)[0]
-            gated = [enc.and_gate([bit, enable_bit]) for bit in data_bits]
-            result = enc.word_or(result, gated)
-        self._set_bits(gate.output, frame, result)
-
-    def _encode_register(self, ff: DFF, frame: int) -> None:
-        enc = self.encoder
-        next_bits = self._net_bits(ff.q, frame + 1)
-        d_bits = self._net_bits(ff.d, frame)
-        current_bits = self._net_bits(ff.q, frame)
-
-        value = list(d_bits)
-        if ff.enable is not None:
-            enable_bit = self._net_bits(ff.enable, frame)[0]
-            value = enc.word_mux(enable_bit, current_bits, value)
-        if ff.set is not None:
-            set_bit = self._net_bits(ff.set, frame)[0]
-            value = enc.word_mux(set_bit, value, enc.word_constant(ff.q.mask(), ff.q.width))
-        if ff.reset is not None:
-            reset_bit = self._net_bits(ff.reset, frame)[0]
-            value = enc.word_mux(
-                reset_bit, value, enc.word_constant(ff.reset_value, ff.q.width)
-            )
-        enc.word_assert_equal(next_bits, value)
+                self.encoder.word_assert_equal(
+                    following[ff.q], self.encoder.next_state(ff, current)
+                )

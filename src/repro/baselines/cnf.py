@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.baselines.lowering import BitAlgebra
+
 
 class CNFFormula:
     """A CNF formula over positive integer variables (DIMACS-style literals)."""
@@ -45,8 +47,12 @@ class CNFFormula:
         return "CNFFormula(%d vars, %d clauses)" % (self.num_variables, len(self.clauses))
 
 
-class TseitinEncoder:
-    """Gate-level Tseitin encodings into a :class:`CNFFormula`."""
+class TseitinEncoder(BitAlgebra):
+    """Gate-level Tseitin encodings into a :class:`CNFFormula`.
+
+    Supplies the primitives of :class:`~repro.baselines.lowering.BitAlgebra`
+    over CNF literals, so every gate and word helper encodes through them.
+    """
 
     def __init__(self, formula: Optional[CNFFormula] = None):
         self.formula = formula if formula is not None else CNFFormula()
@@ -89,10 +95,6 @@ class TseitinEncoder:
         """Negation is free: just flip the literal."""
         return -a
 
-    def equal_gate(self, a: int, b: int) -> int:
-        """``out <-> (a == b)``."""
-        return self.not_gate(self.xor_gate(a, b))
-
     def mux_gate(self, select: int, when_zero: int, when_one: int) -> int:
         """``out <-> select ? when_one : when_zero``."""
         out = self.formula.new_variable()
@@ -102,78 +104,10 @@ class TseitinEncoder:
         self.formula.add_clause(out, select, -when_zero)
         return out
 
-    def full_adder(self, a: int, b: int, carry_in: int) -> Tuple[int, int]:
-        """Returns ``(sum, carry_out)`` literals of a full adder."""
-        axb = self.xor_gate(a, b)
-        total = self.xor_gate(axb, carry_in)
-        carry = self.or_gate(
-            [self.and_gate([a, b]), self.and_gate([axb, carry_in])]
-        )
-        return total, carry
-
     def assert_equal(self, a: int, b: int) -> None:
         """Constrain two literals to be equal."""
         self.formula.add_clause(-a, b)
         self.formula.add_clause(a, -b)
-
-    # ------------------------------------------------------------------
-    # Word-level helpers (little-endian literal vectors)
-    # ------------------------------------------------------------------
-    def word_and(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        return [self.and_gate([x, y]) for x, y in zip(a, b)]
-
-    def word_or(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        return [self.or_gate([x, y]) for x, y in zip(a, b)]
-
-    def word_xor(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        return [self.xor_gate(x, y) for x, y in zip(a, b)]
-
-    def word_not(self, a: Sequence[int]) -> List[int]:
-        return [self.not_gate(x) for x in a]
-
-    def word_constant(self, value: int, width: int) -> List[int]:
-        return [self.constant(bool((value >> i) & 1)) for i in range(width)]
-
-    def word_add(self, a: Sequence[int], b: Sequence[int], carry_in: Optional[int] = None) -> Tuple[List[int], int]:
-        """Ripple-carry addition; returns (sum bits, carry out)."""
-        carry = carry_in if carry_in is not None else self.constant(False)
-        out: List[int] = []
-        for x, y in zip(a, b):
-            s, carry = self.full_adder(x, y, carry)
-            out.append(s)
-        return out, carry
-
-    def word_sub(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        """``a - b`` as ``a + ~b + 1``."""
-        result, _ = self.word_add(a, self.word_not(b), carry_in=self.constant(True))
-        return result
-
-    def word_mul(self, a: Sequence[int], b: Sequence[int], out_width: int) -> List[int]:
-        """Shift-and-add multiplication truncated to ``out_width`` bits."""
-        accumulator = self.word_constant(0, out_width)
-        for shift, control in enumerate(b):
-            if shift >= out_width:
-                break
-            shifted = self.word_constant(0, shift) + list(a)
-            shifted = shifted[:out_width]
-            while len(shifted) < out_width:
-                shifted.append(self.constant(False))
-            gated = [self.and_gate([bit, control]) for bit in shifted]
-            accumulator, _ = self.word_add(accumulator, gated)
-        return accumulator
-
-    def word_equal(self, a: Sequence[int], b: Sequence[int]) -> int:
-        bits = [self.equal_gate(x, y) for x, y in zip(a, b)]
-        return self.and_gate(bits) if len(bits) > 1 else bits[0]
-
-    def word_less_than(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """Unsigned ``a < b`` via subtraction borrow."""
-        # a < b  <=>  carry out of (a + ~b + 1) is 0.
-        _, carry = self.word_add(a, self.word_not(b), carry_in=self.constant(True))
-        return self.not_gate(carry)
-
-    def word_mux(self, select: int, when_zero: Sequence[int], when_one: Sequence[int]) -> List[int]:
-        return [self.mux_gate(select, z, o) for z, o in zip(when_zero, when_one)]
 
     def word_assert_equal(self, a: Sequence[int], b: Sequence[int]) -> None:
         for x, y in zip(a, b):

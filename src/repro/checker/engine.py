@@ -42,6 +42,17 @@ from repro.simulation.replay import replay_trace
 #: register width limit for the local FSM extraction behind FSM guidance.
 FSM_GUIDANCE_MAX_WIDTH = 4
 
+#: engine counters (and ESTG counters, with learning on) a check reports as
+#: deltas on its shared model; each has a same-named ``CheckStatistics`` field.
+_ENGINE_COUNTERS = (
+    "rule_cache_hits", "rule_cache_misses",
+    "justified_cache_hits", "justified_cache_misses",
+)
+_LEARNING_COUNTERS = (
+    "cubes_learned", "cubes_lifted", "cube_hits",
+    "datapath_cubes_learned", "datapath_cube_hits", "kb_hits",
+)
+
 
 @dataclass
 class CheckerOptions:
@@ -112,7 +123,6 @@ class AssertionChecker:
         self.model_cache = model_cache if model_cache is not None else shared_model_cache()
         self._incremental_model: Optional[UnrolledModel] = None
         self._restore_savepoint = None
-        self._learning_marks = None
         #: persistent knowledge base handle (None when not configured).
         self._kb = None
         if self.options.kb_path and self.options.learning:
@@ -161,7 +171,7 @@ class AssertionChecker:
                 model.engine.frontier_peak = 0
                 if self._kb is not None:
                     self._kb.attach(model, self.circuit, self.lowered)
-                self._learning_marks = self._learning_counter_marks()
+                marks = self._counter_marks(model)
                 learning_store = model.estg if self.options.learning else None
                 prop_fp = self._prop_fingerprint(compiled)
                 start_frame = compiled.warmup_frames
@@ -183,7 +193,6 @@ class AssertionChecker:
                         )
                         if search is not None:
                             statistics.accumulate_search(search)
-                        self._accumulate_engine_counters(statistics, model)
                         if outcome is JustifyOutcome.SUCCESS:
                             counterexample = self._extract_trace(compiled, model, target_frame)
                             if counterexample is not None and not counterexample.validated:
@@ -199,7 +208,7 @@ class AssertionChecker:
                         # Retract this bound's goals (and the search's decision
                         # stack) so the cached base fixpoint is restored exactly.
                         self._retract_goals()
-                self._accumulate_learning_counters(statistics)
+                self._accumulate_counters(statistics, model, marks)
                 if self._kb is not None:
                     # Checker-teardown write-tx: everything this check
                     # learned is on disk before the verdict is returned.
@@ -256,14 +265,6 @@ class AssertionChecker:
         """
         model = self._incremental_model
         engine = model.engine
-        self._counter_marks = (
-            engine.rule_cache_hits,
-            engine.rule_cache_misses,
-            engine.justified_cache_hits,
-            engine.justified_cache_misses,
-            model.frames_constructed,
-            model.compile_seconds,
-        )
         learning_store = model.estg if self.options.learning else None
         prop_fp = self._prop_fingerprint(compiled)
         model.extend_to(target_frame + 1)
@@ -313,31 +314,38 @@ class AssertionChecker:
         )
         engine.propagate()
 
-    def _learning_counter_marks(self):
-        if not self.options.learning:
-            return None
-        store = self._incremental_model.estg
+    @staticmethod
+    def _counter_marks(model: UnrolledModel):
+        """The shared model's cumulative counters, before a check runs."""
+        engine, store = model.engine, model.estg
         return (
-            store.cubes_learned, store.cubes_lifted, store.cube_hits,
-            store.datapath_cubes_learned, store.datapath_cube_hits,
-            store.kb_hits,
+            [getattr(engine, name) for name in _ENGINE_COUNTERS],
+            [getattr(store, name) for name in _LEARNING_COUNTERS],
+            model.frames_constructed,
+            model.compile_seconds,
         )
 
-    def _accumulate_learning_counters(self, statistics: CheckStatistics) -> None:
-        marks = self._learning_marks
-        model = self._incremental_model
-        statistics.frontier_peak = max(
-            statistics.frontier_peak, model.engine.frontier_peak
-        )
-        if marks is None:
+    def _accumulate_counters(
+        self, statistics: CheckStatistics, model: UnrolledModel, marks
+    ) -> None:
+        """Fold what one check moved on the shared model into its statistics.
+
+        Called once, after the frame loop: neither a skipped target frame
+        nor :meth:`_retract_goals` moves an engine counter, so one delta
+        equals the sum of per-frame deltas.
+        """
+        engine_marks, learning_marks, frames_mark, compile_mark = marks
+        engine = model.engine
+        for name, mark in zip(_ENGINE_COUNTERS, engine_marks):
+            setattr(statistics, name, getattr(statistics, name) + getattr(engine, name) - mark)
+        statistics.frames_built += model.frames_constructed - frames_mark
+        statistics.compile_time_ms += (model.compile_seconds - compile_mark) * 1000.0
+        statistics.frontier_peak = max(statistics.frontier_peak, engine.frontier_peak)
+        if not self.options.learning:
             return
         store = model.estg
-        statistics.cubes_learned += store.cubes_learned - marks[0]
-        statistics.cubes_lifted += store.cubes_lifted - marks[1]
-        statistics.cube_hits += store.cube_hits - marks[2]
-        statistics.datapath_cubes_learned += store.datapath_cubes_learned - marks[3]
-        statistics.datapath_cube_hits += store.datapath_cube_hits - marks[4]
-        statistics.kb_hits += store.kb_hits - marks[5]
+        for name, mark in zip(_LEARNING_COUNTERS, learning_marks):
+            setattr(statistics, name, getattr(statistics, name) + getattr(store, name) - mark)
         # A gauge, not a delta: how many knowledge-base cubes the shared
         # model carries (every check on a warm model reports the full count).
         statistics.kb_cubes_loaded = store.kb_cubes_loaded
@@ -365,20 +373,6 @@ class AssertionChecker:
         if self._restore_savepoint is not None and self._incremental_model is not None:
             self._incremental_model.engine.rollback_to(self._restore_savepoint)
         self._restore_savepoint = None
-
-    def _accumulate_engine_counters(
-        self, statistics: CheckStatistics, model: UnrolledModel
-    ) -> None:
-        engine = model.engine
-        (rule_hits, rule_misses, just_hits, just_misses, frames_mark,
-         compile_mark) = self._counter_marks
-        statistics.rule_cache_hits += engine.rule_cache_hits - rule_hits
-        statistics.rule_cache_misses += engine.rule_cache_misses - rule_misses
-        statistics.justified_cache_hits += engine.justified_cache_hits - just_hits
-        statistics.justified_cache_misses += engine.justified_cache_misses - just_misses
-        statistics.frames_built += model.frames_constructed - frames_mark
-        statistics.compile_time_ms += (model.compile_seconds - compile_mark) * 1000.0
-        statistics.frontier_peak = max(statistics.frontier_peak, engine.frontier_peak)
 
     # ------------------------------------------------------------------
     def _extract_trace(

@@ -160,6 +160,11 @@ class _CandidatePlan:
     base_tags: FrozenSet[Hashable] = frozenset()
 
 
+#: solutions of the linear part tried against the remaining nonlinear
+#: constraints in one branch.
+ENUMERATION_LIMIT = 64
+
+
 class NonlinearSolver:
     """Solve a mixed linear / non-linear constraint system by enumeration.
 
@@ -183,9 +188,8 @@ class NonlinearSolver:
       some branch was closed heuristically.  Never a proof.
     """
 
-    def __init__(self, budget: int = 512, enumeration_limit: int = 64):
+    def __init__(self, budget: int = 512):
         self.budget = budget
-        self.enumeration_limit = enumeration_limit
 
     def solve(
         self,
@@ -245,7 +249,7 @@ class NonlinearSolver:
         solutions = system.solve()
         if isinstance(solutions, Infeasible):
             return solutions
-        for candidate in solutions.enumerate(limit=self.enumeration_limit):
+        for candidate in solutions.enumerate(limit=ENUMERATION_LIMIT):
             assignment = dict(fixed)
             assignment.update(candidate)
             if all(c.is_satisfied(assignment) for c in remaining_nonlinear):

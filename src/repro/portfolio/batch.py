@@ -217,12 +217,10 @@ def _error_item(job: BatchJob, engines: Sequence[Union[str, Engine]],
 def _batch_worker(task_queue, result_queue) -> None:
     """Worker loop: pop payload *groups* until the ``None`` sentinel.
 
-    Each task is the list of payloads sharing one circuit.  Shipping them
-    together matters twice: the group is pickled in one message, so every
-    job in it unpickles the *same* circuit object, and the jobs then run
-    back-to-back in this process -- which is exactly what the process-wide
-    :class:`~repro.checker.incremental.UnrolledModelCache` (and the learned
-    cubes riding its models) needs to hit across properties.
+    Each task is the list of payloads sharing one circuit, pickled in one
+    message, so the circuit is unpickled once per group.  Models are not
+    reused across the group's jobs: every engine checks a private copy of
+    the circuit, whose model is dropped once the engine returns.
     """
     from repro.kb import flush_attached_stores
 
@@ -297,9 +295,7 @@ class BatchRunner:
         """Partition payloads into per-circuit task chunks (submission order).
 
         Jobs sharing a circuit ship together, so a worker unpickles the
-        circuit once per chunk and runs the jobs back-to-back -- which is
-        what the process-wide model cache (and the learned facts attached
-        to the cached models) needs to hit across properties.  Oversized
+        circuit once per chunk and runs the jobs back-to-back.  Oversized
         groups are *chunked* so a batch dominated by one circuit (the
         common shape) still spreads across all ``pool_size`` workers
         instead of serialising on one; each chunk keeps the single-pickle
@@ -319,7 +315,7 @@ class BatchRunner:
         if pool_size <= 1:
             return ordered
         # Even chunking: enough tasks to occupy every worker, while keeping
-        # chunks as large as possible (cache hits scale with chunk length).
+        # chunks as large as possible (one circuit unpickle per chunk).
         chunk_size = max(1, -(-len(payloads) // pool_size))
         chunked: List[List[tuple]] = []
         for group in ordered:

@@ -42,6 +42,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
+from repro.checker.incremental import shared_model_cache
 from repro.checker.result import CheckStatus
 from repro.netlist.circuit import Circuit
 from repro.portfolio.engines import Engine, EngineBudget, make_engine
@@ -208,6 +209,9 @@ class PortfolioChecker:
             result = engine.run(
                 circuit, prop, self.environment, self.initial_state, budget
             )
+            # Nothing checks the copy again: keep its model from crowding
+            # warm ones out of the process-wide cache.
+            shared_model_cache().evict(circuit)
             # This mode cannot preempt a running engine; flag an
             # inconclusive overrun of the per-engine cap after the fact (a
             # conclusive answer is kept -- discarding it would be worse).

@@ -112,9 +112,9 @@ class AtpgEngine:
 
     ``options`` configures the checker (learning, knowledge base, FSM
     guidance, ...); only its ``max_frames`` is replaced by the budget's.
-    Consecutive ``run`` calls against the *same circuit object* (the common
-    batch shape) reuse the cached skeleton -- and its learned illegal cubes
-    -- across properties.
+    Consecutive ``run`` calls on the *same circuit object* reuse its cached
+    model and learned cubes, but the portfolio and batch paths hand every
+    run a fresh copy of the circuit, so no model is reused there.
     """
 
     name = "atpg"

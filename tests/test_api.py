@@ -523,6 +523,21 @@ class TestDesignCache:
         assert len(resolved.circuit.nets) == nets
         assert api.check(request).results[0].stats["models_reused"] == 0
 
+    def test_checked_copies_leave_the_model_cache_as_it_was(self):
+        """A circuit copy that is checked once -- each engine's copy in a
+        batch run, a busy design's private copy -- takes its model with it,
+        so a model cached earlier stays cached and warm."""
+        request = counter_request(api.CircuitRef.source(wrap_counter(9)))
+        api.check(request)
+        cached = list(shared_model_cache()._entries)
+        batch = api.check_batch(api.CheckRequest(circuit=api.CircuitRef.case("p9")))
+        assert batch.results[0].status == "holds"
+        assert list(shared_model_cache()._entries) == cached
+        with api.resolve_design(request.circuit).lock:
+            assert api.check(request).results[0].stats["models_reused"] == 0
+        assert list(shared_model_cache()._entries) == cached
+        assert api.check(request).results[0].stats["models_reused"] == 1
+
     def test_threads_sharing_the_cache_get_right_answers(self):
         """More threads than cores, a tiny switch interval and more designs
         than the cache holds: every verdict stays right and the cache stays
