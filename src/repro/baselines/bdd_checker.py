@@ -6,9 +6,10 @@ of registers increases" and "the BDD techniques may still suffer from the
 memory explosion problem".  This module provides that baseline so the
 benchmark harness can measure it:
 
-1. every net bit of the design is turned into a BDD over the current-state
-   and input variables (a direct bit-level symbolic simulation of the
-   word-level netlist),
+1. every net bit the check sees (the design plus the property's own monitor
+   and environment logic, :func:`~repro.properties.convert.check_scope`) is
+   turned into a BDD over the current-state and input variables (a direct
+   bit-level symbolic simulation of the word-level netlist),
 2. the transition relation ``TR = AND_i (next_i <-> f_i)`` is built over an
    interleaved current/next variable order,
 3. reachable states are computed by a breadth-first fixed point with image
@@ -32,7 +33,7 @@ from repro.checker.stats import ResourceMeter
 from repro.netlist.circuit import Circuit
 from repro.netlist.nets import Net
 from repro.netlist.seq import DFF
-from repro.properties.convert import PropertyCompiler
+from repro.properties.convert import CheckScope, PropertyCompiler, check_scope
 from repro.properties.environment import Environment
 from repro.properties.spec import Assertion, Property
 
@@ -101,13 +102,14 @@ class BddSymbolicChecker:
     # ------------------------------------------------------------------
     # Variable allocation and symbolic simulation
     # ------------------------------------------------------------------
-    def _allocate_variables(self, manager: BddManager) -> None:
+    def _allocate_variables(self, manager: BddManager, scope: CheckScope) -> None:
         """Interleave current/next state bits, then the input bits."""
         self._current_levels: List[int] = []
         self._next_levels: List[int] = []
         self._state_bits: List[Tuple[DFF, int]] = []
+        self._flip_flops = scope.flip_flops
         level = 0
-        for ff in self.circuit.flip_flops:
+        for ff in self._flip_flops:
             for bit in range(ff.q.width):
                 self._current_levels.append(level)
                 self._next_levels.append(level + 1)
@@ -131,11 +133,13 @@ class BddSymbolicChecker:
             ]
         return functions
 
-    def _symbolic_simulate(self, manager: BddManager) -> Dict[Net, List[int]]:
-        """One BDD per net bit, over current-state and input variables."""
+    def _symbolic_simulate(
+        self, manager: BddManager, scope: CheckScope
+    ) -> Dict[Net, List[int]]:
+        """One BDD per net bit in scope, over current-state and input variables."""
         functions = self._leaf_functions(manager)
         algebra = _BddAlgebra(manager)
-        for gate in self.circuit.topological_order():
+        for gate in scope.topological_order():
             algebra.lower_gate(gate, functions)
         return functions
 
@@ -146,7 +150,7 @@ class BddSymbolicChecker:
         """Next-state BDD of every state bit, in ``_state_bits`` order."""
         algebra = _BddAlgebra(manager)
         return [
-            bit for ff in self.circuit.flip_flops for bit in algebra.next_state(ff, functions)
+            bit for ff in self._flip_flops for bit in algebra.next_state(ff, functions)
         ]
 
     def _transition_relation(self, manager: BddManager, next_functions: List[int]) -> int:
@@ -183,6 +187,7 @@ class BddSymbolicChecker:
     def check(self, prop: Property, max_iterations: Optional[int] = None) -> BddCheckResult:
         """Compute the reachable states and evaluate the property on them."""
         compiled = self.compiler.compile(prop)
+        scope = check_scope(self.circuit, compiled.monitor, self.lowered)
         bound = max_iterations if max_iterations is not None else self.max_iterations
 
         with ResourceMeter() as meter:
@@ -191,8 +196,8 @@ class BddSymbolicChecker:
             status = CheckStatus.ABORTED
             iterations = 0
             try:
-                self._allocate_variables(manager)
-                functions = self._symbolic_simulate(manager)
+                self._allocate_variables(manager, scope)
+                functions = self._symbolic_simulate(manager, scope)
                 next_functions = self._next_state_functions(manager, functions)
                 environment = self._environment_constraint(manager, functions)
                 relation = manager.and_(

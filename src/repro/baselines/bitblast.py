@@ -7,6 +7,7 @@ from typing import Dict, List, Mapping, Optional
 from repro.baselines.cnf import TseitinEncoder
 from repro.netlist.circuit import Circuit
 from repro.netlist.nets import Net
+from repro.properties.convert import CheckScope
 
 
 class CircuitBitBlaster:
@@ -16,11 +17,21 @@ class CircuitBitBlaster:
     consecutive frames.  Gates and registers encode through the shared
     lowering (:class:`~repro.baselines.lowering.BitAlgebra`), which covers
     every primitive the netlist package offers, so any design accepted by the
-    word-level checker can also be checked by the SAT baseline.
+    word-level checker can also be checked by the SAT baseline.  ``scope``
+    (a property check's :func:`~repro.properties.convert.check_scope`)
+    limits the encoding to what that check sees; without it every gate and
+    register of the circuit is encoded.
     """
 
-    def __init__(self, circuit: Circuit, num_frames: int, initial_state: Optional[Mapping[str, int]] = None):
+    def __init__(
+        self,
+        circuit: Circuit,
+        num_frames: int,
+        initial_state: Optional[Mapping[str, int]] = None,
+        scope: Optional[CheckScope] = None,
+    ):
         self.circuit = circuit
+        self.scope = scope if scope is not None else CheckScope.whole(circuit)
         self.num_frames = num_frames
         self.initial_state = dict(initial_state or {})
         self.encoder = TseitinEncoder()
@@ -61,25 +72,26 @@ class CircuitBitBlaster:
     def _encode(self) -> None:
         # Allocate literals for every frame's free nets (inputs and register
         # outputs); derived nets get literals as their drivers are lowered.
+        flip_flops = self.scope.flip_flops
         for _ in range(self.num_frames):
             bits = {net: self.formula.new_variables(net.width) for net in self.circuit.inputs}
-            for ff in self.circuit.flip_flops:
+            for ff in flip_flops:
                 bits[ff.q] = self.formula.new_variables(ff.q.width)
             self._frames.append(bits)
 
         # Initial state constraints at frame 0.
-        for ff in self.circuit.flip_flops:
+        for ff in flip_flops:
             value = self.initial_state.get(ff.q.name, ff.init_value)
             if value is not None:
                 self.constrain_value(ff.q, 0, value)
 
         # Combinational logic per frame, then the register transition relation.
-        order = self.circuit.topological_order()
+        order = self.scope.topological_order()
         for bits in self._frames:
             for gate in order:
                 self.encoder.lower_gate(gate, bits)
         for current, following in zip(self._frames, self._frames[1:]):
-            for ff in self.circuit.flip_flops:
+            for ff in flip_flops:
                 self.encoder.word_assert_equal(
                     following[ff.q], self.encoder.next_state(ff, current)
                 )

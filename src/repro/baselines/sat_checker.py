@@ -17,7 +17,7 @@ from repro.baselines.dpll import DPLLSolver, SATResult
 from repro.checker.result import CheckStatus, Counterexample
 from repro.checker.stats import ResourceMeter
 from repro.netlist.circuit import Circuit
-from repro.properties.convert import PropertyCompiler
+from repro.properties.convert import PropertyCompiler, check_scope
 from repro.properties.environment import Environment
 from repro.properties.spec import Assertion, Property
 from repro.simulation.replay import replay_trace
@@ -66,6 +66,7 @@ class SATBoundedChecker:
     def check(self, prop: Property, max_frames: Optional[int] = None) -> SATCheckResult:
         """Check one property with increasing unrolling depth."""
         compiled = self.compiler.compile(prop)
+        scope = check_scope(self.circuit, compiled.monitor, self.lowered)
         bound = max_frames if max_frames is not None else self.max_frames
         total_clauses = 0
         total_variables = 0
@@ -78,7 +79,8 @@ class SATBoundedChecker:
             for target_frame in range(compiled.warmup_frames, bound):
                 frames_explored = target_frame + 1
                 blaster = CircuitBitBlaster(
-                    self.circuit, target_frame + 1, initial_state=self.lowered.initial_state
+                    self.circuit, target_frame + 1,
+                    initial_state=self.lowered.initial_state, scope=scope,
                 )
                 self._constrain_environment(blaster, target_frame + 1)
                 blaster.constrain_bit(compiled.monitor, target_frame, compiled.goal_value)
@@ -135,7 +137,7 @@ class SATBoundedChecker:
         """Replay the model's frame-0 state and inputs through the simulator."""
         initial_state = {
             ff.q.name: blaster.model_value(solver, ff.q, 0)
-            for ff in self.circuit.flip_flops
+            for ff in blaster.scope.flip_flops
         }
         inputs = [
             {net.name: blaster.model_value(solver, net, frame) for net in self.circuit.inputs}

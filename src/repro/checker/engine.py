@@ -126,12 +126,8 @@ class AssertionChecker:
         #: persistent knowledge base handle (None when not configured).
         self._kb = None
         if self.options.kb_path and self.options.learning:
-            from repro.kb import circuit_snapshot, open_knowledge_base
+            from repro.kb import open_knowledge_base
 
-            # Snapshot the circuit's structural fingerprint and net-name set
-            # *before* this checker compiles assumption/property monitors
-            # into it, so the on-disk key names the bare design.
-            circuit_snapshot(circuit)
             self._kb = open_knowledge_base(self.options.kb_path)
         self.compiler = PropertyCompiler(circuit)
         self.lowered = self.compiler.compile_environment(self.environment, initial_state)

@@ -15,8 +15,9 @@ environment and the initial state it derives):
   goals are retracted through an engine savepoint after every target frame,
   which restores the cached base fixpoint exactly;
 * across **checker instances** -- the cache is a process-wide LRU, so
-  portfolio/batch runs that check many properties against the same circuit
-  object (the common batch shape) skip the rebuild entirely.
+  every check against the same circuit object skips the rebuild: repeated
+  ``api.check`` calls on one design, the jobs of one batch group, the
+  sequential engines of a portfolio.
 
 Each cached model also carries its
 :class:`~repro.atpg.estg.ExtendedStateTransitionGraph` (``model.estg``): the

@@ -11,15 +11,15 @@ in-process cache keys on.  Two
 processes that elaborate the same design the same way compute the same key
 and therefore see each other's learned facts.
 
-The circuit fingerprint is taken over a snapshot of the circuit *as it was
-when the first knowledge-base-enabled checker saw it* -- before that checker
-compiles any property or assumption monitors into it.  The snapshot also
-records the set of net names existing at that moment: only learned cubes
-whose literals all lie inside the snapshot are persisted, because monitor
-nets synthesised later carry generated names that another process has no
-obligation to reproduce.  Both the fingerprint and the name snapshot are
-cached on the circuit object, so every checker sharing that circuit (the
-batch-group shape) agrees on the key.
+The circuit fingerprint covers only the circuit's *design*
+(:func:`~repro.properties.convert.design_extent`): the nets and gates it
+held before any property or assumption monitor was compiled into it.  The
+snapshot also records the design's net names: only learned cubes whose
+literals all lie inside it are persisted, because monitor nets carry
+generated names that another process has no obligation to reproduce.  So
+the key and the name set depend on the design alone, not on what the
+circuit was checked for before, and every checker sharing the circuit (the
+batch-group shape) agrees on them.
 """
 
 from __future__ import annotations
@@ -27,41 +27,43 @@ from __future__ import annotations
 from typing import FrozenSet, Mapping, Optional, Tuple
 
 from repro.atpg.statehash import fnv1a
+from repro.properties.convert import design_extent
 from repro.properties.environment import environment_identity
 
-#: attribute caching the (fingerprint, net-name snapshot) pair on a circuit.
+#: attribute caching ``(design extent, (fingerprint, net names))`` on a circuit.
 _SNAPSHOT_ATTR = "_kb_snapshot"
 
 
 def circuit_snapshot(circuit) -> Tuple[int, FrozenSet[str]]:
-    """The circuit's structural fingerprint and persistable-net-name set.
+    """The design's structural fingerprint and persistable-net-name set.
 
-    Computed once per circuit object (cached on the instance) at the moment
-    the first knowledge-base-enabled checker is constructed for it; see the
-    module docstring for why the timing matters.
+    Cached on the circuit object per design extent.
     """
+    extent = design_extent(circuit)
     cached = getattr(circuit, _SNAPSHOT_ATTR, None)
-    if cached is not None:
-        return cached
-    snapshot = (circuit_fingerprint(circuit), frozenset(net.name for net in circuit.nets))
-    setattr(circuit, _SNAPSHOT_ATTR, snapshot)
+    if cached is not None and cached[0] == extent:
+        return cached[1]
+    names = frozenset(net.name for net in circuit.nets[: extent[0]])
+    snapshot = (circuit_fingerprint(circuit), names)
+    setattr(circuit, _SNAPSHOT_ATTR, (extent, snapshot))
     return snapshot
 
 
 def circuit_fingerprint(circuit) -> int:
-    """Stable 64-bit structural hash of a circuit.
+    """Stable 64-bit structural hash of a circuit's design.
 
-    Covers every net (name, width, kind), every gate (class, name, input and
-    output net names, plus any scalar parameters such as constant values,
-    slice bounds or comparison operators), the flip-flop list and the primary
-    input/output designations.  Deliberately ignores object identities and
-    insertion bookkeeping (``uid``), so re-elaborating the same source in a
-    fresh process reproduces the hash.
+    Covers every design net (name, width, kind), every design gate (class,
+    name, input and output net names, plus any scalar parameters such as
+    constant values, slice bounds or comparison operators), the flip-flop
+    list and the primary input/output designations.  Deliberately ignores
+    object identities and insertion bookkeeping (``uid``), so re-elaborating
+    the same source in a fresh process reproduces the hash.
     """
+    nets, gates = design_extent(circuit)
     parts = ["circuit:%s" % getattr(circuit, "name", "")]
-    for net in circuit.nets:
+    for net in circuit.nets[:nets]:
         parts.append("n:%s/%d/%s" % (net.name, net.width, net.kind.value))
-    for gate in circuit.gates:
+    for gate in circuit.gates[:gates]:
         scalars = []
         for attr, value in sorted(vars(gate).items()):
             if attr in ("name", "uid"):
@@ -78,9 +80,9 @@ def circuit_fingerprint(circuit) -> int:
                 ",".join(scalars),
             )
         )
-    parts.append("i:" + ",".join(net.name for net in circuit.inputs))
-    parts.append("o:" + ",".join(net.name for net in circuit.outputs))
-    parts.append("f:" + ",".join(gate.name for gate in circuit.flip_flops))
+    parts.append("i:" + ",".join(net.name for net in circuit.inputs if net.uid < nets))
+    parts.append("o:" + ",".join(net.name for net in circuit.outputs if net.uid < nets))
+    parts.append("f:" + ",".join(ff.name for ff in circuit.flip_flops if ff.uid < gates))
     return fnv1a("\n".join(parts).encode("utf-8"))
 
 

@@ -218,9 +218,8 @@ def _batch_worker(task_queue, result_queue) -> None:
     """Worker loop: pop payload *groups* until the ``None`` sentinel.
 
     Each task is the list of payloads sharing one circuit, pickled in one
-    message, so the circuit is unpickled once per group.  Models are not
-    reused across the group's jobs: every engine checks a private copy of
-    the circuit, whose model is dropped once the engine returns.
+    message, so the circuit is unpickled once per group and the group's
+    jobs reuse its model and learned facts.
     """
     from repro.kb import flush_attached_stores
 
@@ -295,11 +294,12 @@ class BatchRunner:
         """Partition payloads into per-circuit task chunks (submission order).
 
         Jobs sharing a circuit ship together, so a worker unpickles the
-        circuit once per chunk and runs the jobs back-to-back.  Oversized
-        groups are *chunked* so a batch dominated by one circuit (the
-        common shape) still spreads across all ``pool_size`` workers
-        instead of serialising on one; each chunk keeps the single-pickle
-        circuit sharing, and a worker crash loses at most one chunk.
+        circuit once per chunk and runs the jobs back-to-back on one warm
+        model.  Oversized groups are *chunked* so a batch dominated by one
+        circuit (the common shape) still spreads across all ``pool_size``
+        workers instead of serialising on one; each chunk keeps the
+        single-pickle circuit sharing, and a worker crash loses at most one
+        chunk.
         Report ordering is unaffected: results are reassembled by payload
         index.
         """

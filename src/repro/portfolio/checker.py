@@ -18,12 +18,14 @@ Two execution modes, derived from the race rather than configured:
   (:func:`can_spawn_engines`).
 * ``sequential`` -- engines run in order in the current process, stopping at
   the first conclusive answer.  Used otherwise, e.g. on platforms without
-  ``fork``.  A running engine cannot be preempted in this mode: an
-  inconclusive engine that overran its per-engine cap is merely flagged
-  ``timed_out`` after the fact (which is why a time budget selects
-  ``process`` even for a single engine); the step budgets
-  (:class:`~repro.portfolio.engines.EngineBudget`) still apply inside each
-  engine.  Batch-runner workers are plain non-daemonic processes, so even
+  ``fork`` or inside a daemonic process.  Every engine checks the
+  portfolio's own circuit, so the ATPG engine reuses the circuit's cached
+  model and learned facts from earlier checks.  A running engine cannot be
+  preempted in this mode: an inconclusive engine that overran its
+  per-engine cap is merely flagged ``timed_out`` after the fact (which is
+  why a time budget selects ``process`` even for a single engine); the
+  step budgets (:class:`~repro.portfolio.engines.EngineBudget`) still apply
+  inside each engine.  Batch-runner workers are plain non-daemonic processes, so even
   nested portfolios resolve to ``process`` mode and stay budget-enforced.
 
 With ``run_all=True`` every engine runs to completion (no early cancel) so
@@ -36,13 +38,11 @@ bugs.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import queue as queue_module
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.checker.incremental import shared_model_cache
 from repro.checker.result import CheckStatus
 from repro.netlist.circuit import Circuit
 from repro.portfolio.engines import Engine, EngineBudget, make_engine
@@ -203,15 +203,9 @@ class PortfolioChecker:
                     )
                 )
                 continue
-            # Each engine compiles monitor logic into the circuit it is
-            # given; hand every engine a private copy so runs stay isolated.
-            circuit = pickle.loads(pickle.dumps(self.circuit))
             result = engine.run(
-                circuit, prop, self.environment, self.initial_state, budget
+                self.circuit, prop, self.environment, self.initial_state, budget
             )
-            # Nothing checks the copy again: keep its model from crowding
-            # warm ones out of the process-wide cache.
-            shared_model_cache().evict(circuit)
             # This mode cannot preempt a running engine; flag an
             # inconclusive overrun of the per-engine cap after the fact (a
             # conclusive answer is kept -- discarding it would be worse).

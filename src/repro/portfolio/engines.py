@@ -113,8 +113,8 @@ class AtpgEngine:
     ``options`` configures the checker (learning, knowledge base, FSM
     guidance, ...); only its ``max_frames`` is replaced by the budget's.
     Consecutive ``run`` calls on the *same circuit object* reuse its cached
-    model and learned cubes, but the portfolio and batch paths hand every
-    run a fresh copy of the circuit, so no model is reused there.
+    model and learned cubes: the jobs of one batch group, or the budgeted
+    jobs of one daemon worker.
     """
 
     name = "atpg"

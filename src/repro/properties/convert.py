@@ -12,16 +12,22 @@ generate a witness.
 The environmental setup is lowered into the same circuit once, by
 :meth:`PropertyCompiler.compile_environment`: every engine then enforces the
 same pins, the same constraint nets and the same initial state.
+
+Many properties and environments may be compiled into one circuit.
+:func:`check_scope` is what one check of them sees: the design plus the
+logic of its own monitor and environment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.atpg.statehash import property_digest
 from repro.netlist.circuit import Circuit
+from repro.netlist.gates import Gate
 from repro.netlist.nets import Net, NetKind
+from repro.netlist.seq import DFF
 from repro.properties.environment import Environment, environment_identity
 from repro.properties.parse import format_expression
 from repro.properties.spec import (
@@ -88,12 +94,83 @@ class LoweredEnvironment:
     identity: Tuple[str, str]
 
 
+def design_extent(circuit: Circuit) -> Tuple[int, int]:
+    """How many of the circuit's nets and gates are its design: ``(nets, gates)``.
+
+    The design is the circuit as it stood when the first
+    :class:`PropertyCompiler` touched it.  A circuit numbers its nets and
+    gates in creation order, so everything compiled into it later (monitors,
+    environment constraint nets) numbers past the design.  A circuit that
+    no compiler has touched is all design.
+    """
+    extent = getattr(circuit, "_design_extent", None)
+    if extent is None:
+        return len(circuit.nets), len(circuit.gates)
+    return extent
+
+
+@dataclass(frozen=True)
+class CheckScope:
+    """What one check sees of its circuit: the design plus its own logic.
+
+    On a circuit that holds nothing but the design and this check's monitor
+    and environment, the scope is the whole circuit, in the circuit's order.
+    """
+
+    circuit: Circuit
+    #: the design's gates are the first ``design_gates`` of ``circuit.gates``.
+    design_gates: int
+    #: the gates compiled after the design that the check reads.
+    own_gates: FrozenSet[Gate] = frozenset()
+
+    @classmethod
+    def whole(cls, circuit: Circuit) -> "CheckScope":
+        """A scope of everything the circuit holds."""
+        return cls(circuit, len(circuit.gates))
+
+    def sees(self, gate: Gate) -> bool:
+        return gate.uid < self.design_gates or gate in self.own_gates
+
+    @property
+    def flip_flops(self) -> List[DFF]:
+        return [ff for ff in self.circuit.flip_flops if self.sees(ff)]
+
+    def topological_order(self) -> List[Gate]:
+        """The combinational gates in scope, in the circuit's topological order."""
+        return [gate for gate in self.circuit.topological_order() if self.sees(gate)]
+
+
+def check_scope(
+    circuit: Circuit, monitor: Net, environment: LoweredEnvironment
+) -> CheckScope:
+    """The scope of a check of ``monitor`` under a lowered environment.
+
+    The design, plus the cone of the monitor, the constraint nets and the
+    pinned nets, walked only through logic compiled after the design.  Other
+    properties and environments compiled into the same circuit stay out, so
+    an engine that lowers or reports every register of its scope answers
+    the same whatever the circuit was checked for before.
+    """
+    design_nets, design_gates = design_extent(circuit)
+    own_gates = set()
+    pending = [monitor, *environment.constraints]
+    pending += [circuit.net(name) for name in environment.pins]
+    while pending:
+        net = pending.pop()
+        gate = net.driver
+        if net.uid >= design_nets and gate is not None and gate not in own_gates:
+            own_gates.add(gate)
+            pending.extend(gate.inputs)
+    return CheckScope(circuit, design_gates, frozenset(own_gates))
+
+
 class PropertyCompiler:
     """Compiles property expressions into monitor nets of a circuit."""
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
         self._counter = 0
+        circuit._design_extent = design_extent(circuit)
 
     # ------------------------------------------------------------------
     def compile(self, prop: Property) -> CompiledProperty:

@@ -7,7 +7,9 @@ cycle by cycle.  A trace is *validated* only if the property monitor takes
 its goal value at the target frame and the lowered environment (see
 :meth:`repro.properties.convert.PropertyCompiler.compile_environment`) holds
 in every frame up to it: each pin keeps its value and each constraint net is
-1.
+1.  The reported initial state holds the registers of the check's
+:func:`~repro.properties.convert.check_scope`, so a trace does not list
+registers of other properties compiled into the same circuit.
 """
 
 from __future__ import annotations
@@ -30,14 +32,17 @@ def replay_trace(
     """Simulate ``inputs`` from ``initial_state`` and validate the trace.
 
     ``environment`` is the lowered environment the engine enforced.  The
-    returned counterexample records the full register state at frame 0, so
-    replaying it again needs no power-on defaults.
+    returned counterexample records every register of the check's scope at
+    frame 0, so replaying it again needs no power-on defaults.
     """
-    # Imported here: the checker package imports this module.
+    # Imported here: the checker and properties packages import this module.
     from repro.checker.result import Counterexample
+    from repro.properties.convert import check_scope
 
     simulator = Simulator(circuit, initial_state=initial_state)
-    start = simulator.register_values()
+    registers = simulator.register_values()
+    scope = check_scope(circuit, circuit.net(monitor_name), environment)
+    start = {ff.q.name: registers[ff.q.name] for ff in scope.flip_flops}
     trace = [simulator.step(vector) for vector in inputs]
     validated = (
         0 <= target_frame < len(trace)

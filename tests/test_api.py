@@ -524,15 +524,20 @@ class TestDesignCache:
         assert api.check(request).results[0].stats["models_reused"] == 0
 
     def test_checked_copies_leave_the_model_cache_as_it_was(self):
-        """A circuit copy that is checked once -- each engine's copy in a
-        batch run, a busy design's private copy -- takes its model with it,
-        so a model cached earlier stays cached and warm."""
+        """A busy design's private copy, checked once, takes its model with
+        it, so a model cached earlier stays cached and warm.  A batch check
+        makes no copy: it warms the resolved design's own model."""
         request = counter_request(api.CircuitRef.source(wrap_counter(9)))
         api.check(request)
         cached = list(shared_model_cache()._entries)
-        batch = api.check_batch(api.CheckRequest(circuit=api.CircuitRef.case("p9")))
+        p9 = api.CheckRequest(circuit=api.CircuitRef.case("p9"))
+        batch = api.check_batch(p9)
         assert batch.results[0].status == "holds"
-        assert list(shared_model_cache()._entries) == cached
+        assert batch.aggregate("models_reused") == 0
+        assert len(shared_model_cache()._entries) == len(cached) + 1
+        assert api.check(p9).results[0].stats["models_reused"] == 1
+        assert api.check_batch(p9).aggregate("models_reused") == 1
+        cached = list(shared_model_cache()._entries)
         with api.resolve_design(request.circuit).lock:
             assert api.check(request).results[0].stats["models_reused"] == 0
         assert list(shared_model_cache()._entries) == cached

@@ -423,6 +423,22 @@ def test_model_kb_keys_are_pinned():
             ), (name, state)
 
 
+def test_circuit_snapshot_names_only_the_design():
+    """The key does not depend on what the circuit was checked for before:
+    after a check without learning (which opens no store) the snapshot is
+    still the fresh design's."""
+    fresh = circuit_snapshot(build_case("p9").circuit)
+    case = build_case("p9")
+    AssertionChecker(
+        case.circuit,
+        environment=case.environment,
+        initial_state=case.initial_state,
+        options=CheckerOptions(learning=False),
+    ).check(case.prop)
+    assert circuit_snapshot(case.circuit) == fresh
+    assert len(fresh[1]) < len(case.circuit.nets)
+
+
 # ----------------------------------------------------------------------
 # Failure paths fail open
 # ----------------------------------------------------------------------
@@ -624,9 +640,6 @@ def test_prune_keeps_hottest_cubes_per_model(tmp_path):
 # ----------------------------------------------------------------------
 def _sweep_case(case_id, kb_path=None, depth=8):
     case = build_case(case_id)
-    # Snapshot before property compilation grows the circuit, as a
-    # knowledge-base-enabled checker does (the snapshot is cached).
-    circuit_snapshot(case.circuit)
     cache = UnrolledModelCache()
     checker = AssertionChecker(
         case.circuit,

@@ -285,13 +285,37 @@ def test_portfolio_rejects_bad_configuration():
         PortfolioChecker(build_counter(), engines=("atpg", "atpg"))
 
 
-def test_race_keeps_parent_circuit_pristine(monkeypatch):
-    monkeypatch.setattr(portfolio_checker, "can_spawn_engines", lambda: False)
+def test_race_keeps_parent_circuit_pristine():
     circuit = build_counter()
     gates_before = len(list(circuit.topological_order()))
     PortfolioChecker(circuit, engines=("atpg", "sat")).check(BOUNDED)
-    # Monitor compilation happens on private copies, never on the input.
+    # Monitor compilation happens in the forked racers, never on the input.
     assert len(list(circuit.topological_order())) == gates_before
+
+
+def test_sequential_engines_check_the_circuit_itself(monkeypatch):
+    """Without a race, every engine checks the portfolio's own circuit: the
+    monitor is compiled into it once, and a second check reuses the ATPG
+    model and answers as the first did."""
+    monkeypatch.setattr(portfolio_checker, "can_spawn_engines", lambda: False)
+    circuit = build_counter()
+    gates_before = len(circuit.topological_order())
+    checker = PortfolioChecker(
+        circuit, engines=("atpg", "sat"), options=PortfolioOptions(run_all=True)
+    )
+    first = checker.check(BOUNDED)
+    gates_after = len(circuit.topological_order())
+    second = checker.check(BOUNDED)
+    assert len(circuit.topological_order()) == gates_after > gates_before
+    atpg = [result.engine_results[0].stats["models_reused"] for result in (first, second)]
+    assert atpg == [0, 1]
+    assert [r.status for r in second.engine_results] == [
+        r.status for r in first.engine_results
+    ]
+    sat = [dict(result.engine_results[1].stats) for result in (first, second)]
+    for stats in sat:
+        stats.pop("peak_memory_mb")
+    assert sat[0] == sat[1]
 
 
 # ----------------------------------------------------------------------

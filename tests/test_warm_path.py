@@ -22,6 +22,10 @@ A warm re-check skips every target frame a proven-FAIL memo covers in the
 frame loop itself: :meth:`AssertionChecker._check_target_frame` runs only
 for frames it searches, and the reports keep every statistic they had when
 each skipped frame went through it (goldens below).
+
+The batch path and a time-budgeted check in a daemonic process (a
+``repro submit --deadline`` job) run their engines on the design's own
+circuit, so their later jobs reuse its model as ``api.check`` does.
 """
 
 import sys
@@ -364,3 +368,49 @@ def test_skips_owed_to_the_knowledge_base_count_as_kb_hits(case_id, tmp_path,
     searched_frames.clear()
     assert _nonzero_stats(api.check(request).results[0]) == KB_GOLDENS[case_id]
     assert all(not proven for _, proven in searched_frames)
+
+
+# ----------------------------------------------------------------------
+# The batch and deadline paths reuse the circuit's model
+# ----------------------------------------------------------------------
+def test_batch_jobs_on_one_circuit_share_its_model():
+    from repro.portfolio import BatchJob, BatchOptions, BatchRunner
+
+    case = build_case("p9")
+    jobs = [
+        BatchJob("p9_%d" % index, case.circuit, case.prop,
+                 environment=case.environment, initial_state=case.initial_state,
+                 max_frames=case.max_frames)
+        for index in range(3)
+    ]
+    report = BatchRunner(BatchOptions(jobs=1)).run(jobs)
+    reuse = [(item.result.engine_results[0].stats["models_reused"],
+              item.result.engine_results[0].stats["decisions"])
+             for item in report.items]
+    assert reuse == [(0, 170), (1, 0), (1, 0)]
+
+
+def _budgeted_checks(results):
+    request = api.CheckRequest(circuit=api.CircuitRef.case("p9"), time_budget=30.0)
+    reports = [api.check(request) for _ in range(3)]
+    results.put([(report.aggregate("models_reused"), report.aggregate("decisions"))
+                 for report in reports])
+
+
+def test_budgeted_checks_in_a_daemonic_process_share_the_model():
+    """What a ``repro submit --deadline`` job runs in a daemon worker: a
+    daemonic process cannot fork engine racers, so the engines run in it."""
+    from repro.portfolio.checker import fork_context
+
+    context = fork_context()
+    results = context.Queue()
+    process = context.Process(target=_budgeted_checks, args=(results,), daemon=True)
+    process.start()
+    try:
+        reuse = results.get(timeout=120)
+    finally:
+        process.join(timeout=10)
+        if process.is_alive():
+            process.terminate()
+    assert reuse == [(0, 170), (1, 0), (1, 0)]
+    assert process.exitcode == 0
