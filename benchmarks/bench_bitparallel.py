@@ -1,14 +1,17 @@
-"""Throughput of the bit-parallel compiled kernel vs. the interpreted oracle.
+"""Throughput of the bit-parallel lane program vs. the interpreted oracle.
 
-The kernel's pitch is that interpreter overhead -- dict lookups and dynamic
-dispatch per gate per vector -- dominates random-simulation cost, and that
-evaluating K vectors per gate visit amortises it K ways.  This benchmark
-sweeps K over {1, 64, 256, 1024} on representative circuit-zoo designs and
-reports vectors/second against the vector-at-a-time reference simulator.
+Interpreter overhead -- dict lookups and dynamic dispatch per gate per
+vector -- dominates random-simulation cost.  :func:`repro.sim.compile_circuit`
+removes the dispatch (one generated straight-line step function per circuit,
+from the shared word-to-bit lowering), and K-wide lanes amortise what is
+left K ways.  This benchmark sweeps K over {1, 64, 256, 1024} on
+representative circuit-zoo designs and reports vectors/second against the
+vector-at-a-time reference simulator.  Code generation happens once, before
+the timed rounds.
 
-The acceptance bar (ISSUE 2): >= 10x vectors/sec at K=1024 on every measured
-design.  The report test asserts it, so a kernel regression fails the suite,
-not just the perf gate.
+The acceptance bar: >= 10x vectors/sec at K=1024 on every measured design.
+The report test asserts it, so a simulator regression fails the suite, not
+just the perf gate.
 
 Run:  python -m pytest benchmarks/bench_bitparallel.py -q
 """

@@ -13,16 +13,20 @@ those claims into measurable experiments we provide:
   :mod:`repro.baselines.dpll` / :mod:`repro.baselines.sat_checker` -- a
   bit-blasting bounded model checker in the style of Biere et al. (SAT-BMC),
   the bit-level alternative the paper cites;
-* :mod:`repro.baselines.lowering` -- the one word-to-bit lowering of every
-  gate and register both bit-level checkers build on, each over its own
-  kind of bit (BDD nodes, CNF literals).  The two keep separate solvers, so
-  a lowering bug still shows as a disagreement with the word-level ATPG
-  engine or as a SAT trace that fails concrete replay;
+* both bit-level checkers build on :mod:`repro.netlist.lowering`, the one
+  word-to-bit lowering of every gate and register, each over its own kind
+  of bit (BDD nodes, CNF literals); the random baseline's simulator runs the
+  same lowering as generated lane code.  The engines keep separate solvers,
+  and ``tests/test_bitparallel.py`` checks the lowering lane for lane
+  against the interpreted simulator, so a lowering bug shows as an oracle
+  mismatch, a disagreement with the word-level ATPG engine or a SAT trace
+  that fails concrete replay;
 * :mod:`repro.baselines.integer_solver` -- a rational (non-modular) linear
   solver that misses wrap-around solutions, demonstrating the false-negative
   effect of Section 4;
 * :mod:`repro.baselines.random_sim` -- the plain random-simulation flow the
-  paper's introduction motivates against (corner cases need lucky stimulus).
+  paper's introduction motivates against (corner cases need lucky stimulus),
+  on the bit-parallel simulator of :mod:`repro.sim`.
 """
 
 from repro.baselines.cnf import CNFFormula, TseitinEncoder

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.baselines.bdd import FALSE, TRUE, BddLimitExceeded, BddManager
-from repro.baselines.lowering import BitAlgebra
+from repro.netlist.lowering import BitAlgebra
 from repro.checker.result import CheckStatus
 from repro.checker.stats import ResourceMeter
 from repro.netlist.circuit import Circuit

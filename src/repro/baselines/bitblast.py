@@ -15,7 +15,7 @@ class CircuitBitBlaster:
 
     Net bits are mapped to CNF literals per ``(net, frame)``; registers link
     consecutive frames.  Gates and registers encode through the shared
-    lowering (:class:`~repro.baselines.lowering.BitAlgebra`), which covers
+    lowering (:class:`~repro.netlist.lowering.BitAlgebra`), which covers
     every primitive the netlist package offers, so any design accepted by the
     word-level checker can also be checked by the SAT baseline.  ``scope``
     (a property check's :func:`~repro.properties.convert.check_scope`)

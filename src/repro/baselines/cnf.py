@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.baselines.lowering import BitAlgebra
+from repro.netlist.lowering import BitAlgebra
 
 
 class CNFFormula:
@@ -50,7 +50,7 @@ class CNFFormula:
 class TseitinEncoder(BitAlgebra):
     """Gate-level Tseitin encodings into a :class:`CNFFormula`.
 
-    Supplies the primitives of :class:`~repro.baselines.lowering.BitAlgebra`
+    Supplies the primitives of :class:`~repro.netlist.lowering.BitAlgebra`
     over CNF literals, so every gate and word helper encodes through them.
     """
 

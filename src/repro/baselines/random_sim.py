@@ -9,14 +9,15 @@ property monitor -- so the benchmark harness can measure how often random
 simulation finds the counterexamples / witnesses that the word-level ATPG
 engine generates deterministically.
 
-The circuit is compiled once and simulated ``sim_width`` independent runs
-per batch on the bit-parallel kernel, one run per bit lane.  Pins and
-one-hot groups hold by construction of the sampled stimulus; every lane also
-carries a running *valid* mask that ANDs the lowered environment's pins and
-constraint nets cycle by cycle, so a lane that ever violates an assumption
-can never report a hit.  All randomness is drawn from the per-check RNG
-(seeded from the per-job derived seed), so CI runs are bit-for-bit
-reproducible.  A hit is replayed through
+The circuit is compiled once into a lane program (:mod:`repro.sim`: the
+shared word-to-bit lowering generated as straight-line code, kept until the
+circuit gains gates) and simulated ``sim_width`` independent runs per batch,
+one run per bit lane.  Pins and one-hot groups hold by construction of the
+sampled stimulus; every lane also carries a running *valid* mask that ANDs
+the lowered environment's pins and constraint nets cycle by cycle, so a lane
+that ever violates an assumption can never report a hit.  All randomness
+is drawn from the per-check RNG (seeded from the per-job derived seed), so
+CI runs are bit-for-bit reproducible.  A hit is replayed through
 :func:`~repro.simulation.replay_trace`, which builds (and independently
 validates) the reported counterexample.
 """
@@ -110,7 +111,7 @@ class RandomSimulationChecker:
         statistics.frames_explored = self.vectors_simulated
 
         if counterexample is not None and not counterexample.validated:
-            # The replay refuted the kernel's hit: the verdict cannot
+            # The replay refuted the simulator's hit: the verdict cannot
             # be trusted (same demotion the ATPG and SAT engines apply to
             # traces that fail concrete validation).
             return CheckResult(

@@ -1,9 +1,8 @@
 """Compiled slot-indexed implication kernel.
 
-This is the check-loop counterpart of :mod:`repro.sim.compile`: the same
-network of :class:`~repro.implication.engine.ImplicationNode` objects, but
-*lowered once* onto flat slot-indexed arrays instead of dict-of-objects
-traversal.  Interning happens while the unrolled model is built (and again
+The same network of :class:`~repro.implication.engine.ImplicationNode`
+objects as the interpreted engine, but *lowered once* onto flat
+slot-indexed arrays instead of dict-of-objects traversal.  Interning happens while the unrolled model is built (and again
 incrementally on ``extend_to()``): every variable key gets a dense integer
 *slot*, and from then on the hot loop never hashes a ``(net, frame)`` tuple
 or constructs a :class:`~repro.bitvector.BV3` --

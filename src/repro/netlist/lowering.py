@@ -1,8 +1,9 @@
-"""Word-to-bit lowering shared by the bit-level baselines.
+"""Word-to-bit lowering shared by every bit-level engine.
 
-The SAT bit-blaster and the BDD checker both turn every word-level gate into
-one Boolean function per output bit: the first over Tseitin literals, the
-second over BDD nodes.  :class:`BitAlgebra` writes that lowering once.  A
+The SAT bit-blaster, the BDD checker and the bit-parallel simulator all turn
+every word-level gate into one Boolean function per output bit: over Tseitin
+literals, over BDD nodes, and over lane expressions of generated Python
+(:mod:`repro.sim`).  :class:`BitAlgebra` writes that lowering once.  A
 subclass supplies six primitives over its own kind of bit (``constant``,
 ``and_gate``, ``or_gate``, ``xor_gate``, ``not_gate`` and ``mux_gate``); the
 word helpers, :meth:`BitAlgebra.lower_gate` and :meth:`BitAlgebra.next_state`
@@ -37,8 +38,9 @@ from repro.netlist.nets import Net
 from repro.netlist.seq import DFF
 from repro.netlist.tristate import BusResolver, TristateBuffer
 
-#: a bit is an int in both baselines: a CNF literal or a BDD node.
-Bits = List[int]
+#: a bit is whatever the subclass computes with: a CNF literal, a BDD node
+#: or a lane expression.
+Bits = List
 
 
 class BitAlgebra:
@@ -240,12 +242,11 @@ class BitAlgebra:
                 src = i - amount if left else i + amount
                 out.append(a[src] if 0 <= src < len(a) else self.constant(False))
             return out
-        # Variable shift: barrel of muxes over the amount bits.
+        # Variable shift: a barrel of muxes, one stage per amount bit.  A
+        # stage that shifts by ``width`` or more selects all zeros.
         current = list(a)
         for stage, control in enumerate(bits[gate.amount]):
             shift = 1 << stage
-            if shift >= width * 2:
-                break
             shifted = []
             for i in range(width):
                 src = i - shift if left else i + shift

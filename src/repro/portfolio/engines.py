@@ -55,7 +55,7 @@ class EngineBudget:
     #: cycles per random-simulation run.
     random_cycles: int = 16
     #: lanes per bit-parallel batch (K) for the random-simulation engine;
-    #: each lane is an independent run on the compiled kernel.
+    #: each lane is an independent run of the circuit's lane program.
     sim_width: int = 64
     #: RNG seed threaded through the stochastic engines for reproducibility.
     seed: int = 2000
@@ -234,13 +234,14 @@ class SatEngine:
 
 
 class RandomSimEngine:
-    """Adapter for the random-simulation baseline on the bit-parallel kernel.
+    """Adapter for the random-simulation baseline on the bit-parallel simulator.
 
     A found violation/witness is conclusive (the trace is concrete), but an
     exhausted budget proves nothing, so "not found" is normalised to an
     *inconclusive* result -- in a race this engine can win reachable cases
     but never unreachable ones.  ``budget.sim_width`` sets the lane count K
-    of the compiled kernel (``repro check --sim-width``).
+    of each call of the circuit's generated lane program
+    (``repro check --sim-width``).
     """
 
     name = "random"

@@ -1,16 +1,16 @@
 """Compiled, bit-parallel simulation kernel.
 
 This package is the throughput engine behind every mass-sampling workload:
-:func:`compile_circuit` levelizes a :class:`~repro.netlist.circuit.Circuit`
-into a flat, topologically-ordered evaluation plan (all ``isinstance``
-dispatch happens once, at compile time), and :class:`BitParallelSim`
-evaluates K input vectors simultaneously by bit-slicing every net into
-K-wide Python-int lanes.  The interpreted
+:func:`compile_circuit` runs the shared word-to-bit lowering
+(:class:`~repro.netlist.lowering.BitAlgebra`) once over a
+:class:`~repro.netlist.circuit.Circuit` and generates one straight-line step
+function over K-wide Python-int lanes, and :class:`BitParallelSim` runs it
+to evaluate K input vectors simultaneously.  The interpreted
 :class:`~repro.simulation.simulator.Simulator` remains the reference oracle;
 the cross-check tests assert exact lane-for-lane agreement.
 """
 
-from repro.sim.compile import CompiledCircuit, PlanOp, compile_circuit
+from repro.sim.compile import LaneProgram, compile_circuit
 from repro.sim.bitparallel import (
     BitParallelSim,
     pack_words,
@@ -20,8 +20,7 @@ from repro.sim.sampler import RandomLaneSampler
 
 __all__ = [
     "BitParallelSim",
-    "CompiledCircuit",
-    "PlanOp",
+    "LaneProgram",
     "RandomLaneSampler",
     "compile_circuit",
     "pack_words",

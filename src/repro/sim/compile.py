@@ -1,227 +1,198 @@
-"""Levelization of a netlist into a flat, bit-parallel evaluation plan.
+"""Compilation of a netlist into one straight-line, bit-parallel step function.
 
-The interpreted simulator pays, per vector and per gate, a dict lookup for
-every operand plus an ``isinstance``/virtual-dispatch step.  This pass hoists
-all of that to compile time: every net gets an integer *slot*, every gate
-becomes one :class:`PlanOp` record (opcode string + slot indices + static
-parameters) in topological order, and flip-flops become :class:`FFPlan`
-records for the state-update phase.  The executor
-(:class:`~repro.sim.bitparallel.BitParallelSim`) walks the flat op list with
-no per-step name resolution or type dispatch at all.
+:func:`compile_circuit` runs the shared word-to-bit lowering
+(:class:`~repro.netlist.lowering.BitAlgebra`, the one the SAT and BDD
+baselines use) once over a circuit, with *lane expressions* as its bits: a
+bit is ``"0"`` (no lane set), ``"F"`` (every lane set) or a local name of
+generated Python.  Each primitive folds constants, repeats and
+``mux(s, x, x)``, and otherwise emits one assignment.  The result is the
+source of one function::
 
-Opcodes and their ``params`` payloads:
+    def step(F, ins, state):
+        (i0, i1, ...) = ins      # input bit-lanes, in circuit input order
+        (s0, s1, ...) = state    # register bit-lanes, in flip-flop order
+        t7 = i0 & s1
+        ...
+        return (next-state lanes), (every net's lanes)
 
-========== =========================================================
-``and or xor nand nor xnor``  n-ary bitwise; ``ins`` are operand slots
-``not buf``                   unary bitwise
-``redand redor redxor``       reductions; ``params=(input_width,)``
-``const``                     ``params=(value,)``
-``slice``                     ``params=(msb, lsb)``
-``concat``                    ``params=(width_0, ..., width_n-1)``
-``zext``                      ``params=(input_width,)``
-``add``                       ``ins=(a, b[, cin])``; ``params=(has_cin, cout_slot)``
-``sub``                       ``ins=(a, b)``
-``mul``                       word fallback; ``params=(a_width, b_width)``
-``shl_const shr_const``       ``params=(shift, input_width)``
-``shl_var shr_var``           word fallback; ``params=(a_width, amt_width)``
-``cmp``                       ``params=(op,)`` with op in ``== != < <= > >=``
-``mux``                       ``ins=(select, d0, ..., dn-1)``; ``params=(select_width,)``
-``bus``                       ``ins=(d0, e0, d1, e1, ...)``
-========== =========================================================
+so a simulated cycle runs with no dispatch and no per-gate call at all.  The
+source holds only synthetic names (``i3``, ``s7``, ``t42``), ``F``, ``0``
+and operators, never a net name or other design text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+import re
+import weakref
+from typing import Dict, List, Sequence, Tuple
 
-from repro.netlist.arith import Adder, Multiplier, ShiftLeft, ShiftRight, Subtractor
 from repro.netlist.circuit import Circuit
-from repro.netlist.compare import Comparator
-from repro.netlist.gates import (
-    AndGate,
-    BufGate,
-    ConcatGate,
-    ConstGate,
-    NandGate,
-    NorGate,
-    NotGate,
-    OrGate,
-    ReduceAnd,
-    ReduceOr,
-    ReduceXor,
-    SliceGate,
-    XnorGate,
-    XorGate,
-    ZeroExtendGate,
-)
-from repro.netlist.mux import Mux
+from repro.netlist.lowering import BitAlgebra
 from repro.netlist.nets import Net
-from repro.netlist.tristate import BusResolver, TristateBuffer
+
+#: a local name of the generated source.
+_LOCAL = re.compile(r"[ist]\d+")
+#: longest operand chain in one emitted expression (the Python compiler
+#: recurses once per operand).
+_MAX_OPERANDS = 256
+
+#: circuit -> its program, rebuilt when gates were added since.
+_PROGRAMS: "weakref.WeakKeyDictionary[Circuit, LaneProgram]" = weakref.WeakKeyDictionary()
 
 
-@dataclass(frozen=True)
-class PlanOp:
-    """One levelized evaluation step (see the module docstring for payloads)."""
+class _LaneAlgebra(BitAlgebra):
+    """:class:`BitAlgebra` over lane expressions; emits one line per new bit."""
 
-    opcode: str
-    out: int
-    width: int
-    ins: Tuple[int, ...]
-    params: Tuple = ()
+    def __init__(self) -> None:
+        #: ``(name, expression)`` assignments in emission order.
+        self.lines: List[Tuple[str, str]] = []
+        self._names: Dict[str, str] = {}
+        self._inverse: Dict[str, str] = {"0": "F", "F": "0"}
+
+    def _emit(self, expression: str) -> str:
+        name = self._names.get(expression)
+        if name is None:
+            name = "t%d" % len(self.lines)
+            self._names[expression] = name
+            self.lines.append((name, expression))
+        return name
+
+    def constant(self, value: bool) -> str:
+        return "F" if value else "0"
+
+    def and_gate(self, inputs: Sequence[str]) -> str:
+        return self._chain(" & ", inputs, absorbing="0", identity="F")
+
+    def or_gate(self, inputs: Sequence[str]) -> str:
+        return self._chain(" | ", inputs, absorbing="F", identity="0")
+
+    def xor_gate(self, a: str, b: str) -> str:
+        if a == b:
+            return "0"
+        if self._inverse.get(a) == b:
+            return "F"
+        if a in ("0", "F"):
+            a, b = b, a
+        if b == "0":
+            return a
+        if b == "F":
+            return self.not_gate(a)
+        return self._emit("%s ^ %s" % tuple(sorted((a, b))))
+
+    def not_gate(self, a: str) -> str:
+        inverse = self._inverse.get(a)
+        if inverse is None:
+            inverse = self._emit("%s ^ F" % a)
+            self._inverse[a] = inverse
+            self._inverse[inverse] = a
+        return inverse
+
+    def mux_gate(self, select: str, when_zero: str, when_one: str) -> str:
+        if select == "0" or when_zero == when_one:
+            return when_zero
+        if select == "F":
+            return when_one
+        if when_zero == "0":
+            return self.and_gate([select, when_one])
+        if when_one == "0":
+            return self.and_gate([self.not_gate(select), when_zero])
+        if when_one == "F":
+            return self.or_gate([select, when_zero])
+        if when_zero == "F":
+            return self.or_gate([self.not_gate(select), when_one])
+        return self._emit(
+            "%s ^ (%s & (%s ^ %s))" % (when_zero, select, when_zero, when_one)
+        )
+
+    def _chain(self, operator: str, inputs: Sequence[str], absorbing: str, identity: str) -> str:
+        operands = sorted(set(inputs) - {identity})
+        if absorbing in operands or any(self._inverse.get(x) in operands for x in operands):
+            return absorbing
+        if not operands:
+            return identity
+        while len(operands) > _MAX_OPERANDS:
+            operands = [
+                self._emit(operator.join(operands[i:i + _MAX_OPERANDS]))
+                for i in range(0, len(operands), _MAX_OPERANDS)
+            ]
+        if len(operands) == 1:
+            return operands[0]
+        return self._emit(operator.join(operands))
 
 
-@dataclass(frozen=True)
-class FFPlan:
-    """One register in the state-update phase of a cycle."""
-
-    q: int
-    d: int
-    width: int
-    enable: int  # slot or -1
-    reset: int  # slot or -1
-    set_: int  # slot or -1
-    reset_value: int
-    init_value: int  # unknown power-on (None) normalises to 0, as the oracle does
+def _tuple(expressions: Sequence[str]) -> str:
+    return "(" + "".join(expression + ", " for expression in expressions) + ")"
 
 
-@dataclass
-class CompiledCircuit:
-    """A levelized, slot-indexed evaluation plan for one circuit."""
+class LaneProgram:
+    """One circuit's clock cycle as a generated ``step(F, ins, state)``.
 
-    name: str
-    num_slots: int
-    widths: List[int]
-    slot_of_name: Dict[str, int]
-    inputs: List[Tuple[str, int, int]]  # (name, slot, width)
-    ops: List[PlanOp]
-    ffs: List[FFPlan]
-
-    def slot(self, net_or_name) -> int:
-        """Slot index of a net (by object or name)."""
-        name = net_or_name.name if isinstance(net_or_name, Net) else net_or_name
-        return self.slot_of_name[name]
-
-
-_BITWISE_OPCODES = [
-    (AndGate, "and"),
-    (OrGate, "or"),
-    (XorGate, "xor"),
-    (NandGate, "nand"),
-    (NorGate, "nor"),
-    (XnorGate, "xnor"),
-]
-
-
-def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Levelize ``circuit`` into a :class:`CompiledCircuit` evaluation plan.
-
-    Raises ``ValueError`` (via the topological sort) on combinational cycles.
-    The plan snapshots the circuit at compile time; recompile after adding
-    gates (e.g. after compiling a new property monitor into the netlist).
+    ``ins`` and ``state`` are flat bit-lane lists (``inputs`` and
+    ``registers`` give their layout); ``step`` returns the next state in the
+    same layout and a tuple of lanes from which ``slots`` picks every net's
+    bits.  The program snapshots the circuit: :func:`compile_circuit`
+    rebuilds it once gates were added.
     """
-    slots: Dict[Net, int] = {net: index for index, net in enumerate(circuit.nets)}
-    widths = [net.width for net in circuit.nets]
-    ops: List[PlanOp] = []
 
-    for gate in circuit.topological_order():
-        ops.append(_compile_gate(gate, slots))
+    def __init__(self, circuit: Circuit):
+        self.gate_count = len(circuit.gates)
+        #: ``(name, width)`` per input, in circuit order.
+        self.inputs: List[Tuple[str, int]] = [(net.name, net.width) for net in circuit.inputs]
+        #: ``(q name, width, power-on value)`` per register; unknown is 0.
+        self.registers: List[Tuple[str, int, int]] = [
+            (ff.q.name, ff.q.width, ff.init_value if ff.init_value is not None else 0)
+            for ff in circuit.flip_flops
+        ]
+        algebra = _LaneAlgebra()
+        bits: Dict[Net, List[str]] = {}
+        ins = _locals(bits, "i", circuit.inputs)
+        state = _locals(bits, "s", [ff.q for ff in circuit.flip_flops])
+        for gate in circuit.topological_order():
+            algebra.lower_gate(gate, bits)
+        next_state = [bit for ff in circuit.flip_flops for bit in algebra.next_state(ff, bits)]
 
-    ffs: List[FFPlan] = []
-    for ff in circuit.flip_flops:
-        ffs.append(
-            FFPlan(
-                q=slots[ff.q],
-                d=slots[ff.d],
-                width=ff.q.width,
-                enable=slots[ff.enable] if ff.enable is not None else -1,
-                reset=slots[ff.reset] if ff.reset is not None else -1,
-                set_=slots[ff.set] if ff.set is not None else -1,
-                reset_value=ff.reset_value,
-                init_value=ff.init_value if ff.init_value is not None else 0,
-            )
+        position: Dict[str, int] = {}
+        #: net name -> positions of its bits in ``step``'s second result.
+        self.slots: Dict[str, Tuple[int, ...]] = {
+            net.name: tuple(position.setdefault(bit, len(position)) for bit in net_bits)
+            for net, net_bits in bits.items()
+        }
+        live = set(next_state) | set(position)
+        body = []
+        for name, expression in reversed(algebra.lines):
+            if name in live:
+                body.append("    %s = %s\n" % (name, expression))
+                live.update(_LOCAL.findall(expression))
+        self.source = "".join(
+            ["def step(F, ins, state):\n",
+             "    %s = ins\n" % _tuple(ins),
+             "    %s = state\n" % _tuple(state)]
+            + body[::-1]
+            + ["    return %s, %s\n" % (_tuple(next_state), _tuple(list(position)))]
         )
-
-    return CompiledCircuit(
-        name=circuit.name,
-        num_slots=len(circuit.nets),
-        widths=widths,
-        slot_of_name={net.name: index for net, index in slots.items()},
-        inputs=[(net.name, slots[net], net.width) for net in circuit.inputs],
-        ops=ops,
-        ffs=ffs,
-    )
+        namespace: Dict[str, object] = {}
+        exec(compile(self.source, "<lane program>", "exec"), namespace)
+        self.step = namespace["step"]
 
 
-def _compile_gate(gate, slots: Dict[Net, int]) -> PlanOp:
-    """Compile-time dispatch: one gate to one PlanOp record."""
-    out = slots[gate.output]
-    width = gate.output.width
-    ins = tuple(slots[net] for net in gate.inputs)
+def _locals(bits: Dict[Net, List[str]], prefix: str, nets: Sequence[Net]) -> List[str]:
+    """Name every bit of ``nets`` ``<prefix><n>``, counting on across nets."""
+    names: List[str] = []
+    for net in nets:
+        bits[net] = ["%s%d" % (prefix, len(names) + b) for b in range(net.width)]
+        names.extend(bits[net])
+    return names
 
-    for gate_class, opcode in _BITWISE_OPCODES:
-        if type(gate) is gate_class:
-            return PlanOp(opcode, out, width, ins)
-    if isinstance(gate, NotGate):
-        return PlanOp("not", out, width, ins)
-    if isinstance(gate, (BufGate, TristateBuffer, ZeroExtendGate)):
-        # A tri-state buffer's concrete output is its data input (resolution
-        # happens in the bus op); zext just pads zero lanes above the input.
-        if isinstance(gate, ZeroExtendGate):
-            return PlanOp("zext", out, width, ins[:1], (gate.inputs[0].width,))
-        return PlanOp("buf", out, width, ins[:1])
-    if isinstance(gate, ReduceAnd):
-        return PlanOp("redand", out, width, ins, (gate.inputs[0].width,))
-    if isinstance(gate, ReduceOr):
-        return PlanOp("redor", out, width, ins, (gate.inputs[0].width,))
-    if isinstance(gate, ReduceXor):
-        return PlanOp("redxor", out, width, ins, (gate.inputs[0].width,))
-    if isinstance(gate, ConstGate):
-        return PlanOp("const", out, width, (), (gate.value,))
-    if isinstance(gate, SliceGate):
-        return PlanOp("slice", out, width, ins, (gate.msb, gate.lsb))
-    if isinstance(gate, ConcatGate):
-        return PlanOp("concat", out, width, ins, tuple(n.width for n in gate.inputs))
-    if isinstance(gate, Adder):
-        has_cin = gate.carry_in is not None
-        cout = slots[gate.carry_out] if gate.carry_out is not None else -1
-        operand_slots = (slots[gate.a], slots[gate.b]) + (
-            (slots[gate.carry_in],) if has_cin else ()
-        )
-        return PlanOp("add", out, width, operand_slots, (has_cin, cout))
-    if isinstance(gate, Subtractor):
-        return PlanOp("sub", out, width, (slots[gate.a], slots[gate.b]))
-    if isinstance(gate, Multiplier):
-        return PlanOp(
-            "mul", out, width, (slots[gate.a], slots[gate.b]),
-            (gate.a.width, gate.b.width),
-        )
-    if isinstance(gate, (ShiftLeft, ShiftRight)):
-        left = isinstance(gate, ShiftLeft)
-        if gate.amount is None:
-            return PlanOp(
-                "shl_const" if left else "shr_const",
-                out, width, (slots[gate.a],), (gate.constant, gate.a.width),
-            )
-        return PlanOp(
-            "shl_var" if left else "shr_var",
-            out, width, (slots[gate.a], slots[gate.amount]),
-            (gate.a.width, gate.amount.width),
-        )
-    if isinstance(gate, Comparator):
-        return PlanOp("cmp", out, width, (slots[gate.a], slots[gate.b]), (gate.op,))
-    if isinstance(gate, Mux):
-        return PlanOp(
-            "mux", out, width,
-            (slots[gate.select],) + tuple(slots[d] for d in gate.data),
-            (gate.select.width,),
-        )
-    if isinstance(gate, BusResolver):
-        driver_slots: List[int] = []
-        for data, enable in gate.drivers:
-            driver_slots.append(slots[data])
-            driver_slots.append(slots[enable])
-        return PlanOp("bus", out, width, tuple(driver_slots))
-    raise NotImplementedError(
-        "cannot compile gate %r of type %s" % (gate.name, type(gate).__name__)
-    )
+
+def compile_circuit(circuit: Circuit) -> LaneProgram:
+    """The circuit's :class:`LaneProgram`, built once per circuit.
+
+    The program is rebuilt when gates were added since (e.g. after a new
+    property monitor is compiled into the netlist).  Raises ``ValueError``
+    (via the topological sort) on combinational cycles.
+    """
+    program = _PROGRAMS.get(circuit)
+    if program is None or program.gate_count != len(circuit.gates):
+        program = LaneProgram(circuit)
+        _PROGRAMS[circuit] = program
+    return program

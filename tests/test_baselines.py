@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import (
+    BddSymbolicChecker,
     CircuitBitBlaster,
     CNFFormula,
     DPLLSolver,
@@ -17,6 +18,7 @@ from repro.checker.result import CheckStatus
 from repro.modsolver.linear import ModularLinearSystem
 from repro.netlist import Circuit
 from repro.properties import Assertion, Environment, Signal, Witness
+from repro.properties.parse import parse_expression
 from repro.simulation import Simulator
 
 
@@ -216,6 +218,20 @@ def test_sat_checker_respects_environment():
     checker = SATBoundedChecker(circuit, environment=environment, max_frames=1)
     result = checker.check(Assertion("never_both", Signal("both") == 0))
     assert result.status is CheckStatus.HOLDS
+
+
+def test_variable_shift_uses_every_amount_bit():
+    """An amount of 16..31 shifts an 8-bit word to zero: the top amount bit
+    selects zeros instead of being dropped from the barrel."""
+    circuit = Circuit("wide_shift")
+    a = circuit.input("a", 8)
+    amt = circuit.input("amt", 5)
+    circuit.output(circuit.shl(a, amt), name="y")
+    prop = Assertion("ok", parse_expression("(amt < 8) | (y == 0)"))
+    sat = SATBoundedChecker(circuit, max_frames=1).check(prop)
+    bdd = BddSymbolicChecker(circuit).check(prop)
+    assert sat.status is CheckStatus.HOLDS
+    assert bdd.status is CheckStatus.HOLDS
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""The bit-level baselines are pinned: CNF, SAT results and BDD fixpoints.
+"""The bit-level baselines are pinned: CNF, SAT, BDD and random simulation.
 
-The SAT bit-blaster and the BDD checker both lower every gate of a bundled
-case to per-bit Boolean functions.  The goldens in ``bitlevel_goldens.json``
-pin, for every bundled case (p1-p15):
+The SAT bit-blaster, the BDD checker and the bit-parallel simulator of the
+random baseline all lower every gate of a bundled case to per-bit Boolean
+functions.  The goldens in ``bitlevel_goldens.json`` pin, for every bundled
+case (p1-p15):
 
 * the blaster's CNF at ``min(max_frames, 6)`` frames: variable count,
   clause count and a digest of the clause list;
@@ -10,7 +11,9 @@ pin, for every bundled case (p1-p15):
   status, frames explored, clauses, variables, decisions and trace inputs
   (p2, p9 and p15 take seconds there and are left out);
 * ``BddSymbolicChecker`` under a small node limit: status, iterations,
-  reachable-state count and reachable-set size.
+  reachable-state count and reachable-set size;
+* ``RandomSimulationChecker`` at its default options and seed: status,
+  vectors simulated, and the target frame and inputs of any trace.
 
 ``peak_nodes`` counts every node the BDD manager ever allocated, so it
 depends on how a gate is built, not only on what it computes; it is not
@@ -25,7 +28,12 @@ import os
 
 import pytest
 
-from repro.baselines import BddSymbolicChecker, CircuitBitBlaster, SATBoundedChecker
+from repro.baselines import (
+    BddSymbolicChecker,
+    CircuitBitBlaster,
+    RandomSimulationChecker,
+    SATBoundedChecker,
+)
 from repro.circuits.properties import all_case_ids, build_case, extended_case_ids
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -87,6 +95,21 @@ def _bdd(case_id):
     }
 
 
+def _random(case_id):
+    case = build_case(case_id)
+    checker = RandomSimulationChecker(
+        case.circuit, environment=case.environment, initial_state=case.initial_state
+    )
+    result = checker.check(case.prop)
+    trace = result.counterexample
+    return {
+        "status": result.status.value,
+        "vectors_simulated": checker.vectors_simulated,
+        "target_frame": None if trace is None else trace.target_frame,
+        "trace_inputs": None if trace is None else trace.inputs,
+    }
+
+
 def capture():
     """Every pinned run, keyed by ``engine/case``."""
     runs = {}
@@ -95,6 +118,7 @@ def capture():
         if case_id not in SAT_SLOW:
             runs["sat/" + case_id] = _sat(case_id)
         runs["bdd/" + case_id] = _bdd(case_id)
+        runs["random/" + case_id] = _random(case_id)
     return runs
 
 

@@ -17,7 +17,7 @@ from interpreted_random import interpreted_check
 from repro.baselines import RandomSimulationChecker, RandomSimulationOptions
 from repro.checker import CheckStatus
 from repro.circuits import all_case_ids, build_case
-from repro.netlist import Circuit
+from repro.netlist import Circuit, Gate
 from repro.properties import Assertion, Environment, Signal
 from repro.sim import (
     BitParallelSim,
@@ -106,8 +106,10 @@ def build_gate_soup():
     en1 = circuit.input("en1", 1)
     cin = circuit.input("cin", 1)
     amt = circuit.input("amt", 4)
+    amt5 = circuit.input("amt5", 5)
 
     circuit.output(circuit.and_(a, b), name="o_and")
+    circuit.output(circuit.or_(a, b), name="o_or")
     circuit.output(circuit.nand(a, b, circuit.xor(a, b)), name="o_nand3")
     circuit.output(circuit.xnor(a, b), name="o_xnor")
     circuit.output(circuit.nor(a, b), name="o_nor")
@@ -121,6 +123,11 @@ def build_gate_soup():
     circuit.output(circuit.shr(a, 11), name="o_shr_big")
     circuit.output(circuit.shl(a, amt), name="o_shl_var")
     circuit.output(circuit.shr(a, amt), name="o_shr_var")
+    # Amounts up to 31 on an 8-bit word: every amount bit matters.
+    circuit.output(circuit.shl(a, amt5), name="o_shl_wide")
+    circuit.output(circuit.shr(a, amt5), name="o_shr_wide")
+    circuit.output(circuit.xor(a, circuit.const(0x5A, 8)), name="o_const")
+    circuit.output(circuit.buf(b), name="o_buf")
     for op_name, build in (("eq", circuit.eq), ("ne", circuit.ne),
                            ("lt", circuit.lt), ("le", circuit.le),
                            ("gt", circuit.gt), ("ge", circuit.ge)):
@@ -145,6 +152,20 @@ def build_gate_soup():
     circuit.output(circuit.dff(a, set_=en0, name="q_set"))
     circuit.output(circuit.dff(a, init_value=None, name="q_unknown"))
     return circuit
+
+
+def _concrete_gate_classes(cls=Gate):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("repro.netlist.") and not sub.__name__.startswith("_"):
+            yield sub
+        yield from _concrete_gate_classes(sub)
+
+
+def test_gate_soup_instantiates_every_gate_class():
+    """A gate class the shared lowering handles cannot skip the oracle."""
+    classes = set(_concrete_gate_classes())
+    assert len(classes) >= 20
+    assert classes <= {type(gate) for gate in build_gate_soup().gates}
 
 
 def test_gate_soup_lane_exactness():

@@ -294,7 +294,8 @@ DESIGNS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "designs")
 #: loads on first use by the path that needs it.
 ONE_SHOT_UNLOADED = (
     "repro.portfolio", "repro.modsolver", "repro.baselines", "repro.kb",
-    "repro.service", "repro.simulation.vcd", "multiprocessing", "tracemalloc",
+    "repro.service", "repro.simulation.vcd", "repro.netlist.lowering", "repro.sim",
+    "multiprocessing", "tracemalloc",
 )
 
 
@@ -328,7 +329,8 @@ def _run_with_modules(script_args, body):
 def test_one_shot_check_loads_only_what_it_runs():
     """A default ``python -m repro check`` that never reaches the datapath
     loads neither the solver nor the portfolio and its process machinery,
-    the KB, the service, the baselines, the VCD writer nor tracemalloc."""
+    the KB, the service, the baselines, the bit-level lowering, the lane
+    simulator, the VCD writer nor tracemalloc."""
     design = os.path.join(DESIGNS, "y_range.v")
     proc, loaded = _run_with_modules(
         ["check", design, "--witness", "hit=bad == 1", "--json"],
