@@ -270,11 +270,16 @@ class PropertyCompiler:
 
     # ------------------------------------------------------------------
     def _fresh(self, prefix: str) -> str:
-        while True:
-            self._counter += 1
-            candidate = "%s_%d" % (prefix, self._counter)
-            if not self.circuit.has_net(candidate):
-                return candidate
+        # One count per call, taken or not: a name that another compiler
+        # already put into the circuit gets a suffix of its own, so every
+        # later name is the one it has on a fresh circuit.
+        self._counter += 1
+        name = candidate = "%s_%d" % (prefix, self._counter)
+        clash = 0
+        while self.circuit.has_net(candidate):
+            clash += 1
+            candidate = "%s_%d" % (name, clash)
+        return candidate
 
     def _compile_bool(self, expr: Expression) -> Tuple[Net, int]:
         """Compile an expression to a 1-bit net; returns (net, delay depth)."""

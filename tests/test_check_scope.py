@@ -24,6 +24,7 @@ from repro.checker.report import counterexample_to_dict, result_to_dict
 from repro.circuits.properties import all_case_ids, build_case, extended_case_ids
 from repro.properties import Assertion, Delayed, Environment, Not, PropertyCompiler
 from repro.properties.convert import CheckScope, check_scope
+from repro.properties.parse import parsed_expression
 
 CASES = all_case_ids() + extended_case_ids()
 #: cases whose bounded SAT run takes seconds even at 3 frames.
@@ -125,3 +126,20 @@ def test_a_check_alone_in_its_circuit_sees_all_of_it(case_id):
     assert scope.topological_order() == case.circuit.topological_order()
     assert scope.flip_flops == whole.flip_flops == case.circuit.flip_flops
 
+
+
+def _compiled_names(case):
+    compiler = PropertyCompiler(case.circuit)
+    lowered = compiler.compile_environment(case.environment, case.initial_state)
+    return [net.name for net in lowered.constraints], compiler.compile(case.prop).monitor.name
+
+
+def test_generated_names_do_not_depend_on_what_was_compiled_first():
+    """A name another compiler already took is disambiguated on its own;
+    no later name moves."""
+    assert _compiled_names(build_case("p7")) == (["assume_1", "assume_2"], "monitor_p7_4")
+    case = build_case("p7")
+    PropertyCompiler(case.circuit).compile_environment(
+        Environment().assume(parsed_expression("tick == 1"))
+    )
+    assert _compiled_names(case) == (["assume_1_1", "assume_2"], "monitor_p7_4")

@@ -1,9 +1,18 @@
-"""Tests for the command-line interface (``python -m repro``)."""
+"""Tests for the command-line interface (``python -m repro``).
 
+``cli_help_goldens.json`` pins every help screen of the CLI.  A change that
+means to alter the CLI surface regenerates it with
+``PYTHONPATH=src python tests/test_cli.py`` and says why.
+"""
+
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -295,7 +304,7 @@ DESIGNS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "designs")
 ONE_SHOT_UNLOADED = (
     "repro.portfolio", "repro.modsolver", "repro.baselines", "repro.kb",
     "repro.service", "repro.simulation.vcd", "repro.netlist.lowering", "repro.sim",
-    "multiprocessing", "tracemalloc",
+    "repro.commands", "multiprocessing", "tracemalloc",
 )
 
 
@@ -392,6 +401,62 @@ def test_engine_names_are_the_portfolio_registry(counter_file, capsys):
 
 
 # ----------------------------------------------------------------------
+# the process entry: python -m repro and the console script
+# ----------------------------------------------------------------------
+def _repro(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "repro"] + list(args),
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_in_process_main_never_freezes(counter_file):
+    frozen = gc.get_freeze_count()
+    assert main(["check", counter_file, "--assert", "count <= 9", "--max-frames", "2"]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_process_entry_freezes_before_exit_hooks_run():
+    """The entry freezes the heap once the command is done, and the
+    interpreter still runs every ``atexit`` hook afterwards."""
+    design = os.path.join(DESIGNS, "y_range.v")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import atexit, gc, runpy, sys\n"
+         "atexit.register(lambda: print('FROZEN', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+         "sys.argv = ['repro'] + sys.argv[1:]\n"
+         "runpy.run_module('repro', run_name='__main__')\n",
+         "check", design, "--witness", "hit=bad == 1", "--json"],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)[0]["status"] == "witness_found"
+    assert proc.stderr.splitlines() == ["FROZEN True"]
+
+
+def test_one_shot_check_stores_its_model_for_the_next_process(counter_file, tmp_path):
+    store = str(tmp_path / "kb.sqlite")
+    checked = _repro("check", counter_file, "--assert", "count <= 9",
+                     "--max-frames", "4", "--kb", store)
+    assert checked.returncode == 0, checked.stderr
+    listed = _repro("kb", "stats", store, "--json")
+    assert listed.returncode == 0, listed.stderr
+    stats = json.loads(listed.stdout)
+    assert stats["models"] == 1
+    assert [row["circuit"] for row in stats["per_model"]] == ["counter"]
+    assert stats["fail_memos"] > 0
+
+
+def test_one_shot_portfolio_check_reports_every_engine(counter_file):
+    proc = _repro("check", counter_file, "--assert", "count <= 9", "--max-frames", "3",
+                  "--engines", "atpg,sat", "--json")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["results"][0]
+    assert result["status"] == "holds"
+    assert sorted(engine["engine"] for engine in result["engines"]) == ["atpg", "sat"]
+
+
+# ----------------------------------------------------------------------
 # malformed environment inputs end in one line, not a traceback
 # ----------------------------------------------------------------------
 UNKNOWN_NET_FLAGS = [
@@ -433,3 +498,45 @@ def test_check_reports_an_unknown_net_in_one_line(counter_file):
     assert proc.stderr.splitlines() == [
         "environment.pin: no net named 'nosuch' in circuit 'counter'"
     ]
+
+
+# ----------------------------------------------------------------------
+# the CLI surface
+# ----------------------------------------------------------------------
+HELP_GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_help_goldens.json")
+#: every help screen: the top level, each command, and each ``fleet`` and
+#: ``kb`` sub-command.
+HELP_SCREENS = (
+    (), ("stats",), ("analyze",), ("check",), ("serve",), ("submit",),
+    ("fleet",), ("fleet", "status"), ("fleet", "sync"), ("fleet", "batch"),
+    ("kb",), ("kb", "stats"), ("kb", "prune"), ("kb", "merge"),
+    ("table1",), ("table2",),
+)
+
+
+def capture_help_screens():
+    """``repro ... --help`` of every screen, at a fixed 80-column width."""
+    screens = {}
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for command in HELP_SCREENS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exited:
+                main(list(command) + ["--help"])
+            assert exited.value.code == 0
+            screens[" ".join(("repro",) + command)] = out.getvalue()
+    return {"python": "%d.%d" % sys.version_info[:2], "screens": screens}
+
+
+def test_help_screens_are_unchanged():
+    with open(HELP_GOLDENS) as stream:
+        golden = json.load(stream)
+    # argparse's layout differs between Python releases.
+    if golden["python"] != "%d.%d" % sys.version_info[:2]:
+        pytest.skip("help screens were captured with Python %s" % golden["python"])
+    assert capture_help_screens() == golden
+
+
+if __name__ == "__main__":
+    with open(HELP_GOLDENS, "w") as stream:
+        json.dump(capture_help_screens(), stream, indent=1)
+        stream.write("\n")

@@ -503,12 +503,10 @@ def test_learning_counters_surface_in_report_json():
 def test_cli_exposes_no_learning_flag():
     from repro.cli import build_parser
 
-    args = build_parser().parse_args(
-        ["check", "design.v", "--assert", "x==1", "--no-learning"]
-    )
-    assert args.no_learning
-    args = build_parser().parse_args(["check", "design.v", "--assert", "x==1"])
-    assert not args.no_learning
+    argv = ["check", "design.v", "--assert", "x==1", "--no-learning"]
+    assert build_parser(argv).parse_args(argv).no_learning
+    argv = ["check", "design.v", "--assert", "x==1"]
+    assert not build_parser(argv).parse_args(argv).no_learning
 
 
 def test_batch_learning_toggle_covers_engine_instances():
