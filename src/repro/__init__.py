@@ -46,9 +46,7 @@ from repro.api import (
     PropertySpec,
     PropertyVerdict,
     RequestError,
-    build_request,
     check,
-    check_batch,
 )
 from repro.bitvector import BV3, ValueRange
 from repro.netlist import Circuit, NetKind
@@ -73,11 +71,14 @@ __version__ = "0.3.0"
 
 
 def __getattr__(name: str):
-    # repro.sim loads on first use, keeping it off the `repro check` path.
+    # repro.sim and the half of repro.api that a one-shot check never runs
+    # load on first use, keeping them off the `repro check` path.
     if name in ("BitParallelSim", "compile_circuit"):
         from repro import sim
 
         return getattr(sim, name)
+    if name in ("build_request", "check_batch"):
+        return getattr(api, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [

@@ -29,6 +29,12 @@ The module is also the supported import surface for library users
 
 Internal modules (``repro.checker.engine``, ``repro.portfolio.batch``) remain
 importable but are not a stability contract; ``repro.api`` is.
+
+What a one-shot check never runs -- the JSON codecs, :func:`build_request`,
+:func:`clamp_to_deadline`, :func:`check_batch` and report summaries -- lives
+in :mod:`repro.api_extras`, which loads on first use.  Its names stay
+reachable here and on the classes (``api.build_request``,
+``CheckRequest.from_dict``).
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import threading
 import time
 from collections import OrderedDict
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.checker.engine import AssertionChecker, CheckerOptions
@@ -73,23 +79,6 @@ ENGINE_NAMES = ("atpg", "bdd", "sat", "random")
 
 class RequestError(ValueError):
     """A request cannot be built, serialised or resolved."""
-
-
-def schema_compatible(schema: object, expected: str) -> bool:
-    """Same-major schema check: ``<name>/v1`` accepts ``<name>/v1.3``.
-
-    Messages written by a *newer minor* revision are readable by design
-    (unknown fields are ignored); a different major means the layout
-    changed incompatibly and must be rejected.  Service messages follow it too.
-    """
-    if schema is None:
-        return True  # tolerate untagged payloads from older writers
-    if not isinstance(schema, str):
-        return False
-    expected_name, _, expected_version = expected.rpartition("/")
-    name, _, version = schema.rpartition("/")
-    return (name == expected_name
-            and version.split(".", 1)[0] == expected_version.split(".", 1)[0])
 
 
 # ----------------------------------------------------------------------
@@ -149,64 +138,23 @@ class CircuitRef:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly form; raises :class:`RequestError` for ``inline``."""
-        if self.kind == "verilog":
-            payload: Dict[str, object] = {"kind": "verilog", "path": self.path}
-        elif self.kind == "source":
-            payload = {"kind": "source", "text": self.text}
-        elif self.kind == "case":
-            return {"kind": "case", "case_id": self.case_id}
-        else:
-            raise RequestError(
-                "an inline circuit cannot be serialised; use a verilog, "
-                "source or case reference for requests that travel"
-            )
-        if self.top is not None:
-            payload["top"] = self.top
-        return payload
+        return _extras().circuit_ref_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "CircuitRef":
         """Rebuild a reference, ignoring unknown fields."""
-        kind = payload.get("kind")
-        if kind == "verilog":
-            if not payload.get("path"):
-                raise RequestError("verilog circuit ref needs a 'path'")
-            return cls.verilog(str(payload["path"]), _opt_str(payload.get("top")))
-        if kind == "source":
-            if not payload.get("text"):
-                raise RequestError("source circuit ref needs 'text'")
-            return cls.source(str(payload["text"]), _opt_str(payload.get("top")))
-        if kind == "case":
-            if not payload.get("case_id"):
-                raise RequestError("case circuit ref needs a 'case_id'")
-            return cls.case(str(payload["case_id"]))
-        raise RequestError("unknown circuit ref kind %r" % (kind,))
+        return _extras().circuit_ref_from_dict(cls, payload)
 
     def cache_key(self) -> Tuple:
         """A hashable identity for design-resolution caches.
 
-        File-backed refs include a digest of the file's bytes, as source
-        refs do of their text, so an edited design is re-elaborated instead
-        of served stale -- even a same-size rewrite within one mtime tick.
+        File-backed refs include a digest of the file's text, as source
+        refs do of theirs, so an edited design is re-elaborated instead of
+        served stale -- even a same-size rewrite within one mtime tick.
+        :func:`design_key` also hands back the text the digest was taken
+        from; a file that cannot be read raises :class:`RequestError`.
         """
-        if self.kind == "inline":
-            return ("inline", id(self.circuit))
-        if self.kind == "case":
-            return ("case", self.case_id)
-        if self.kind == "source":
-            digest = hashlib.sha256((self.text or "").encode("utf-8")).hexdigest()
-            return ("source", digest, self.top)
-        path = os.path.abspath(self.path or "")
-        try:
-            with open(path, "rb") as stream:
-                digest: Optional[str] = hashlib.sha256(stream.read()).hexdigest()
-        except OSError:
-            digest = None
-        return ("verilog", path, digest, self.top)
-
-
-def _opt_str(value: object) -> Optional[str]:
-    return None if value is None else str(value)
+        return design_key(self)[0]
 
 
 # ----------------------------------------------------------------------
@@ -259,31 +207,11 @@ class PropertySpec:
         return factory(self.name, expr)
 
     def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "kind": self.kind, "name": self.name, "expr": self.expr,
-        }
-        if self.max_frames is not None:
-            payload["max_frames"] = self.max_frames
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        return payload
+        return _extras().property_spec_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "PropertySpec":
-        if not isinstance(payload, Mapping):
-            raise RequestError("properties must hold objects, got %r" % (payload,))
-        kind = payload.get("kind")
-        if kind not in ("assert", "witness"):
-            raise RequestError("property kind must be 'assert' or 'witness', got %r" % (kind,))
-        if not payload.get("name") or not payload.get("expr"):
-            raise RequestError("property specs need 'name' and 'expr'")
-        return cls(
-            kind=str(kind),
-            name=str(payload["name"]),
-            expr=str(payload["expr"]),
-            max_frames=_opt_int(payload.get("max_frames"), "properties.max_frames"),
-            seed=_opt_int(payload.get("seed"), "properties.seed"),
-        )
+        return _extras().property_spec_from_dict(cls, payload)
 
 
 def _expr_text(expr: Union[str, object]) -> str:
@@ -291,32 +219,6 @@ def _expr_text(expr: Union[str, object]) -> str:
         parsed_expression(expr)  # validate eagerly; raises PropertyParseError
         return expr
     return format_expression(expr)
-
-
-def _int(value: object, field: str) -> int:
-    # bool is an int subclass and int() truncates floats: reject both
-    # rather than read ``true`` as 1 or ``2.9`` as 2.
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise RequestError("%s must be an integer, got %r" % (field, value))
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise RequestError("%s must be an integer, got %r" % (field, value)) from None
-
-
-def _opt_int(value: object, field: str) -> Optional[int]:
-    return None if value is None else _int(value, field)
-
-
-def _opt_float(value: object, field: str) -> Optional[float]:
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        raise RequestError("%s must be a number, got %r" % (field, value))
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise RequestError("%s must be a number, got %r" % (field, value)) from None
 
 
 # ----------------------------------------------------------------------
@@ -422,37 +324,7 @@ class CheckRequest:
     # -- serialisation ------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """The canonical JSON layout (grouped, stable key order)."""
-        return {
-            "schema": REQUEST_SCHEMA,
-            "circuit": self.circuit.to_dict(),
-            "properties": [spec.to_dict() for spec in self.properties],
-            "environment": {
-                "pin": {name: value for name, value in self.pinned},
-                "one_hot": [list(group) for group in self.one_hot],
-                "assume": list(self.assumptions),
-                "initial_state": (
-                    None if self.initial_state is None else dict(self.initial_state)
-                ),
-                "init_vectors": [dict(v) for v in self.init_vectors],
-            },
-            "engines": list(self.engines),
-            "bounds": {"max_frames": self.max_frames},
-            "budget": {
-                "time_seconds": self.time_budget,
-                "sim_width": self.sim_width,
-                "seed": self.seed,
-                "random_runs": self.random_runs,
-                "random_cycles": self.random_cycles,
-                "bdd_iterations": self.bdd_iterations,
-                "bdd_node_limit": self.bdd_node_limit,
-            },
-            "search": {
-                "learning": self.learning,
-                "kb_path": self.kb_path,
-                "fsm_guidance": self.fsm_guidance,
-            },
-            "batch": {"jobs": self.jobs, "compare": self.compare},
-        }
+        return _extras().request_to_dict(self)
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
@@ -465,172 +337,16 @@ class CheckRequest:
         additions are skipped); rejects different majors.  Fields retired by
         a minor bump (see :data:`REQUEST_SCHEMA`) are skipped the same way.
         """
-        if not isinstance(payload, Mapping):
-            raise RequestError("request payload must be a JSON object")
-        if not schema_compatible(payload.get("schema"), REQUEST_SCHEMA):
-            raise RequestError(
-                "incompatible request schema %r (expected %s)"
-                % (payload.get("schema"), REQUEST_SCHEMA)
-            )
-        circuit_payload = payload.get("circuit")
-        if not isinstance(circuit_payload, Mapping):
-            raise RequestError("request needs a 'circuit' object")
-        environment = payload.get("environment") or {}
-        if not isinstance(environment, Mapping):
-            raise RequestError("'environment' must be an object")
-        bounds = _mapping(payload.get("bounds"))
-        budget = _mapping(payload.get("budget"))
-        search = _mapping(payload.get("search"))
-        batch = _mapping(payload.get("batch"))
-        initial_state = environment.get("initial_state")
-        return cls(
-            circuit=CircuitRef.from_dict(circuit_payload),
-            properties=tuple(
-                PropertySpec.from_dict(item)
-                for item in _list(payload.get("properties"), "properties")
-            ),
-            pinned=_int_bindings(environment.get("pin"), "environment.pin"),
-            one_hot=tuple(
-                tuple(str(name) for name in _list(group, "environment.one_hot"))
-                for group in _list(environment.get("one_hot"), "environment.one_hot")
-            ),
-            assumptions=tuple(
-                str(a) for a in _list(environment.get("assume"), "environment.assume")
-            ),
-            initial_state=(
-                None if initial_state is None
-                else _int_bindings(initial_state, "environment.initial_state")
-            ),
-            init_vectors=tuple(
-                _int_bindings(vector, "environment.init_vectors")
-                for vector in _list(environment.get("init_vectors"), "environment.init_vectors")
-            ),
-            engines=tuple(
-                str(e) for e in _list(payload.get("engines"), "engines") or ("atpg",)
-            ),
-            max_frames=_opt_int(bounds.get("max_frames"), "bounds.max_frames"),
-            time_budget=_opt_float(budget.get("time_seconds"), "budget.time_seconds"),
-            sim_width=_opt_int(budget.get("sim_width"), "budget.sim_width"),
-            seed=_opt_int(budget.get("seed"), "budget.seed"),
-            random_runs=_opt_int(budget.get("random_runs"), "budget.random_runs"),
-            random_cycles=_opt_int(budget.get("random_cycles"), "budget.random_cycles"),
-            bdd_iterations=_opt_int(budget.get("bdd_iterations"), "budget.bdd_iterations"),
-            bdd_node_limit=_opt_int(budget.get("bdd_node_limit"), "budget.bdd_node_limit"),
-            learning=_bool(search.get("learning", True), "search.learning"),
-            kb_path=_opt_str(search.get("kb_path")),
-            fsm_guidance=_bool(search.get("fsm_guidance", False), "search.fsm_guidance"),
-            jobs=_int(batch.get("jobs", 1), "batch.jobs"),
-            compare=_bool(batch.get("compare", False), "batch.compare"),
-        )
+        return _extras().request_from_dict(cls, payload)
 
     @classmethod
     def from_json(cls, text: str) -> "CheckRequest":
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise RequestError("request is not valid JSON: %s" % (exc,)) from exc
-        return cls.from_dict(payload)
-
-
-def _bool(value: object, field: str) -> bool:
-    """A JSON boolean field; ``bool()`` would read ``"false"`` as true."""
-    if not isinstance(value, bool):
-        raise RequestError("%s must be true or false, got %r" % (field, value))
-    return value
-
-
-def _mapping(value: object) -> Mapping[str, object]:
-    return value if isinstance(value, Mapping) else {}
-
-
-def _list(value: object, field: str) -> Sequence[object]:
-    """A JSON array field (``None`` reads as empty); strings are rejected."""
-    if value is None:
-        return ()
-    if not isinstance(value, (list, tuple)):
-        raise RequestError("%s must be a list, got %r" % (field, value))
-    return value
-
-
-def _int_bindings(value: object, field: str) -> Tuple[Tuple[str, int], ...]:
-    """A JSON ``{name: integer}`` object as sorted (name, value) pairs."""
-    if value is None:
-        return ()
-    if not isinstance(value, Mapping):
-        raise RequestError("%s must be an object of name: integer, got %r" % (field, value))
-    return tuple(sorted(
-        (str(name), _int(number, "%s.%s" % (field, name)))
-        for name, number in value.items()
-    ))
-
-
-# ----------------------------------------------------------------------
-# Request construction helpers
-# ----------------------------------------------------------------------
-def build_request(
-    design: Union[Circuit, CircuitRef, str],
-    properties: Union[Property, PropertySpec, str, Sequence] = (),
-    *,
-    environment: Optional[Environment] = None,
-    initial_state: Optional[Mapping[str, int]] = None,
-    **knobs,
-) -> CheckRequest:
-    """The convenient front door: normalise loose inputs into a request.
-
-    ``design`` may be a live circuit, a ready-made :class:`CircuitRef` or a
-    Verilog file path.  ``properties`` accepts a single item or a sequence
-    of :class:`Property` / :class:`PropertySpec` / expression strings
-    (strings become assertions named ``assert_<i>``).  An
-    :class:`Environment` object is decomposed into the request's
-    serialisable constraint fields.  Remaining keyword knobs go straight to
-    :class:`CheckRequest`.
-    """
-    if isinstance(design, CircuitRef):
-        ref = design
-    elif isinstance(design, Circuit):
-        ref = CircuitRef.inline(design)
-    elif isinstance(design, str):
-        ref = CircuitRef.verilog(design)
-    else:
-        raise RequestError("cannot build a circuit ref from %r" % (design,))
-
-    if isinstance(properties, (Property, PropertySpec, str)):
-        properties = (properties,)
-    specs: List[PropertySpec] = []
-    for index, item in enumerate(properties):
-        if isinstance(item, PropertySpec):
-            specs.append(item)
-        elif isinstance(item, Property):
-            specs.append(PropertySpec.from_property(item))
-        elif isinstance(item, str):
-            specs.append(PropertySpec.assertion("assert_%d" % index, item))
-        else:
-            raise RequestError("cannot build a property spec from %r" % (item,))
-
-    env_fields: Dict[str, object] = {}
-    if environment is not None:
-        env_fields["pinned"] = tuple(sorted(environment.pinned.items()))
-        env_fields["one_hot"] = tuple(
-            tuple(group) for group in environment.one_hot_groups
-        )
-        env_fields["assumptions"] = tuple(
-            format_expression(expr) for expr in environment.assumptions
-        )
-        if environment.initialization is not None:
-            env_fields["init_vectors"] = tuple(
-                tuple(sorted(vector.items()))
-                for vector in environment.initialization.vectors
-            )
-    if initial_state is not None:
-        env_fields["initial_state"] = tuple(sorted(initial_state.items()))
-
-    return CheckRequest(circuit=ref, properties=tuple(specs), **env_fields, **knobs)
+        return cls.from_dict(_extras().load_json(text, "request"))
 
 
 # ----------------------------------------------------------------------
 # Design resolution
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
 class ResolvedDesign:
     """A circuit ref resolved into live objects plus its bundled defaults.
 
@@ -638,15 +354,25 @@ class ResolvedDesign:
     treat them as read-only.
     """
 
-    circuit: Circuit
-    environment: Optional[Environment] = None
-    initial_state: Optional[Dict[str, int]] = None
-    default_properties: Tuple[PropertySpec, ...] = ()
-    default_max_frames: Optional[int] = None
-    #: held by the one request checking this design at a time.
-    lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+    __slots__ = ("circuit", "environment", "initial_state", "default_properties",
+                 "default_max_frames", "lock")
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        environment: Optional[Environment] = None,
+        initial_state: Optional[Dict[str, int]] = None,
+        default_properties: Tuple[PropertySpec, ...] = (),
+        default_max_frames: Optional[int] = None,
+        lock: Optional[threading.Lock] = None,
+    ):
+        self.circuit = circuit
+        self.environment = environment
+        self.initial_state = initial_state
+        self.default_properties = default_properties
+        self.default_max_frames = default_max_frames
+        #: held by the one request checking this design at a time.
+        self.lock = threading.Lock() if lock is None else lock
 
 
 #: How many designs the process keeps resolved: the same bound as the
@@ -682,7 +408,7 @@ def resolve_design(ref: CircuitRef) -> ResolvedDesign:
     """
     if ref.kind == "inline":
         return load_design(ref)
-    key = ref.cache_key()
+    key, text = design_key(ref)
     with _designs_lock:
         resolved = _designs.get(key)
         if resolved is not None:
@@ -690,7 +416,7 @@ def resolve_design(ref: CircuitRef) -> ResolvedDesign:
             return resolved
     # Elaborate outside the lock.  A racing duplicate keeps the first
     # insert, so both callers share one circuit and its models.
-    loaded = load_design(ref)
+    loaded = load_design(ref, text)
     with _designs_lock:
         resolved = _designs.setdefault(key, loaded)
         _designs.move_to_end(key)
@@ -717,8 +443,41 @@ def designs_resident() -> int:
         return len(_designs)
 
 
-def load_design(ref: CircuitRef) -> ResolvedDesign:
-    """Elaborate a circuit ref without touching the design cache."""
+def design_key(ref: CircuitRef) -> Tuple[Tuple, Optional[str]]:
+    """``ref``'s design-cache key, and the Verilog text its digest covers.
+
+    A design file is read once, here: :func:`load_design` given this text
+    elaborates exactly the design the key names, even if the file changes
+    right after.  The text is ``None`` for case and inline refs.
+    """
+    if ref.kind == "inline":
+        return ("inline", id(ref.circuit)), None
+    if ref.kind == "case":
+        return ("case", ref.case_id), None
+    text = _design_text(ref)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    if ref.kind == "source":
+        return ("source", digest, ref.top), text
+    return ("verilog", os.path.abspath(ref.path or ""), digest, ref.top), text
+
+
+def _design_text(ref: CircuitRef) -> str:
+    """The Verilog text of a source or verilog ref."""
+    if ref.kind == "source":
+        return ref.text or ""
+    try:
+        with open(ref.path or "") as stream:
+            return stream.read()
+    except OSError as exc:
+        raise RequestError("cannot read design %r: %s" % (ref.path, exc)) from exc
+
+
+def load_design(ref: CircuitRef, text: Optional[str] = None) -> ResolvedDesign:
+    """Elaborate a circuit ref without touching the design cache.
+
+    ``text`` is the design's Verilog as :func:`design_key` read it; without
+    it a verilog ref's file is read here.
+    """
     if ref.kind == "inline":
         if ref.circuit is None:
             raise RequestError("inline circuit ref carries no circuit")
@@ -739,15 +498,7 @@ def load_design(ref: CircuitRef) -> ResolvedDesign:
         )
     from repro.hdl import compile_verilog
 
-    if ref.kind == "source":
-        text = ref.text or ""
-    else:
-        try:
-            with open(ref.path or "") as stream:
-                text = stream.read()
-        except OSError as exc:
-            raise RequestError("cannot read design %r: %s" % (ref.path, exc)) from exc
-    circuit = compile_verilog(text, top=ref.top)
+    circuit = compile_verilog(_design_text(ref) if text is None else text, top=ref.top)
     circuit.validate()
     return ResolvedDesign(circuit=circuit)
 
@@ -782,43 +533,11 @@ class PropertyVerdict:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "property": self.name,
-            "kind": self.kind,
-            "status": self.status,
-            "conclusive": self.conclusive,
-            "winner": self.winner,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "stats": dict(self.stats),
-        }
-        if self.frames_explored is not None:
-            payload["frames_explored"] = self.frames_explored
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        if self.engines:
-            payload["engines"] = [dict(engine) for engine in self.engines]
-        if self.disagreement:
-            payload["disagreement"] = list(self.disagreement)
-        if self.trace is not None:
-            payload["trace"] = dict(self.trace)
-        return payload
+        return _extras().verdict_to_dict(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "PropertyVerdict":
-        return cls(
-            name=str(payload.get("property", "")),
-            kind=str(payload.get("kind", "assertion")),
-            status=str(payload.get("status", CheckStatus.ABORTED.value)),
-            conclusive=bool(payload.get("conclusive", False)),
-            winner=_opt_str(payload.get("winner")),
-            frames_explored=_opt_int(payload.get("frames_explored"), "frames_explored"),
-            wall_seconds=float(payload.get("wall_seconds", 0.0)),
-            trace=dict(payload["trace"]) if payload.get("trace") is not None else None,
-            stats=dict(_mapping(payload.get("stats"))),
-            engines=tuple(dict(e) for e in payload.get("engines") or []),
-            seed=_opt_int(payload.get("seed"), "seed"),
-            disagreement=tuple(str(d) for d in payload.get("disagreement") or []),
-        )
+        return _extras().verdict_from_dict(cls, payload)
 
 
 @dataclass(frozen=True)
@@ -857,93 +576,30 @@ class CheckReport:
         (``models_reused``, ``kb_hits``, ...) without caring which execution
         path produced the report.
         """
-        total = 0
-        for result in self.results:
-            value = result.stats.get(key)
-            if isinstance(value, (int, float)):
-                total += int(value)
-            for engine in result.engines:
-                stats = engine.get("stats")
-                if isinstance(stats, Mapping):
-                    value = stats.get(key)
-                    if isinstance(value, (int, float)):
-                        total += int(value)
-        return total
+        return _extras().report_aggregate(self, key)
 
     def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "schema": REPORT_SCHEMA,
-            "source": self.source,
-            "engines": list(self.engines),
-            "wall_seconds": round(self.wall_seconds, 6),
-            "exit_code": self.exit_code,
-            "disagreements": list(self.disagreements),
-            "results": [result.to_dict() for result in self.results],
-        }
-        if self.service is not None:
-            payload["service"] = dict(self.service)
-        return payload
+        return _extras().report_to_dict(self)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "CheckReport":
-        if not schema_compatible(payload.get("schema"), REPORT_SCHEMA):
-            raise RequestError(
-                "incompatible report schema %r (expected %s)"
-                % (payload.get("schema"), REPORT_SCHEMA)
-            )
-        service = payload.get("service")
-        return cls(
-            results=tuple(
-                PropertyVerdict.from_dict(item) for item in payload.get("results") or []
-            ),
-            engines=tuple(str(e) for e in payload.get("engines") or ()),
-            wall_seconds=float(payload.get("wall_seconds", 0.0)),
-            source=str(payload.get("source", "in-process")),
-            service=dict(service) if isinstance(service, Mapping) else None,
-        )
+        return _extras().report_from_dict(cls, payload)
 
     @classmethod
     def from_json(cls, text: str) -> "CheckReport":
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise RequestError("report is not valid JSON: %s" % (exc,)) from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(_extras().load_json(text, "report"))
 
     def summary(self) -> str:
         """A short human-readable rendering (used by ``repro submit``)."""
-        lines = []
-        for result in self.results:
-            line = "property %s (%s): %s" % (result.name, result.kind, result.status)
-            if result.winner:
-                line += " [winner: %s]" % result.winner
-            lines.append(line)
-            if result.trace is not None:
-                lines.append(
-                    "  trace: %d frame(s), goal at frame %s"
-                    % (len(result.trace.get("inputs", ())), result.trace.get("target_frame"))
-                )
-            if result.disagreement:
-                lines.append("  ENGINES DISAGREE: %s" % ", ".join(result.disagreement))
-        lines.append(
-            "%d propert%s checked in %.3fs (%s)"
-            % (
-                len(self.results),
-                "y" if len(self.results) == 1 else "ies",
-                self.wall_seconds,
-                self.source,
-            )
-        )
-        return "\n".join(lines)
+        return _extras().report_summary(self)
 
 
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-@dataclass
 class RequestOutcome:
     """The raw objects one executed request produced, plus the unified report.
 
@@ -951,31 +607,23 @@ class RequestOutcome:
     everything else should use ``report``.
     """
 
-    request: CheckRequest
-    circuit: Circuit
-    report: CheckReport
-    #: single-engine path only: the checker's native results.
-    results: Optional[List[CheckResult]] = None
-    #: portfolio/batch path only: the batch runner's native report.
-    batch: Optional[object] = None
+    __slots__ = ("request", "circuit", "report", "results", "batch")
 
-
-def clamp_to_deadline(request: CheckRequest,
-                      deadline_seconds: Optional[float]) -> CheckRequest:
-    """Fold an end-to-end deadline into the request's engine time budget.
-
-    The one clamp rule every execution path shares: the service worker
-    applies it to forwarded jobs, and the client's in-process fallback
-    applies it before running locally -- so ``--deadline`` bounds the
-    solver itself no matter which path answers.  A request whose own
-    ``time_budget`` is already tighter is returned unchanged.
-    """
-    if deadline_seconds is None:
-        return request
-    remaining = max(0.01, float(deadline_seconds))
-    if request.time_budget is None or request.time_budget > remaining:
-        return replace(request, time_budget=remaining)
-    return request
+    def __init__(
+        self,
+        request: CheckRequest,
+        circuit: Circuit,
+        report: CheckReport,
+        results: Optional[List[CheckResult]] = None,
+        batch: Optional[object] = None,
+    ):
+        self.request = request
+        self.circuit = circuit
+        self.report = report
+        #: single-engine path only: the checker's native results.
+        self.results = results
+        #: portfolio/batch path only: the batch runner's native report.
+        self.batch = batch
 
 
 def check(request: CheckRequest) -> CheckReport:
@@ -986,15 +634,6 @@ def check(request: CheckRequest) -> CheckReport:
     does, based on the request's own knobs.
     """
     return run_request(request).report
-
-
-def check_batch(request: CheckRequest) -> CheckReport:
-    """Check a request through the portfolio/batch machinery unconditionally.
-
-    Use this when per-engine details, worker fan-out or compare mode are
-    wanted even for a single default-engine request.
-    """
-    return run_request(request, force_batch=True).report
 
 
 def run_request(
@@ -1044,7 +683,7 @@ def _run_resolved(
     if max_frames is None:
         max_frames = resolved.default_max_frames
 
-    run = _run_batch if force_batch or request.uses_portfolio else _run_single
+    run = _extras().run_batch if force_batch or request.uses_portfolio else _run_single
     return run(request, resolved.circuit, environment, initial_state, specs, max_frames)
 
 
@@ -1116,44 +755,6 @@ def _run_single(
     )
 
 
-def _run_batch(
-    request: CheckRequest,
-    circuit: Circuit,
-    environment: Optional[Environment],
-    initial_state: Optional[Dict[str, int]],
-    specs: Sequence[PropertySpec],
-    max_frames: Optional[int],
-) -> RequestOutcome:
-    """The portfolio/batch path (mirrors the classic ``repro check`` flags)."""
-    from repro.portfolio import BatchJob, BatchOptions, BatchRunner
-
-    jobs = [
-        BatchJob(
-            spec.name,
-            circuit,
-            spec.to_property(),
-            environment=environment,
-            initial_state=initial_state,
-            max_frames=spec.max_frames,
-            seed=spec.seed,
-        )
-        for spec in specs
-    ]
-    options = BatchOptions.from_request(request)
-    if max_frames is not None:
-        options.budget = replace(options.budget, max_frames=max_frames)
-    batch_report = BatchRunner(options).run(jobs)
-    verdicts = tuple(_verdict_from_batch_item(item) for item in batch_report.items)
-    report = CheckReport(
-        results=verdicts,
-        engines=tuple(batch_report.engines),
-        wall_seconds=batch_report.wall_seconds,
-    )
-    return RequestOutcome(
-        request=request, circuit=circuit, report=report, batch=batch_report
-    )
-
-
 def _verdict_from_result(result: CheckResult) -> PropertyVerdict:
     return PropertyVerdict(
         name=result.prop.name,
@@ -1172,27 +773,24 @@ def _verdict_from_result(result: CheckResult) -> PropertyVerdict:
     )
 
 
-def _verdict_from_batch_item(item) -> PropertyVerdict:
-    result = item.result
-    return PropertyVerdict(
-        name=result.prop_name,
-        kind=result.kind,
-        status=result.status.value,
-        conclusive=result.conclusive,
-        winner=result.winner,
-        wall_seconds=result.wall_seconds,
-        trace=(
-            counterexample_to_dict(result.counterexample)
-            if result.counterexample is not None
-            else None
-        ),
-        stats={},
-        engines=tuple(engine.to_dict() for engine in result.engine_results),
-        seed=item.seed,
-        disagreement=tuple(result.disagreement),
-    )
+def _extras():
+    """The half of the API a one-shot check never runs, loaded on first use."""
+    from repro import api_extras
+
+    return api_extras
 
 
+#: the public names :mod:`repro.api_extras` serves.
+_EXTRAS = ("build_request", "check_batch", "clamp_to_deadline", "schema_compatible")
+
+
+def __getattr__(name: str):
+    if name in _EXTRAS:
+        return getattr(_extras(), name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+# The names marked F822 are served by __getattr__ above.
 __all__ = [
     "REQUEST_SCHEMA",
     "REPORT_SCHEMA",
@@ -1206,14 +804,15 @@ __all__ = [
     "RequestError",
     "RequestOutcome",
     "ResolvedDesign",
-    "build_request",
+    "build_request",  # noqa: F822
     "check",
-    "check_batch",
-    "clamp_to_deadline",
+    "check_batch",  # noqa: F822
+    "clamp_to_deadline",  # noqa: F822
     "clear_design_cache",
+    "design_key",
     "designs_resident",
     "load_design",
     "resolve_design",
     "run_request",
-    "schema_compatible",
+    "schema_compatible",  # noqa: F822
 ]

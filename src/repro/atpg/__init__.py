@@ -5,13 +5,35 @@ signals only, guided by the legal-1/legal-0 probabilities and legal
 assignment bias of the paper, over a time-frame expanded model of the
 circuit.  Datapath value requirements are deliberately left unjustified and
 handed to the modular arithmetic constraint solver.
+
+The search itself (:mod:`repro.atpg.justify`, with the decision ranking of
+:mod:`repro.atpg.decisions` and :mod:`repro.atpg.probability`) resolves
+lazily: it loads on the first search, not for a check its requirement
+fixpoint decides.
 """
 
-from repro.atpg.timeframe import UnrolledModel, VarKey
-from repro.atpg.probability import legal_one_probabilities, legal_assignment_bias
-from repro.atpg.decisions import DecisionCandidate, find_decision_candidates
+from repro.atpg.timeframe import JustifierLimits, JustifyOutcome, UnrolledModel, VarKey
 from repro.atpg.estg import ExtendedStateTransitionGraph
-from repro.atpg.justify import Justifier, JustifyOutcome, JustifyResult
+
+#: name -> module of every name that loads with the search.
+_LAZY = {
+    "legal_one_probabilities": "repro.atpg.probability",
+    "legal_assignment_bias": "repro.atpg.probability",
+    "DecisionCandidate": "repro.atpg.decisions",
+    "find_decision_candidates": "repro.atpg.decisions",
+    "Justifier": "repro.atpg.justify",
+    "JustifyResult": "repro.atpg.justify",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    import importlib
+
+    return getattr(importlib.import_module(module), name)
+
 
 __all__ = [
     "UnrolledModel",
@@ -22,6 +44,7 @@ __all__ = [
     "find_decision_candidates",
     "ExtendedStateTransitionGraph",
     "Justifier",
+    "JustifierLimits",
     "JustifyOutcome",
     "JustifyResult",
 ]

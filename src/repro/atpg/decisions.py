@@ -10,7 +10,6 @@ with the highest fanout are kept, as in the paper.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Hashable, List, Sequence, Set
 
 from repro.atpg.probability import (
@@ -23,15 +22,18 @@ from repro.bitvector import BV3
 from repro.implication.engine import ImplicationNode
 
 
-@dataclass
 class DecisionCandidate:
     """A 1-bit decision point with its ranking information."""
 
-    key: VarKey
-    bias: float
-    bias_value: int
-    probability_one: float
-    fanout: int
+    __slots__ = ("key", "bias", "bias_value", "probability_one", "fanout")
+
+    def __init__(self, key: VarKey, bias: float, bias_value: int,
+                 probability_one: float, fanout: int):
+        self.key = key
+        self.bias = bias
+        self.bias_value = bias_value
+        self.probability_one = probability_one
+        self.fanout = fanout
 
     def preferred_first_value(self, prove_mode: bool) -> int:
         """First value to try.

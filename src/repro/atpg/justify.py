@@ -61,14 +61,12 @@ reaches the same verdict and the same counterexample.
 
 from __future__ import annotations
 
-import enum
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.atpg.decisions import find_decision_candidates
 from repro.atpg.estg import ExtendedStateTransitionGraph, LearnedCube, StateCube, covers
-from repro.atpg.timeframe import UnrolledModel, VarKey
+from repro.atpg.timeframe import JustifierLimits, JustifyOutcome, UnrolledModel, VarKey
 from repro.bitvector import BV3, BV3Conflict
 from repro.implication.assignment import ImplicationConflict, RootCause
 from repro.implication.engine import ImplicationNode
@@ -87,46 +85,40 @@ DECISION_CUT_LIMIT = 64
 MAX_CUBE_LITERALS = 8
 
 
-class JustifyOutcome(enum.Enum):
-    """Result of a justification run."""
-
-    SUCCESS = "success"
-    FAIL = "fail"
-    ABORT = "abort"
-
-
-@dataclass
 class JustifyResult:
     """Outcome plus search statistics."""
 
-    outcome: JustifyOutcome
-    decisions: int = 0
-    backtracks: int = 0
-    conflicts: int = 0
-    arithmetic_calls: int = 0
-    implications: int = 0
-    #: datapath solver calls answered with an infeasibility certificate.
-    solver_cores: int = 0
-    #: datapath leaves given up after :data:`LEAF_BACKTRACK_BUDGET`
-    #: backtracks; a FAIL with any of them is reported as ABORT.
-    unproven_leaves: int = 0
+    __slots__ = ("outcome", "decisions", "backtracks", "conflicts", "arithmetic_calls",
+                 "implications", "solver_cores", "unproven_leaves")
+
+    def __init__(
+        self,
+        outcome: JustifyOutcome,
+        decisions: int = 0,
+        backtracks: int = 0,
+        conflicts: int = 0,
+        arithmetic_calls: int = 0,
+        implications: int = 0,
+        solver_cores: int = 0,
+        unproven_leaves: int = 0,
+    ):
+        self.outcome = outcome
+        self.decisions = decisions
+        self.backtracks = backtracks
+        self.conflicts = conflicts
+        self.arithmetic_calls = arithmetic_calls
+        self.implications = implications
+        #: datapath solver calls answered with an infeasibility certificate.
+        self.solver_cores = solver_cores
+        #: datapath leaves given up after :data:`LEAF_BACKTRACK_BUDGET`
+        #: backtracks; a FAIL with any of them is reported as ABORT.
+        self.unproven_leaves = unproven_leaves
 
     @property
     def succeeded(self) -> bool:
         return self.outcome is JustifyOutcome.SUCCESS
 
 
-@dataclass
-class JustifierLimits:
-    """Resource limits of the branch-and-bound search."""
-
-    max_decisions: int = 200_000
-    max_backtracks: int = 50_000
-    max_depth: int = 5_000
-    arithmetic_budget: int = 256
-
-
-@dataclass
 class LearningContext:
     """Everything the search needs to consult and grow the learned store.
 
@@ -137,13 +129,16 @@ class LearningContext:
     savepoint, below which lies the shared base fixpoint.
     """
 
-    estg: ExtendedStateTransitionGraph
-    prop_fp: object
-    target_frame: int
-    base_trail_mark: int
+    __slots__ = ("estg", "prop_fp", "target_frame", "base_trail_mark")
+
+    def __init__(self, estg: ExtendedStateTransitionGraph, prop_fp: object,
+                 target_frame: int, base_trail_mark: int):
+        self.estg = estg
+        self.prop_fp = prop_fp
+        self.target_frame = target_frame
+        self.base_trail_mark = base_trail_mark
 
 
-@dataclass
 class _SubtreeFacts:
     """Conflict antecedents accumulated while a subtree failed.
 
@@ -154,11 +149,15 @@ class _SubtreeFacts:
     from such facts are counted as datapath-derived).
     """
 
-    roots: Set[RootCause] = field(default_factory=set)
-    min_frame: int = 0
-    max_frame: int = 0
-    base: bool = False
-    datapath: bool = False
+    __slots__ = ("roots", "min_frame", "max_frame", "base", "datapath")
+
+    def __init__(self, roots: Optional[Set[RootCause]] = None, min_frame: int = 0,
+                 max_frame: int = 0, base: bool = False, datapath: bool = False):
+        self.roots = set() if roots is None else roots
+        self.min_frame = min_frame
+        self.max_frame = max_frame
+        self.base = base
+        self.datapath = datapath
 
     def merge(self, other: "_SubtreeFacts") -> None:
         self.roots |= other.roots
@@ -168,13 +167,15 @@ class _SubtreeFacts:
         self.datapath = self.datapath or other.datapath
 
 
-@dataclass
 class _BitCandidate:
     """A leaf decision: one unknown bit of a free input word."""
 
-    key: VarKey
-    width: int
-    bit: int
+    __slots__ = ("key", "width", "bit")
+
+    def __init__(self, key: VarKey, width: int, bit: int):
+        self.key = key
+        self.width = width
+        self.bit = bit
 
     @staticmethod
     def preferred_first_value(prove_mode: bool) -> int:

@@ -27,6 +27,7 @@ Variable keys are ``(net, frame)`` tuples (:data:`VarKey`).
 
 from __future__ import annotations
 
+import enum
 import time
 from functools import partial
 from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
@@ -47,6 +48,48 @@ from repro.netlist.classify import is_control
 
 #: A variable key in the unrolled model: (net, frame index).
 VarKey = Tuple[Net, int]
+
+
+# The search's outcome and limits live beside the model rather than in
+# :mod:`repro.atpg.justify`: a check whose requirements already conflict at
+# the model's fixpoint reports FAIL without loading the justifier.
+class JustifyOutcome(enum.Enum):
+    """Result of a justification run."""
+
+    SUCCESS = "success"
+    FAIL = "fail"
+    ABORT = "abort"
+
+
+class JustifierLimits:
+    """Resource limits of the branch-and-bound search.
+
+    Compared by value: :class:`~repro.checker.engine.CheckerOptions`
+    equality and ``repr`` include its limits.
+    """
+
+    __slots__ = ("max_decisions", "max_backtracks", "max_depth", "arithmetic_budget")
+
+    def __init__(self, max_decisions: int = 200_000, max_backtracks: int = 50_000,
+                 max_depth: int = 5_000, arithmetic_budget: int = 256):
+        self.max_decisions = max_decisions
+        self.max_backtracks = max_backtracks
+        self.max_depth = max_depth
+        self.arithmetic_budget = arithmetic_budget
+
+    def _fields(self) -> Tuple[int, int, int, int]:
+        return (self.max_decisions, self.max_backtracks, self.max_depth,
+                self.arithmetic_budget)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "JustifierLimits(%s)" % ", ".join(
+            "%s=%r" % pair for pair in zip(self.__slots__, self._fields())
+        )
 
 
 class UnrolledModel:

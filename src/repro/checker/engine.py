@@ -19,15 +19,9 @@ configured maximum), the engine:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, TYPE_CHECKING
 
-from repro.atpg.justify import (
-    Justifier,
-    JustifierLimits,
-    JustifyOutcome,
-    LearningContext,
-)
-from repro.atpg.timeframe import UnrolledModel
+from repro.atpg.timeframe import JustifierLimits, JustifyOutcome, UnrolledModel
 from repro.bitvector import BV3
 from repro.checker.incremental import UnrolledModelCache, shared_model_cache
 from repro.checker.result import CheckResult, CheckStatus, Counterexample
@@ -38,6 +32,9 @@ from repro.properties.convert import CompiledProperty, PropertyCompiler
 from repro.properties.environment import Environment
 from repro.properties.spec import Assertion, Property
 from repro.simulation.replay import replay_trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.atpg.justify import LearningContext
 
 #: register width limit for the local FSM extraction behind FSM guidance.
 FSM_GUIDANCE_MAX_WIDTH = 4
@@ -271,6 +268,10 @@ class AssertionChecker:
             if learning_store is not None:
                 learning_store.record_proven_fail(prop_fp, target_frame)
             return JustifyOutcome.FAIL, None
+        # The search starts here: a check every target of which conflicts
+        # at the fixpoint above never loads the justifier.
+        from repro.atpg.justify import LearningContext
+
         learning = None
         if learning_store is not None:
             learning = LearningContext(
@@ -350,6 +351,8 @@ class AssertionChecker:
         self, model: UnrolledModel, compiled: CompiledProperty,
         learning: Optional[LearningContext],
     ):
+        from repro.atpg.justify import Justifier
+
         justifier = Justifier(
             model,
             prove_mode=isinstance(compiled.prop, Assertion),

@@ -1,172 +1,241 @@
-"""Abstract syntax tree of the supported Verilog subset."""
+"""Abstract syntax tree of the supported Verilog subset.
+
+The nodes are plain slotted classes: a parse builds them once and nothing
+compares them by value.  ``repr`` spells a node as a dataclass would,
+because parse and elaboration errors print the node they reject.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
+
+
+class _Node:
+    """Base of every node: slot storage and a field-by-field ``repr``."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (
+            type(self).__name__,
+            ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__),
+        )
 
 
 # ----------------------------------------------------------------------
 # Expressions
 # ----------------------------------------------------------------------
-class HdlExpression:
+class HdlExpression(_Node):
     """Base class of HDL expressions."""
 
+    __slots__ = ()
 
-@dataclass
+
 class Identifier(HdlExpression):
     """A reference to a declared net or register."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass
 class Number(HdlExpression):
     """A numeric literal, optionally with an explicit width."""
 
-    value: int
-    width: Optional[int] = None
+    __slots__ = ("value", "width")
+
+    def __init__(self, value: int, width: Optional[int] = None):
+        self.value = value
+        self.width = width
 
 
-@dataclass
 class UnaryOp(HdlExpression):
     """Unary operator: ``~``, ``!``, ``-``, ``&`` (reduction), ``|``, ``^``."""
 
-    op: str
-    operand: HdlExpression
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: HdlExpression):
+        self.op = op
+        self.operand = operand
 
 
-@dataclass
 class BinaryOp(HdlExpression):
     """Binary operator over two sub-expressions."""
 
-    op: str
-    lhs: HdlExpression
-    rhs: HdlExpression
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: HdlExpression, rhs: HdlExpression):
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass
 class TernaryOp(HdlExpression):
     """Conditional selection ``condition ? when_true : when_false``."""
 
-    condition: HdlExpression
-    when_true: HdlExpression
-    when_false: HdlExpression
+    __slots__ = ("condition", "when_true", "when_false")
+
+    def __init__(self, condition: HdlExpression, when_true: HdlExpression,
+                 when_false: HdlExpression):
+        self.condition = condition
+        self.when_true = when_true
+        self.when_false = when_false
 
 
-@dataclass
 class Concat(HdlExpression):
     """Concatenation ``{a, b, c}`` (most significant part first)."""
 
-    parts: List[HdlExpression]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: List[HdlExpression]):
+        self.parts = parts
 
 
-@dataclass
 class BitSelect(HdlExpression):
     """Single-bit select ``name[index]`` (constant index only)."""
 
-    name: str
-    index: int
+    __slots__ = ("name", "index")
+
+    def __init__(self, name: str, index: int):
+        self.name = name
+        self.index = index
 
 
-@dataclass
 class PartSelect(HdlExpression):
     """Part select ``name[msb:lsb]`` (constant bounds only)."""
 
-    name: str
-    msb: int
-    lsb: int
+    __slots__ = ("name", "msb", "lsb")
+
+    def __init__(self, name: str, msb: int, lsb: int):
+        self.name = name
+        self.msb = msb
+        self.lsb = lsb
 
 
 # ----------------------------------------------------------------------
 # Statements and declarations
 # ----------------------------------------------------------------------
-class HdlStatement:
+class HdlStatement(_Node):
     """Base class of procedural statements."""
 
+    __slots__ = ()
 
-@dataclass
+
 class NonBlockingAssign(HdlStatement):
     """``target <= expression;`` inside a clocked process."""
 
-    target: str
-    expr: HdlExpression
+    __slots__ = ("target", "expr")
+
+    def __init__(self, target: str, expr: HdlExpression):
+        self.target = target
+        self.expr = expr
 
 
-@dataclass
 class IfStmt(HdlStatement):
     """``if (condition) ... else ...``."""
 
-    condition: HdlExpression
-    then_body: List[HdlStatement]
-    else_body: List[HdlStatement] = field(default_factory=list)
+    __slots__ = ("condition", "then_body", "else_body")
+
+    def __init__(self, condition: HdlExpression, then_body: List[HdlStatement],
+                 else_body: Optional[List[HdlStatement]] = None):
+        self.condition = condition
+        self.then_body = then_body
+        self.else_body = [] if else_body is None else else_body
 
 
-@dataclass
 class CaseStmt(HdlStatement):
     """``case (selector) value: ...; default: ...; endcase``."""
 
-    selector: HdlExpression
-    items: List[Tuple[List[HdlExpression], List[HdlStatement]]]
-    default: List[HdlStatement] = field(default_factory=list)
+    __slots__ = ("selector", "items", "default")
+
+    def __init__(self, selector: HdlExpression,
+                 items: List[Tuple[List[HdlExpression], List[HdlStatement]]],
+                 default: Optional[List[HdlStatement]] = None):
+        self.selector = selector
+        self.items = items
+        self.default = [] if default is None else default
 
 
-@dataclass
-class AssignStmt:
+class AssignStmt(_Node):
     """Continuous assignment ``assign target = expression;``."""
 
-    target: Union[str, "PartSelect", "BitSelect"]
-    expr: HdlExpression
+    __slots__ = ("target", "expr")
+
+    def __init__(self, target: Union[str, PartSelect, BitSelect], expr: HdlExpression):
+        self.target = target
+        self.expr = expr
 
 
-@dataclass
-class AlwaysBlock:
+class AlwaysBlock(_Node):
     """A clocked process ``always @(posedge clock) ...``."""
 
-    clock: str
-    edge: str
-    body: List[HdlStatement]
-    reset: Optional[str] = None
-    reset_edge: Optional[str] = None
+    __slots__ = ("clock", "edge", "body", "reset", "reset_edge")
+
+    def __init__(self, clock: str, edge: str, body: List[HdlStatement],
+                 reset: Optional[str] = None, reset_edge: Optional[str] = None):
+        self.clock = clock
+        self.edge = edge
+        self.body = body
+        self.reset = reset
+        self.reset_edge = reset_edge
 
 
-@dataclass
-class PortDecl:
+class PortDecl(_Node):
     """A module port with direction and width."""
 
-    direction: str
-    name: str
-    width: int
+    __slots__ = ("direction", "name", "width")
+
+    def __init__(self, direction: str, name: str, width: int):
+        self.direction = direction
+        self.name = name
+        self.width = width
 
 
-@dataclass
-class NetDecl:
+class NetDecl(_Node):
     """An internal ``wire`` or ``reg`` declaration."""
 
-    kind: str
-    name: str
-    width: int
+    __slots__ = ("kind", "name", "width")
+
+    def __init__(self, kind: str, name: str, width: int):
+        self.kind = kind
+        self.name = name
+        self.width = width
 
 
-@dataclass
-class ParameterDecl:
+class ParameterDecl(_Node):
     """A ``parameter``/``localparam`` constant."""
 
-    name: str
-    value: int
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str, value: int):
+        self.name = name
+        self.value = value
 
 
-@dataclass
-class ModuleDecl:
+class ModuleDecl(_Node):
     """One Verilog module."""
 
-    name: str
-    ports: List[PortDecl] = field(default_factory=list)
-    nets: List[NetDecl] = field(default_factory=list)
-    parameters: List[ParameterDecl] = field(default_factory=list)
-    assigns: List[AssignStmt] = field(default_factory=list)
-    always_blocks: List[AlwaysBlock] = field(default_factory=list)
-    source_lines: int = 0
+    __slots__ = ("name", "ports", "nets", "parameters", "assigns", "always_blocks",
+                 "source_lines")
+
+    def __init__(
+        self,
+        name: str,
+        ports: Optional[List[PortDecl]] = None,
+        nets: Optional[List[NetDecl]] = None,
+        parameters: Optional[List[ParameterDecl]] = None,
+        assigns: Optional[List[AssignStmt]] = None,
+        always_blocks: Optional[List[AlwaysBlock]] = None,
+        source_lines: int = 0,
+    ):
+        self.name = name
+        self.ports = [] if ports is None else ports
+        self.nets = [] if nets is None else nets
+        self.parameters = [] if parameters is None else parameters
+        self.assigns = [] if assigns is None else assigns
+        self.always_blocks = [] if always_blocks is None else always_blocks
+        self.source_lines = source_lines
 
     def port(self, name: str) -> PortDecl:
         """Look up a port by name."""

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from typing import List, Optional
 
 
@@ -36,14 +35,16 @@ OPERATORS = [
 PUNCTUATION = ["(", ")", "[", "]", "{", "}", ";", ",", ":", "@", ".", "#"]
 
 
-@dataclass
 class Token:
     """One lexical token with its source position."""
 
-    kind: TokenKind
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: TokenKind, text: str, line: int, column: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
 
     def is_keyword(self, word: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.text == word

@@ -34,7 +34,6 @@ that actually participated.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.bitvector import BV3, BV3Conflict
@@ -111,7 +110,6 @@ class ImplicationNode:
         return "ImplicationNode(%s)" % (self.name,)
 
 
-@dataclass
 class ConflictAnalysis:
     """External antecedents of one implication conflict.
 
@@ -122,9 +120,13 @@ class ConflictAnalysis:
     and nothing may be learned from this conflict.
     """
 
-    roots: List[RootCause] = field(default_factory=list)
-    cone: Set[Hashable] = field(default_factory=set)
-    opaque: bool = False
+    __slots__ = ("roots", "cone", "opaque")
+
+    def __init__(self, roots: Optional[List[RootCause]] = None,
+                 cone: Optional[Set[Hashable]] = None, opaque: bool = False):
+        self.roots = [] if roots is None else roots
+        self.cone = set() if cone is None else cone
+        self.opaque = opaque
 
 
 class ImplicationEngine:

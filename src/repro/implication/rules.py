@@ -12,7 +12,6 @@ object bundling
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 from repro.bitvector import BV3
@@ -42,14 +41,17 @@ from repro.netlist.nets import Net
 from repro.netlist.tristate import BusResolver, TristateBuffer
 
 
-@dataclass
 class GateSemantics:
     """Implication semantics of one combinational primitive."""
 
-    gate: Gate
-    pins: List[Net]
-    num_outputs: int
-    imply: Callable[[Sequence[BV3]], List[BV3]]
+    __slots__ = ("gate", "pins", "num_outputs", "imply")
+
+    def __init__(self, gate: Gate, pins: List[Net], num_outputs: int,
+                 imply: Callable[[Sequence[BV3]], List[BV3]]):
+        self.gate = gate
+        self.pins = pins
+        self.num_outputs = num_outputs
+        self.imply = imply
 
     def forward(self, input_cubes: Sequence[BV3]) -> List[BV3]:
         """Three-valued forward simulation: outputs implied from inputs only."""

@@ -13,7 +13,6 @@ levelized implication), design statistics (for Table 1), and validation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.netlist.arith import Adder, Multiplier, ShiftLeft, ShiftRight, Subtractor
@@ -46,16 +45,19 @@ from repro.netlist.tristate import BusResolver, TristateBuffer
 Operand = Union[Net, int]
 
 
-@dataclass
 class CircuitStats:
     """Design statistics in the shape of the paper's Table 1."""
 
-    name: str
-    lines: int
-    gates: int
-    flip_flops: int
-    inputs: int
-    outputs: int
+    __slots__ = ("name", "lines", "gates", "flip_flops", "inputs", "outputs")
+
+    def __init__(self, name: str, lines: int, gates: int, flip_flops: int,
+                 inputs: int, outputs: int):
+        self.name = name
+        self.lines = lines
+        self.gates = gates
+        self.flip_flops = flip_flops
+        self.inputs = inputs
+        self.outputs = outputs
 
     def as_row(self) -> Tuple[str, int, int, int, int, int]:
         return (self.name, self.lines, self.gates, self.flip_flops, self.inputs, self.outputs)

@@ -25,6 +25,9 @@ import time
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Protocol
 
+# Engines run in worker processes forked from this one.  Loading the search
+# here, before any fork, spares every ATPG worker loading it on its own.
+import repro.atpg.justify  # noqa: F401
 from repro.checker.engine import AssertionChecker, CheckerOptions
 from repro.checker.result import CheckStatus
 from repro.netlist.circuit import Circuit

@@ -20,7 +20,6 @@ logic of its own monitor and environment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.atpg.statehash import property_digest
@@ -54,44 +53,52 @@ def _rendered(expr: Expression) -> str:
     return format_expression(expr)
 
 
-@dataclass
 class CompiledProperty:
     """A property compiled into monitor logic inside the circuit."""
 
-    prop: Property
-    monitor: Net
-    #: value the monitor must take at the target frame to produce a
-    #: counter-example (assertions) or a witness (witness properties).
-    goal_value: int
-    #: number of leading frames in which the property is not meaningful
-    #: because Delayed() registers still hold their initial values.
-    warmup_frames: int
-    #: ``(property_digest(expr), goal_value)``: the identity of the learned
-    #: facts that depend on this goal (cubes scoped to it, proven-FAIL
-    #: memos), computed once here instead of at every target frame.
-    fingerprint: Tuple[int, int]
+    __slots__ = ("prop", "monitor", "goal_value", "warmup_frames", "fingerprint")
+
+    def __init__(self, prop: Property, monitor: Net, goal_value: int,
+                 warmup_frames: int, fingerprint: Tuple[int, int]):
+        self.prop = prop
+        self.monitor = monitor
+        #: value the monitor must take at the target frame to produce a
+        #: counter-example (assertions) or a witness (witness properties).
+        self.goal_value = goal_value
+        #: number of leading frames in which the property is not meaningful
+        #: because Delayed() registers still hold their initial values.
+        self.warmup_frames = warmup_frames
+        #: ``(property_digest(expr), goal_value)``: the identity of the
+        #: learned facts that depend on this goal (cubes scoped to it,
+        #: proven-FAIL memos), computed once here instead of at every
+        #: target frame.
+        self.fingerprint = fingerprint
 
     @property
     def is_assertion(self) -> bool:
         return isinstance(self.prop, Assertion)
 
 
-@dataclass
 class LoweredEnvironment:
     """An environment lowered into a circuit, as every engine enforces it."""
 
-    #: net name -> value (wrapped to the net's width) held in every frame.
-    pins: Dict[str, int]
-    #: 1-bit nets that must be 1 in every frame: one per assumption, then
-    #: one per one-hot group.
-    constraints: Tuple[Net, ...]
-    #: frame-0 register values: the explicit initial state if given, else
-    #: the one the initialization sequence derives, else ``None`` (power-on).
-    initial_state: Optional[Dict[str, int]]
-    #: :func:`~repro.properties.environment.environment_identity` of the
-    #: environment and the initial state above: the key every consumer of
-    #: this lowering (model cache, knowledge base) shares.
-    identity: Tuple[str, str]
+    __slots__ = ("pins", "constraints", "initial_state", "identity")
+
+    def __init__(self, pins: Dict[str, int], constraints: Tuple[Net, ...],
+                 initial_state: Optional[Dict[str, int]], identity: Tuple[str, str]):
+        #: net name -> value (wrapped to the net's width) held in every frame.
+        self.pins = pins
+        #: 1-bit nets that must be 1 in every frame: one per assumption,
+        #: then one per one-hot group.
+        self.constraints = constraints
+        #: frame-0 register values: the explicit initial state if given,
+        #: else the one the initialization sequence derives, else ``None``
+        #: (power-on).
+        self.initial_state = initial_state
+        #: :func:`~repro.properties.environment.environment_identity` of the
+        #: environment and the initial state above: the key every consumer
+        #: of this lowering (model cache, knowledge base) shares.
+        self.identity = identity
 
 
 def design_extent(circuit: Circuit) -> Tuple[int, int]:
@@ -109,7 +116,6 @@ def design_extent(circuit: Circuit) -> Tuple[int, int]:
     return extent
 
 
-@dataclass(frozen=True)
 class CheckScope:
     """What one check sees of its circuit: the design plus its own logic.
 
@@ -117,11 +123,16 @@ class CheckScope:
     and environment, the scope is the whole circuit, in the circuit's order.
     """
 
-    circuit: Circuit
-    #: the design's gates are the first ``design_gates`` of ``circuit.gates``.
-    design_gates: int
-    #: the gates compiled after the design that the check reads.
-    own_gates: FrozenSet[Gate] = frozenset()
+    __slots__ = ("circuit", "design_gates", "own_gates")
+
+    def __init__(self, circuit: Circuit, design_gates: int,
+                 own_gates: FrozenSet[Gate] = frozenset()):
+        self.circuit = circuit
+        #: the design's gates are the first ``design_gates`` of
+        #: ``circuit.gates``.
+        self.design_gates = design_gates
+        #: the gates compiled after the design that the check reads.
+        self.own_gates = own_gates
 
     @classmethod
     def whole(cls, circuit: Circuit) -> "CheckScope":

@@ -18,7 +18,6 @@ cache and the knowledge base's on-disk model key are all derived from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.atpg.statehash import property_search_digest
@@ -28,11 +27,13 @@ from repro.properties.spec import Expression, expression_memo
 from repro.simulation.simulator import Simulator
 
 
-@dataclass
 class InitializationSequence:
     """Concrete input vectors applied from power-on to derive initial states."""
 
-    vectors: List[Dict[str, int]] = field(default_factory=list)
+    __slots__ = ("vectors",)
+
+    def __init__(self, vectors: Optional[List[Dict[str, int]]] = None):
+        self.vectors = [] if vectors is None else vectors
 
     def derive_initial_state(self, circuit: Circuit) -> Dict[str, int]:
         """Simulate the sequence and return the resulting register values."""

@@ -46,6 +46,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import OrderedDict
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -463,7 +464,9 @@ class FleetRouter:
         self._states = {endpoint.name: EndpointState(endpoint)
                         for endpoint in self.endpoints}
         self._lock = threading.Lock()
-        self._fingerprints: Dict[Tuple, str] = {}
+        #: circuit ref cache key -> fingerprint, least recently used
+        #: dropped first beyond the daemon route cache's bound.
+        self._fingerprints: "OrderedDict[Tuple, str]" = OrderedDict()
         self._synced_pairs: set = set()
         self.counters: Dict[str, int] = {
             "jobs": 0, "failovers": 0, "fell_back": 0, "syncs": 0,
@@ -476,19 +479,25 @@ class FleetRouter:
         Elaborates the design once per distinct circuit (same cache-key
         discipline as the daemon's route cache) -- the very fingerprint the
         target daemon will key its worker and KB entries by, which is what
-        makes the sharding *sticky* rather than merely balanced.
+        makes the sharding *sticky* rather than merely balanced.  The key
+        and the elaborated design come from one read of the file.
         """
         from repro.kb.fingerprints import circuit_fingerprint
+        from repro.service import supervisor
 
-        cache_key = request.circuit.cache_key()
+        cache_key, text = api.design_key(request.circuit)
         with self._lock:
             cached = self._fingerprints.get(cache_key)
-        if cached is not None:
-            return cached
-        resolved = api.load_design(request.circuit)
+            if cached is not None:
+                self._fingerprints.move_to_end(cache_key)
+                return cached
+        resolved = api.load_design(request.circuit, text)
         fingerprint = "%016x" % circuit_fingerprint(resolved.circuit)
         with self._lock:
             self._fingerprints[cache_key] = fingerprint
+            self._fingerprints.move_to_end(cache_key)
+            while len(self._fingerprints) > supervisor.ROUTES_KEPT:
+                self._fingerprints.popitem(last=False)
         return fingerprint
 
     def order_for(self, fingerprint: str) -> List[EndpointState]:

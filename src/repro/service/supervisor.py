@@ -715,15 +715,16 @@ class Supervisor:
         structural fingerprint; repeats are served from the route cache.
         It bypasses the process-wide design cache, or every worker forked
         afterwards would inherit the circuits of other workers' designs.
+        The key and the elaborated design come from one read of the file.
         """
-        cache_key = request.circuit.cache_key()
+        cache_key, text = api.design_key(request.circuit)
         route = self._route_cache.get(cache_key)
         if route is not None:
             self._route_cache.move_to_end(cache_key)
             return route
 
         def compute():
-            resolved = api.load_design(request.circuit)
+            resolved = api.load_design(request.circuit, text)
             return ("%016x" % circuit_fingerprint(resolved.circuit),
                     resolved.circuit.name)
 

@@ -9,7 +9,6 @@ convenience for test benches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.netlist.arith import Adder
@@ -18,11 +17,13 @@ from repro.netlist.nets import Net
 from repro.netlist.seq import DFF
 
 
-@dataclass
 class SimulationTrace:
     """Recorded net values, one dict per simulated cycle."""
 
-    cycles: List[Dict[str, int]] = field(default_factory=list)
+    __slots__ = ("cycles",)
+
+    def __init__(self, cycles: Optional[List[Dict[str, int]]] = None):
+        self.cycles = [] if cycles is None else cycles
 
     def value(self, cycle: int, net_name: str) -> int:
         """Value of ``net_name`` during ``cycle`` (0-based)."""

@@ -10,6 +10,7 @@ checker verbatim.
 """
 
 import dataclasses
+import io
 import json
 import sys
 import threading
@@ -492,6 +493,50 @@ class TestDesignCache:
         )
         assert api.resolve_design(refs[1]).circuit is circuits[1]
         assert api.resolve_design(refs[0]).circuit is not oldest
+
+    @pytest.mark.parametrize("route", ["resolve_design", "fleet_router"])
+    def test_design_file_is_keyed_and_elaborated_from_one_read(
+        self, route, tmp_path, monkeypatch
+    ):
+        """An edit landing right after the design file was read must not
+        file the edited circuit under the digest of the text read: a later
+        request for that text would be served the other circuit."""
+        from repro.kb.fingerprints import circuit_fingerprint
+        from repro.service.fleet import FleetEndpoint, FleetRouter
+
+        router = FleetRouter([FleetEndpoint("a", str(tmp_path / "a.sock"))])
+        routes = {
+            "resolve_design": lambda ref: "%016x" % circuit_fingerprint(
+                api.resolve_design(ref).circuit),
+            "fleet_router": lambda ref: router.fingerprint_for(counter_request(ref)),
+        }
+        fingerprint = routes[route]
+        first, edit = wrap_counter(9), wrap_counter(12)
+        design = tmp_path / "design.v"
+        design.write_text(first)
+        real_open = open
+        reads = []
+
+        def edited_after_first_read(file, *args, **kwargs):
+            stream = real_open(file, *args, **kwargs)
+            if reads:
+                return stream
+            with stream:
+                data = stream.read()
+            reads.append(file)
+            design.write_text(edit)
+            return io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
+
+        ref = api.CircuitRef.verilog(str(design))
+        monkeypatch.setattr(api, "open", edited_after_first_read, raising=False)
+        raced = fingerprint(ref)
+        monkeypatch.delattr(api, "open")
+        assert reads and design.read_text() == edit
+        design.write_text(first)
+        expected = fingerprint(api.CircuitRef.source(first))
+        assert raced == fingerprint(ref) == expected
+        design.write_text(edit)
+        assert fingerprint(ref) == fingerprint(api.CircuitRef.source(edit)) != expected
 
     def test_inline_refs_never_enter_the_cache(self):
         report = api.check(api.build_request(build_counter(), "count != 12",

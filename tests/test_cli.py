@@ -315,16 +315,16 @@ def _src_env():
     return env
 
 
-def _run_with_modules(script_args, body):
+def _run_with_modules(script_args, body, watched=ONE_SHOT_UNLOADED):
     """Run ``body`` in a fresh interpreter; return (process, loaded guards).
 
-    The interpreter prints which :data:`ONE_SHOT_UNLOADED` modules it holds
-    at exit, after whatever ``body`` printed or exited with.
+    The interpreter prints which ``watched`` modules it holds at exit,
+    after whatever ``body`` printed or exited with.
     """
     script = (
         "import atexit, sys\n"
         "atexit.register(lambda: print('LOADED', sorted(m for m in %r if m in sys.modules),"
-        " file=sys.stderr))\n" % (ONE_SHOT_UNLOADED,)
+        " file=sys.stderr))\n" % (tuple(watched),)
     ) + body
     proc = subprocess.run(
         [sys.executable, "-c", script] + list(script_args),
@@ -352,6 +352,115 @@ def test_one_shot_check_loads_only_what_it_runs():
     assert result["status"] == "witness_found"
     assert result["arithmetic_calls"] == 0
     assert loaded == "[]"
+
+
+#: the body of a fresh ``python -m repro`` run under :func:`_run_with_modules`.
+RUN_REPRO = (
+    "import runpy\n"
+    "sys.argv = ['repro'] + sys.argv[1:]\n"
+    "runpy.run_module('repro', run_name='__main__')\n"
+)
+
+#: the search: the justifier and its decision ranking.
+SEARCH_MODULES = ("repro.atpg.justify", "repro.atpg.decisions", "repro.atpg.probability")
+
+
+@pytest.mark.parametrize(
+    "design, prop, searches",
+    [("self_ne.v", ["--assert", "ok=bad == 0"], False),
+     ("y_range.v", ["--witness", "hit=bad == 1"], True)],
+    ids=["fixpoint", "search"],
+)
+def test_one_shot_check_loads_the_justifier_only_to_search(design, prop, searches):
+    """``x != x`` holds at the requirement fixpoint: that check never loads
+    the search.  ``y_range.v`` needs a decision, and loads it.  Neither
+    loads the request codecs and batch half of ``repro.api``."""
+    proc, loaded = _run_with_modules(
+        ["check", os.path.join(DESIGNS, design)] + prop + ["--json"],
+        RUN_REPRO,
+        watched=SEARCH_MODULES + ("repro.api_extras",),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)[0]
+    assert (result["decisions"] > 0) == searches
+    assert loaded == str(sorted(SEARCH_MODULES) if searches else [])
+
+
+#: the record types a one-shot check builds as dataclasses: the public ones
+#: callers ``dataclasses.replace`` or compare by value.  Every internal
+#: record is a plain class, which costs no class-building at import.
+PUBLIC_RECORDS = [
+    "repro.api.CheckReport", "repro.api.CheckRequest", "repro.api.CircuitRef",
+    "repro.api.PropertySpec", "repro.api.PropertyVerdict",
+    "repro.atpg.estg.LearnedCube", "repro.bitvector.intervals.ValueRange",
+    "repro.checker.engine.CheckerOptions", "repro.checker.result.CheckResult",
+    "repro.checker.result.Counterexample", "repro.checker.stats.CheckStatistics",
+    "repro.properties.spec.Assertion", "repro.properties.spec.Property",
+    "repro.properties.spec.Witness",
+]
+
+
+def test_one_shot_check_builds_only_the_public_dataclasses():
+    """Every dataclass the modules of a searching one-shot check define."""
+    script = (
+        "import atexit, dataclasses, sys\n"
+        "def report():\n"
+        "    found = sorted(\n"
+        "        '%s.%s' % (name, value.__qualname__)\n"
+        "        for name, module in list(sys.modules.items()) if name.startswith('repro')\n"
+        "        for value in vars(module).values()\n"
+        "        if isinstance(value, type) and value.__module__ == name\n"
+        "        and dataclasses.is_dataclass(value))\n"
+        "    print('DATACLASSES', found, file=sys.stderr)\n"
+        "atexit.register(report)\n"
+    ) + RUN_REPRO
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "check", os.path.join(DESIGNS, "y_range.v"),
+         "--witness", "hit=bad == 1", "--json"],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)[0]["decisions"] > 0
+    found = [line for line in proc.stderr.splitlines() if line.startswith("DATACLASSES ")]
+    assert found == ["DATACLASSES %s" % (sorted(PUBLIC_RECORDS),)]
+
+
+def test_closed_stdout_ends_the_output_quietly():
+    """``repro table1 | head -n 1``: the reader leaves after one line.  The
+    process entry takes that as the end of the output: no traceback, and
+    exit status 141 (a shell's status for SIGPIPE), which no verdict uses.
+
+    The child prints the header, then waits until the reader has closed
+    the pipe before it builds the rows, so the next write always finds the
+    pipe closed."""
+    script = (
+        "import select, sys\n"
+        "import repro.circuits\n"
+        "rows = repro.circuits.circuit_statistics\n"
+        "def rows_after_the_reader_left():\n"
+        "    poller = select.poll()\n"
+        "    poller.register(sys.stdout.fileno(), select.POLLERR)\n"
+        "    poller.poll(60_000)\n"
+        "    return rows()\n"
+        "repro.circuits.circuit_statistics = rows_after_the_reader_left\n"
+    ) + RUN_REPRO
+    env = _src_env()
+    env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "table1"], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141, stderr
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert first.split()[:2] == [b"ckt", b"name"]
+    assert "Traceback" not in stderr
 
 
 def test_datapath_check_loads_the_solver_and_counts_alike():

@@ -28,7 +28,7 @@ import pytest
 
 from repro import api, faults
 from repro.kb import KnowledgeBase
-from repro.service import fleet, protocol
+from repro.service import fleet, protocol, supervisor
 from repro.service.client import JobFailure, ServiceError
 
 from test_service import arm_plan, case_request, normalized, running_daemon
@@ -315,6 +315,20 @@ class TestBreaker:
             state.tripped_at = time.monotonic() - 60.0
             assert router._usable(state)      # half-open probe succeeded
             assert state.health(router.cooldown) == "up"
+
+
+def test_fingerprint_cache_keeps_the_route_cache_bound(monkeypatch):
+    """The router remembers as many circuit refs as a daemon's route cache,
+    dropping the least recently used first."""
+    monkeypatch.setattr(supervisor, "ROUTES_KEPT", 2)
+    router = fleet.FleetRouter([fleet.FleetEndpoint("a", "/none.sock")])
+    refs = [api.CircuitRef.case(case_id) for case_id in ("p1", "p3", "p5")]
+    fingerprints = [router.fingerprint_for(case_request(ref.case_id)) for ref in refs]
+    assert len(set(fingerprints)) == 3
+    assert list(router._fingerprints) == [refs[1].cache_key(), refs[2].cache_key()]
+    assert router.fingerprint_for(case_request("p3")) == fingerprints[1]
+    assert router.fingerprint_for(case_request("p1")) == fingerprints[0]
+    assert list(router._fingerprints) == [refs[1].cache_key(), refs[0].cache_key()]
 
 
 # ----------------------------------------------------------------------

@@ -267,9 +267,10 @@ class _CrossCheckingJustifier(Justifier):
 
 @pytest.mark.parametrize("case_id", ["p2", "p3", "p5", "p7"])
 def test_frontier_matches_full_scan_throughout_search(case_id, monkeypatch):
-    import repro.checker.engine as checker_engine
+    from repro.atpg import justify
 
-    monkeypatch.setattr(checker_engine, "Justifier", _CrossCheckingJustifier)
+    # The checker takes the justifier from its module when a search starts.
+    monkeypatch.setattr(justify, "Justifier", _CrossCheckingJustifier)
     case = build_case(case_id)
     result = AssertionChecker(
         case.circuit, environment=case.environment,
