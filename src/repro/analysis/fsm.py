@@ -118,6 +118,7 @@ def extract_local_fsm(
     register: DFF,
     max_states: int = 64,
     confirm_successors: bool = True,
+    model: Optional[UnrolledModel] = None,
 ) -> LocalFsm:
     """Extract the local state transition graph of one register.
 
@@ -134,6 +135,11 @@ def extract_local_fsm(
         When ``True`` every candidate successor from the implied cube is
         additionally checked by asserting it and watching for a conflict,
         which tightens the over-approximation at a small cost.
+    model:
+        The two-frame, free-initial-state model of ``circuit`` to enumerate
+        on (built when omitted).  Every state is asserted on a level of its
+        own and popped again, so the model's base stays untouched and one
+        model serves every register (:func:`extract_local_fsms`).
     """
     width = register.q.width
     num_states = 1 << width
@@ -148,7 +154,8 @@ def extract_local_fsm(
         width=width,
         initial_state=register.init_value,
     )
-    model = UnrolledModel(circuit, 2, free_initial_state=True)
+    if model is None:
+        model = UnrolledModel(circuit, 2, free_initial_state=True)
     engine = model.engine
     current_key = model.key(register.q, 0)
     next_key = model.key(register.q, 1)
@@ -195,17 +202,21 @@ def extract_local_fsms(
     explicit state enumeration.
     """
     fsms: List[LocalFsm] = []
+    model = None
     for register in circuit.flip_flops:
         if register.q.width > max_width:
             continue
         if (1 << register.q.width) > max_states:
             continue
+        if model is None:
+            model = UnrolledModel(circuit, 2, free_initial_state=True)
         fsms.append(
             extract_local_fsm(
                 circuit,
                 register,
                 max_states=max_states,
                 confirm_successors=confirm_successors,
+                model=model,
             )
         )
     return fsms

@@ -527,10 +527,7 @@ class PropertyVerdict:
     def failed(self) -> bool:
         """Whether this verdict makes the whole request fail (CLI contract):
         a violated assertion, or no conclusive answer at all."""
-        return (
-            (self.kind == "assertion" and self.status == CheckStatus.FAILS.value)
-            or not self.conclusive
-        )
+        return self.status == CheckStatus.FAILS.value or not self.conclusive
 
     def to_dict(self) -> Dict[str, object]:
         return _extras().verdict_to_dict(self)
@@ -569,8 +566,11 @@ class CheckReport:
         failing = any(r.failed for r in self.results)
         return 1 if failing or self.disagreements else 0
 
-    def aggregate(self, key: str) -> int:
-        """Sum an integer statistic over all results and engine details.
+    def aggregate(self, key: str) -> float:
+        """Sum a numeric statistic over all results and engine details.
+
+        Integer counters sum to an ``int``; a float statistic such as
+        ``compile_time_ms`` keeps its fraction.
 
         The service layer uses this for warm-path accounting
         (``models_reused``, ``kb_hits``, ...) without caring which execution

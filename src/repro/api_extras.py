@@ -444,18 +444,18 @@ def report_from_dict(cls, payload: Mapping[str, object]) -> CheckReport:
     )
 
 
-def report_aggregate(report: CheckReport, key: str) -> int:
+def report_aggregate(report: CheckReport, key: str) -> float:
     total = 0
     for result in report.results:
         value = result.stats.get(key)
         if isinstance(value, (int, float)):
-            total += int(value)
+            total += value
         for engine in result.engines:
             stats = engine.get("stats")
             if isinstance(stats, Mapping):
                 value = stats.get(key)
                 if isinstance(value, (int, float)):
-                    total += int(value)
+                    total += value
     return total
 
 

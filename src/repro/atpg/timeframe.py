@@ -116,8 +116,9 @@ class UnrolledModel:
         Optionally reuse an existing engine/assignment (used by tests).
     compiled:
         Build on the slot-indexed compiled kernel
-        (:class:`~repro.implication.compiled.CompiledEngine`) instead of
-        the interpreted engine.  Lowering happens incrementally while the
+        (:class:`~repro.implication.compiled.CompiledEngine`), the default;
+        ``False`` builds on the interpreted engine, the oracle the kernel
+        is lowered from.  Lowering happens incrementally while the
         frames are built/extended, so a cached model keeps its compiled
         state across bounds and jobs; the time spent is accumulated in
         :attr:`compile_seconds`.  Ignored when ``engine`` is given (the
@@ -131,7 +132,7 @@ class UnrolledModel:
         initial_state: Optional[Mapping[Union[Net, str], int]] = None,
         free_initial_state: bool = False,
         engine: Optional[ImplicationEngine] = None,
-        compiled: bool = False,
+        compiled: bool = True,
     ):
         if num_frames < 1:
             raise ValueError("num_frames must be >= 1")

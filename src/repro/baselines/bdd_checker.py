@@ -35,7 +35,7 @@ from repro.netlist.nets import Net
 from repro.netlist.seq import DFF
 from repro.properties.convert import CheckScope, PropertyCompiler, check_scope
 from repro.properties.environment import Environment
-from repro.properties.spec import Assertion, Property
+from repro.properties.spec import Property
 
 
 class _BddAlgebra(BitAlgebra):
@@ -78,6 +78,9 @@ class BddCheckResult:
     reachable_nodes: int = 0
     #: number of reachable states (over the state variables).
     reachable_states: Optional[int] = None
+
+    #: reachability over state sets yields no input trace.
+    counterexample = None
 
 
 class BddSymbolicChecker:
@@ -193,7 +196,8 @@ class BddSymbolicChecker:
         with ResourceMeter() as meter:
             manager = BddManager(max_nodes=self.node_limit)
             reachable = FALSE
-            status = CheckStatus.ABORTED
+            # Whether a goal state is reachable; None until decided.
+            reached: Optional[bool] = None
             iterations = 0
             try:
                 self._allocate_variables(manager, scope)
@@ -217,9 +221,10 @@ class BddSymbolicChecker:
 
                 reachable = self._initial_states(manager)
                 frontier = reachable
-                found = manager.and_(reachable, goal) != FALSE
+                if manager.and_(reachable, goal) != FALSE:
+                    reached = True
 
-                while not found and iterations < bound:
+                while reached is None and iterations < bound:
                     iterations += 1
                     image = manager.exists(
                         manager.and_(relation, frontier), quantified
@@ -227,24 +232,14 @@ class BddSymbolicChecker:
                     image = manager.rename(image, rename_map)
                     new_states = manager.and_(image, manager.not_(reachable))
                     if new_states == FALSE:
-                        status = (
-                            CheckStatus.HOLDS
-                            if isinstance(prop, Assertion)
-                            else CheckStatus.WITNESS_NOT_FOUND
-                        )
+                        reached = False
                         break
                     reachable = manager.or_(reachable, new_states)
                     frontier = new_states
                     if manager.and_(new_states, goal) != FALSE:
-                        found = True
-                if found:
-                    status = (
-                        CheckStatus.FAILS
-                        if isinstance(prop, Assertion)
-                        else CheckStatus.WITNESS_FOUND
-                    )
+                        reached = True
             except BddLimitExceeded:
-                status = CheckStatus.ABORTED
+                reached = None
 
         num_state_bits = len(self._state_bits)
         try:
@@ -259,7 +254,7 @@ class BddSymbolicChecker:
             reachable_count = None
         return BddCheckResult(
             prop=prop,
-            status=status,
+            status=CheckStatus.of(prop, reached),
             iterations=iterations,
             wall_seconds=meter.elapsed_seconds,
             peak_memory_mb=meter.peak_memory_mb,

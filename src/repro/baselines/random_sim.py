@@ -33,7 +33,7 @@ from repro.checker.stats import CheckStatistics, ResourceMeter
 from repro.netlist.circuit import Circuit
 from repro.properties.convert import PropertyCompiler
 from repro.properties.environment import Environment
-from repro.properties.spec import Assertion, Property
+from repro.properties.spec import Property
 from repro.sim import BitParallelSim, RandomLaneSampler, compile_circuit
 from repro.simulation.replay import replay_trace
 
@@ -104,33 +104,13 @@ class RandomSimulationChecker:
         self.vectors_simulated = 0
 
         with ResourceMeter() as meter:
-            counterexample = self._simulate(compiled.monitor.name, goal_value, rng, runs)
+            trace = self._simulate(compiled.monitor.name, goal_value, rng, runs)
 
         statistics.wall_seconds = meter.elapsed_seconds
         statistics.peak_memory_mb = meter.peak_memory_mb
         statistics.frames_explored = self.vectors_simulated
 
-        if counterexample is not None and not counterexample.validated:
-            # The replay refuted the simulator's hit: the verdict cannot
-            # be trusted (same demotion the ATPG and SAT engines apply to
-            # traces that fail concrete validation).
-            return CheckResult(
-                prop=prop,
-                status=CheckStatus.ABORTED,
-                frames_explored=self.vectors_simulated,
-                counterexample=None,
-                statistics=statistics,
-            )
-        if counterexample is not None:
-            status = (
-                CheckStatus.FAILS if isinstance(prop, Assertion) else CheckStatus.WITNESS_FOUND
-            )
-        else:
-            status = (
-                CheckStatus.HOLDS
-                if isinstance(prop, Assertion)
-                else CheckStatus.WITNESS_NOT_FOUND
-            )
+        status, counterexample = CheckStatus.of_search(prop, trace)
         return CheckResult(
             prop=prop,
             status=status,

@@ -19,7 +19,7 @@ from repro.checker.stats import ResourceMeter
 from repro.netlist.circuit import Circuit
 from repro.properties.convert import PropertyCompiler, check_scope
 from repro.properties.environment import Environment
-from repro.properties.spec import Assertion, Property
+from repro.properties.spec import Property
 from repro.simulation.replay import replay_trace
 
 
@@ -71,8 +71,8 @@ class SATBoundedChecker:
         total_clauses = 0
         total_variables = 0
         total_decisions = 0
-        counterexample: Optional[Counterexample] = None
-        status = CheckStatus.HOLDS if isinstance(prop, Assertion) else CheckStatus.WITNESS_NOT_FOUND
+        trace: Optional[Counterexample] = None
+        aborted = False
         frames_explored = 0
 
         with ResourceMeter() as meter:
@@ -92,25 +92,13 @@ class SATBoundedChecker:
                 total_decisions += solver.stats.decisions
 
                 if answer is SATResult.SAT:
-                    counterexample = self._replay_model(
-                        blaster, solver, compiled, target_frame
-                    )
-                    if counterexample.validated:
-                        status = (
-                            CheckStatus.FAILS
-                            if isinstance(prop, Assertion)
-                            else CheckStatus.WITNESS_FOUND
-                        )
-                    else:
-                        # The model did not survive concrete replay: the
-                        # encoder over-approximated, so no verdict is trusted.
-                        counterexample = None
-                        status = CheckStatus.ABORTED
+                    trace = self._replay_model(blaster, solver, compiled, target_frame)
                     break
                 if answer is SATResult.UNKNOWN:
-                    status = CheckStatus.ABORTED
+                    aborted = True
                     break
 
+        status, counterexample = CheckStatus.of_search(prop, trace, aborted)
         return SATCheckResult(
             prop=prop,
             status=status,

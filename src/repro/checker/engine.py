@@ -147,7 +147,7 @@ class AssertionChecker:
         statistics = CheckStatistics()
         bound = max_frames if max_frames is not None else self.options.max_frames
         aborted = False
-        counterexample: Optional[Counterexample] = None
+        trace: Optional[Counterexample] = None
 
         with ResourceMeter() as meter:
             try:
@@ -187,12 +187,7 @@ class AssertionChecker:
                         if search is not None:
                             statistics.accumulate_search(search)
                         if outcome is JustifyOutcome.SUCCESS:
-                            counterexample = self._extract_trace(compiled, model, target_frame)
-                            if counterexample is not None and not counterexample.validated:
-                                # An invalid trace means the search over-approximated;
-                                # treat it as inconclusive rather than a real failure.
-                                counterexample = None
-                                aborted = True
+                            trace = self._extract_trace(compiled, model, target_frame)
                             break
                         if outcome is JustifyOutcome.ABORT:
                             aborted = True
@@ -219,7 +214,7 @@ class AssertionChecker:
         statistics.wall_seconds = meter.elapsed_seconds
         statistics.peak_memory_mb = meter.peak_memory_mb
 
-        status = self._verdict(prop, counterexample, aborted)
+        status, counterexample = CheckStatus.of_search(prop, trace, aborted)
         return CheckResult(
             prop=prop,
             status=status,
@@ -382,17 +377,3 @@ class AssertionChecker:
             target_frame, compiled.monitor.name, compiled.goal_value, self.lowered,
         )
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _verdict(
-        prop: Property, counterexample: Optional[Counterexample], aborted: bool
-    ) -> CheckStatus:
-        if counterexample is not None:
-            return (
-                CheckStatus.FAILS if isinstance(prop, Assertion) else CheckStatus.WITNESS_FOUND
-            )
-        if aborted:
-            return CheckStatus.ABORTED
-        return (
-            CheckStatus.HOLDS if isinstance(prop, Assertion) else CheckStatus.WITNESS_NOT_FOUND
-        )

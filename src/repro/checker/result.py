@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.checker.stats import CheckStatistics
 from repro.properties.spec import Property
@@ -23,6 +23,43 @@ class CheckStatus(enum.Enum):
     WITNESS_NOT_FOUND = "witness_not_found"
     #: A resource limit was reached before a conclusion.
     ABORTED = "aborted"
+
+    @classmethod
+    def of(cls, prop: Property, reached: Optional[bool]) -> "CheckStatus":
+        """The verdict on ``prop`` of a check that ``reached`` its goal.
+
+        The goal is a violation of an assertion or the witness state;
+        ``reached`` is ``None`` when the check gave no answer.  Every engine
+        decides its status here.
+        """
+        if reached is None:
+            return cls.ABORTED
+        if prop.is_assertion:
+            return cls.FAILS if reached else cls.HOLDS
+        return cls.WITNESS_FOUND if reached else cls.WITNESS_NOT_FOUND
+
+    @classmethod
+    def of_search(
+        cls, prop: Property, trace: Optional["Counterexample"], aborted: bool = False
+    ) -> Tuple["CheckStatus", Optional["Counterexample"]]:
+        """The verdict and reported trace of a search that ended in ``trace``.
+
+        A trace that fails replay is no verdict: the search over-approximated,
+        so the check is aborted and the trace dropped.  No trace means the
+        search was exhausted within its bound, unless it ``aborted``.
+        """
+        if trace is None:
+            return cls.of(prop, None if aborted else False), None
+        if not trace.validated:
+            return cls.ABORTED, None
+        return cls.of(prop, True), trace
+
+    @property
+    def reached(self) -> Optional[bool]:
+        """Whether the check reached its goal; ``None`` when ``ABORTED``."""
+        if self is CheckStatus.ABORTED:
+            return None
+        return self is CheckStatus.FAILS or self is CheckStatus.WITNESS_FOUND
 
     @property
     def is_conclusive(self) -> bool:

@@ -204,10 +204,7 @@ def _error_item(job: BatchJob, engines: Sequence[Union[str, Engine]],
             status=CheckStatus.ABORTED,
             winner=None,
             engine_results=[
-                EngineResult(
-                    engine=name, status=CheckStatus.ABORTED, conclusive=False,
-                    error=message,
-                )
+                EngineResult.unanswered(name, error=message)
                 for name in _engine_names(engines)
             ],
         ),

@@ -154,16 +154,11 @@ class PortfolioChecker:
         else:
             results = self._run_sequential(prop)
         winner = self._pick_winner(results)
-        status = (
-            results[[r.engine for r in results].index(winner)].status
-            if winner is not None
-            else CheckStatus.ABORTED
-        )
         return PortfolioResult(
             prop_name=prop.name,
             kind="assertion" if prop.is_assertion else "witness",
-            status=status,
-            winner=winner,
+            status=winner.status if winner is not None else CheckStatus.ABORTED,
+            winner=winner.engine if winner is not None else None,
             engine_results=results,
             wall_seconds=time.perf_counter() - started,
         )
@@ -180,12 +175,12 @@ class PortfolioChecker:
             return "process"
         return "sequential"
 
-    def _pick_winner(self, results: List[EngineResult]) -> Optional[str]:
+    def _pick_winner(self, results: List[EngineResult]) -> Optional[EngineResult]:
         """First conclusive engine by completion time (ties: engine order)."""
         conclusive = [r for r in results if r.verdict is not None]
         if not conclusive:
             return None
-        return min(conclusive, key=lambda r: r.wall_seconds).engine
+        return min(conclusive, key=lambda r: r.wall_seconds)
 
     # ------------------------------------------------------------------
     def _run_sequential(self, prop: Property) -> List[EngineResult]:
@@ -194,14 +189,7 @@ class PortfolioChecker:
         finished = False
         for engine in self.engines:
             if finished:
-                results.append(
-                    EngineResult(
-                        engine=engine.name,
-                        status=CheckStatus.ABORTED,
-                        conclusive=False,
-                        cancelled=True,
-                    )
-                )
+                results.append(EngineResult.unanswered(engine.name, cancelled=True))
                 continue
             result = engine.run(
                 self.circuit, prop, self.environment, self.initial_state, budget
@@ -274,38 +262,15 @@ class PortfolioChecker:
         result_queue.close()
         result_queue.cancel_join_thread()
 
-        results: List[EngineResult] = []
-        for index, engine in enumerate(self.engines):
-            if index in collected:
-                results.append(collected[index])
-            elif winner_seen:
-                results.append(
-                    EngineResult(
-                        engine=engine.name,
-                        status=CheckStatus.ABORTED,
-                        conclusive=False,
-                        wall_seconds=time.perf_counter() - started,
-                        cancelled=True,
-                    )
-                )
-            elif timed_out:
-                results.append(
-                    EngineResult(
-                        engine=engine.name,
-                        status=CheckStatus.ABORTED,
-                        conclusive=False,
-                        wall_seconds=time.perf_counter() - started,
-                        timed_out=True,
-                    )
-                )
-            else:
-                results.append(
-                    EngineResult(
-                        engine=engine.name,
-                        status=CheckStatus.ABORTED,
-                        conclusive=False,
-                        wall_seconds=time.perf_counter() - started,
-                        error="engine worker exited without reporting a result",
-                    )
-                )
-        return results
+        if winner_seen:
+            missing = {"cancelled": True}
+        elif timed_out:
+            missing = {"timed_out": True}
+        else:
+            missing = {"error": "engine worker exited without reporting a result"}
+        waited = time.perf_counter() - started
+        return [
+            collected[index] if index in collected
+            else EngineResult.unanswered(engine.name, waited, **missing)
+            for index, engine in enumerate(self.engines)
+        ]

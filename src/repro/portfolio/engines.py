@@ -12,9 +12,13 @@ result type.  This module puts them behind one small protocol:
         can_prove: bool
         def run(circuit, prop, environment, initial_state, budget) -> EngineResult
 
-Adapters never raise: backend exceptions are captured into
-``EngineResult.error`` so one broken engine cannot take down a portfolio
-race.  Budgets are normalised by :class:`EngineBudget` and mapped onto each
+The four adapters share one ``run``: it times the check, captures a backend
+exception into ``EngineResult.error`` (so one broken engine cannot take down
+a portfolio race) and derives ``conclusive`` from the checker's
+:attr:`~repro.checker.result.CheckStatus.reached` and the adapter's
+``can_prove``.  Each adapter keeps only how it calls its checker, whether
+its verdicts are bounded by the unrolling depth, and its native counters.
+Budgets are normalised by :class:`EngineBudget` and mapped onto each
 backend's native knobs (unrolling bound, BDD iteration/node limits, random
 run counts and seed).
 """
@@ -29,7 +33,6 @@ from typing import Mapping, Optional, Protocol
 # here, before any fork, spares every ATPG worker loading it on its own.
 import repro.atpg.justify  # noqa: F401
 from repro.checker.engine import AssertionChecker, CheckerOptions
-from repro.checker.result import CheckStatus
 from repro.netlist.circuit import Circuit
 from repro.portfolio.result import EngineResult
 from repro.properties.environment import Environment
@@ -100,17 +103,42 @@ class Engine(Protocol):
         ...
 
 
-def _error_result(name: str, started: float, exc: Exception) -> EngineResult:
-    return EngineResult(
-        engine=name,
-        status=CheckStatus.ABORTED,
-        conclusive=False,
-        wall_seconds=time.perf_counter() - started,
-        error="%s: %s" % (type(exc).__name__, exc),
-    )
+class _Adapter:
+    """The ``run`` every adapter shares.
+
+    It times the check, records an exception as ``error`` and builds the
+    :class:`EngineResult`: a result is conclusive when the engine reached
+    the goal, or did not reach it and ``can_prove``.  A subclass says only
+    how it calls its checker (:meth:`_check`, which returns the checker's
+    result and its native counters) and whether its verdicts cover
+    ``budget.max_frames`` frames (``bounded``).
+    """
+
+    can_prove = True
+    bounded = False
+
+    def run(self, circuit, prop, environment, initial_state, budget) -> EngineResult:
+        started = time.perf_counter()
+        try:
+            result, stats = self._check(circuit, prop, environment, initial_state, budget)
+        except Exception as exc:  # pragma: no cover - defensive
+            return EngineResult.unanswered(
+                self.name, time.perf_counter() - started,
+                error="%s: %s" % (type(exc).__name__, exc),
+            )
+        reached = result.status.reached
+        return EngineResult(
+            engine=self.name,
+            status=result.status,
+            conclusive=reached is not None and (reached or self.can_prove),
+            wall_seconds=time.perf_counter() - started,
+            counterexample=result.counterexample,
+            bound=budget.max_frames if self.bounded else None,
+            stats=stats,
+        )
 
 
-class AtpgEngine:
+class AtpgEngine(_Adapter):
     """Adapter for the paper's word-level ATPG :class:`AssertionChecker`.
 
     ``options`` configures the checker (learning, knowledge base, FSM
@@ -121,7 +149,7 @@ class AtpgEngine:
     """
 
     name = "atpg"
-    can_prove = True
+    bounded = True
 
     def __init__(self, options: Optional[CheckerOptions] = None):
         self.options = options if options is not None else CheckerOptions()
@@ -131,160 +159,96 @@ class AtpgEngine:
         """A fully configured adapter from the unified request type."""
         return cls(CheckerOptions.from_request(request))
 
-    def run(self, circuit, prop, environment, initial_state, budget) -> EngineResult:
-        started = time.perf_counter()
-        try:
-            options = replace(self.options, max_frames=budget.max_frames)
-            checker = AssertionChecker(
-                circuit,
-                environment=environment,
-                initial_state=initial_state,
-                options=options,
-            )
-            result = checker.check(prop)
-        except Exception as exc:  # pragma: no cover - defensive
-            return _error_result(self.name, started, exc)
+    def _check(self, circuit, prop, environment, initial_state, budget):
         from repro.checker.report import statistics_to_dict
 
+        options = replace(self.options, max_frames=budget.max_frames)
+        result = AssertionChecker(
+            circuit, environment=environment, initial_state=initial_state,
+            options=options,
+        ).check(prop)
         stats = {"frames_explored": result.frames_explored,
                  "learning": options.learning}
         stats.update(statistics_to_dict(result.statistics))
-        return EngineResult(
-            engine=self.name,
-            status=result.status,
-            conclusive=result.status.is_conclusive,
-            wall_seconds=time.perf_counter() - started,
-            counterexample=result.counterexample,
-            bound=budget.max_frames,
-            stats=stats,
-        )
+        return result, stats
 
 
-class BddEngine:
+class BddEngine(_Adapter):
     """Adapter for the BDD symbolic reachability baseline."""
 
     name = "bdd"
-    can_prove = True
 
-    def run(self, circuit, prop, environment, initial_state, budget) -> EngineResult:
-        started = time.perf_counter()
-        try:
-            from repro.baselines.bdd_checker import BddSymbolicChecker
+    def _check(self, circuit, prop, environment, initial_state, budget):
+        from repro.baselines.bdd_checker import BddSymbolicChecker
 
-            checker = BddSymbolicChecker(
-                circuit,
-                environment=environment,
-                initial_state=initial_state,
-                max_iterations=budget.bdd_iterations,
-                node_limit=budget.bdd_node_limit,
-            )
-            result = checker.check(prop)
-        except Exception as exc:  # pragma: no cover - defensive
-            return _error_result(self.name, started, exc)
-        return EngineResult(
-            engine=self.name,
-            status=result.status,
-            conclusive=result.status.is_conclusive,
-            wall_seconds=time.perf_counter() - started,
-            # The BDD engine decides reachability over state *sets*; it does
-            # not produce an input trace.
-            counterexample=None,
-            stats={
-                "iterations": result.iterations,
-                "peak_nodes": result.peak_nodes,
-                "reachable_nodes": result.reachable_nodes,
-                "reachable_states": result.reachable_states,
-                "peak_memory_mb": round(result.peak_memory_mb, 4),
-            },
-        )
+        result = BddSymbolicChecker(
+            circuit, environment=environment, initial_state=initial_state,
+            max_iterations=budget.bdd_iterations, node_limit=budget.bdd_node_limit,
+        ).check(prop)
+        return result, {
+            "iterations": result.iterations,
+            "peak_nodes": result.peak_nodes,
+            "reachable_nodes": result.reachable_nodes,
+            "reachable_states": result.reachable_states,
+            "peak_memory_mb": round(result.peak_memory_mb, 4),
+        }
 
 
-class SatEngine:
+class SatEngine(_Adapter):
     """Adapter for the bit-blasting SAT bounded model checker."""
 
     name = "sat"
-    can_prove = True
+    bounded = True
 
-    def run(self, circuit, prop, environment, initial_state, budget) -> EngineResult:
-        started = time.perf_counter()
-        try:
-            from repro.baselines.sat_checker import SATBoundedChecker
+    def _check(self, circuit, prop, environment, initial_state, budget):
+        from repro.baselines.sat_checker import SATBoundedChecker
 
-            checker = SATBoundedChecker(
-                circuit,
-                environment=environment,
-                initial_state=initial_state,
-                max_frames=budget.max_frames,
-            )
-            result = checker.check(prop)
-        except Exception as exc:  # pragma: no cover - defensive
-            return _error_result(self.name, started, exc)
-        return EngineResult(
-            engine=self.name,
-            status=result.status,
-            conclusive=result.status.is_conclusive,
-            wall_seconds=time.perf_counter() - started,
-            counterexample=result.counterexample,
-            bound=budget.max_frames,
-            stats={
-                "frames_explored": result.frames_explored,
-                "clauses": result.clauses,
-                "variables": result.variables,
-                "decisions": result.decisions,
-                "peak_memory_mb": round(result.peak_memory_mb, 4),
-            },
-        )
+        result = SATBoundedChecker(
+            circuit, environment=environment, initial_state=initial_state,
+            max_frames=budget.max_frames,
+        ).check(prop)
+        return result, {
+            "frames_explored": result.frames_explored,
+            "clauses": result.clauses,
+            "variables": result.variables,
+            "decisions": result.decisions,
+            "peak_memory_mb": round(result.peak_memory_mb, 4),
+        }
 
 
-class RandomSimEngine:
+class RandomSimEngine(_Adapter):
     """Adapter for the random-simulation baseline on the bit-parallel simulator.
 
     A found violation/witness is conclusive (the trace is concrete), but an
-    exhausted budget proves nothing, so "not found" is normalised to an
-    *inconclusive* result -- in a race this engine can win reachable cases
-    but never unreachable ones.  ``budget.sim_width`` sets the lane count K
-    of each call of the circuit's generated lane program
-    (``repro check --sim-width``).
+    exhausted budget proves nothing (``can_prove`` is false), so in a race
+    this engine can win reachable cases but never unreachable ones.
+    ``budget.sim_width`` sets the lane count K of each call of the circuit's
+    generated lane program (``repro check --sim-width``).
     """
 
     name = "random"
     can_prove = False
 
-    def run(self, circuit, prop, environment, initial_state, budget) -> EngineResult:
-        started = time.perf_counter()
-        try:
-            from repro.baselines.random_sim import (
-                RandomSimulationChecker,
-                RandomSimulationOptions,
-            )
-
-            checker = RandomSimulationChecker(
-                circuit,
-                environment=environment,
-                initial_state=initial_state,
-                options=RandomSimulationOptions(
-                    num_runs=budget.random_runs,
-                    cycles_per_run=budget.random_cycles,
-                    sim_width=budget.sim_width,
-                ),
-            )
-            result = checker.check(prop, seed=budget.seed)
-        except Exception as exc:  # pragma: no cover - defensive
-            return _error_result(self.name, started, exc)
-        found = result.counterexample is not None
-        return EngineResult(
-            engine=self.name,
-            status=result.status,
-            conclusive=found,
-            wall_seconds=time.perf_counter() - started,
-            counterexample=result.counterexample,
-            stats={
-                "vectors_simulated": result.frames_explored,
-                "seed": budget.seed,
-                "sim_width": budget.sim_width,
-                "peak_memory_mb": round(result.statistics.peak_memory_mb, 4),
-            },
+    def _check(self, circuit, prop, environment, initial_state, budget):
+        from repro.baselines.random_sim import (
+            RandomSimulationChecker,
+            RandomSimulationOptions,
         )
+
+        result = RandomSimulationChecker(
+            circuit, environment=environment, initial_state=initial_state,
+            options=RandomSimulationOptions(
+                num_runs=budget.random_runs,
+                cycles_per_run=budget.random_cycles,
+                sim_width=budget.sim_width,
+            ),
+        ).check(prop, seed=budget.seed)
+        return result, {
+            "vectors_simulated": result.frames_explored,
+            "seed": budget.seed,
+            "sim_width": budget.sim_width,
+            "peak_memory_mb": round(result.statistics.peak_memory_mb, 4),
+        }
 
 
 #: Engine registry: name -> zero-argument adapter factory.  Its names, in

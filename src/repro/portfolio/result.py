@@ -6,10 +6,13 @@ cost counters.  The portfolio layer needs one shape it can race, compare and
 serialise, so the adapters in :mod:`repro.portfolio.engines` normalise each
 backend verdict into an :class:`EngineResult`:
 
-* ``status`` uses the shared :class:`~repro.checker.result.CheckStatus`;
+* ``status`` uses the shared :class:`~repro.checker.result.CheckStatus`,
+  and :attr:`EngineResult.verdict` reads its ``reached``;
 * ``conclusive`` is the *engine-aware* notion of a final answer -- random
   simulation reports ``HOLDS`` when its budget runs out, but that is not a
-  proof, so its adapter marks the result inconclusive;
+  proof, so the shared adapter ``run`` marks the result inconclusive;
+* an engine that gave no answer -- cancelled, timed out or failed -- is
+  built by :meth:`EngineResult.unanswered`;
 * ``counterexample`` is always a validated
   :class:`~repro.checker.result.Counterexample` (SAT traces are replayed
   through the concrete simulator first);
@@ -26,11 +29,6 @@ from typing import Dict, List, Optional
 
 from repro.checker.report import counterexample_to_dict
 from repro.checker.result import CheckStatus, Counterexample
-
-#: Statuses meaning "the goal state is reachable" under normalisation.
-_REACHABLE = (CheckStatus.FAILS, CheckStatus.WITNESS_FOUND)
-#: Statuses meaning "the goal state was not reached / cannot be reached".
-_UNREACHABLE = (CheckStatus.HOLDS, CheckStatus.WITNESS_NOT_FOUND)
 
 
 @dataclass
@@ -57,16 +55,37 @@ class EngineResult:
     #: ``None`` means the verdict is an unbounded proof (BDD fixed point).
     bound: Optional[int] = None
 
+    @classmethod
+    def unanswered(
+        cls,
+        engine: str,
+        wall_seconds: float = 0.0,
+        *,
+        timed_out: bool = False,
+        cancelled: bool = False,
+        error: Optional[str] = None,
+    ) -> "EngineResult":
+        """The result of an engine that gave no answer: it was cancelled,
+        timed out or failed with ``error``."""
+        return cls(
+            engine=engine,
+            status=CheckStatus.ABORTED,
+            conclusive=False,
+            wall_seconds=wall_seconds,
+            timed_out=timed_out,
+            cancelled=cancelled,
+            error=error,
+        )
+
     @property
     def verdict(self) -> Optional[str]:
         """``"reachable"`` / ``"unreachable"``, or ``None`` if inconclusive."""
         if not self.conclusive or self.error is not None:
             return None
-        if self.status in _REACHABLE:
-            return "reachable"
-        if self.status in _UNREACHABLE:
-            return "unreachable"
-        return None
+        reached = self.status.reached
+        if reached is None:
+            return None
+        return "reachable" if reached else "unreachable"
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-friendly description of this engine run."""

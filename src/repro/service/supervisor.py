@@ -59,6 +59,7 @@ import pickle
 import signal
 import socket
 import struct
+import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -79,6 +80,50 @@ FINISHED_JOBS_KEPT = 1024
 #: circuit refs the route cache remembers, least recently used dropped
 #: first; a forgotten design is elaborated again on its next submit.
 ROUTES_KEPT = 1024
+
+
+class RouteTable:
+    """The routing key of the daemon and the fleet router, per circuit ref.
+
+    A route is the design's structural fingerprint and circuit name.
+    :meth:`lookup` reads the design once (:func:`repro.api.design_key`)
+    and answers repeats; :meth:`learn` elaborates the text that read
+    returned, so the key and the design come from one read.  Elaboration
+    bypasses the process-wide design cache, or every worker a daemon
+    forks afterwards would inherit the circuits of other workers' designs.
+    The newest :data:`ROUTES_KEPT` refs used are kept.  Thread-safe.
+    """
+
+    def __init__(self):
+        self._routes: "OrderedDict[tuple, Tuple[str, str]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._routes)
+
+    def __iter__(self):
+        return iter(self._routes)
+
+    def lookup(self, ref: api.CircuitRef) -> Tuple[tuple, str, Optional[Tuple[str, str]]]:
+        """The ref's cache key and design text, and its route if known."""
+        key, text = api.design_key(ref)
+        with self._lock:
+            route = self._routes.get(key)
+            if route is not None:
+                self._routes.move_to_end(key)
+        return key, text, route
+
+    def learn(self, ref: api.CircuitRef, key: tuple, text: str) -> Tuple[str, str]:
+        """Elaborate ``text`` and remember the ref's route under ``key``."""
+        circuit = api.load_design(ref, text).circuit
+        route = ("%016x" % circuit_fingerprint(circuit), circuit.name)
+        with self._lock:
+            self._routes[key] = route
+            self._routes.move_to_end(key)
+            while len(self._routes) > ROUTES_KEPT:
+                self._routes.popitem(last=False)
+        return route
+
 
 #: seconds the ``stats`` verb waits for idle workers' fresh stats blocks.
 STATS_REPLY_TIMEOUT = 5.0
@@ -393,10 +438,9 @@ class Supervisor:
         self._shutdown_requested = False
         self._draining = False
         self.shutdown_event = asyncio.Event()
-        #: circuit-ref cache key -> (worker key, circuit name), the newest
-        #: ROUTES_KEPT used (avoids re-elaborating designs in the supervisor
-        #: just to route repeat submissions).
-        self._route_cache: "OrderedDict[tuple, Tuple[str, str]]" = OrderedDict()
+        #: circuit ref -> (worker key, circuit name), so repeat submissions
+        #: route without elaborating the design again.
+        self._route_cache = RouteTable()
         #: request digest -> how often it killed a worker (crash or hang).
         self._kill_counts: Dict[str, int] = {}
         #: digests refused as poison jobs.
@@ -711,27 +755,14 @@ class Supervisor:
         """Map a request onto its circuit-fingerprint worker key and name.
 
         The first submission of a design elaborates it once in the
-        supervisor (in a thread, off the event loop) to compute the
-        structural fingerprint; repeats are served from the route cache.
-        It bypasses the process-wide design cache, or every worker forked
-        afterwards would inherit the circuits of other workers' designs.
-        The key and the elaborated design come from one read of the file.
+        supervisor (in a thread, off the event loop); repeats are served
+        from the route table.
         """
-        cache_key, text = api.design_key(request.circuit)
-        route = self._route_cache.get(cache_key)
-        if route is not None:
-            self._route_cache.move_to_end(cache_key)
-            return route
-
-        def compute():
-            resolved = api.load_design(request.circuit, text)
-            return ("%016x" % circuit_fingerprint(resolved.circuit),
-                    resolved.circuit.name)
-
-        route = await asyncio.to_thread(compute)
-        self._route_cache[cache_key] = route
-        if len(self._route_cache) > ROUTES_KEPT:
-            self._route_cache.popitem(last=False)
+        key, text, route = self._route_cache.lookup(request.circuit)
+        if route is None:
+            route = await asyncio.to_thread(
+                self._route_cache.learn, request.circuit, key, text
+            )
         return route
 
     def _worker(self, key: str, circuit_name: str) -> WorkerHandle:

@@ -13,7 +13,7 @@ without cross-bound learning.  ``tests/test_incremental.py`` and
 from repro.atpg.justify import JustifyOutcome
 from repro.atpg.timeframe import UnrolledModel
 from repro.checker import AssertionChecker, CheckerOptions
-from repro.checker.result import CheckResult
+from repro.checker.result import CheckResult, CheckStatus
 from repro.checker.stats import CheckStatistics
 from repro.implication.assignment import ImplicationConflict
 
@@ -28,7 +28,7 @@ def fresh_check(circuit, prop, environment=None, initial_state=None, max_frames=
     )
     compiled = checker.compiler.compile(prop)
     statistics = CheckStatistics()
-    counterexample = None
+    trace = None
     aborted = False
     for target_frame in range(compiled.warmup_frames, max_frames):
         statistics.frames_explored = target_frame + 1
@@ -44,16 +44,15 @@ def fresh_check(circuit, prop, environment=None, initial_state=None, max_frames=
         search = checker._run_justifier(model, compiled, None)
         statistics.accumulate_search(search)
         if search.outcome is JustifyOutcome.SUCCESS:
-            counterexample = checker._extract_trace(compiled, model, target_frame)
-            if not counterexample.validated:
-                counterexample, aborted = None, True
+            trace = checker._extract_trace(compiled, model, target_frame)
             break
         if search.outcome is JustifyOutcome.ABORT:
             aborted = True
             break
+    status, counterexample = CheckStatus.of_search(prop, trace, aborted)
     return CheckResult(
         prop=prop,
-        status=checker._verdict(prop, counterexample, aborted),
+        status=status,
         frames_explored=statistics.frames_explored,
         counterexample=counterexample,
         statistics=statistics,

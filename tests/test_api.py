@@ -413,6 +413,22 @@ class TestFacade:
         with pytest.raises(api.RequestError, match="^%s: %s" % (field, error)):
             api.check(request)
 
+    def test_aggregate_sums_float_statistics_exactly(self):
+        """A float statistic summed over two verdicts and their engine
+        details keeps its fraction; integer counters stay integers."""
+        verdicts = tuple(
+            api.PropertyVerdict(
+                name=name, kind="assertion", status="holds", conclusive=True,
+                stats={"compile_time_ms": local, "models_reused": 1},
+                engines=({"engine": "atpg", "stats": {"compile_time_ms": nested}},),
+            )
+            for name, local, nested in (("a", 0.538, 0.25), ("b", 1.289, 0.5))
+        )
+        report = api.CheckReport(results=verdicts)
+        assert report.aggregate("compile_time_ms") == pytest.approx(2.577)
+        assert report.aggregate("models_reused") == 2
+        assert isinstance(report.aggregate("models_reused"), int)
+
     def test_request_json_is_camera_ready(self):
         # The wire form groups knobs; spot-check the layout the docs promise.
         payload = json.loads(full_request().to_json())
