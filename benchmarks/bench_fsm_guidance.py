@@ -1,12 +1,14 @@
 """Ablation: local-FSM guidance of the ATPG search (paper Section 6 extension).
 
-Local finite state machines are extracted up front, and the justifier
-prunes any branch whose implied register values enter one of their locally
-unreachable states (in any time frame).  That is the only pruning guidance
-adds: every pruned state is one the design can never occupy, so guided and
-unguided searches reach the same verdicts, and guidance saves decisions
-only where the search would otherwise wander through FSM-unreachable
-states.
+Local finite state machines are extracted up front, and each register's
+locally unreachable states, merged into prime cubes, are asserted in every
+time frame as constraint nodes.  A node conflicts once the register's value
+lies inside its cube, and when one known bit of the cube is all that is
+left open it implies that bit's complement.  So guidance both prunes
+branches that enter an unreachable state and narrows register values
+before the search decides them.  Every state it excludes is one the design
+can never occupy, so guided and unguided searches reach the same verdicts;
+the traces they find may differ.
 
 The benchmark measures the effect on two representative checks:
 

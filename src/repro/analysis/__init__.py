@@ -10,7 +10,7 @@ implements the structural analyses on top of the word-level netlist:
   histogram reports (the "circuit model" of Section 1);
 * :mod:`repro.analysis.fsm` -- local finite-state-machine extraction with
   reachability over the extracted state transition graph, whose unreachable
-  states the ATPG prunes under FSM guidance;
+  states FSM guidance asserts in every time frame;
 * :mod:`repro.analysis.recognize` -- counter and shift-register recognition.
 """
 

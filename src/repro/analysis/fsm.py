@@ -20,8 +20,10 @@ Because the inputs and the other registers stay unconstrained, the extracted
 transition relation is an *over-approximation* of the real one.  Reachability
 over an over-approximation is itself an over-approximation, so any state that
 is unreachable in the extracted graph is guaranteed unreachable in the real
-design.  :func:`unreachable_state_cubes` turns them into state cubes the
-justifier may prune in every time frame (``--fsm-guidance``).
+design.  :func:`unreachable_state_cubes` merges them into prime cubes, which
+the checker asserts in every time frame (``--fsm-guidance``) as constraint
+nodes that conflict on the cube and imply its last open bit's complement
+(:func:`implying_cube_rule`).
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.atpg.estg import StateCube
 from repro.atpg.timeframe import UnrolledModel
-from repro.bitvector import BV3
+from repro.bitvector import BV3, BV3Conflict
 from repro.implication.assignment import ImplicationConflict
 from repro.netlist.circuit import Circuit
 from repro.netlist.seq import DFF
@@ -117,7 +118,6 @@ def extract_local_fsm(
     circuit: Circuit,
     register: DFF,
     max_states: int = 64,
-    confirm_successors: bool = True,
     model: Optional[UnrolledModel] = None,
 ) -> LocalFsm:
     """Extract the local state transition graph of one register.
@@ -131,10 +131,6 @@ def extract_local_fsm(
     max_states:
         Upper bound on the number of state encodings explored (``2**width``
         must not exceed it).
-    confirm_successors:
-        When ``True`` every candidate successor from the implied cube is
-        additionally checked by asserting it and watching for a conflict,
-        which tightens the over-approximation at a small cost.
     model:
         The two-frame, free-initial-state model of ``circuit`` to enumerate
         on (built when omitted).  Every state is asserted on a level of its
@@ -169,22 +165,20 @@ def extract_local_fsm(
             fsm.transitions[state] = []
             continue
         next_cube = engine.assignment.get(next_key)
-        candidates = [
-            value for value in range(num_states) if next_cube.contains_int(value)
-        ]
-        if confirm_successors:
-            confirmed = []
-            for value in candidates:
-                engine.push_level()
-                try:
-                    engine.assign(next_key, BV3.from_int(width, value))
-                    confirmed.append(value)
-                except ImplicationConflict:
-                    pass
-                finally:
-                    engine.pop_level()
-            candidates = confirmed
-        fsm.transitions[state] = candidates
+        # Confirm each successor in the implied cube by asserting it.
+        confirmed = []
+        for value in range(num_states):
+            if not next_cube.contains_int(value):
+                continue
+            engine.push_level()
+            try:
+                engine.assign(next_key, BV3.from_int(width, value))
+                confirmed.append(value)
+            except ImplicationConflict:
+                pass
+            finally:
+                engine.pop_level()
+        fsm.transitions[state] = confirmed
         engine.pop_level()
     return fsm
 
@@ -193,7 +187,6 @@ def extract_local_fsms(
     circuit: Circuit,
     max_width: int = 4,
     max_states: int = 64,
-    confirm_successors: bool = True,
 ) -> List[LocalFsm]:
     """Extract local FSMs for every register narrow enough to enumerate.
 
@@ -211,13 +204,7 @@ def extract_local_fsms(
         if model is None:
             model = UnrolledModel(circuit, 2, free_initial_state=True)
         fsms.append(
-            extract_local_fsm(
-                circuit,
-                register,
-                max_states=max_states,
-                confirm_successors=confirm_successors,
-                model=model,
-            )
+            extract_local_fsm(circuit, register, max_states=max_states, model=model)
         )
     return fsms
 
@@ -225,16 +212,16 @@ def extract_local_fsms(
 def unreachable_state_cubes(
     fsms: Sequence[LocalFsm],
     initial_state: Optional[Mapping[str, int]] = None,
-) -> Tuple[StateCube, ...]:
-    """One single-register state cube per locally unreachable state.
+) -> Tuple[Tuple[str, BV3], ...]:
+    """``(register name, cube)`` for each prime cube of each register's
+    locally unreachable states.
 
     Reachability is computed from the value each register actually starts
     from: its entry in ``initial_state`` when the check overrides the
     power-on values, the register's ``init_value`` otherwise, so the cubes
-    stay sound under an explicit or derived initial state.  The justifier
-    tests these cubes in every time frame, pruning branches whose implied
-    register values have drifted into a state the design can never occupy
-    (the paper's Section 6 "avoid entering illegal states" extension).
+    stay sound under an explicit or derived initial state.  A prime cube
+    holds unreachable states only and frees no further bit without losing
+    that property.
     """
     overrides = initial_state or {}
     cubes = []
@@ -242,6 +229,42 @@ def unreachable_state_cubes(
         start = overrides.get(fsm.register_name, fsm.initial_state)
         if start is None:
             continue
-        for state in sorted(fsm.unreachable_states(from_state=start)):
-            cubes.append(((fsm.register_name, BV3.from_int(fsm.width, state)),))
+        states = fsm.unreachable_states(from_state=start)
+        everything = range(fsm.num_states)
+
+        def inside(known: int, value: int) -> bool:
+            return all(state in states for state in everything if state & known == value)
+
+        for known in everything:
+            for value in everything:
+                if value & ~known or not inside(known, value):
+                    continue
+                bits = [1 << bit for bit in range(fsm.width) if known >> bit & 1]
+                if not any(inside(known ^ bit, value & ~bit) for bit in bits):
+                    cubes.append((fsm.register_name, BV3(fsm.width, value, known)))
     return tuple(cubes)
+
+
+def implying_cube_rule(cube: BV3):
+    """The constraint rule of one unreachable-state cube on a register key.
+
+    The rule raises once the register's value lies inside ``cube``.  When
+    only one of the cube's known bits is still open and the others agree, it
+    sets that bit to its complement (unit propagation).
+    """
+    cube_known = cube.known
+    cube_value = cube.value
+
+    def rule(cubes: List[BV3]) -> List[BV3]:
+        current = cubes[0]
+        open_bits = cube_known & ~current.known
+        if (current.value ^ cube_value) & cube_known & current.known or (
+            open_bits & (open_bits - 1)
+        ):
+            return cubes  # outside the cube, or two or more bits still open
+        if not open_bits:
+            raise BV3Conflict("FSM-unreachable state")
+        complement = open_bits & ~cube_value
+        return [BV3(current.width, current.value | complement, current.known | open_bits)]
+
+    return rule

@@ -26,37 +26,23 @@ also persist across *processes*: cubes and memos are flushed to a sqlite
 store on checker teardown and merged back into the graph of any later model
 with the same structural fingerprint (see ``docs/knowledge-base.md``).
 
-States proven unreachable by local FSM analysis are not kept here: the
-checker passes them to the justifier directly (see
-:func:`repro.analysis.fsm.unreachable_state_cubes`), and :func:`covers` is
-the containment test both uses share.
+States proven unreachable by local FSM analysis are not kept here either:
+they are design facts, not search results, so under ``--fsm-guidance`` the
+checker asserts them in every frame of each bound as constraint nodes of
+their own, next to the environment pins (see
+:func:`repro.analysis.fsm.unreachable_state_cubes`).  Learned cubes derived
+from them are theorems like any other, because the model and the knowledge
+base both key on the initial state the FSM reachability starts from.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.atpg.statehash import hash_cube_literals
 from repro.bitvector import BV3
-
-
-#: An abstract state: a tuple of (register name, cube) pairs.
-StateCube = Tuple[Tuple[str, BV3], ...]
-
-
-def covers(general: StateCube, specific: StateCube) -> bool:
-    """True when every register constraint of ``general`` covers the
-    corresponding constraint of ``specific``."""
-    specific_map = dict(specific)
-    for name, cube in general:
-        other = specific_map.get(name)
-        if other is None:
-            return False
-        if not cube.covers(other):
-            return False
-    return True
 
 
 #: One learned-cube literal: (net, frame position, required value cube).
@@ -150,12 +136,6 @@ class ExtendedStateTransitionGraph:
         #: the installed cube that raised the most recent conflict, consumed
         #: by conflict analysis so derived facts inherit its provenance.
         self.last_fired: Optional[LearnedCube] = None
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def state_cube(register_values: Sequence[Tuple[str, BV3]]) -> StateCube:
-        """Normalise a state description into a hashable cube tuple."""
-        return tuple(sorted(register_values, key=lambda item: item[0]))
 
     # ------------------------------------------------------------------
     # Persistent cross-bound learning

@@ -27,8 +27,9 @@ assignment already carries the property requirements.  It repeatedly:
 The outcome is SUCCESS (every requirement justified -- a counterexample /
 witness exists), FAIL (the requirements cannot be satisfied -- the assertion
 holds for this unrolling), or ABORT (a resource limit was hit).  A FAIL is
-always a proof: every failed branch ends in an implication conflict, a
-solver certificate, an FSM-unreachable state or two failed sub-branches.
+always a proof: every failed branch ends in an implication conflict (an
+FSM-unreachable state under ``--fsm-guidance`` is one: its constraint node
+conflicts), a solver certificate or two failed sub-branches.
 
 Unjustified gates are tracked through the implication engine's *dirty-set
 frontier* (see :meth:`~repro.implication.engine.ImplicationEngine.unjustified_frontier`):
@@ -62,10 +63,10 @@ reaches the same verdict and the same counterexample.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.atpg.decisions import find_decision_candidates
-from repro.atpg.estg import ExtendedStateTransitionGraph, LearnedCube, StateCube, covers
+from repro.atpg.estg import ExtendedStateTransitionGraph, LearnedCube
 from repro.atpg.timeframe import JustifierLimits, JustifyOutcome, UnrolledModel, VarKey
 from repro.bitvector import BV3, BV3Conflict
 from repro.implication.assignment import ImplicationConflict, RootCause
@@ -242,7 +243,6 @@ class Justifier:
         prove_mode: bool = True,
         use_bias: bool = True,
         limits: Optional[JustifierLimits] = None,
-        illegal_states: Sequence[StateCube] = (),
         learning: Optional[LearningContext] = None,
     ):
         self.model = model
@@ -250,9 +250,6 @@ class Justifier:
         self.prove_mode = prove_mode
         self.use_bias = use_bias
         self.limits = limits if limits is not None else JustifierLimits()
-        #: states the design can never occupy (typically from local FSM
-        #: analysis); time-invariant, so tested in every frame.
-        self.illegal_states = tuple(illegal_states)
         self.learning = learning
         self.decisions = 0
         self.backtracks = 0
@@ -510,9 +507,6 @@ class Justifier:
         ):
             raise _UnprovenLeaf()
 
-        if self.illegal_states and self._hits_structurally_illegal():
-            return JustifyOutcome.FAIL, None
-
         unjustified = self._unjustified()
         if not unjustified:
             return JustifyOutcome.SUCCESS, None
@@ -716,27 +710,6 @@ class Justifier:
                     visited.add(upstream)
                     queue.append(upstream)
         return None
-
-    # ------------------------------------------------------------------
-    # Structurally illegal states (local FSM analysis)
-    # ------------------------------------------------------------------
-    def _hits_structurally_illegal(self) -> bool:
-        """True when any frame's implied register values fall inside a
-        structurally illegal state cube."""
-        for frame in range(self.model.num_frames):
-            registers = [
-                (ff.q.name, self.model.value(ff.q, frame))
-                for ff in self.model.circuit.flip_flops
-            ]
-            registers = [
-                (name, cube) for name, cube in registers if cube.is_fully_known()
-            ]
-            if not registers:
-                continue
-            state = ExtendedStateTransitionGraph.state_cube(registers)
-            if any(covers(illegal, state) for illegal in self.illegal_states):
-                return True
-        return False
 
 
 def _is_comparator(node: ImplicationNode) -> bool:

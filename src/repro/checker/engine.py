@@ -27,6 +27,7 @@ from repro.checker.incremental import UnrolledModelCache, shared_model_cache
 from repro.checker.result import CheckResult, CheckStatus, Counterexample
 from repro.checker.stats import CheckStatistics, ResourceMeter
 from repro.implication.assignment import ImplicationConflict, RootCause
+from repro.implication.engine import ImplicationNode
 from repro.netlist.circuit import Circuit
 from repro.properties.convert import CompiledProperty, PropertyCompiler
 from repro.properties.environment import Environment
@@ -35,9 +36,6 @@ from repro.simulation.replay import replay_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.atpg.justify import LearningContext
-
-#: register width limit for the local FSM extraction behind FSM guidance.
-FSM_GUIDANCE_MAX_WIDTH = 4
 
 #: engine counters (and ESTG counters, with learning on) a check reports as
 #: deltas on its shared model; each has a same-named ``CheckStatistics`` field.
@@ -72,10 +70,10 @@ class CheckerOptions:
     kb_path: Optional[str] = None
     #: use the legal-assignment-bias decision ordering (ablation switch).
     use_bias: bool = True
-    #: extract local FSMs up front and prune search branches that enter one
-    #: of their locally unreachable states, in any frame (the paper's
-    #: Section 6 extension).  Sound because locally unreachable states can
-    #: never occur in any execution from the check's initial state.
+    #: extract local FSMs up front and assert their unreachable states in
+    #: every frame as implying constraint nodes (the paper's Section 6
+    #: extension).  Sound because locally unreachable states can never
+    #: occur in any execution from the check's initial state.
     use_local_fsm_guidance: bool = False
     #: resource limits of the branch-and-bound search.
     limits: JustifierLimits = field(default_factory=JustifierLimits)
@@ -129,16 +127,22 @@ class AssertionChecker:
         self.compiler = PropertyCompiler(circuit)
         self.lowered = self.compiler.compile_environment(self.environment, initial_state)
         self.initial_state = self.lowered.initial_state
-        #: FSM-unreachable state cubes the justifier prunes (FSM guidance).
+        #: (register name, cube) of each FSM-unreachable state (guidance).
         self.illegal_states = ()
+        #: (register net, constraint rule) of each of those cubes.
+        self._fsm_rules = ()
         if self.options.use_local_fsm_guidance:
             # Reachability starts from this check's initial state.  The
             # cubes name only design registers, so the facts hold for every
             # property compiled into the circuit later.
-            from repro.analysis.fsm import extract_local_fsms, unreachable_state_cubes
+            from repro.analysis import fsm
 
-            fsms = extract_local_fsms(circuit, max_width=FSM_GUIDANCE_MAX_WIDTH)
-            self.illegal_states = unreachable_state_cubes(fsms, self.initial_state)
+            fsms = fsm.extract_local_fsms(circuit)
+            self.illegal_states = fsm.unreachable_state_cubes(fsms, self.initial_state)
+            self._fsm_rules = tuple(
+                (circuit.net(name), fsm.implying_cube_rule(cube))
+                for name, cube in self.illegal_states
+            )
 
     # ------------------------------------------------------------------
     def check(self, prop: Property, max_frames: Optional[int] = None) -> CheckResult:
@@ -283,10 +287,19 @@ class AssertionChecker:
     def _assert_requirements(
         self, model: UnrolledModel, compiled: CompiledProperty, target_frame: int
     ) -> None:
-        """Assert environment constraints (all frames) and the goal (target)."""
+        """Assert environment constraints and FSM nodes (all frames) and the
+        goal (target), all above the per-bound savepoint."""
         engine = model.engine
         env_root = RootCause("env")
+        fsm_nodes = []
         for frame in range(target_frame + 1):
+            for net, rule in self._fsm_rules:
+                node = ImplicationNode(
+                    "fsm:%s@%d" % (net.name, frame), [model.key(net, frame)],
+                    rule, num_outputs=0,
+                )
+                engine.add_node(node)
+                fsm_nodes.append(node)
             for name, value in self.lowered.pins.items():
                 net = self.circuit.net(name)
                 engine.assign(
@@ -304,6 +317,7 @@ class AssertionChecker:
             BV3.from_int(1, compiled.goal_value),
             propagate=False, reason=RootCause("goal"),
         )
+        engine.enqueue(fsm_nodes)
         engine.propagate()
 
     @staticmethod
@@ -353,7 +367,6 @@ class AssertionChecker:
             prove_mode=isinstance(compiled.prop, Assertion),
             use_bias=self.options.use_bias,
             limits=self.options.limits,
-            illegal_states=self.illegal_states,
             learning=learning,
         )
         return justifier.run()

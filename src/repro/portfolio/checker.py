@@ -32,7 +32,7 @@ With ``run_all=True`` every engine runs to completion (no early cancel) so
 the per-engine results can be compared -- that is the differential-testing /
 benchmarking configuration, where
 :attr:`~repro.portfolio.result.PortfolioResult.disagreement` flags soundness
-bugs.
+bugs.  Its winner does not depend on which engine finished first.
 """
 
 from __future__ import annotations
@@ -176,11 +176,20 @@ class PortfolioChecker:
         return "sequential"
 
     def _pick_winner(self, results: List[EngineResult]) -> Optional[EngineResult]:
-        """First conclusive engine by completion time (ties: engine order)."""
+        """The conclusive engine whose answer the portfolio reports.
+
+        A race reports the first to finish.  With ``run_all`` the choice
+        reads the answers, never the clock: a counterexample first, then an
+        unbounded proof, then the largest bound.  Ties go in engine order.
+        """
         conclusive = [r for r in results if r.verdict is not None]
         if not conclusive:
             return None
-        return min(conclusive, key=lambda r: r.wall_seconds)
+        if not self.options.run_all:
+            return min(conclusive, key=lambda r: r.wall_seconds)
+        return min(conclusive, key=lambda r: (
+            r.counterexample is None, r.bound is not None, -(r.bound or 0),
+        ))
 
     # ------------------------------------------------------------------
     def _run_sequential(self, prop: Property) -> List[EngineResult]:

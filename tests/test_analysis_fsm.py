@@ -1,11 +1,14 @@
-"""Tests for local FSM extraction and FSM-guided pruning."""
+"""Tests for local FSM extraction and FSM guidance."""
+
+from pathlib import Path
 
 import pytest
 
 from repro import api
 from repro.analysis import extract_local_fsm, extract_local_fsms, unreachable_state_cubes
-from repro.atpg import Justifier, UnrolledModel
-from repro.bitvector import BV3
+from repro.analysis.fsm import implying_cube_rule
+from repro.bitvector import BV3Conflict
+from repro.bitvector.bv3 import bv
 from repro.checker import AssertionChecker, CheckerOptions, CheckStatus
 from repro.checker.incremental import UnrolledModelCache
 from repro.hdl import compile_verilog
@@ -117,47 +120,85 @@ def test_format_mentions_unreachable_states():
 # ----------------------------------------------------------------------
 # Unreachable state cubes and checker integration
 # ----------------------------------------------------------------------
-def cnt_cube(value):
-    return (("cnt", BV3.from_int(3, value)),)
+def cnt_cube(text):
+    return ("cnt", bv(text))
+
+
+DECADE_COUNTER = (Path(__file__).parent / "designs" / "decade_counter.v").read_text()
 
 
 def test_seed_estg_records_structural_facts():
-    """The counter's dead states above the wrap limit become one state cube
-    each; FSM guidance hands these cubes to the justifier."""
+    """The counter's dead states 6 and 7 merge into one prime cube."""
     fsms = extract_local_fsms(build_wrapping_counter())
-    assert unreachable_state_cubes(fsms) == (cnt_cube(6), cnt_cube(7))
+    assert unreachable_state_cubes(fsms) == (cnt_cube("11x"),)
 
 
 def test_seed_estg_starts_from_the_given_initial_state():
     """Started at 7 the counter wraps through 0..5 and only 6 is never
     occupied; started at 6 every state is reachable."""
     fsms = extract_local_fsms(build_wrapping_counter())
-    assert unreachable_state_cubes(fsms, {"cnt": 7}) == (cnt_cube(6),)
+    assert unreachable_state_cubes(fsms, {"cnt": 7}) == (cnt_cube("110"),)
     assert unreachable_state_cubes(fsms, {"cnt": 6}) == ()
 
 
+def test_unreachable_states_merge_into_all_their_prime_cubes():
+    """Every cube is maximal and holds unreachable states only: the decade
+    counter's 10..15 give ``11xx`` and ``1x1x`` (``101x`` lies inside
+    ``1x1x``), and the one-hot ring's dead encodings give one cube per pair
+    of set bits plus all-zero."""
+    decade = extract_local_fsms(compile_verilog(DECADE_COUNTER))
+    assert unreachable_state_cubes(decade) == (
+        ("count", bv("1x1x")), ("count", bv("11xx")),
+    )
+    ring = extract_local_fsms(build_one_hot_ring())
+    cubes = {cube for _, cube in unreachable_state_cubes(ring)}
+    assert cubes == {
+        bv(text) for text in
+        ("0000", "11xx", "1x1x", "1xx1", "x11x", "x1x1", "xx11")
+    }
+
+
+def test_unreachable_cube_rule_conflicts_implies_or_passes():
+    """Inside the cube the rule conflicts; with one cube bit left open and
+    the others agreeing it sets that bit to the complement; otherwise it
+    changes nothing."""
+    rule = implying_cube_rule(bv("11x"))
+    for inside in ("110", "111", "11x"):
+        with pytest.raises(BV3Conflict):
+            rule([bv(inside)])
+    assert rule([bv("1xx")]) == [bv("10x")]
+    assert rule([bv("x1x")]) == [bv("01x")]
+    for untouched in ("0xx", "x0x", "xxx", "xx1", "101"):
+        assert rule([bv(untouched)]) == [bv(untouched)]
+
+
 def test_justifier_prunes_structurally_illegal_states():
-    """With the initial state left free the model alone admits cnt == 7 (hold
-    the dead state), but the FSM cubes know the real design can never
-    occupy it and prune the branch."""
+    """Guidance asserts the dead states as constraint nodes next to the
+    environment pins, so the witness ``cnt == 7`` conflicts at the
+    requirement fixpoint of every bound, where the unguided search has to
+    decide its way to the same answer."""
     circuit = build_wrapping_counter()
-    illegal_states = unreachable_state_cubes(extract_local_fsms(circuit))
-    cnt = circuit.net("cnt")
-
-    unguided = UnrolledModel(circuit, 3, free_initial_state=True)
-    unguided.assign(cnt, 2, BV3.from_int(3, 7))
-    assert Justifier(unguided, prove_mode=False).run().succeeded
-
-    guided = UnrolledModel(circuit, 3, free_initial_state=True)
-    guided.assign(cnt, 2, BV3.from_int(3, 7))
-    result = Justifier(guided, prove_mode=False, illegal_states=illegal_states).run()
-    assert not result.succeeded
+    prop = Witness("seven", Signal("cnt") == 7)
+    results = {
+        guidance: AssertionChecker(
+            circuit,
+            options=CheckerOptions(max_frames=6, use_local_fsm_guidance=guidance),
+            model_cache=UnrolledModelCache(),
+        ).check(prop)
+        for guidance in (False, True)
+    }
+    assert results[False].status is results[True].status is CheckStatus.WITNESS_NOT_FOUND
+    assert results[False].statistics.decisions > 0
+    assert results[True].statistics.decisions == 0
 
 
 def test_checker_verdicts_unchanged_with_fsm_guidance():
     circuit = build_wrapping_counter()
     prop_holds = Assertion("never_seven", Signal("cnt") != 7)
     prop_witness = Witness("reach_four", Signal("cnt") == 4)
+    # ``cnt >= 4`` leaves ``1xx``: the cube ``11x`` must narrow it to
+    # ``10x``, not rule it out.
+    prop_upper = Witness("reach_upper", Signal("cnt") >= 4)
 
     plain = AssertionChecker(circuit, options=CheckerOptions(max_frames=8))
     guided = AssertionChecker(
@@ -167,8 +208,57 @@ def test_checker_verdicts_unchanged_with_fsm_guidance():
     assert guided.check(prop_holds).status is CheckStatus.HOLDS
     assert plain.check(prop_witness).status is CheckStatus.WITNESS_FOUND
     assert guided.check(prop_witness).status is CheckStatus.WITNESS_FOUND
-    assert cnt_cube(7) in guided.illegal_states
+    assert plain.check(prop_upper).status is CheckStatus.WITNESS_FOUND
+    assert guided.check(prop_upper).status is CheckStatus.WITNESS_FOUND
+    assert guided.illegal_states == (cnt_cube("11x"),)
     assert plain.illegal_states == ()
+
+
+@pytest.mark.parametrize("learning", [True, False])
+def test_fsm_guidance_decides_the_decade_counter_bound(learning):
+    """``count <= 9`` fails only in ``1xxx``; the cubes ``11xx`` and
+    ``1x1x`` imply ``100x``, which the comparator refutes, so no bound
+    needs more than a handful of decisions (378 unguided)."""
+    circuit = compile_verilog(DECADE_COUNTER)
+    prop = Assertion("ok", parse_expression("count <= 9"))
+    result = AssertionChecker(
+        circuit,
+        options=CheckerOptions(learning=learning, use_local_fsm_guidance=True),
+        model_cache=UnrolledModelCache(),
+    ).check(prop)
+    assert result.status is CheckStatus.HOLDS
+    assert result.statistics.decisions <= 8
+
+
+def test_guided_check_leaves_the_shared_model_base_clean():
+    """The FSM nodes sit above the per-bound savepoint: after a guided
+    check the cached model is back at its base, with the node count it had
+    before, and an unguided check on it searches exactly like a fresh
+    one."""
+    circuit = compile_verilog(DECADE_COUNTER)
+    prop = Assertion("ok", parse_expression("count <= 9"))
+
+    def checker(guidance, cache):
+        return AssertionChecker(
+            circuit,
+            options=CheckerOptions(learning=False, use_local_fsm_guidance=guidance),
+            model_cache=cache,
+        )
+
+    fresh = checker(False, UnrolledModelCache()).check(prop)
+    shared = UnrolledModelCache()
+    plain = checker(False, shared)
+    plain.check(prop)
+    model, _ = shared.acquire(circuit, plain.lowered)
+    nodes_before = len(model.engine.nodes)
+    guided = checker(True, shared).check(prop)
+    assert guided.statistics.models_reused == 1
+    assert guided.statistics.decisions <= 8
+    assert model.is_clean
+    assert len(model.engine.nodes) == nodes_before
+    again = plain.check(prop)
+    assert again.status is fresh.status is CheckStatus.HOLDS
+    assert again.statistics.decisions == fresh.statistics.decisions == 378
 
 
 #: Every state of this counter is reachable (``clr`` resets, ``en`` counts),

@@ -10,11 +10,9 @@ from repro.atpg import (
     legal_assignment_bias,
     legal_one_probabilities,
 )
-from repro.atpg.estg import covers
 from repro.atpg import justify as justify_module
 from repro.atpg.justify import JustifierLimits
 from repro.bitvector import BV3
-from repro.bitvector.bv3 import bv
 from repro.implication.assignment import ImplicationConflict
 from repro.netlist import Circuit
 
@@ -239,30 +237,6 @@ def test_justifier_statistics_populated():
     result = Justifier(model, prove_mode=False).run()
     assert result.succeeded
     assert result.implications > 0
-
-
-# ----------------------------------------------------------------------
-# State-cube containment
-# ----------------------------------------------------------------------
-def test_estg_covers_with_unknown_bits():
-    """X bits in the general cube cover any value of those bits; X bits in
-    the specific cube are only covered by X (or wider) in the general one."""
-    general = (("mode", bv("1xx")),)
-    assert covers(general, (("mode", bv("100")),))
-    assert covers(general, (("mode", bv("1x1")),))
-    assert not covers(general, (("mode", bv("0xx")),))
-    # The specific cube's unknown bit may stray outside the general cube.
-    assert not covers((("mode", bv("10x")),), (("mode", bv("1xx")),))
-
-
-def test_estg_covers_empty_and_missing_registers():
-    # An empty general cube constrains nothing and covers every state...
-    assert covers((), (("mode", bv("01")),))
-    assert covers((), ())
-    # ...but a general cube naming a register the specific state leaves
-    # unconstrained cannot cover it.
-    assert not covers((("mode", bv("01")),), ())
-    assert not covers((("mode", bv("01")),), (("other", bv("01")),))
 
 
 # ----------------------------------------------------------------------

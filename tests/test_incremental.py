@@ -326,10 +326,12 @@ def test_batch_kb_path_toggle_covers_engine_instances(tmp_path):
     grants = [Signal(net.name) for net in ports.grants]
     job = BatchJob("onehot", ports.circuit, Assertion("one_hot", OneHot(*grants)))
     pinned = tmp_path / "pinned.sqlite"
+    # ``run_all``: a race may cancel the ATPG worker before it flushes.
     BatchRunner(
         BatchOptions(
             engines=(AtpgEngine(CheckerOptions(kb_path=str(pinned))), "bdd"),
             budget=EngineBudget(max_frames=3),
+            run_all=True,
         )
     ).run([job])
     assert pinned.exists()                             # explicit choice wins

@@ -278,6 +278,57 @@ def test_sequential_race_stops_after_first_conclusive(monkeypatch):
     assert by_name["sleepy"].cancelled  # never started
 
 
+class AnswerEngine:
+    """A stub engine with a canned answer and a canned wall time."""
+
+    can_prove = True
+
+    def __init__(self, name, status, wall_seconds, bound=None, trace=False):
+        self.name = name
+        self.answer = EngineResult(
+            engine=name, status=status, conclusive=True, wall_seconds=wall_seconds,
+            bound=bound,
+            counterexample=Counterexample({}, [{}], [{}], 0, "m", validated=True)
+            if trace else None,
+        )
+
+    def run(self, circuit, prop, environment, initial_state, budget):
+        return self.answer
+
+
+@pytest.mark.parametrize("engines, winner", [
+    # The fastest answer is bounded; the unbounded proof wins.
+    ((("fast", CheckStatus.HOLDS, 0.001, 3), ("slow", CheckStatus.HOLDS, 9.0, None)),
+     "slow"),
+    # A counterexample beats an unbounded proof (a disagreement, reported).
+    ((("proof", CheckStatus.HOLDS, 0.001, None), ("trace", CheckStatus.FAILS, 9.0, 2, True)),
+     "trace"),
+    # Among bounded answers the largest bound wins; ties go in engine order.
+    ((("b3", CheckStatus.HOLDS, 0.001, 3), ("b5", CheckStatus.HOLDS, 9.0, 5),
+      ("b5too", CheckStatus.HOLDS, 0.002, 5)),
+     "b5"),
+])
+def test_compare_picks_the_winner_by_answer_not_by_time(monkeypatch, engines, winner):
+    monkeypatch.setattr(portfolio_checker, "can_spawn_engines", lambda: False)
+    checker = PortfolioChecker(
+        build_counter(),
+        engines=tuple(AnswerEngine(*spec) for spec in engines),
+        options=PortfolioOptions(run_all=True),
+    )
+    assert checker.check(BOUNDED).winner == winner
+
+
+def test_compare_names_the_same_winner_on_every_run():
+    """p14 holds: ATPG proves it within 5 frames and BDD without a bound.
+    Which of them finishes first varies; the reported winner must not."""
+    request = api.CheckRequest(
+        circuit=api.CircuitRef.case("p14"), engines=("atpg", "bdd", "random"),
+        compare=True,
+    )
+    winners = [api.check(request).results[0].winner for _ in range(10)]
+    assert winners == ["bdd"] * 10
+
+
 def test_portfolio_rejects_bad_configuration():
     with pytest.raises(ValueError, match="at least one engine"):
         PortfolioChecker(build_counter(), engines=())
