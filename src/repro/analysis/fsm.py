@@ -28,6 +28,7 @@ nodes that conflict on the cube and imply its last open bit's complement
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -37,6 +38,7 @@ from repro.bitvector import BV3, BV3Conflict
 from repro.implication.assignment import ImplicationConflict
 from repro.netlist.circuit import Circuit
 from repro.netlist.seq import DFF
+from repro.properties.convert import design_extent
 
 
 @dataclass
@@ -187,16 +189,18 @@ def extract_local_fsms(
     circuit: Circuit,
     max_width: int = 4,
     max_states: int = 64,
+    registers: Optional[Sequence[DFF]] = None,
 ) -> List[LocalFsm]:
     """Extract local FSMs for every register narrow enough to enumerate.
 
     Registers wider than ``max_width`` bits are skipped: they are datapath
     registers whose constraints belong to the arithmetic solver, not to
-    explicit state enumeration.
+    explicit state enumeration.  ``registers`` restricts the extraction to
+    those of the circuit's registers (default: all of them).
     """
     fsms: List[LocalFsm] = []
     model = None
-    for register in circuit.flip_flops:
+    for register in circuit.flip_flops if registers is None else registers:
         if register.q.width > max_width:
             continue
         if (1 << register.q.width) > max_states:
@@ -207,6 +211,27 @@ def extract_local_fsms(
             extract_local_fsm(circuit, register, max_states=max_states, model=model)
         )
     return fsms
+
+
+#: circuit -> (its design registers, their local FSMs); see :func:`design_fsms`.
+_DESIGN_FSMS: "weakref.WeakKeyDictionary[Circuit, tuple]" = weakref.WeakKeyDictionary()
+
+
+def design_fsms(circuit: Circuit) -> Tuple[LocalFsm, ...]:
+    """The local FSMs of the circuit's design registers, extracted once.
+
+    Registers compiled in after the design (a ``Delayed`` monitor's) are
+    left out, so every property compiled into the circuit sees the same
+    FSMs.  They are extracted again only when the design's register set
+    changes.
+    """
+    design_gates = design_extent(circuit)[1]
+    registers = tuple(ff for ff in circuit.flip_flops if ff.uid < design_gates)
+    cached = _DESIGN_FSMS.get(circuit)
+    if cached is None or cached[0] != registers:
+        cached = (registers, tuple(extract_local_fsms(circuit, registers=registers)))
+        _DESIGN_FSMS[circuit] = cached
+    return cached[1]
 
 
 def unreachable_state_cubes(

@@ -39,14 +39,12 @@ reachable here and on the classes (``api.build_request``,
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
 import time
 from collections import OrderedDict
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.checker.engine import AssertionChecker, CheckerOptions
@@ -57,6 +55,7 @@ from repro.netlist.circuit import Circuit
 from repro.properties.environment import Environment
 from repro.properties.parse import format_expression, parsed_expression
 from repro.properties.spec import Assertion, Property, Witness
+from repro.records import Record, factory
 
 #: JSON schema tag of the serialised request (bump the major on breakage).
 #: v1.1 retired three search fields (fresh unrolling, the interpreted
@@ -84,8 +83,7 @@ class RequestError(ValueError):
 # ----------------------------------------------------------------------
 # Circuit references
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CircuitRef:
+class CircuitRef(Record, frozen=True):
     """Names the design a request runs against.
 
     Four kinds, three of them serialisable:
@@ -108,6 +106,16 @@ class CircuitRef:
     circuit: Optional[Circuit] = None
 
     KINDS = ("verilog", "source", "case", "inline")
+
+    def __init__(self, kind: str, path: Optional[str] = None, top: Optional[str] = None,
+                 text: Optional[str] = None, case_id: Optional[str] = None,
+                 circuit: Optional[Circuit] = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "case_id", case_id)
+        object.__setattr__(self, "circuit", circuit)
 
     # -- constructors ------------------------------------------------
     @classmethod
@@ -148,11 +156,11 @@ class CircuitRef:
     def cache_key(self) -> Tuple:
         """A hashable identity for design-resolution caches.
 
-        File-backed refs include a digest of the file's text, as source
-        refs do of theirs, so an edited design is re-elaborated instead of
-        served stale -- even a same-size rewrite within one mtime tick.
-        :func:`design_key` also hands back the text the digest was taken
-        from; a file that cannot be read raises :class:`RequestError`.
+        File-backed refs include the file's text, as source refs do
+        theirs, so an edited design is re-elaborated instead of served
+        stale -- even a same-size rewrite within one mtime tick.
+        :func:`design_key` also hands back that text; a file that cannot be
+        read raises :class:`RequestError`.
         """
         return design_key(self)[0]
 
@@ -160,8 +168,7 @@ class CircuitRef:
 # ----------------------------------------------------------------------
 # Property specifications
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PropertySpec:
+class PropertySpec(Record, frozen=True):
     """One property of a request, carried as a parseable expression string.
 
     ``max_frames`` / ``seed`` are optional per-property overrides of the
@@ -174,11 +181,15 @@ class PropertySpec:
     max_frames: Optional[int] = None
     seed: Optional[int] = None
 
-    def __post_init__(self):
-        if self.max_frames is not None and self.max_frames < 1:
-            raise RequestError(
-                "properties.max_frames must be >= 1, got %r" % (self.max_frames,)
-            )
+    def __init__(self, kind: str, name: str, expr: str, max_frames: Optional[int] = None,
+                 seed: Optional[int] = None):
+        if max_frames is not None and max_frames < 1:
+            raise RequestError("properties.max_frames must be >= 1, got %r" % (max_frames,))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "max_frames", max_frames)
+        object.__setattr__(self, "seed", seed)
 
     @classmethod
     def assertion(cls, name: str, expr: Union[str, object], **overrides) -> "PropertySpec":
@@ -224,8 +235,7 @@ def _expr_text(expr: Union[str, object]) -> str:
 # ----------------------------------------------------------------------
 # The request
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CheckRequest:
+class CheckRequest(Record, frozen=True):
     """Everything one verification job needs, in one serialisable value.
 
     The CLI, the batch runner and the service daemon all construct and
@@ -264,24 +274,63 @@ class CheckRequest:
     compare: bool = False
 
     # ------------------------------------------------------------------
-    def __post_init__(self):
-        if not self.engines:
+    def __init__(
+        self,
+        circuit: CircuitRef,
+        properties: Tuple[PropertySpec, ...] = (),
+        pinned: Tuple[Tuple[str, int], ...] = (),
+        one_hot: Tuple[Tuple[str, ...], ...] = (),
+        assumptions: Tuple[str, ...] = (),
+        initial_state: Optional[Tuple[Tuple[str, int], ...]] = None,
+        init_vectors: Tuple[Tuple[Tuple[str, int], ...], ...] = (),
+        engines: Tuple[str, ...] = ("atpg",), max_frames: Optional[int] = None,
+        time_budget: Optional[float] = None, sim_width: Optional[int] = None,
+        seed: Optional[int] = None, random_runs: Optional[int] = None,
+        random_cycles: Optional[int] = None, bdd_iterations: Optional[int] = None,
+        bdd_node_limit: Optional[int] = None,
+        learning: bool = True, kb_path: Optional[str] = None, fsm_guidance: bool = False,
+        jobs: int = 1, compare: bool = False,
+    ):
+        if not engines:
             raise RequestError("a request needs at least one engine")
-        if len(set(self.engines)) != len(self.engines):
-            raise RequestError("duplicate engines: %s" % (",".join(self.engines),))
-        for name in ("jobs", "max_frames", "sim_width", "random_runs", "random_cycles",
-                     "bdd_iterations", "bdd_node_limit"):
-            value = getattr(self, name)
+        if len(set(engines)) != len(engines):
+            raise RequestError("duplicate engines: %s" % (",".join(engines),))
+        for name, value in (
+            ("jobs", jobs), ("max_frames", max_frames), ("sim_width", sim_width),
+            ("random_runs", random_runs), ("random_cycles", random_cycles),
+            ("bdd_iterations", bdd_iterations), ("bdd_node_limit", bdd_node_limit),
+        ):
             if value is not None and value < 1:
                 raise RequestError("%s must be >= 1, got %d" % (name, value))
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise RequestError("time_budget must be > 0, got %r" % (self.time_budget,))
-        for group in self.one_hot:
+        if time_budget is not None and time_budget <= 0:
+            raise RequestError("time_budget must be > 0, got %r" % (time_budget,))
+        for group in one_hot:
             if len(group) < 2:
                 raise RequestError(
                     "environment.one_hot group %r needs at least two signals"
                     % (list(group),)
                 )
+        object.__setattr__(self, "circuit", circuit)
+        object.__setattr__(self, "properties", properties)
+        object.__setattr__(self, "pinned", pinned)
+        object.__setattr__(self, "one_hot", one_hot)
+        object.__setattr__(self, "assumptions", assumptions)
+        object.__setattr__(self, "initial_state", initial_state)
+        object.__setattr__(self, "init_vectors", init_vectors)
+        object.__setattr__(self, "engines", engines)
+        object.__setattr__(self, "max_frames", max_frames)
+        object.__setattr__(self, "time_budget", time_budget)
+        object.__setattr__(self, "sim_width", sim_width)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "random_runs", random_runs)
+        object.__setattr__(self, "random_cycles", random_cycles)
+        object.__setattr__(self, "bdd_iterations", bdd_iterations)
+        object.__setattr__(self, "bdd_node_limit", bdd_node_limit)
+        object.__setattr__(self, "learning", learning)
+        object.__setattr__(self, "kb_path", kb_path)
+        object.__setattr__(self, "fsm_guidance", fsm_guidance)
+        object.__setattr__(self, "jobs", jobs)
+        object.__setattr__(self, "compare", compare)
 
     @property
     def uses_portfolio(self) -> bool:
@@ -444,21 +493,22 @@ def designs_resident() -> int:
 
 
 def design_key(ref: CircuitRef) -> Tuple[Tuple, Optional[str]]:
-    """``ref``'s design-cache key, and the Verilog text its digest covers.
+    """``ref``'s design-cache key, and the Verilog text it holds.
 
-    A design file is read once, here: :func:`load_design` given this text
-    elaborates exactly the design the key names, even if the file changes
-    right after.  The text is ``None`` for case and inline refs.
+    A verilog or source ref is keyed by its text itself: Python hashes and
+    compares a ``str`` key, so no digest is taken.  A design file is read
+    once, here: :func:`load_design` given this text elaborates exactly the
+    design the key names, even if the file changes right after.  The text
+    is ``None`` for case and inline refs.
     """
     if ref.kind == "inline":
         return ("inline", id(ref.circuit)), None
     if ref.kind == "case":
         return ("case", ref.case_id), None
     text = _design_text(ref)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     if ref.kind == "source":
-        return ("source", digest, ref.top), text
-    return ("verilog", os.path.abspath(ref.path or ""), digest, ref.top), text
+        return ("source", text, ref.top), text
+    return ("verilog", os.path.abspath(ref.path or ""), text, ref.top), text
 
 
 def _design_text(ref: CircuitRef) -> str:
@@ -506,8 +556,7 @@ def load_design(ref: CircuitRef, text: Optional[str] = None) -> ResolvedDesign:
 # ----------------------------------------------------------------------
 # Reports
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(Record, frozen=True):
     """One property's outcome inside a :class:`CheckReport`."""
 
     name: str
@@ -518,10 +567,31 @@ class PropertyVerdict:
     frames_explored: Optional[int] = None
     wall_seconds: float = 0.0
     trace: Optional[Dict[str, object]] = None
-    stats: Dict[str, object] = field(default_factory=dict)
+    stats: Dict[str, object] = factory(dict)
     engines: Tuple[Dict[str, object], ...] = ()
     seed: Optional[int] = None
     disagreement: Tuple[str, ...] = ()
+
+    def __init__(
+        self, name: str, kind: str, status: str, conclusive: bool,
+        winner: Optional[str] = None, frames_explored: Optional[int] = None,
+        wall_seconds: float = 0.0, trace: Optional[Dict[str, object]] = None,
+        stats: Optional[Dict[str, object]] = None,
+        engines: Tuple[Dict[str, object], ...] = (), seed: Optional[int] = None,
+        disagreement: Tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "conclusive", conclusive)
+        object.__setattr__(self, "winner", winner)
+        object.__setattr__(self, "frames_explored", frames_explored)
+        object.__setattr__(self, "wall_seconds", wall_seconds)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "stats", {} if stats is None else stats)
+        object.__setattr__(self, "engines", engines)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "disagreement", disagreement)
 
     @property
     def failed(self) -> bool:
@@ -537,8 +607,7 @@ class PropertyVerdict:
         return _extras().verdict_from_dict(cls, payload)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record, frozen=True):
     """The unified, serialisable outcome of one :class:`CheckRequest`.
 
     Produced identically by the in-process facade (:func:`check`) and the
@@ -554,6 +623,15 @@ class CheckReport:
     source: str = "in-process"
     #: service-side execution details (worker id, warm stats) when daemon-run.
     service: Optional[Dict[str, object]] = None
+
+    def __init__(self, results: Tuple[PropertyVerdict, ...], engines: Tuple[str, ...] = ("atpg",),
+                 wall_seconds: float = 0.0, source: str = "in-process",
+                 service: Optional[Dict[str, object]] = None):
+        object.__setattr__(self, "results", results)
+        object.__setattr__(self, "engines", engines)
+        object.__setattr__(self, "wall_seconds", wall_seconds)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "service", service)
 
     @property
     def disagreements(self) -> Tuple[str, ...]:

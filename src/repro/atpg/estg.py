@@ -38,11 +38,11 @@ base both key on the initial state the FSM reachability starts from.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.atpg.statehash import hash_cube_literals
 from repro.bitvector import BV3
+from repro.records import Record
 
 
 #: One learned-cube literal: (net, frame position, required value cube).
@@ -51,8 +51,7 @@ from repro.bitvector import BV3
 CubeLiteral = Tuple[object, int, BV3]
 
 
-@dataclass
-class LearnedCube:
+class LearnedCube(Record):
     """A conflict-lifted combination of assignments proven contradictory.
 
     The cube asserts that the conjunction of its literals (under the model's
@@ -90,6 +89,20 @@ class LearnedCube:
     #: True for cubes installed from the persistent knowledge base rather
     #: than learned in this process; their fires count as ``kb_hits``.
     from_kb: bool = False
+
+    def __init__(self, literals: Tuple[CubeLiteral, ...], shiftable: bool,
+                 min_position: int, max_position: int, prop_fp: Optional[object] = None,
+                 source: str = "resolution", hits: int = 0,
+                 fingerprint: Optional[int] = None, from_kb: bool = False):
+        self.literals = literals
+        self.shiftable = shiftable
+        self.min_position = min_position
+        self.max_position = max_position
+        self.prop_fp = prop_fp
+        self.source = source
+        self.hits = hits
+        self.fingerprint = fingerprint
+        self.from_kb = from_kb
 
     def anchor(self, target_frame: int) -> Optional[List[Tuple[object, int, BV3]]]:
         """The literals re-based to ``target_frame`` ((net, frame, cube)).

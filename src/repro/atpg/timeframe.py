@@ -45,6 +45,7 @@ from repro.netlist.gates import Gate
 from repro.netlist.nets import Net
 from repro.netlist.seq import DFF
 from repro.netlist.classify import is_control
+from repro.records import Record
 
 #: A variable key in the unrolled model: (net, frame index).
 VarKey = Tuple[Net, int]
@@ -61,11 +62,12 @@ class JustifyOutcome(enum.Enum):
     ABORT = "abort"
 
 
-class JustifierLimits:
+class JustifierLimits(Record):
     """Resource limits of the branch-and-bound search.
 
     Compared by value: :class:`~repro.checker.engine.CheckerOptions`
-    equality and ``repr`` include its limits.
+    equality and ``repr`` include its limits.  A slotted record, not a
+    dataclass.
     """
 
     __slots__ = ("max_decisions", "max_backtracks", "max_depth", "arithmetic_budget")
@@ -76,20 +78,6 @@ class JustifierLimits:
         self.max_backtracks = max_backtracks
         self.max_depth = max_depth
         self.arithmetic_budget = arithmetic_budget
-
-    def _fields(self) -> Tuple[int, int, int, int]:
-        return (self.max_decisions, self.max_backtracks, self.max_depth,
-                self.arithmetic_budget)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "JustifierLimits(%s)" % ", ".join(
-            "%s=%r" % pair for pair in zip(self.__slots__, self._fields())
-        )
 
 
 class UnrolledModel:

@@ -15,14 +15,13 @@ to 1 (maximum), tightened against the comparator semantics, and then mapped
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from repro.bitvector.bv3 import BV3, BV3Conflict
+from repro.records import Record
 
 
-@dataclass(frozen=True)
-class ValueRange:
+class ValueRange(Record, frozen=True):
     """A closed unsigned integer interval ``[lo, hi]`` of a ``width``-bit value.
 
     An empty range is represented with ``lo > hi``.
@@ -31,6 +30,11 @@ class ValueRange:
     width: int
     lo: int
     hi: int
+
+    def __init__(self, width: int, lo: int, hi: int):
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     # ------------------------------------------------------------------
     @classmethod

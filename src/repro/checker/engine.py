@@ -18,7 +18,6 @@ configured maximum), the engine:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, TYPE_CHECKING
 
 from repro.atpg.timeframe import JustifierLimits, JustifyOutcome, UnrolledModel
@@ -32,6 +31,7 @@ from repro.netlist.circuit import Circuit
 from repro.properties.convert import CompiledProperty, PropertyCompiler
 from repro.properties.environment import Environment
 from repro.properties.spec import Assertion, Property
+from repro.records import Record, factory
 from repro.simulation.replay import replay_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,8 +49,7 @@ _LEARNING_COUNTERS = (
 )
 
 
-@dataclass
-class CheckerOptions:
+class CheckerOptions(Record):
     """Configuration of the assertion checker."""
 
     #: maximum number of time frames explored (bounded check depth).
@@ -76,7 +75,18 @@ class CheckerOptions:
     #: occur in any execution from the check's initial state.
     use_local_fsm_guidance: bool = False
     #: resource limits of the branch-and-bound search.
-    limits: JustifierLimits = field(default_factory=JustifierLimits)
+    limits: JustifierLimits = factory(JustifierLimits)
+
+    def __init__(self, max_frames: int = 8, learning: bool = True,
+                 kb_path: Optional[str] = None, use_bias: bool = True,
+                 use_local_fsm_guidance: bool = False,
+                 limits: Optional[JustifierLimits] = None):
+        self.max_frames = max_frames
+        self.learning = learning
+        self.kb_path = kb_path
+        self.use_bias = use_bias
+        self.use_local_fsm_guidance = use_local_fsm_guidance
+        self.limits = JustifierLimits() if limits is None else limits
 
     @classmethod
     def from_request(cls, request) -> "CheckerOptions":
@@ -132,13 +142,15 @@ class AssertionChecker:
         #: (register net, constraint rule) of each of those cubes.
         self._fsm_rules = ()
         if self.options.use_local_fsm_guidance:
-            # Reachability starts from this check's initial state.  The
+            # The design registers' FSMs are extracted once per circuit;
+            # reachability starts from this check's initial state.  The
             # cubes name only design registers, so the facts hold for every
             # property compiled into the circuit later.
             from repro.analysis import fsm
 
-            fsms = fsm.extract_local_fsms(circuit)
-            self.illegal_states = fsm.unreachable_state_cubes(fsms, self.initial_state)
+            self.illegal_states = fsm.unreachable_state_cubes(
+                fsm.design_fsms(circuit), self.initial_state
+            )
             self._fsm_rules = tuple(
                 (circuit.net(name), fsm.implying_cube_rule(cube))
                 for name, cube in self.illegal_states

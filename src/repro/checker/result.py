@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.checker.stats import CheckStatistics
 from repro.properties.spec import Property
+from repro.records import Record, factory
 
 
 class CheckStatus(enum.Enum):
@@ -66,8 +66,7 @@ class CheckStatus(enum.Enum):
         return self is not CheckStatus.ABORTED
 
 
-@dataclass
-class Counterexample:
+class Counterexample(Record):
     """A concrete trace demonstrating a property violation (or a witness).
 
     ``inputs`` holds one input vector per time frame; ``initial_state`` the
@@ -82,6 +81,16 @@ class Counterexample:
     target_frame: int
     monitor_name: str
     validated: bool = False
+
+    def __init__(self, initial_state: Dict[str, int], inputs: List[Dict[str, int]],
+                 trace: List[Dict[str, int]], target_frame: int, monitor_name: str,
+                 validated: bool = False):
+        self.initial_state = initial_state
+        self.inputs = inputs
+        self.trace = trace
+        self.target_frame = target_frame
+        self.monitor_name = monitor_name
+        self.validated = validated
 
     @property
     def length(self) -> int:
@@ -103,15 +112,23 @@ class Counterexample:
         return "\n".join(lines)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     """Verdict, trace (when one exists) and statistics of one property check."""
 
     prop: Property
     status: CheckStatus
     frames_explored: int
     counterexample: Optional[Counterexample] = None
-    statistics: CheckStatistics = field(default_factory=CheckStatistics)
+    statistics: CheckStatistics = factory(CheckStatistics)
+
+    def __init__(self, prop: Property, status: CheckStatus, frames_explored: int,
+                 counterexample: Optional[Counterexample] = None,
+                 statistics: Optional[CheckStatistics] = None):
+        self.prop = prop
+        self.status = status
+        self.frames_explored = frames_explored
+        self.counterexample = counterexample
+        self.statistics = CheckStatistics() if statistics is None else statistics
 
     @property
     def holds(self) -> bool:

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 # The builtin behind ``tracemalloc``: asking whether the heap is traced costs
 # no import of ``tracemalloc`` (and its ``pickle``, ``linecache``, ...).
 import _tracemalloc
 
+from repro.records import Record
 
-@dataclass
-class CheckStatistics:
+
+class CheckStatistics(Record):
     """Aggregated statistics of one property check."""
 
     wall_seconds: float = 0.0
@@ -60,6 +60,46 @@ class CheckStatistics:
     kb_hits: int = 0
     #: high-water mark of the unjustified-node frontier during the check.
     frontier_peak: int = 0
+
+    def __init__(self, wall_seconds: float = 0.0, peak_memory_mb: float = 0.0,
+                 decisions: int = 0, backtracks: int = 0, conflicts: int = 0,
+                 implications: int = 0, arithmetic_calls: int = 0, frames_explored: int = 0,
+                 justify_runs: int = 0, models_reused: int = 0, frames_built: int = 0,
+                 rule_cache_hits: int = 0, rule_cache_misses: int = 0,
+                 justified_cache_hits: int = 0, justified_cache_misses: int = 0,
+                 solver_cores: int = 0, unproven_leaves: int = 0, compiled_models: int = 0,
+                 compile_time_ms: float = 0.0, cubes_learned: int = 0,
+                 cubes_lifted: int = 0, cube_hits: int = 0, datapath_cubes_learned: int = 0,
+                 datapath_cube_hits: int = 0, targets_skipped: int = 0,
+                 kb_cubes_loaded: int = 0, kb_hits: int = 0, frontier_peak: int = 0):
+        self.wall_seconds = wall_seconds
+        self.peak_memory_mb = peak_memory_mb
+        self.decisions = decisions
+        self.backtracks = backtracks
+        self.conflicts = conflicts
+        self.implications = implications
+        self.arithmetic_calls = arithmetic_calls
+        self.frames_explored = frames_explored
+        self.justify_runs = justify_runs
+        self.models_reused = models_reused
+        self.frames_built = frames_built
+        self.rule_cache_hits = rule_cache_hits
+        self.rule_cache_misses = rule_cache_misses
+        self.justified_cache_hits = justified_cache_hits
+        self.justified_cache_misses = justified_cache_misses
+        self.solver_cores = solver_cores
+        self.unproven_leaves = unproven_leaves
+        self.compiled_models = compiled_models
+        self.compile_time_ms = compile_time_ms
+        self.cubes_learned = cubes_learned
+        self.cubes_lifted = cubes_lifted
+        self.cube_hits = cube_hits
+        self.datapath_cubes_learned = datapath_cubes_learned
+        self.datapath_cube_hits = datapath_cube_hits
+        self.targets_skipped = targets_skipped
+        self.kb_cubes_loaded = kb_cubes_loaded
+        self.kb_hits = kb_hits
+        self.frontier_peak = frontier_peak
 
     def accumulate_search(self, result) -> None:
         """Fold one :class:`~repro.atpg.justify.JustifyResult` into the totals."""

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
+from repro.records import fields_repr
+
 
 class _Node:
     """Base of every node: slot storage and a field-by-field ``repr``."""
@@ -16,10 +18,7 @@ class _Node:
     __slots__ = ()
 
     def __repr__(self) -> str:
-        return "%s(%s)" % (
-            type(self).__name__,
-            ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__),
-        )
+        return fields_repr(self, self.__slots__)
 
 
 # ----------------------------------------------------------------------

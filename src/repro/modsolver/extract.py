@@ -22,7 +22,6 @@ read by both the leaf's seed selection and the extraction closure.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple, Union
 
 from repro.bitvector import BV3
@@ -32,9 +31,10 @@ from repro.modsolver.nonlinear import NonlinearConstraint, NonlinearSolver
 from repro.modsolver.result import Infeasible, Solution, Unknown
 from repro.netlist.arith import Adder, Multiplier, ShiftLeft, ShiftRight, Subtractor
 from repro.netlist.gates import BufGate, ConstGate
+from repro.records import Record, factory
 
-@dataclass
-class ArithmeticProblem:
+
+class ArithmeticProblem(Record):
     """Arithmetic constraints over unrolled-model variables, grouped by width.
 
     Every extracted constraint is tagged with the engine keys whose
@@ -44,9 +44,16 @@ class ArithmeticProblem:
     conflict analysis needs to lift the clash back to its external roots.
     """
 
-    linear_by_width: Dict[int, ModularLinearSystem] = field(default_factory=dict)
-    nonlinear: List[NonlinearConstraint] = field(default_factory=list)
-    cubes: Dict[Hashable, BV3] = field(default_factory=dict)
+    linear_by_width: Dict[int, ModularLinearSystem] = factory(dict)
+    nonlinear: List[NonlinearConstraint] = factory(list)
+    cubes: Dict[Hashable, BV3] = factory(dict)
+
+    def __init__(self, linear_by_width: Optional[Dict[int, ModularLinearSystem]] = None,
+                 nonlinear: Optional[List[NonlinearConstraint]] = None,
+                 cubes: Optional[Dict[Hashable, BV3]] = None):
+        self.linear_by_width = {} if linear_by_width is None else linear_by_width
+        self.nonlinear = [] if nonlinear is None else nonlinear
+        self.cubes = {} if cubes is None else cubes
 
     def is_empty(self) -> bool:
         """True when no arithmetic constraint was extracted."""

@@ -32,7 +32,6 @@ linear solver is exact, so it never answers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as cartesian_product
 from typing import (
     Dict,
@@ -50,10 +49,10 @@ from typing import (
 
 from repro.modsolver.modular import solve_scalar_congruence
 from repro.modsolver.result import Infeasible
+from repro.records import Record, factory
 
 
-@dataclass
-class LinearConstraint:
+class LinearConstraint(Record):
     """One linear equation ``sum(coeff_i * var_i) = rhs (mod 2**width)``.
 
     ``tags`` carries the constraint's provenance (opaque hashables -- the
@@ -64,7 +63,13 @@ class LinearConstraint:
 
     coefficients: Dict[Hashable, int]
     rhs: int
-    tags: FrozenSet[Hashable] = field(default_factory=frozenset)
+    tags: FrozenSet[Hashable] = factory(frozenset)
+
+    def __init__(self, coefficients: Dict[Hashable, int], rhs: int,
+                 tags: Optional[FrozenSet[Hashable]] = None):
+        self.coefficients = coefficients
+        self.rhs = rhs
+        self.tags = frozenset() if tags is None else tags
 
     def evaluate(self, assignment: Mapping[Hashable, int], width: int) -> int:
         """Left-hand side value under ``assignment`` (mod ``2**width``)."""

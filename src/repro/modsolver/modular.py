@@ -16,8 +16,9 @@ congruence solver ``a * x = k (mod 2**n)`` used by the linear system solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional
+
+from repro.records import Record
 
 
 def two_adic_valuation(value: int) -> int:
@@ -64,8 +65,7 @@ def multiplicative_inverse(a: int, width: int) -> int:
     return inverse % modulus
 
 
-@dataclass(frozen=True)
-class ScalarSolutions:
+class ScalarSolutions(Record, frozen=True):
     """All solutions of ``a * x = k (mod 2**width)`` in closed form.
 
     The solution set is ``{ (base + step * t) mod 2**width : 0 <= t < count }``.
@@ -79,6 +79,12 @@ class ScalarSolutions:
     base: int
     step: int
     count: int
+
+    def __init__(self, width: int, base: int, step: int, count: int):
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "count", count)
 
     def values(self) -> Iterator[int]:
         """Iterate over every solution value."""

@@ -10,7 +10,6 @@ let the linear solver finish the job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import (
     Dict,
     FrozenSet,
@@ -28,10 +27,10 @@ from typing import (
 from repro.modsolver.linear import ModularLinearSystem
 from repro.modsolver.modular import solve_scalar_congruence
 from repro.modsolver.result import Infeasible, Solution, Unknown
+from repro.records import Record, factory
 
 
-@dataclass
-class NonlinearConstraint:
+class NonlinearConstraint(Record):
     """A constraint ``a * b = product (mod 2**width)`` or a variable shift.
 
     ``kind`` is ``"mul"`` or ``"shl"``/``"shr"``.  Each operand is either a
@@ -46,7 +45,16 @@ class NonlinearConstraint:
     b: Hashable
     product: Hashable
     width: int
-    tags: FrozenSet[Hashable] = field(default_factory=frozenset)
+    tags: FrozenSet[Hashable] = factory(frozenset)
+
+    def __init__(self, kind: str, a: Hashable, b: Hashable, product: Hashable, width: int,
+                 tags: Optional[FrozenSet[Hashable]] = None):
+        self.kind = kind
+        self.a = a
+        self.b = b
+        self.product = product
+        self.width = width
+        self.tags = frozenset() if tags is None else tags
 
     def operands(self) -> Tuple[Hashable, Hashable, Hashable]:
         return (self.a, self.b, self.product)
@@ -142,8 +150,7 @@ def _divisors(value: int) -> List[int]:
     return sorted(set(result))
 
 
-@dataclass
-class _CandidatePlan:
+class _CandidatePlan(Record):
     """The substitutions linearising one non-linear constraint.
 
     ``candidates`` yields ``(substitution, tags)`` pairs, where ``tags`` is
@@ -158,6 +165,13 @@ class _CandidatePlan:
     candidates: Iterable[Tuple[Dict[Hashable, int], FrozenSet[Hashable]]]
     complete: bool
     base_tags: FrozenSet[Hashable] = frozenset()
+
+    def __init__(self,
+                 candidates: Iterable[Tuple[Dict[Hashable, int], FrozenSet[Hashable]]],
+                 complete: bool, base_tags: FrozenSet[Hashable] = frozenset()):
+        self.candidates = candidates
+        self.complete = complete
+        self.base_tags = base_tags
 
 
 #: solutions of the linear part tried against the remaining nonlinear

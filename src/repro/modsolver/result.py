@@ -31,22 +31,24 @@ solver's :class:`~repro.modsolver.linear.ModularSolutionSet`) truthy, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable
+from typing import Dict, FrozenSet, Hashable, Optional
+
+from repro.records import Record, factory
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Record, frozen=True):
     """A satisfying assignment for the queried constraint system."""
 
-    assignment: Dict[Hashable, int] = field(default_factory=dict)
+    assignment: Dict[Hashable, int] = factory(dict)
+
+    def __init__(self, assignment: Optional[Dict[Hashable, int]] = None):
+        object.__setattr__(self, "assignment", {} if assignment is None else assignment)
 
     def __bool__(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(Record, frozen=True):
     """The system is proved unsatisfiable.
 
     ``core`` is the union of the provenance tags of the source constraints
@@ -59,12 +61,14 @@ class Infeasible:
 
     core: FrozenSet[Hashable] = frozenset()
 
+    def __init__(self, core: FrozenSet[Hashable] = frozenset()):
+        object.__setattr__(self, "core", core)
+
     def __bool__(self) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Record, frozen=True):
     """No verdict: the solver's budget or enumeration gave out.
 
     Never a proof of anything -- callers may prune the current branch only
@@ -72,6 +76,9 @@ class Unknown:
     """
 
     reason: str = "budget"
+
+    def __init__(self, reason: str = "budget"):
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return False

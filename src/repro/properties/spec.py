@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Generic, List, Optional, Sequence, Tuple, TypeVar
+
+from repro.records import Record
 
 _T = TypeVar("_T")
 
@@ -307,24 +308,26 @@ def expression_memo(derive: Callable[[Expression], _T]) -> ExpressionMemo[_T]:
 # ----------------------------------------------------------------------
 # Property kinds
 # ----------------------------------------------------------------------
-@dataclass
-class Property:
+class Property(Record):
     """Base property: a named expression over circuit signals."""
 
     name: str
     expr: Expression
     description: str = ""
 
+    def __init__(self, name: str, expr: Expression, description: str = ""):
+        self.name = name
+        self.expr = expr
+        self.description = description
+
     @property
     def is_assertion(self) -> bool:
         return isinstance(self, Assertion)
 
 
-@dataclass
 class Assertion(Property):
     """A safety assertion: the expression must hold in every cycle."""
 
 
-@dataclass
 class Witness(Property):
     """A reachability goal: find a cycle where the expression holds."""

@@ -1,16 +1,21 @@
 """Tests for local FSM extraction and FSM guidance."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro import api
-from repro.analysis import extract_local_fsm, extract_local_fsms, unreachable_state_cubes
+from repro.analysis import extract_local_fsm, extract_local_fsms, fsm, unreachable_state_cubes
 from repro.analysis.fsm import implying_cube_rule
 from repro.bitvector import BV3Conflict
 from repro.bitvector.bv3 import bv
 from repro.checker import AssertionChecker, CheckerOptions, CheckStatus
 from repro.checker.incremental import UnrolledModelCache
+from repro.circuits import build_case
 from repro.hdl import compile_verilog
 from repro.netlist import Circuit
 from repro.properties import Assertion, Signal, Witness, parse_expression
@@ -299,3 +304,94 @@ def test_fsm_guided_atpg_agrees_with_sat_on_the_clearable_counter():
     ))
     assert report.disagreements == ()
     assert report.results[0].status == CheckStatus.FAILS.value
+
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """Counts the calls of ``extract_local_fsms`` (a one-item list)."""
+    calls = [0]
+    extract = fsm.extract_local_fsms
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(fsm, "extract_local_fsms", counted)
+    return calls
+
+
+def test_warm_guided_recheck_extracts_nothing(extractions):
+    """A guided re-check of p1 on its resolved design reuses the FSMs the
+    first check extracted, and answers as a guided check of a freshly
+    built p1 does."""
+    api.clear_design_cache()
+    request = api.CheckRequest(
+        circuit=api.CircuitRef.case("p1"), fsm_guidance=True, learning=False
+    )
+    api.check(request)
+    extractions[0] = 0
+    warm = api.check(request).results[0]
+    resolved = api.resolve_design(request.circuit)
+    warm_states = AssertionChecker(
+        resolved.circuit, environment=resolved.environment,
+        initial_state=resolved.initial_state, options=CheckerOptions.from_request(request),
+    ).illegal_states
+    assert extractions[0] == 0
+
+    case = build_case("p1")
+    fresh_checker = AssertionChecker(
+        case.circuit, environment=case.environment, initial_state=case.initial_state,
+        options=CheckerOptions(max_frames=case.max_frames, learning=False,
+                               use_local_fsm_guidance=True),
+        model_cache=UnrolledModelCache(),
+    )
+    fresh = fresh_checker.check(case.prop)
+    assert extractions[0] == 1
+    assert warm.status == fresh.status.value
+    assert warm.stats["decisions"] == fresh.statistics.decisions
+    assert warm_states == fresh_checker.illegal_states
+
+
+#: Prints the decade counter's guided ``count <= 9`` check in a process of
+#: its own: illegal states, verdict and decisions.
+FRESH_GUIDED_CHECK = """
+import json, sys
+from repro.checker import AssertionChecker, CheckerOptions
+from repro.hdl import compile_verilog
+from repro.properties import Assertion, parse_expression
+checker = AssertionChecker(
+    compile_verilog(open(sys.argv[1]).read()),
+    options=CheckerOptions(learning=False, use_local_fsm_guidance=True),
+)
+result = checker.check(Assertion("ok", parse_expression("count <= 9")))
+print(json.dumps([repr(checker.illegal_states), result.status.value,
+                  result.statistics.decisions]))
+"""
+
+
+def test_guided_check_ignores_registers_of_earlier_monitors(extractions):
+    """A ``delayed`` term compiles a monitor register whose local FSM has
+    an unreachable state.  A guided check after it sees the design's
+    registers only, as a guided check in a fresh process does."""
+    circuit = compile_verilog(DECADE_COUNTER)
+    options = CheckerOptions(learning=False, use_local_fsm_guidance=True)
+    prop = Assertion("ok", parse_expression("count <= 9"))
+    AssertionChecker(circuit, options=options).check(prop)
+    AssertionChecker(circuit).check(
+        Assertion("delay", parse_expression("delayed(count & 0, 1, 0) == 0"))
+    )
+    assert len(circuit.flip_flops) == 2
+    checker = AssertionChecker(circuit, options=options)
+    result = checker.check(prop)
+    assert extractions[0] == 1
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    fresh = subprocess.run(
+        [sys.executable, "-c", FRESH_GUIDED_CHECK,
+         str(Path(__file__).parent / "designs" / "decade_counter.v")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(fresh.stdout) == [
+        repr(checker.illegal_states), result.status.value, result.statistics.decisions
+    ]

@@ -299,13 +299,22 @@ def test_cli_import_leaves_sim_and_analysis_unloaded():
 # ----------------------------------------------------------------------
 DESIGNS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "designs")
 
-#: modules a default single-engine ``repro check`` must not load: each one
-#: loads on first use by the path that needs it.
-ONE_SHOT_UNLOADED = (
+#: standard-library modules no one-shot check runs: ``dataclasses`` (and
+#: its ``inspect`` and ``copy``) loads only when a ``dataclasses`` function
+#: is called on a record, OpenSSL's ``hashlib`` only on the daemon path.
+STDLIB_UNLOADED = ("dataclasses", "inspect", "copy", "hashlib", "_hashlib")
+
+#: modules of this package (and the process machinery) a default
+#: single-engine check must not load: each one loads on first use by the
+#: path that needs it.
+PACKAGE_UNLOADED = (
     "repro.portfolio", "repro.modsolver", "repro.baselines", "repro.kb",
     "repro.service", "repro.simulation.vcd", "repro.netlist.lowering", "repro.sim",
     "repro.commands", "multiprocessing", "tracemalloc",
 )
+
+#: modules a default single-engine ``repro check`` must not load.
+ONE_SHOT_UNLOADED = PACKAGE_UNLOADED + STDLIB_UNLOADED
 
 
 def _src_env():
@@ -339,7 +348,8 @@ def test_one_shot_check_loads_only_what_it_runs():
     """A default ``python -m repro check`` that never reaches the datapath
     loads neither the solver nor the portfolio and its process machinery,
     the KB, the service, the baselines, the bit-level lowering, the lane
-    simulator, the VCD writer nor tracemalloc."""
+    simulator, the VCD writer, tracemalloc, dataclasses (and its inspect
+    and copy) nor hashlib."""
     design = os.path.join(DESIGNS, "y_range.v")
     proc, loaded = _run_with_modules(
         ["check", design, "--witness", "hit=bad == 1", "--json"],
@@ -386,9 +396,10 @@ def test_one_shot_check_loads_the_justifier_only_to_search(design, prop, searche
     assert loaded == str(sorted(SEARCH_MODULES) if searches else [])
 
 
-#: the record types a one-shot check builds as dataclasses: the public ones
-#: callers ``dataclasses.replace`` or compare by value.  Every internal
-#: record is a plain class, which costs no class-building at import.
+#: the record types a one-shot check defines as dataclasses: the public ones
+#: callers ``dataclasses.replace`` or compare by value.  They are plain
+#: classes whose dataclass fields are built when first read, as this test's
+#: ``is_dataclass`` does; internal records are no dataclasses at all.
 PUBLIC_RECORDS = [
     "repro.api.CheckReport", "repro.api.CheckRequest", "repro.api.CircuitRef",
     "repro.api.PropertySpec", "repro.api.PropertyVerdict",
@@ -398,6 +409,22 @@ PUBLIC_RECORDS = [
     "repro.properties.spec.Assertion", "repro.properties.spec.Property",
     "repro.properties.spec.Witness",
 ]
+
+
+def test_one_shot_check_through_the_solver_loads_no_dataclasses():
+    """A check that reaches the modular solver builds its records without
+    ``dataclasses``, and reads no digest."""
+    proc, loaded = _run_with_modules(
+        ["check", os.path.join(DESIGNS, "mul_lt_const.v"), "--assert", "nobad=bad == 0",
+         "--max-frames", "1", "--json"],
+        RUN_REPRO,
+        watched=STDLIB_UNLOADED + ("repro.modsolver",),
+    )
+    assert proc.returncode == 1, proc.stderr
+    result = json.loads(proc.stdout)[0]
+    assert result["status"] == "fails"
+    assert result["arithmetic_calls"] > 0
+    assert loaded == "['repro.modsolver']"
 
 
 def test_one_shot_check_builds_only_the_public_dataclasses():
@@ -480,6 +507,8 @@ def test_datapath_check_loads_the_solver_and_counts_alike():
         "from repro import api\n"
         "report = api.check(api.CheckRequest(circuit=api.CircuitRef.case('p15')))\n"
         "print(json.dumps(report.results[0].to_dict()))\n",
+        # The bundled cases are dataclasses: a case ref loads ``dataclasses``.
+        watched=PACKAGE_UNLOADED,
     )
     assert proc.returncode == 0, proc.stderr
     assert loaded == "['repro.modsolver']"
