@@ -189,18 +189,21 @@ def extract_local_fsms(
     circuit: Circuit,
     max_width: int = 4,
     max_states: int = 64,
-    registers: Optional[Sequence[DFF]] = None,
 ) -> List[LocalFsm]:
-    """Extract local FSMs for every register narrow enough to enumerate.
+    """Extract local FSMs for every design register narrow enough to enumerate.
 
     Registers wider than ``max_width`` bits are skipped: they are datapath
     registers whose constraints belong to the arithmetic solver, not to
-    explicit state enumeration.  ``registers`` restricts the extraction to
-    those of the circuit's registers (default: all of them).
+    explicit state enumeration.  Registers compiled in after the design (a
+    ``Delayed`` monitor's) are left out, so every property compiled into
+    the circuit sees the same FSMs.
     """
     fsms: List[LocalFsm] = []
     model = None
-    for register in circuit.flip_flops if registers is None else registers:
+    design_gates = design_extent(circuit)[1]
+    for register in circuit.flip_flops:
+        if register.uid >= design_gates:
+            continue
         if register.q.width > max_width:
             continue
         if (1 << register.q.width) > max_states:
@@ -213,25 +216,18 @@ def extract_local_fsms(
     return fsms
 
 
-#: circuit -> (its design registers, their local FSMs); see :func:`design_fsms`.
-_DESIGN_FSMS: "weakref.WeakKeyDictionary[Circuit, tuple]" = weakref.WeakKeyDictionary()
+#: circuit -> the local FSMs of its design registers.
+_DESIGN_FSMS: "weakref.WeakKeyDictionary[Circuit, Tuple[LocalFsm, ...]]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def design_fsms(circuit: Circuit) -> Tuple[LocalFsm, ...]:
-    """The local FSMs of the circuit's design registers, extracted once.
-
-    Registers compiled in after the design (a ``Delayed`` monitor's) are
-    left out, so every property compiled into the circuit sees the same
-    FSMs.  They are extracted again only when the design's register set
-    changes.
-    """
-    design_gates = design_extent(circuit)[1]
-    registers = tuple(ff for ff in circuit.flip_flops if ff.uid < design_gates)
-    cached = _DESIGN_FSMS.get(circuit)
-    if cached is None or cached[0] != registers:
-        cached = (registers, tuple(extract_local_fsms(circuit, registers=registers)))
-        _DESIGN_FSMS[circuit] = cached
-    return cached[1]
+    """:func:`extract_local_fsms` of the circuit, extracted once per circuit."""
+    fsms = _DESIGN_FSMS.get(circuit)
+    if fsms is None:
+        fsms = _DESIGN_FSMS[circuit] = tuple(extract_local_fsms(circuit))
+    return fsms
 
 
 def unreachable_state_cubes(

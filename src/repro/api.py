@@ -496,10 +496,11 @@ def design_key(ref: CircuitRef) -> Tuple[Tuple, Optional[str]]:
     """``ref``'s design-cache key, and the Verilog text it holds.
 
     A verilog or source ref is keyed by its text itself: Python hashes and
-    compares a ``str`` key, so no digest is taken.  A design file is read
-    once, here: :func:`load_design` given this text elaborates exactly the
-    design the key names, even if the file changes right after.  The text
-    is ``None`` for case and inline refs.
+    compares a ``str`` key, so no digest is taken (the service's route
+    table, which keeps far more refs, digests the text).  A design file is
+    read once, here: :func:`load_design` given this text elaborates exactly
+    the design the key names, even if the file changes right after.  The
+    text is ``None`` for case and inline refs.
     """
     if ref.kind == "inline":
         return ("inline", id(ref.circuit)), None

@@ -53,6 +53,7 @@ The client-facing protocol is :mod:`repro.service.protocol`
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import itertools
 import os
 import pickle
@@ -88,7 +89,9 @@ class RouteTable:
     A route is the design's structural fingerprint and circuit name.
     :meth:`lookup` reads the design once (:func:`repro.api.design_key`)
     and answers repeats; :meth:`learn` elaborates the text that read
-    returned, so the key and the design come from one read.  Elaboration
+    returned, so the key and the design come from one read.  A route is
+    keyed by the design key with the design text replaced by its sha256,
+    so the table holds digests, not whole designs.  Elaboration
     bypasses the process-wide design cache, or every worker a daemon
     forks afterwards would inherit the circuits of other workers' designs.
     The newest :data:`ROUTES_KEPT` refs used are kept.  Thread-safe.
@@ -105,8 +108,11 @@ class RouteTable:
         return iter(self._routes)
 
     def lookup(self, ref: api.CircuitRef) -> Tuple[tuple, str, Optional[Tuple[str, str]]]:
-        """The ref's cache key and design text, and its route if known."""
+        """The ref's route key and design text, and its route if known."""
         key, text = api.design_key(ref)
+        if text is not None:
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            key = tuple(digest if part is text else part for part in key)
         with self._lock:
             route = self._routes.get(key)
             if route is not None:

@@ -331,6 +331,21 @@ def test_fingerprint_cache_keeps_the_route_cache_bound(monkeypatch):
     assert list(router._fingerprints) == [refs[1].cache_key(), refs[0].cache_key()]
 
 
+def test_route_table_keeps_a_digest_of_the_design_text():
+    """A route is keyed by a digest of a design's text, not the text, and
+    the same text routes to the same entry."""
+    text = ("module wide(input [3:0] x, output bad);\n"
+            "  assign bad = (x == 4'd3);\n"
+            "endmodule\n") + "// padding\n" * 200
+    table = supervisor.RouteTable()
+    key, read, route = table.lookup(api.CircuitRef.source(text))
+    assert route is None and read == text
+    assert text not in key and all(len(str(part)) <= 64 for part in key)
+    learned = table.learn(api.CircuitRef.source(text), key, read)
+    assert table.lookup(api.CircuitRef.source(text))[2] == learned
+    assert list(table) == [key]
+
+
 # ----------------------------------------------------------------------
 # Routing (live daemons)
 # ----------------------------------------------------------------------
